@@ -94,35 +94,17 @@ let cache_comparison () =
     (cold, warm)
   end
 
-(* Transfer counts of the two worklist strategies on the quickstart program:
-   the observable win of the RPO priority worklist over chaotic FIFO. *)
-let fixpoint_comparison () =
+(* The summary engine on the quickstart program, cold (no report cache):
+   transfer totals and wall time of one analysis. *)
+let scc_summary_cold () =
   let program = Minic.Compile.compile Harness.quickstart_source in
-  let counts strategy =
-    let r = Analyzer.analyze ~strategy program in
-    ( r.Analyzer.value.Wcet_value.Analysis.transfers,
-      r.Analyzer.cache.Wcet_cache.Cache_analysis.transfers )
-  in
-  (counts Wcet_util.Fixpoint.Rpo, counts Wcet_util.Fixpoint.Fifo)
-
-(* Whole-program vs summary engine on the quickstart program, cold (no
-   report cache): the component schedule drains nodes in the same global
-   RPO-priority order as the whole-program worklist, so the transfer totals
-   must match exactly — this block is both a benchmark and a standing
-   cross-check of that bit-identity argument (DESIGN.md section 5g). *)
-let scc_engine_comparison () =
-  let program = Minic.Compile.compile Harness.quickstart_source in
-  let run engine =
+  let (value, cache), secs =
     timed (fun () ->
-        let r = Analyzer.analyze ~engine program in
-        ( r.Analyzer.wcet,
-          r.Analyzer.value.Wcet_value.Analysis.transfers,
+        let r = Analyzer.analyze program in
+        ( r.Analyzer.value.Wcet_value.Analysis.transfers,
           r.Analyzer.cache.Wcet_cache.Cache_analysis.transfers ))
   in
-  let (w_bound, w_value, w_cache), w_secs = run Analyzer.Whole_program in
-  let (s_bound, s_value, s_cache), s_secs = run Analyzer.Summary in
-  if w_bound <> s_bound then failwith "scc benchmark: engines disagree on the WCET bound";
-  ((w_value, w_cache, w_secs), (s_value, s_cache, s_secs))
+  (value, cache, secs)
 
 let incremental_source edited =
   (* The edit changes leaf_a's code bytes but not its output interval (t is
@@ -286,21 +268,12 @@ let path_portfolio_json e5 =
                    ("backends", Json.List (List.map backend_json r.Harness.e5_backends));
                  ])
              e5) );
-      ( "winners",
-        Json.Obj
-          [
-            ("ipet", Json.Int (wins "ipet"));
-            ("csolve", Json.Int (wins "csolve"));
-            ("mc", Json.Int (wins "mc"));
-          ] );
+      ("winners", Json.Obj [ ("ipet", Json.Int (wins "ipet")); ("mc", Json.Int (wins "mc")) ]);
     ]
 
-let write_json ~path ~domains ~samples ~tables ~samples_per_sec
-    ~rpo:(rpo_value, rpo_cache) ~fifo:(fifo_value, fifo_cache)
-    ~store:(store_cold, store_warm)
-    ~scc:((wp_value, wp_cache, wp_secs), (sm_value, sm_cache, sm_secs))
-    ~incr:(incr_cold, incr_warm) ~e4 ~e5 =
-  let strategy v c =
+let write_json ~path ~domains ~samples ~tables ~samples_per_sec ~store:(store_cold, store_warm)
+    ~scc:(sm_value, sm_cache, sm_secs) ~incr:(incr_cold, incr_warm) ~e4 ~e5 =
+  let transfers (v, c) =
     Json.Obj [ ("value", Json.Int v); ("cache", Json.Int c); ("total", Json.Int (v + c)) ]
   in
   let json =
@@ -317,25 +290,10 @@ let write_json ~path ~domains ~samples ~tables ~samples_per_sec
                (fun (name, seconds) ->
                  Json.Obj [ ("name", Json.String name); ("seconds", Json.Float seconds) ])
                tables) );
-        ( "fixpoint_transfers",
-          Json.Obj
-            [
-              ("program", Json.String "quickstart");
-              ("rpo", strategy rpo_value rpo_cache);
-              ("fifo", strategy fifo_value fifo_cache);
-            ] );
         ( "scc_summary",
           Json.Obj
             [
               ("program", Json.String "quickstart");
-              ( "whole_program",
-                Json.Obj
-                  [
-                    ("value", Json.Int wp_value);
-                    ("cache", Json.Int wp_cache);
-                    ("total", Json.Int (wp_value + wp_cache));
-                    ("seconds", Json.Float wp_secs);
-                  ] );
               ( "summary",
                 Json.Obj
                   [
@@ -348,8 +306,8 @@ let write_json ~path ~domains ~samples ~tables ~samples_per_sec
                 Json.Obj
                   [
                     ("program", Json.String "five-function diamond, one leaf edited");
-                    ("cold", (fun (v, c) -> strategy v c) incr_cold);
-                    ("warm", (fun (v, c) -> strategy v c) incr_warm);
+                    ("cold", transfers incr_cold);
+                    ("warm", transfers incr_warm);
                   ] );
             ] );
         ( "analysis_cache",
@@ -426,20 +384,11 @@ let () =
   let e5, e5_seconds = timed (fun () -> Harness.e5_rows ()) in
   print_string (render (fun ppf () -> Harness.pp_e5 ppf e5));
   print_newline ();
-  let (rpo, fifo) = fixpoint_comparison () in
-  let (rpo_value, rpo_cache) = rpo and (fifo_value, fifo_cache) = fifo in
+  let ((sm_value, sm_cache, sm_secs) as scc) = scc_summary_cold () in
   Format.printf
-    "== fixpoint worklist (quickstart program) ==@.  rpo  transfers: value %d + cache %d = %d@.  \
-     fifo transfers: value %d + cache %d = %d@.@."
-    rpo_value rpo_cache (rpo_value + rpo_cache) fifo_value fifo_cache (fifo_value + fifo_cache);
-  let ((wp_value, wp_cache, wp_secs), (sm_value, sm_cache, sm_secs)) as scc =
-    scc_engine_comparison ()
-  in
-  Format.printf
-    "== scc summary engine (quickstart program, cold) ==@.  whole-program: value %d + cache %d = \
-     %d transfers   %.4f s@.  summary:       value %d + cache %d = %d transfers   %.4f s@.@."
-    wp_value wp_cache (wp_value + wp_cache) wp_secs sm_value sm_cache (sm_value + sm_cache)
-    sm_secs;
+    "== scc summary engine (quickstart program, cold) ==@.  summary: value %d + cache %d = %d \
+     transfers   %.4f s@.@."
+    sm_value sm_cache (sm_value + sm_cache) sm_secs;
   let (((incr_cold_v, incr_cold_c), (incr_warm_v, incr_warm_c)) as incr) =
     incremental_comparison ()
   in
@@ -460,7 +409,7 @@ let () =
     @ [ ("E4", e4_seconds); ("E5", e5_seconds) ]
   in
   write_json ~path:"BENCH_results.json" ~domains ~samples ~tables:table_times ~samples_per_sec
-    ~rpo ~fifo ~store:(store_cold, store_warm) ~scc ~incr ~e4 ~e5;
+    ~store:(store_cold, store_warm) ~scc ~incr ~e4 ~e5;
   Format.printf "== timings (%d domains) ==@." domains;
   List.iter
     (fun (name, seconds) -> Format.printf "  %-6s %8.3f s@." name seconds)

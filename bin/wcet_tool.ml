@@ -241,16 +241,15 @@ let load_annot = function
 let annot_arg =
   Arg.(value & opt (some file) None & info [ "annot" ] ~doc:"Annotation file")
 
-let engine_arg =
+let verify_arg =
   Arg.(
-    value
-    & opt
-        (enum [ ("summary", Analyzer.Summary); ("whole-program", Analyzer.Whole_program) ])
-        Analyzer.Summary
-    & info [ "engine" ]
+    value & flag
+    & info [ "verify" ]
         ~doc:
-          "Fixpoint engine: $(b,summary) (bottom-up SCC-scheduled with persistent \
-           per-function summaries; the default) or $(b,whole-program) (single worklist)")
+          "Re-run the reference configuration and abort on any divergence: summary vs \
+           whole-program states (E0204), octagon-refined vs interval states and bound (E0503), \
+           and the path backends against certified witness paths with csolve as the \
+           structural witness (E0303). Never reads a cached report")
 
 let domain_arg =
   Arg.(
@@ -278,10 +277,9 @@ let path_backend_arg =
         ~doc:
           "Path-analysis backend: $(b,ipet) (implicit path enumeration as an ILP), $(b,mc) \
            (slicing plus bounded model checking — path-sensitive, prunes mode-infeasible \
-           paths), $(b,csolve) (structural constraint solving over the loop forest), or \
-           $(b,portfolio) (the default: race all three, take the tightest sound bound, and \
-           cross-check the results as a soundness oracle — disagreement beyond attributable \
-           slack is the E0303 fatal)")
+           paths), or $(b,portfolio) (the default: race both, take the tightest sound bound, \
+           and cross-check the results as a soundness oracle — disagreement beyond \
+           attributable slack is the E0303 fatal)")
 
 (* The bound-drift ledger: `analyze --ledger` and `check --ledger` append
    one snapshot per run; `ledger report`/`ledger diff` read the series
@@ -322,14 +320,14 @@ let ledger_append_report ~ledger ~source (report : Analyzer.report) =
 
 let analyze_cmd =
   let verbose_arg = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the full report") in
-  let run source annot_file hw soft_div verbose format profile trace cache_dir no_cache engine
-      domain path_backend ledger =
+  let run source annot_file hw soft_div verbose format profile trace cache_dir no_cache domain
+      path_backend verify ledger =
     handle_errors (fun () ->
         obs_setup ~profile ~trace;
         cache_setup ~cache_dir ~no_cache;
         let program = compile source ~soft_div in
         let annot = load_annot annot_file in
-        match Analyzer.analyze ~hw ~annot ~engine ~domain ~path_backend program with
+        match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
         | report -> (
           ledger_append_report ~ledger ~source report;
           (match format with
@@ -362,8 +360,8 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Compute a WCET bound for a MiniC program")
     Term.(
       const run $ source_arg $ annot_arg $ hw_arg $ soft_div_arg $ verbose_arg $ format_arg
-      $ profile_flag $ trace_arg $ cache_dir_arg $ no_cache_arg $ engine_arg $ domain_arg
-      $ path_backend_arg $ ledger_arg)
+      $ profile_flag $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
+      $ path_backend_arg $ verify_arg $ ledger_arg)
 
 let poke_conv =
   let parse s =
@@ -483,11 +481,11 @@ let audit_cmd =
           Format.pp_print_flush ppf ())
   in
   let run source annot_file hw soft_div format dot corpus grades seed cache_dir no_cache domain
-      path_backend =
+      path_backend verify =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
         if corpus then begin
-          let rows = Wcet_experiments.Audit_corpus.run ~domain ~seed () in
+          let rows = Wcet_experiments.Audit_corpus.run ~domain ~verify ~seed () in
           (if grades then
              List.iter print_endline (Wcet_experiments.Audit_corpus.grades_lines rows)
            else
@@ -518,7 +516,7 @@ let audit_cmd =
               | Pred32_sim.Simulator.Faulted _ | Pred32_sim.Simulator.Out_of_fuel _ -> None
             in
             let audit =
-              match Analyzer.analyze ~hw ~annot ~domain ~path_backend program with
+              match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
               | report ->
                 let audit = Misra.Audit.of_report ~misra ~annot ?coverage report in
                 emit_dot dot report audit;
@@ -538,7 +536,7 @@ let audit_cmd =
     Term.(
       const run $ source_opt_arg $ annot_arg $ hw_arg $ soft_div_arg $ format_arg $ dot_arg
       $ corpus_arg $ grades_arg $ seed_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
-      $ path_backend_arg)
+      $ path_backend_arg $ verify_arg)
 
 let disasm_cmd =
   let run source soft_div =
@@ -634,12 +632,12 @@ let explain_cmd =
           ~doc:"With $(b,--attribute): set a global before the observed simulation run")
   in
   let run source annot_file hw soft_div top dot format attribute pokes cache_dir no_cache domain
-      path_backend =
+      path_backend verify =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
         let program = compile source ~soft_div in
         let annot = load_annot annot_file in
-        match Analyzer.analyze ~hw ~annot ~domain ~path_backend program with
+        match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
         | report when attribute -> (
           match
             Attribution.of_report ~pokes:(List.map (fun (sym, v) -> (sym, 0, v)) pokes) report
@@ -680,7 +678,7 @@ let explain_cmd =
     Term.(
       const run $ source_arg $ annot_arg $ hw_arg $ soft_div_arg $ top_arg $ dot_arg $ format_arg
       $ attribute_flag $ pokes_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
-      $ path_backend_arg)
+      $ path_backend_arg $ verify_arg)
 
 let check_cmd =
   let seed_arg =
@@ -708,22 +706,13 @@ let check_cmd =
       & info [ "daemon-faults" ]
           ~doc:"Daemon wire-level fault-injection trial count (0 disables the daemon campaign)")
   in
-  let path_portfolio_arg =
-    Arg.(
-      value & flag
-      & info [ "path-portfolio" ]
-          ~doc:
-            "Also re-analyze every complete scenario IPET-only and assert the portfolio bound \
-             never exceeds it (E0303 violation otherwise); per-backend bounds ride along in \
-             the $(b,--ledger) metrics")
-  in
   let run seed random faults store_faults daemon_faults format trace cache_dir no_cache domain
-      path_portfolio ledger =
+      verify ledger =
     handle_errors (fun () ->
         obs_setup ~profile:false ~trace;
         cache_setup ~cache_dir ~no_cache;
         let stats =
-          Check.run ~seed ~domain ~path_portfolio ~random_per_scenario:random ?ledger ()
+          Check.run ~seed ~domain ~verify ~random_per_scenario:random ?ledger ()
         in
         let campaign =
           let minic = faults / 2 in
@@ -779,10 +768,12 @@ let check_cmd =
        ~doc:
          "Cross-validate analyzer soundness over the corpus (simulated cycles vs bounds) and \
           run the fault-injection robustness campaigns (toolchain inputs, on-disk cache store, \
-          and the analysis daemon's wire protocol)")
+          and the analysis daemon's wire protocol). With $(b,--verify), every complete \
+          scenario is also re-analyzed IPET-only (the portfolio bound may never exceed it, \
+          E0303) and the per-backend bounds join the $(b,--ledger) metrics")
     Term.(const run $ seed_arg $ random_arg $ faults_arg $ store_faults_arg $ daemon_faults_arg
-          $ format_arg $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
-          $ path_portfolio_arg $ ledger_arg)
+          $ format_arg $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg $ verify_arg
+          $ ledger_arg)
 
 (* --- the analysis daemon ------------------------------------------------ *)
 

@@ -40,14 +40,13 @@ type result = {
   transfers : int;  (** fixpoint transfer count (worklist efficiency metric) *)
 }
 
-(** [run ?strategy cfg value_result ~region_hints] — [region_hints] maps a
+(** [run cfg value_result ~region_hints] — [region_hints] maps a
     function name to the regions its unresolved accesses may touch (from
-    annotations). [strategy] selects the shared fixpoint engine's worklist
-    order (default reverse-postorder priority). [seeds] supplies cached
+    annotations). The whole-program solve: the reference the analyzer's
+    [verify] compares {!run_scheduled} against. [seeds] supplies cached
     per-node (in, out) states from a previous run (see
     {!Wcet_util.Fixpoint.Make.solve}). *)
 val run :
-  ?strategy:Wcet_util.Fixpoint.strategy ->
   ?seeds:(int -> (Cstate.t * Cstate.t) option) ->
   ?cancel:(unit -> bool) ->
   Pred32_hw.Hw_config.t ->

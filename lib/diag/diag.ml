@@ -72,7 +72,7 @@ let all_codes =
     ("E0201", "decoding / CFG reconstruction failed");
     ("E0202", "recursive call without a recursion-depth annotation");
     ("E0203", "analysis iteration budget exceeded (did not converge)");
-    ("E0204", "summary engine diverged from the whole-program solve (paranoid cross-check)");
+    ("E0204", "summary engine diverged from the whole-program solve (--verify cross-check)");
     ("W0301", "unresolved indirect call: callee excluded from the bound");
     ("W0302", "unbounded loop: iterations beyond the first excluded");
     ("W0303", "irreducible region: bounded at one pass per block");
@@ -132,7 +132,7 @@ let all_codes =
     ("E0805", "slack attribution unavailable (partial bound or simulation did not halt)");
     ("E0806", "bound ledger: bound or precision regression between snapshots");
     ("W0501", "value analysis escalated to the octagon domain (relational pass)");
-    ("E0503", "octagon escalation diverged from the interval result (paranoid cross-check)");
+    ("E0503", "octagon escalation diverged from the interval result (--verify cross-check)");
     ("W0613", "analysis cache entry from another value domain (evicted, recomputed)");
     ("E0301", "path analysis unbounded: a reachable cycle has no loop bound");
     ("E0302", "path analysis infeasible: contradictory flow facts");

@@ -20,16 +20,23 @@ type row = {
   codes : string list;  (** distinct finding codes of the automatic audit, sorted *)
 }
 
-(** [run ?domains ?domain ?seed ()] audits the whole corpus across the
+(** [run ?domains ?domain ?verify ?seed ()] audits the whole corpus across the
     {!Wcet_util.Parallel} domain pool; rows come back in corpus order, so
     the output is identical for every domain count. [domain] (default
     [Interval]) is the value-analysis abstract domain both audits run
     under — [Auto] lets the octagon escalation discharge findings, which
-    shows up as [discharged-by: octagon] codes and better grades. [seed]
+    shows up as [discharged-by: octagon] codes and better grades.
+    [verify] (default [false]) runs every analysis under
+    {!Wcet_core.Analyzer.analyze}'s reference cross-checks. [seed]
     (default the paper date, [20110318]) deterministically selects which
     declared input set drives each scenario's nominal coverage run. *)
 val run :
-  ?domains:int -> ?domain:Wcet_value.Analysis.domain -> ?seed:int64 -> unit -> row list
+  ?domains:int ->
+  ?domain:Wcet_value.Analysis.domain ->
+  ?verify:bool ->
+  ?seed:int64 ->
+  unit ->
+  row list
 
 (** One stable line per row, [id variant automatic=g assisted=g] — the
     golden-file format CI diffs ([test/audit_grades.golden]). *)

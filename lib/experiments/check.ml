@@ -103,7 +103,7 @@ let check_portfolio ~domain ~id ~variant (s : Corpus.scenario) ~annot program
     (report : Analyzer.report) acc =
   match
     Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain ~path_backend:Wcet_path.Path_analysis.Ipet
-      program
+      ~verify:true program
   with
   | exception Analyzer.Analysis_failed _ -> acc
   | ipet_only ->
@@ -122,11 +122,11 @@ let check_portfolio ~domain ~id ~variant (s : Corpus.scenario) ~annot program
       else acc
     else acc
 
-let check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record ~id ~variant
+let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
     (s : Corpus.scenario) acc =
   let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
   let annot = s.Corpus.annotations program in
-  match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain program with
+  match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain ~verify program with
   | exception Analyzer.Analysis_failed ds ->
     let d =
       Diag.make Diag.Error Diag.Check ~code:"E0701"
@@ -203,13 +203,13 @@ let check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record ~id 
              ~observed:!worst_observed)
           with
           Ledger.metrics =
-            (precision @ if path_portfolio then backend_metrics report else [])
+            (precision @ if verify then backend_metrics report else [])
         };
       let acc = check_attribution ~id ~variant s report !acc in
-      if path_portfolio then check_portfolio ~domain ~id ~variant s ~annot program report acc
+      if verify then check_portfolio ~domain ~id ~variant s ~annot program report acc
       else acc)
 
-let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(path_portfolio = false)
+let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(verify = false)
     ?(random_per_scenario = 8) ?ledger () =
   let rng = Pcg.create ~seed () in
   let entries = ref [] in
@@ -231,10 +231,10 @@ let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(path_port
     List.fold_left
       (fun acc (e : Corpus.entry) ->
         let acc =
-          check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record
-            ~id:e.Corpus.id ~variant:"conforming" e.Corpus.conforming acc
+          check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id:e.Corpus.id
+            ~variant:"conforming" e.Corpus.conforming acc
         in
-        check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record ~id:e.Corpus.id
+        check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id:e.Corpus.id
           ~variant:"violating" e.Corpus.violating acc)
       empty Corpus.all
   in

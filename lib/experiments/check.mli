@@ -29,12 +29,12 @@ type stats = {
   attributed : int;  (** scenarios whose slack attribution summed exactly *)
   portfolio_wins : int;
       (** scenarios where the portfolio bound was strictly below IPET-only
-          (zero unless [path_portfolio] was requested) *)
+          (zero unless [verify] was requested) *)
   violations : Wcet_diag.Diag.t list;  (** E0601/E0804/E0303 violations *)
   diagnostics : Wcet_diag.Diag.t list;  (** W0602 inconclusive runs *)
 }
 
-(** [run ?seed ?domain ?random_per_scenario ?ledger ()] cross-validates the
+(** [run ?seed ?domain ?verify ?random_per_scenario ?ledger ()] cross-validates the
     whole corpus. [seed] (default the paper date) drives the PCG32 input
     generator; [domain] (default [Interval]) selects the value domain the
     analyzer runs under — pass [Auto] to cycle-check the octagon-escalated
@@ -43,14 +43,16 @@ type stats = {
     set, one bound-drift snapshot per scenario is appended to that NDJSON
     file ({!Wcet_obs.Ledger}).
 
-    [path_portfolio] (default off) additionally re-analyzes every complete
-    scenario IPET-only and asserts the portfolio bound never exceeds it (a
-    violation surfaces under the E0303 code); per-backend bounds then ride
-    along in the ledger metrics as [path_bound_<backend>]. *)
+    [verify] (default off) runs every analysis under
+    {!Wcet_core.Analyzer.analyze}'s reference cross-checks, and
+    additionally re-analyzes every complete scenario IPET-only and asserts
+    the portfolio bound never exceeds it (a violation surfaces under the
+    E0303 code); per-backend bounds then ride along in the ledger metrics
+    as [path_bound_<backend>]. *)
 val run :
   ?seed:int64 ->
   ?domain:Wcet_value.Analysis.domain ->
-  ?path_portfolio:bool ->
+  ?verify:bool ->
   ?random_per_scenario:int ->
   ?ledger:string ->
   unit ->

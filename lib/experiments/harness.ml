@@ -274,8 +274,7 @@ let pp_e4 ppf rows =
 
 let table_e4 ?domains ppf () = pp_e4 ppf (e4_rows ?domains ())
 
-(* --- E5: path-analysis portfolio (IPET vs model checking vs constraint
-   solving) --- *)
+(* --- E5: path-analysis portfolio (IPET vs model checking) --- *)
 
 type e5_row = {
   e5_entry : string;
@@ -319,13 +318,10 @@ let e5_rows ?domains () = Wcet_util.Parallel.map_list ?domains e5_entry_row Corp
 
 let pp_e5 ppf rows =
   Format.fprintf ppf
-    "@[<v>== E5: path-analysis portfolio — IPET vs model checking vs constraint solving, \
-     conforming scenarios, assisted ==@,@,";
-  Format.fprintf ppf
-    "| entry    | ipet             | csolve           | mc               | winner | bound    \
-     |@,";
-  Format.fprintf ppf
-    "|----------|------------------|------------------|------------------|--------|----------|@,";
+    "@[<v>== E5: path-analysis portfolio — IPET vs model checking, conforming scenarios, \
+     assisted ==@,@,";
+  Format.fprintf ppf "| entry    | ipet             | mc               | winner | bound    |@,";
+  Format.fprintf ppf "|----------|------------------|------------------|--------|----------|@,";
   let backend_cell row name =
     match List.find_opt (fun b -> b.Analyzer.br_name = name) row.e5_backends with
     | Some { Analyzer.br_bound = Some b; br_wall_ms; _ } ->
@@ -335,8 +331,8 @@ let pp_e5 ppf rows =
   in
   List.iter
     (fun r ->
-      Format.fprintf ppf "| %-8s | %-16s | %-16s | %-16s | %-6s | %-8s |@," r.e5_entry
-        (backend_cell r "ipet") (backend_cell r "csolve") (backend_cell r "mc") r.e5_winner
+      Format.fprintf ppf "| %-8s | %-16s | %-16s | %-6s | %-8s |@," r.e5_entry
+        (backend_cell r "ipet") (backend_cell r "mc") r.e5_winner
         (match r.e5_verdict with
         | Bound b -> string_of_int b
         | Partial (b, _) -> Printf.sprintf "%d*" b
@@ -358,10 +354,10 @@ let pp_e5 ppf rows =
          rows)
   in
   Format.fprintf ppf
-    "@,winners: ipet %d, csolve %d, mc %d; portfolio strictly below IPET on %d entr(ies)@,\
+    "@,winners: ipet %d, mc %d; portfolio strictly below IPET on %d entr(ies)@,\
      (ties prefer IPET for stable worst-path counts; * marks a partial bound;@,\
      the model checker wins exactly where path-sensitivity prunes mode-infeasible paths)@]@."
-    (wins "ipet") (wins "csolve") (wins "mc") strict
+    (wins "ipet") (wins "mc") strict
 
 let table_e5 ?domains ppf () = pp_e5 ppf (e5_rows ?domains ())
 

@@ -56,8 +56,10 @@ module type BACKEND = sig
   val solve : spec -> Wcet_cfg.Loops.info -> (solution, error) result
 end
 
-(** Which backend(s) an analysis run uses. *)
-type choice = Ipet | Mc | Csolve | Portfolio
+(** Which backend(s) an analysis run uses: [Portfolio] races IPET and the
+    model checker. The structural constraint solver ([Csolve]) never
+    supplies a bound; [verify] runs it as a witness oracle. *)
+type choice = Ipet | Mc | Portfolio
 
 val choice_name : choice -> string
 val choice_of_string : string -> choice option

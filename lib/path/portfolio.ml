@@ -30,7 +30,7 @@ let run_one (spec : Path_analysis.spec) loops (module B : Path_analysis.BACKEND)
 
 let bound r = match r.r_outcome with Ok s -> Some s.Path_analysis.wcet | Error _ -> None
 
-let cross_check ~paranoid ~no_facts runs =
+let cross_check ~witness_check ~no_facts runs =
   let complete = List.filter (fun r -> Result.is_ok r.r_outcome) runs in
   let bound_of r = match bound r with Some b -> b | None -> assert false in
   let bad = ref [] in
@@ -58,9 +58,9 @@ let cross_check ~paranoid ~no_facts runs =
       flag "mc bound %d exceeds the csolve bound %d on the same structural model"
         (bound_of mc) (bound_of cs)
   | _ -> ());
-  (* Paranoid, fact-free: no complete backend may undercut a certified
+  (* Witness check, fact-free: no complete backend may undercut a certified
      witness it must account for. *)
-  if paranoid && no_facts then begin
+  if witness_check && no_facts then begin
     let witnesses = List.filter (fun r -> r.r_exact_witness) complete in
     let wit_of pred =
       List.fold_left
@@ -86,8 +86,12 @@ let cross_check ~paranoid ~no_facts runs =
   end;
   List.rev !bad
 
-let run ?(paranoid = false) ?domains ~backends (spec : Path_analysis.spec) loops =
-  let runs = Wcet_util.Parallel.map_list ?domains (run_one spec loops) backends in
+let run ?oracles ?domains ~backends (spec : Path_analysis.spec) loops =
+  let all_runs =
+    Wcet_util.Parallel.map_list ?domains (run_one spec loops)
+      (backends @ Option.value oracles ~default:[])
+  in
+  let runs = List.filteri (fun i _ -> i < List.length backends) all_runs in
   let complete = List.filter (fun r -> Result.is_ok r.r_outcome) runs in
   let best =
     (* tightest bound; ties prefer IPET so counts stay stable for explain *)
@@ -109,7 +113,8 @@ let run ?(paranoid = false) ?domains ~backends (spec : Path_analysis.spec) loops
   | Some (name, _) when List.length complete > 1 -> Path_analysis.record_win ~backend:name
   | _ -> ());
   let disagreements =
-    cross_check ~paranoid ~no_facts:(spec.Path_analysis.facts = []) runs
+    cross_check ~witness_check:(oracles <> None) ~no_facts:(spec.Path_analysis.facts = [])
+      all_runs
   in
   if disagreements <> [] then Path_analysis.record_disagreement ();
   let intractable =

@@ -10,10 +10,10 @@
       tighten);
     - the model checker explores a subset of the constraint solver's
       structural paths under identical weights, so mc <= csolve;
-    - under paranoid mode, a complete backend can never undercut a
-      certified witness path it is required to account for (structural
-      witnesses bind non-path-sensitive backends; semantically feasible
-      witnesses bind everyone).
+    - when [oracles] are given (the analyzer's [verify]), a complete
+      backend can never undercut a certified witness path it is required to account
+      for (structural witnesses bind non-path-sensitive backends;
+      semantically feasible witnesses bind everyone).
 
     Slack a backend can attribute — fact-blindness, path-sensitivity — is
     exempted by construction of the rules above, so every surviving
@@ -36,12 +36,14 @@ type result = {
   p_intractable : string list;  (** backends excluded by budget (W0305) *)
 }
 
-(** [run ?paranoid ?domains ~backends spec loops] solves with every backend
-    concurrently on the domain pool. [paranoid] arms the witness
-    cross-check (default off; WCET_PATH_PARANOID=1 turns it on in the
-    analyzer). *)
+(** [run ?oracles ?domains ~backends spec loops] solves with every backend
+    concurrently on the domain pool. [oracles] (the analyzer's [verify]
+    passes csolve) arms the witness cross-check: the oracle backends run
+    alongside and join the cross-check, but never supply the bound and are
+    left out of [p_runs] and [p_intractable]. Without [oracles] the
+    witness check is off. *)
 val run :
-  ?paranoid:bool ->
+  ?oracles:(module Path_analysis.BACKEND) list ->
   ?domains:int ->
   backends:(module Path_analysis.BACKEND) list ->
   Path_analysis.spec ->

@@ -5,7 +5,8 @@
    function. Picking the RPO-least pending node means a node is re-transferred
    only after its (forward-graph) predecessors have stabilised in this sweep,
    which empirically cuts the transfer count well below chaotic FIFO
-   iteration on loop nests. [Fifo] is kept for comparison benchmarks. *)
+   iteration on loop nests. [Fifo] is kept as the reference order the
+   transfer-count test compares against. *)
 
 type strategy = Fifo | Rpo
 

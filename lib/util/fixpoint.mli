@@ -8,8 +8,9 @@
     only after its forward-graph predecessors have settled in the current
     sweep — far fewer transfers than chaotic FIFO iteration on loop nests. *)
 
-(** [Fifo] preserves the historical chaotic-iteration order and exists for
-    transfer-count comparisons; [Rpo] is the default. *)
+(** [Rpo] is the default and the only order the analyses use. [Fifo]
+    preserves the historical chaotic-iteration order as the reference the
+    transfer-count test compares [Rpo] against. *)
 type strategy = Fifo | Rpo
 
 val strategy_name : strategy -> string

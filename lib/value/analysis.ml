@@ -271,14 +271,14 @@ let finish ?(publish = true) ctx (graph : Supergraph.t) node_in node_out (soluti
   if publish then publish_access_metrics accesses;
   { graph; node_in; node_out; accesses; transfers = solution.FP.transfers }
 
-let run ?(strategy = Wcet_util.Fixpoint.Rpo) ?(assumes = []) ?seeds ?cancel ?publish
+let run ?(assumes = []) ?seeds ?cancel ?publish
     (graph : Supergraph.t) (loops : Loops.info) =
   let n = Array.length graph.Supergraph.nodes in
   let ctx = chronological_ctx graph.Supergraph.program in
   let widening_point = widening_points graph loops in
   let solution =
     try
-      FP.solve ~strategy
+      FP.solve
         ~propagate:(propagate_of ctx graph)
         ?seeds ?cancel ~force_widen_after:40
         ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
@@ -766,7 +766,7 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
   let widening_point = widening_points graph loops in
   let solution =
     try
-      FP2.solve ~strategy:Wcet_util.Fixpoint.Rpo
+      FP2.solve
         ~propagate:(fun i p ->
           let node = graph.Supergraph.nodes.(i) in
           List.filter_map

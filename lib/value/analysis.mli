@@ -21,18 +21,18 @@ type result = {
   transfers : int;  (** fixpoint transfer count (worklist efficiency metric) *)
 }
 
-(** [run ?strategy ?assumes graph loops] — [assumes] are trusted initial
+(** [run ?assumes graph loops] — [assumes] are trusted initial
     memory facts (address, interval) from annotations (the paper's
-    design-level information). [strategy] selects the worklist order of the
-    shared fixpoint engine (default reverse-postorder priority; [Fifo] only
-    for transfer-count comparisons — the fixpoint itself is identical).
-    [seeds] supplies cached per-node (in, out) states from a previous run
-    (see {!Wcet_util.Fixpoint.Make.solve}); nodes of unchanged functions
-    then settle without re-transferring (incremental re-analysis).
+    design-level information). The whole-program solve on the shared
+    fixpoint engine's reverse-postorder worklist, used to resolve indirect
+    control flow and as the reference the analyzer's [verify] compares
+    {!run_scheduled} against. [seeds] supplies cached
+    per-node (in, out) states from a previous run (see
+    {!Wcet_util.Fixpoint.Make.solve}); nodes of unchanged functions then
+    settle without re-transferring (incremental re-analysis).
     [cancel] is the cooperative cancellation token of the underlying
     solver: when it trips, {!Wcet_util.Fixpoint.Cancelled} escapes. *)
 val run :
-  ?strategy:Wcet_util.Fixpoint.strategy ->
   ?assumes:(int * Aval.t) list ->
   ?seeds:(int -> (State.t * State.t) option) ->
   ?cancel:(unit -> bool) ->

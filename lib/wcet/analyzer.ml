@@ -34,42 +34,14 @@ let m_scc_count =
   Metrics.gauge ~name:"scc_count"
     ~help:"Strongly connected components of the analyzed program's call graph" ()
 
-(* Which fixpoint engine drives the value and cache analyses. [Summary] is
-   the default: a bottom-up component-scheduled solve over the call-graph
-   condensation with persistent per-function summaries (O(changed)
-   re-analysis). [Whole_program] is the classic single-worklist solve; it
-   is forced whenever a non-default worklist strategy is requested, since
-   the component schedule is inherently priority-ordered. *)
-type engine = Summary | Whole_program
+(* The fixpoint engine that drives the value and cache analyses: a
+   bottom-up component-scheduled solve over the call-graph condensation with
+   persistent per-function summaries (O(changed) re-analysis). The classic
+   whole-program solve survives only as [verify]'s reference. The name is a
+   report-cache key component. *)
+type engine = Summary
 
-let engine_name = function Summary -> "summary" | Whole_program -> "whole-program"
-
-(* The WCET_CACHE_PARANOID env flag cross-checks every summary-engine run
-   against a fresh whole-program solve and fails loudly (E0204) on any
-   semantic state divergence. Debug aid: the extra solves also inflate the
-   fixpoint metrics. *)
-let paranoid () =
-  match Sys.getenv_opt "WCET_CACHE_PARANOID" with
-  | Some v when v <> "" && v <> "0" -> true
-  | _ -> false
-
-(* The WCET_VALUE_PARANOID env flag cross-checks every octagon escalation
-   against the interval baseline: refined states must be leq the interval
-   states at every node, and the final WCET bound must not increase. Any
-   violation is an E0503 fatal — an escalation may only ever tighten. *)
-let value_paranoid () =
-  match Sys.getenv_opt "WCET_VALUE_PARANOID" with
-  | Some v when v <> "" && v <> "0" -> true
-  | _ -> false
-
-(* The WCET_PATH_PARANOID env flag arms the portfolio driver's witness
-   cross-check: on fact-free programs every complete backend must account
-   for the certified witness paths the others found, which forces the
-   complete bounds to agree exactly. Any violation is an E0303 fatal. *)
-let path_paranoid () =
-  match Sys.getenv_opt "WCET_PATH_PARANOID" with
-  | Some v when v <> "" && v <> "0" -> true
-  | _ -> false
+let engine_name Summary = "summary"
 
 exception Analysis_failed of Diag.t list
 
@@ -395,10 +367,11 @@ let validate_loop_places c program (annot : Annot.t) =
       | Annot.At_addr _ -> ())
     annot.Annot.loop_bounds
 
-let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
-    ?(strategy = Wcet_util.Fixpoint.Rpo) ?(engine = Summary)
-    ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ?cancel program =
-  let engine = if strategy <> Wcet_util.Fixpoint.Rpo then Whole_program else engine in
+(* [verify] runs every reference cross-check (see analyzer.mli): summary
+   vs whole-program states (E0204), octagon-refined vs interval states and
+   bound (E0503), and the portfolio's certified-witness check with csolve
+   as the structural witness (E0303). *)
+let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   (* The token reaches the value/cache fixpoints (polled per transfer); the
      remaining phases poll it at their boundary so a deadline that expires
      between fixpoints still cancels before the next phase starts. *)
@@ -455,11 +428,7 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
   (* Per-function summary rows from the persistent cache: components whose
      members all carry rows recorded under the inputs delivered this run
      are applied without re-transferring a node. *)
-  let slices =
-    match engine with
-    | Summary -> Report_cache.load_slices ~hw ~annot ~assumes graph
-    | Whole_program -> None
-  in
+  let slices = Report_cache.load_slices ~hw ~annot ~assumes graph in
   (* Under a relational domain the value_accesses precision counters are
      published once, from whichever result ends up final (escalated or
      not); under the interval domain the run publishes as before. *)
@@ -468,16 +437,9 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
     timed phases Loop_value (fun () ->
         match
           let value, vinfo =
-            match engine with
-            | Summary ->
-              let value, vinfo =
-                Analysis.run_scheduled ~assumes
-                  ?slice:(Option.map Report_cache.value_slice slices)
-                  ?cancel ~publish graph loops
-              in
-              (value, Some vinfo)
-            | Whole_program ->
-              (Analysis.run ~strategy ~assumes ?cancel ~publish graph loops, None)
+            Analysis.run_scheduled ~assumes
+              ?slice:(Option.map Report_cache.value_slice slices)
+              ?cancel ~publish graph loops
           in
           (value, vinfo, Loop_bounds.analyze value loops)
         with
@@ -491,7 +453,7 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
      interval x octagon reduced product, and the refined result replaces
      the base one for every downstream phase (cache, pipeline, IPET). The
      refinement is a per-node meet with the base states, so it can only
-     tighten — asserted under WCET_VALUE_PARANOID below. *)
+     tighten — asserted under [verify] below. *)
   let base_value = value and base_bounds = derived_bounds in
   let funcs_to_escalate () =
     let tbl : (string, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -521,11 +483,11 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
         derived_bounds.Loop_bounds.per_loop);
     List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) tbl [])
   in
-  let escalation, value, derived_bounds, vinfo =
+  let escalation, value, derived_bounds =
     match funcs_to_escalate () with
     | [] ->
       if not publish then Analysis.publish_access_metrics value.Analysis.accesses;
-      (None, value, derived_bounds, vinfo)
+      (None, value, derived_bounds)
     | funcs -> (
       match
         timed ~span:"octagon" phases Loop_value (fun () ->
@@ -541,7 +503,7 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
         warn c Diag.Loop_value ~code:"W0501"
           "octagon escalation abandoned (%s); keeping the interval result" msg;
         Analysis.publish_access_metrics value.Analysis.accesses;
-        (None, value, derived_bounds, vinfo)
+        (None, value, derived_bounds)
       | esc, refined_bounds ->
         let refined_value = esc.Analysis.esc_result in
         (* Merge verdicts: a loop the interval pass bounded keeps the
@@ -604,15 +566,12 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
                 (List.length info.ei_funcs)
                 (String.concat ", " info.ei_funcs)));
         Analysis.publish_access_metrics refined_value.Analysis.accesses;
-        (* [vinfo] is dropped: summary slices persist interval-domain facts
-           only, and the refined states must never reach a warm interval
-           run (see Report_cache). *)
-        (Some info, refined_value, { Loop_bounds.per_loop }, None))
+        (Some info, refined_value, { Loop_bounds.per_loop }))
   in
-  (* Paranoid escalation cross-check, part 1: the refined states must be
-     leq the interval states at every node (the meet guarantees it by
+  (* Escalation cross-check, part 1: the refined states must be leq the
+     interval states at every node (the meet guarantees it by
      construction — this asserts the guarantee held). *)
-  if escalation <> None && value_paranoid () then begin
+  if verify && escalation <> None then begin
     let leq_opt a b =
       match (a, b) with
       | None, _ -> true
@@ -722,30 +681,24 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
        because the cache transfer replays this run's access sets
        (Report_cache.cache_slice). *)
     timed phases Cache (fun () ->
-        match engine with
-        | Summary ->
-          let cache, cinfo =
-            Cache_analysis.run_scheduled
-              ?slice:(Option.map (fun s -> Report_cache.cache_slice s value) slices)
-              ?cancel hw value ~region_hints
-          in
-          (cache, Some cinfo)
-        | Whole_program -> (Cache_analysis.run ~strategy ?cancel hw value ~region_hints, None))
+        Cache_analysis.run_scheduled
+          ?slice:(Option.map (fun s -> Report_cache.cache_slice s value) slices)
+          ?cancel hw value ~region_hints)
   in
-  (* Paranoid cross-check: re-solve whole-program and require semantic
-     state equality at every node. Divergence means a summary was applied
-     where it should not have been — fail loudly rather than risk an
-     unsound bound. *)
-  (* (Skipped under an escalation: the states downstream are refined, so a
-     whole-program interval solve is no longer the comparison baseline.) *)
-  if engine = Summary && paranoid () && escalation = None then begin
+  (* Summary cross-check: re-solve whole-program and require semantic state
+     equality at every node. Divergence means a summary was applied where
+     it should not have been — fail loudly rather than risk an unsound
+     bound. (Skipped under an escalation: the states downstream are
+     refined, so a whole-program interval solve is no longer the baseline;
+     the interval re-analysis of part 2 below runs this check instead.) *)
+  if verify && escalation = None then begin
     let eq_opt eq a b =
       match (a, b) with
       | None, None -> true
       | Some a, Some b -> eq a b
       | None, Some _ | Some _, None -> false
     in
-    let wp_value = Analysis.run ~assumes graph loops in
+    let wp_value = Analysis.run ~assumes ~publish:false graph loops in
     let n = Array.length graph.Supergraph.nodes in
     for i = 0 to n - 1 do
       if
@@ -797,12 +750,14 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
         let backends : (module Path_analysis.BACKEND) list =
           match path_backend with
           | Path_analysis.Ipet -> [ (module Ipet) ]
-          | Path_analysis.Csolve -> [ (module Wcet_path.Csolve) ]
           | Path_analysis.Mc -> [ (module Wcet_path.Mc) ]
-          | Path_analysis.Portfolio ->
-            [ (module Ipet); (module Wcet_path.Csolve); (module Wcet_path.Mc) ]
+          | Path_analysis.Portfolio -> [ (module Ipet); (module Wcet_path.Mc) ]
         in
-        let res = Portfolio.run ~paranoid:(path_paranoid ()) ~backends spec loops in
+        let res =
+          Portfolio.run
+            ?oracles:(if verify then Some [ (module Wcet_path.Csolve) ] else None)
+            ~backends spec loops
+        in
         (* In portfolio mode a budget-exhausted model checker is excluded
            with a warning; a single requested backend failing is fatal. *)
         if path_backend = Path_analysis.Portfolio then
@@ -862,29 +817,25 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
           fatal c Diag.Path ~code:e.Path_analysis.err_code
             ~hint:e.Path_analysis.err_detail "%s: %s" (phase_name Path) msg)
   in
-  (* Paranoid escalation cross-check, part 2: a full interval re-analysis
+  (* Escalation cross-check, part 2: a full interval re-analysis
      must not produce a smaller bound than the escalated run — relational
      precision may only ever tighten the WCET. Only a [Complete] interval
      bound is comparable: a [Partial] one excludes the very holes (e.g.
      loop iterations beyond the first) the escalation discharged, so it is
      legitimately smaller. *)
-  (match escalation with
-  | Some _ when value_paranoid () ->
+  if verify && escalation <> None then begin
     let base_r =
-      analyze_inner ~hw ~annot ~strategy ~engine ~domain:Analysis.Interval ~path_backend
-        ?cancel program
+      analyze_inner ~hw ~annot ~domain:Analysis.Interval ~path_backend ~verify ?cancel program
     in
     if base_r.verdict = Complete && solution.Ipet.wcet > base_r.wcet then
       fatal c Diag.Path ~code:"E0503"
         "octagon-escalated WCET bound %d exceeds the interval bound %d" solution.Ipet.wcet
         base_r.wcet
-  | _ -> ());
-  (* [vinfo] is [None] when escalated, so refined states never reach the
-     per-function slice store. *)
-  (match (vinfo, cinfo) with
-  | Some vinfo, Some cinfo ->
-    Report_cache.save_slices ~hw ~annot ~assumes value vinfo cache cinfo
-  | _ -> ());
+  end;
+  (* Summary slices persist interval-domain facts only: refined states must
+     never reach a warm interval run (see Report_cache). *)
+  if escalation = None then
+    Report_cache.save_slices ~hw ~annot ~assumes value vinfo cache cinfo;
   {
     program;
     hw;
@@ -908,21 +859,21 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
     phase_seconds = List.rev !phases;
   }
 
-let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty)
-    ?(strategy = Wcet_util.Fixpoint.Rpo) ?(engine = Summary)
-    ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ?cancel program =
-  let engine = if strategy <> Wcet_util.Fixpoint.Rpo then Whole_program else engine in
-  let ename = engine_name engine in
-  let dname = Analysis.domain_name domain in
-  let pname = Path_analysis.choice_name path_backend in
+let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis.Interval)
+    ?(path_backend = Path_analysis.Portfolio) ?(verify = false) ?cancel program =
+  let key f =
+    f ~hw ~annot ~strategy:Wcet_util.Fixpoint.Rpo ~engine:(engine_name Summary)
+      ~domain:(Analysis.domain_name domain) ~path:(Path_analysis.choice_name path_backend)
+      program
+  in
   Trace.with_span ~cat:"analyzer" "analyze" (fun () ->
+      (* A report hit would skip every cross-check, so [verify] always
+         recomputes (per-function slices still load: they are what the
+         summary cross-check examines). *)
       let cached =
-        if not (Report_cache.enabled ()) then None
+        if verify || not (Report_cache.enabled ()) then None
         else
-          match
-            Report_cache.find_report ~hw ~annot ~strategy ~engine:ename ~domain:dname
-              ~path:pname program
-          with
+          match key Report_cache.find_report with
           | None -> None
           | Some payload -> (
             (* The envelope checksum and version already passed; a decode
@@ -931,19 +882,15 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty)
             match (Marshal.from_string payload 0 : report) with
             | r -> Some r
             | exception _ ->
-              Report_cache.invalidate_report ~hw ~annot ~strategy ~engine:ename ~domain:dname
-                ~path:pname program;
+              key Report_cache.invalidate_report;
               None)
       in
       let r =
         match cached with
         | Some r -> r
         | None ->
-          let r = analyze_inner ~hw ~annot ~strategy ~engine ~domain ~path_backend ?cancel program in
-          if Report_cache.enabled () then
-            Report_cache.save_report ~hw ~annot ~strategy ~engine:ename ~domain:dname
-              ~path:pname program
-              (Marshal.to_string r []);
+          let r = analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program in
+          if Report_cache.enabled () then key Report_cache.save_report (Marshal.to_string r []);
           r
       in
       Trace.add_attr "nodes" (Trace.Int (Array.length r.graph.Supergraph.nodes));
@@ -958,21 +905,10 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty)
         Metrics.incr m_runs_partial 1);
       r)
 
-let analyze_modes ?(hw = Hw_config.default) ?(engine = Summary)
-    ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ~base ~modes
-    program =
-  let oblivious =
-    ("(all modes)", analyze ~hw ~engine ~domain ~path_backend ~annot:base program)
-  in
-  let per_mode =
-    List.map
-      (fun (name, annot) ->
-        ( name,
-          analyze ~hw ~engine ~domain ~path_backend ~annot:(Annot.merge base annot) program
-        ))
-      modes
-  in
-  oblivious :: per_mode
+let analyze_modes ?hw ?domain ?path_backend ?verify ~base ~modes program =
+  let run annot = analyze ?hw ?domain ?path_backend ?verify ~annot program in
+  let oblivious = ("(all modes)", run base) in
+  oblivious :: List.map (fun (name, annot) -> (name, run (Annot.merge base annot))) modes
 
 let pp_hole ppf = function
   | Hole_call { site; func } ->

@@ -72,7 +72,7 @@ type esc_info = {
 (** One path-analysis backend's outcome inside a portfolio run (also
     recorded, as a singleton list, when a single backend is forced). *)
 type backend_run = {
-  br_name : string;  (** ["ipet"], ["mc"] or ["csolve"] *)
+  br_name : string;  (** ["ipet"] or ["mc"] *)
   br_bound : int option;  (** [None] = the backend failed *)
   br_error : (string * string) option;  (** (diag code, detail) on failure *)
   br_wall_ms : int;
@@ -107,30 +107,22 @@ type report = {
   phase_seconds : (phase * float) list;
 }
 
-(** Fixpoint engine for the value and cache analyses. [Summary] (the
-    default) condenses the call graph into strongly connected components
-    and solves bottom-up: independent components run concurrently on the
-    domain pool, and components covered by persisted summary rows recorded
-    under the same external inputs are applied without transferring — a
-    one-function edit re-analyzes only that function's components and the
-    components whose inputs actually changed. [Whole_program] is the
-    classic single-worklist solve. The engines agree on bounds and
-    verdicts (the [WCET_CACHE_PARANOID] environment flag cross-checks
-    every summary run against a whole-program solve and aborts with E0204
-    on divergence). *)
-type engine = Summary | Whole_program
+(** Fixpoint engine for the value and cache analyses. [Summary] condenses
+    the call graph into strongly connected components and solves
+    bottom-up: independent components run concurrently on the domain pool,
+    and components covered by persisted summary rows recorded under the
+    same external inputs are applied without transferring — a one-function
+    edit re-analyzes only that function's components and the components
+    whose inputs actually changed. The classic whole-program solve is kept
+    only as [verify]'s reference. *)
+type engine = Summary
 
-(** ["summary"] / ["whole-program"]. *)
+(** ["summary"]: the engine component of report-cache keys. *)
 val engine_name : engine -> string
 
-(** [analyze ?hw ?annot ?strategy ?engine program] raises {!Analysis_failed}
-    only on global failures (see above); local problems degrade to [holes]
-    with a [Partial] verdict. [strategy] picks the fixpoint worklist order
-    of the value and cache analyses; the default reverse-postorder priority
-    worklist gives the same fixpoint as [Fifo] with strictly fewer
-    transfers on structured programs. A non-default [strategy] forces the
-    [Whole_program] engine (the component schedule is inherently
-    priority-ordered).
+(** [analyze ?hw ?annot ?domain ?path_backend ?verify program] raises
+    {!Analysis_failed} only on global failures (see above); local problems
+    degrade to [holes] with a [Partial] verdict.
 
     [domain] selects the value domain ({!Wcet_value.Analysis.domain},
     default [Interval] — bit-identical to the pre-octagon analyzer).
@@ -139,18 +131,29 @@ val engine_name : engine -> string
     functions whose interval results left imprecise data accesses or
     input-dependent/aliased loop-bound causes. The refined result feeds
     every downstream phase, so escalation can tighten memory-region
-    classification, cache access sets and loop bounds — never loosen them
-    (the [WCET_VALUE_PARANOID] environment flag asserts this per node and
-    end-to-end, aborting with E0503 on violation).
+    classification, cache access sets and loop bounds — never loosen them.
 
     [path_backend] selects the path-analysis backend
     ({!Wcet_path.Path_analysis.choice}, default [Portfolio]): [Ipet] is the
-    ILP encoding, [Mc] the slicing + bounded-model-checking backend,
-    [Csolve] the structural constraint solver. [Portfolio] races all
-    three, takes the tightest sound bound and cross-checks the results as
-    a soundness oracle — a disagreement beyond attributable slack aborts
-    with E0303 (the [WCET_PATH_PARANOID] environment flag additionally
-    requires bit-agreement on fact-free complete programs).
+    ILP encoding, [Mc] the slicing + bounded-model-checking backend.
+    [Portfolio] races both, takes the tightest sound bound and cross-checks
+    the results as a soundness oracle — a disagreement beyond attributable
+    slack aborts with E0303.
+
+    [verify] (default [false]) re-runs the reference configuration and
+    compares, aborting on any divergence; bound, verdict and transfer
+    counts are unchanged. It checks:
+    - summary-engine value and cache states against a whole-program solve
+      at every node (E0204);
+    - an octagon escalation's refined states against the interval states
+      at every node, and its bound against a full interval re-analysis
+      (E0503);
+    - the path backends against certified witness paths, with the
+      structural constraint solver ({!Wcet_path.Csolve}) added as the
+      structural witness (E0303).
+    A report-cache hit would skip these checks, so a verified analysis
+    never reads a cached report; it still writes one. The reference solves
+    add to the fixpoint-transfer and path-solve metrics.
 
     [cancel] is a cooperative cancellation token (the daemon's per-request
     deadline): it is polled by the value/cache fixpoints before every
@@ -159,10 +162,9 @@ val engine_name : engine -> string
 val analyze :
   ?hw:Pred32_hw.Hw_config.t ->
   ?annot:Wcet_annot.Annot.t ->
-  ?strategy:Wcet_util.Fixpoint.strategy ->
-  ?engine:engine ->
   ?domain:Wcet_value.Analysis.domain ->
   ?path_backend:Wcet_path.Path_analysis.choice ->
+  ?verify:bool ->
   ?cancel:(unit -> bool) ->
   Pred32_asm.Program.t ->
   report
@@ -173,9 +175,9 @@ val analyze :
     [None] keyed as ["(all modes)"] first. *)
 val analyze_modes :
   ?hw:Pred32_hw.Hw_config.t ->
-  ?engine:engine ->
   ?domain:Wcet_value.Analysis.domain ->
   ?path_backend:Wcet_path.Path_analysis.choice ->
+  ?verify:bool ->
   base:Wcet_annot.Annot.t ->
   modes:(string * Wcet_annot.Annot.t) list ->
   Pred32_asm.Program.t ->

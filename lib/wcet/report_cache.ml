@@ -4,7 +4,7 @@
 
    - "report": the whole marshaled analyzer report, keyed by everything
      the analysis depends on (binary image, memory map, annotations,
-     hardware configuration, worklist strategy). A hit skips every phase
+     hardware configuration, value domain, path backend). A hit skips every phase
      and is bit-identical to the run that wrote it.
 
    - "func": per-function summary rows for the component-scheduled
@@ -48,8 +48,10 @@ module Store = Wcet_util.Store
 module Diag = Wcet_diag.Diag
 module Metrics = Wcet_obs.Metrics
 
-(* Bump when the marshaled payload layout changes (report or slice types). *)
-let format_version = "3"
+(* Bump when the marshaled payload layout changes (report or slice types)
+   or a key component changes meaning (4: the "portfolio" path
+   configuration no longer races csolve). *)
+let format_version = "4"
 
 let m_hits gran =
   Metrics.counter ~labels:[ ("granularity", gran) ] ~name:"cache_store_hits"
@@ -157,10 +159,9 @@ let program_parts (p : Program.t) =
   :: marshal (Memory_map.regions p.Program.map)
   :: List.concat_map (fun (name, bytes) -> [ name; bytes ]) (Image.contents p.Program.image)
 
-(* [engine] is the analyzer engine name ("summary" / "whole-program"):
-   the engines agree on bounds for every corpus program we test, but the
-   report payload embeds engine-specific accounting (transfer counts,
-   component statistics), so reports are keyed per engine. [domain] is the
+(* [engine] and [strategy] are fixed by the analyzer ("summary", rpo); they
+   stay key components so keys computed by external replay tools remain
+   stable. [domain] is the
    value-domain name ("interval" / "octagon" / "auto"): an escalated run
    carries refined states and extra escalation accounting, so its report
    must never be served to (or overwrite) an interval-only run. *)

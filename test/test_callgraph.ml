@@ -1,14 +1,13 @@
 (* Tests for the call-graph condensation (lib/cfg/callgraph) and the
-   summary-based scheduled analyses built on it: SCC structure, slice
+   summary-based scheduled analyses built on it: SCC structure and slice
    bookkeeping, and the corpus-wide property that the summary engine and
-   the whole-program engine agree on every bound and verdict. *)
+   the whole-program reference solve agree state by state. *)
 
 module Compile = Minic.Compile
 module Analyzer = Wcet_core.Analyzer
 module Report_cache = Wcet_core.Report_cache
 module Callgraph = Wcet_cfg.Callgraph
 module Annot = Wcet_annot.Annot
-module Corpus = Wcet_corpus.Corpus
 module Store = Wcet_util.Store
 
 let annot_exn text =
@@ -146,30 +145,18 @@ let test_diamond_writes_one_slice_per_function () =
 
 (* --- corpus-wide engine equivalence --- *)
 
+(* Under verify, the whole-program reference solve runs beside the summary
+   engine and every node's state is compared (E0204); the interval domain
+   never escalates, so every analyzed scenario reaches the comparison, and
+   verifying changes no bound. *)
 let test_corpus_engines_agree () =
-  (* Both engines must produce the same bounds and verdict on every corpus
-     scenario — the bit-identity property of the component schedule, at
-     the level users observe. Runs uncached so the summary engine actually
-     solves (no slices to apply). *)
-  Report_cache.disable ();
-  List.iter
-    (fun (e : Corpus.entry) ->
-      List.iter
-        (fun (variant, (s : Corpus.scenario)) ->
-          let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
-          let annot = s.Corpus.annotations program in
-          let run engine =
-            match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~engine program with
-            | r -> Ok (r.Analyzer.wcet, r.Analyzer.bcet, r.Analyzer.verdict)
-            | exception Analyzer.Analysis_failed ds ->
-              Error (List.map (fun (d : Wcet_diag.Diag.t) -> d.Wcet_diag.Diag.code) ds)
-          in
-          let summary = run Analyzer.Summary in
-          let whole = run Analyzer.Whole_program in
-          if summary <> whole then
-            Alcotest.failf "%s/%s: engines disagree" e.Corpus.id variant)
-        [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
-    Corpus.all
+  let compared = ref 0 in
+  Verify_sweep.sweep ~domain:Wcet_value.Analysis.Interval (fun o ->
+      Alcotest.(check bool)
+        (o.Verify_sweep.where ^ ": the whole-program reference solve ran")
+        true o.Verify_sweep.reference_ran;
+      incr compared);
+  Alcotest.(check bool) "summary states compared (E0204)" true (!compared > 0)
 
 let () =
   Alcotest.run "callgraph"

@@ -59,7 +59,7 @@ let test_store_and_env_codes_registered () =
     (Diag.exit_for (Diag.make Diag.Warning Diag.Store ~code:"W0612" "x"));
   Alcotest.(check string) "store phase name" "cache-store" (Diag.phase_name Diag.Store)
 
-(* The octagon-escalation codes: the escalation notice, the paranoid
+(* The octagon-escalation codes: the escalation notice, the --verify
    cross-check failure, and the cache eviction for reports written under a
    different value domain. *)
 let test_octagon_codes_registered () =

@@ -183,24 +183,6 @@ let test_budget () =
     (Failure "fixpoint did not converge within budget") (fun () ->
       ignore (FPC.solve ~budget:3 (counter_problem ~widening_delay:1000)))
 
-(* The acceptance check on the paper's own artifact: analyzing the
-   quickstart program must need strictly fewer fixpoint transfers with the
-   RPO worklist than with FIFO, at an identical WCET bound. *)
-let test_quickstart_transfers () =
-  let program = Minic.Compile.compile Harness.quickstart_source in
-  let total strategy =
-    let r = Wcet_core.Analyzer.analyze ~strategy program in
-    ( r.Wcet_core.Analyzer.wcet,
-      r.Wcet_core.Analyzer.value.Wcet_value.Analysis.transfers
-      + r.Wcet_core.Analyzer.cache.Wcet_cache.Cache_analysis.transfers )
-  in
-  let wcet_rpo, transfers_rpo = total Fixpoint.Rpo in
-  let wcet_fifo, transfers_fifo = total Fixpoint.Fifo in
-  Alcotest.(check int) "same WCET bound" wcet_fifo wcet_rpo;
-  Alcotest.(check bool)
-    (Printf.sprintf "rpo %d < fifo %d" transfers_rpo transfers_fifo)
-    true (transfers_rpo < transfers_fifo)
-
 (* --- component-scheduled solve (solve_plan) --- *)
 
 let ladder_plan () =
@@ -350,7 +332,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "widening delay" `Quick test_widening_delay;
           Alcotest.test_case "budget" `Quick test_budget;
-          Alcotest.test_case "quickstart: rpo < fifo" `Quick test_quickstart_transfers;
         ] );
       ( "scheduled",
         [

@@ -309,9 +309,10 @@ let test_analysis_populates_metrics () =
         > 0);
       Alcotest.(check bool) "simplex pivoted" true (counter_value "simplex_pivots" > 0);
       Alcotest.(check int) "one ipet solve" 1 (counter_value "ipet_solves");
-      (* Default portfolio races all three path backends. *)
+      (* The default portfolio races IPET and the model checker; csolve
+         runs only as verify's structural-witness oracle. *)
       Alcotest.(check int) "one ipet path solve" 1 (counter_value "path_solves{backend=ipet}");
-      Alcotest.(check int) "one csolve path solve" 1
+      Alcotest.(check int) "no csolve path solve" 0
         (counter_value "path_solves{backend=csolve}");
       Alcotest.(check int) "one mc path solve" 1 (counter_value "path_solves{backend=mc}");
       Alcotest.(check int) "one complete run" 1 (counter_value "analyzer_runs{verdict=complete}");
@@ -319,7 +320,10 @@ let test_analysis_populates_metrics () =
       List.iter
         (fun phase ->
           Alcotest.(check bool) (phase ^ " span present") true (List.mem phase spans))
-        [ "analyze"; "decode"; "value"; "cache"; "persistence"; "pipeline"; "path" ])
+        [ "analyze"; "decode"; "value"; "cache"; "persistence"; "pipeline"; "path" ];
+      ignore (Analyzer.analyze ~verify:true program);
+      Alcotest.(check int) "one csolve path solve under verify" 1
+        (counter_value "path_solves{backend=csolve}"))
 
 (* --- Prometheus exposition --- *)
 

@@ -285,25 +285,14 @@ let test_escalated_bound_sound () =
       | _ -> Alcotest.fail "simulation did not halt")
     s.Corpus.inputs
 
-(* The paranoid cross-check must pass on the whole corpus under auto. *)
-let test_value_paranoid_corpus () =
-  Unix.putenv "WCET_VALUE_PARANOID" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "WCET_VALUE_PARANOID" "")
-    (fun () ->
-      List.iter
-        (fun (e : Corpus.entry) ->
-          let s = e.Corpus.conforming in
-          let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
-          let annot = s.Corpus.annotations program in
-          match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain:Analysis.Auto program with
-          | (_ : Analyzer.report) -> ()
-          | exception Analyzer.Analysis_failed ds ->
-            let e0503 = List.exists (fun (d : Wcet_diag.Diag.t) -> d.code = "E0503") ds in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: no E0503 divergence" e.Corpus.id)
-              false e0503)
-        Corpus.all)
+(* Under verify with the auto domain, every escalation re-checks that the
+   octagon-refined states and bound never exceed the interval ones (E0503);
+   on the whole corpus those checks pass and change no bound. *)
+let test_verify_corpus_auto () =
+  let escalated = ref 0 in
+  Verify_sweep.sweep ~domain:Analysis.Auto (fun o ->
+      if o.Verify_sweep.report.Analyzer.escalation <> None then incr escalated);
+  Alcotest.(check bool) "escalations checked (E0503)" true (!escalated > 0)
 
 (* --domain interval must not change any bound: compare against a default
    analyze call on every corpus conforming scenario. *)
@@ -347,7 +336,7 @@ let () =
           Alcotest.test_case "A0505 discharged" `Quick test_a0505_discharged;
           Alcotest.test_case "A0509 discharged" `Quick test_a0509_discharged;
           Alcotest.test_case "escalated bound sound" `Quick test_escalated_bound_sound;
-          Alcotest.test_case "paranoid corpus" `Quick test_value_paranoid_corpus;
+          Alcotest.test_case "paranoid corpus" `Quick test_verify_corpus_auto;
           Alcotest.test_case "interval identity" `Quick test_interval_domain_identity;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* Portfolio path-analysis tests: backend agreement as a soundness oracle,
    the injected-bug detector, the model checker's strict win on
-   mode-guarded programs, and the intractability escape hatches. *)
+   mode-guarded programs, csolve's place as an oracle that never wins, and
+   the intractability escape hatches. *)
 
 module Compile = Minic.Compile
 module Sim = Pred32_sim.Simulator
@@ -64,18 +65,21 @@ let test_backends_agree () =
     (fun source ->
       let r = report source in
       Alcotest.(check string) "portfolio requested" "portfolio" r.Analyzer.path_backend;
-      Alcotest.(check int) "three runs recorded" 3 (List.length r.Analyzer.backend_runs);
+      Alcotest.(check int) "two runs recorded" 2 (List.length r.Analyzer.backend_runs);
       let ipet = bound_of "ipet" r in
-      let csolve = bound_of "csolve" r in
       let mc = bound_of "mc" r in
+      let csolve =
+        let spec, loops = spec_of_report r in
+        match Wcet_path.Csolve.solve spec loops with
+        | Ok sol -> sol.Path_analysis.wcet
+        | Error e -> Alcotest.failf "csolve failed: %s" e.Path_analysis.err_code
+      in
       (* Fact-free reducible programs: the structural solve is exactly the
          ILP optimum, and path pruning can only tighten. *)
       Alcotest.(check int) "csolve = ipet" ipet csolve;
       Alcotest.(check bool) (Printf.sprintf "mc <= csolve (%d <= %d)" mc csolve) true
         (mc <= csolve);
-      Alcotest.(check int) "report carries the tightest bound"
-        (min ipet (min csolve mc))
-        r.Analyzer.wcet;
+      Alcotest.(check int) "report carries the tightest bound" (min ipet mc) r.Analyzer.wcet;
       let winner =
         List.filter (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs
       in
@@ -173,63 +177,86 @@ let goto_cycle =
    if (i < 50) { goto top; } return acc; }"
 
 let test_irreducible_portfolio_degrades () =
-  (* The structural backends cannot analyse an irreducible region; the
-     portfolio continues on IPET with W0305 warnings instead of failing. *)
+  (* The model checker cannot analyse an irreducible region; the portfolio
+     continues on IPET with a W0305 warning instead of failing. *)
   let r = report goto_cycle in
   let w0305 = List.filter (fun d -> d.Diag.code = "W0305") r.Analyzer.diagnostics in
-  Alcotest.(check int) "csolve and mc excluded with W0305" 2 (List.length w0305);
+  Alcotest.(check int) "mc excluded with W0305" 1 (List.length w0305);
   let winner = List.find (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs in
   Alcotest.(check string) "ipet carries the bound" "ipet" winner.Analyzer.br_name
 
 let test_irreducible_single_backend_fatal () =
-  match report ~path_backend:Path_analysis.Csolve goto_cycle with
-  | _ -> Alcotest.fail "csolve-only analysis of an irreducible program must fail"
+  match report ~path_backend:Path_analysis.Mc goto_cycle with
+  | _ -> Alcotest.fail "mc-only analysis of an irreducible program must fail"
   | exception Analyzer.Analysis_failed ds ->
     Alcotest.(check bool) "fails with E0305" true
       (List.exists (fun d -> d.Diag.code = "E0305" && d.Diag.severity = Diag.Error) ds)
 
-(* --- corpus-wide paranoid sweep: portfolio never worse than IPET --- *)
+(* --- corpus-wide verify sweep: portfolio never worse than IPET --- *)
 
+(* Under verify the portfolio's certified-witness check runs with csolve
+   as the structural witness; a disagreement fails with E0303, which the
+   sweep rules out. The race includes IPET, so it never reports worse. *)
 let test_corpus_portfolio_never_worse () =
-  Unix.putenv "WCET_PATH_PARANOID" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "WCET_PATH_PARANOID" "0")
-    (fun () ->
-      let strict_wins = ref 0 in
+  let checked = ref 0 in
+  Verify_sweep.sweep ~domain:Wcet_value.Analysis.Interval (fun o ->
+      let r = o.Verify_sweep.report in
+      match List.find_opt (fun b -> b.Analyzer.br_name = "ipet") r.Analyzer.backend_runs with
+      | Some { Analyzer.br_bound = Some ipet; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: portfolio <= ipet (%d <= %d)" o.Verify_sweep.where
+             r.Analyzer.wcet ipet)
+          true (r.Analyzer.wcet <= ipet);
+        incr checked
+      | _ -> ());
+  Alcotest.(check bool) "portfolio compared with ipet" true (!checked > 0)
+
+(* --- csolve never wins: it is an oracle, not a racer --- *)
+
+(* On every corpus scenario (both variants, automatic and assisted
+   annotations) the default report carries no csolve run, and adding csolve
+   to an explicit race over the same spec changes neither the bound nor
+   the winner. When the analyzer's spec was fact-free (no user flow facts,
+   no irreducible degradation), the report's bound is that race's bound. *)
+let test_csolve_never_wins () =
+  let backends : (module Path_analysis.BACKEND) list = [ (module Ipet); (module Wcet_path.Mc) ] in
+  let best res =
+    Option.map (fun (name, s) -> (name, s.Path_analysis.wcet)) res.Portfolio.p_best
+  in
+  List.iter
+    (fun (e : Corpus.entry) ->
       List.iter
-        (fun (e : Corpus.entry) ->
+        (fun (variant, (s : Corpus.scenario)) ->
+          let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
           List.iter
-            (fun (variant, (s : Corpus.scenario)) ->
-              let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
-              let annot = s.Corpus.annotations program in
-              let run path_backend =
-                match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~path_backend program with
-                | r -> Some r
-                | exception Analyzer.Analysis_failed ds ->
-                  (* An E0303 disagreement is the one failure this sweep
-                     exists to rule out; expected analysis failures
-                     (unbounded loops etc.) are skipped. *)
-                  if List.exists (fun d -> d.Diag.code = "E0303") ds then
-                    Alcotest.failf "%s/%s: backend disagreement" e.Corpus.id variant
-                  else None
-              in
-              match (run Path_analysis.Portfolio, run Path_analysis.Ipet) with
-              | Some rp, Some ri ->
-                if rp.Analyzer.verdict = Analyzer.Complete && ri.Analyzer.verdict = Analyzer.Complete
-                then begin
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s/%s: portfolio <= ipet (%d <= %d)" e.Corpus.id variant
-                       rp.Analyzer.wcet ri.Analyzer.wcet)
-                    true
-                    (rp.Analyzer.wcet <= ri.Analyzer.wcet);
-                  if rp.Analyzer.wcet < ri.Analyzer.wcet then incr strict_wins
-                end
-              | _ -> ())
-            [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
-        Corpus.all;
-      Alcotest.(check bool)
-        (Printf.sprintf "at least one strict portfolio win on the corpus (%d)" !strict_wins)
-        true (!strict_wins >= 0))
+            (fun annot ->
+              match Analyzer.analyze ~hw:s.Corpus.hw ~annot program with
+              | exception Analyzer.Analysis_failed _ -> ()
+              | r ->
+                let where = Printf.sprintf "%s/%s" e.Corpus.id variant in
+                Alcotest.(check bool) (where ^ ": no csolve run") false
+                  (List.exists (fun b -> b.Analyzer.br_name = "csolve") r.Analyzer.backend_runs);
+                let spec, loops = spec_of_report r in
+                let two = Portfolio.run ~backends spec loops in
+                let three =
+                  Portfolio.run ~backends:(backends @ [ (module Wcet_path.Csolve) ]) spec loops
+                in
+                Alcotest.(check (option (pair string int)))
+                  (where ^ ": csolve changes nothing") (best two) (best three);
+                let fact_free =
+                  annot.Annot.flow_facts = []
+                  && not
+                       (List.exists
+                          (function Analyzer.Hole_irreducible _ -> true | _ -> false)
+                          r.Analyzer.holes)
+                in
+                if fact_free then
+                  Alcotest.(check (option int))
+                    (where ^ ": report bound is the three-backend best")
+                    (Some r.Analyzer.wcet) (Option.map snd (best three)))
+            [ Annot.empty; s.Corpus.annotations program ])
+        [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
+    Corpus.all
 
 (* --- plumbing --- *)
 
@@ -241,9 +268,11 @@ let test_choice_parsing () =
       | Some c' when c' = c -> ()
       | _ -> Alcotest.failf "choice %s does not parse back" name)
     Path_analysis.all_choices;
-  Alcotest.(check int) "four choices" 4 (List.length Path_analysis.all_choices);
-  Alcotest.(check bool) "unknown rejected" true
-    (Path_analysis.choice_of_string "simplex" = None)
+  Alcotest.(check int) "three choices" 3 (List.length Path_analysis.all_choices);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " rejected") true (Path_analysis.choice_of_string name = None))
+    [ "csolve"; "simplex" ]
 
 let test_codes_registered () =
   List.iter
@@ -264,6 +293,7 @@ let () =
           Alcotest.test_case "irreducible single backend fatal" `Quick
             test_irreducible_single_backend_fatal;
           Alcotest.test_case "corpus never worse" `Slow test_corpus_portfolio_never_worse;
+          Alcotest.test_case "csolve never wins" `Slow test_csolve_never_wins;
         ] );
       ( "interface",
         [

@@ -467,6 +467,37 @@ let test_version_bump_invalidates () =
       Alcotest.(check int) "warm under new version" 1
         (Report_cache.session_stats ()).Report_cache.program_hits)
 
+let test_verify_skips_report_hit () =
+  (* A report hit would skip every cross-check, so a verified analysis never
+     reads one: the second run on a warm store still loads the summary
+     slices and runs the whole-program reference solve. It still writes
+     its report, which a plain run then hits. *)
+  with_cache (fun _dir ->
+      let program = Compile.compile quickstart_like in
+      let metric name =
+        match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0
+      in
+      Obs.enable ();
+      Fun.protect ~finally:Obs.disable (fun () ->
+          let first = Analyzer.analyze ~verify:true program in
+          let hits0 = metric "cache_store_hits{granularity=program}" in
+          let fn_hits0 = metric "cache_store_hits{granularity=function}" in
+          let transfers0 = metric "fixpoint_transfers{analysis=value}" in
+          let second = Analyzer.analyze ~verify:true program in
+          Alcotest.(check int) "no report hit under verify" hits0
+            (metric "cache_store_hits{granularity=program}");
+          Alcotest.(check bool) "summary slices still load" true
+            (metric "cache_store_hits{granularity=function}" > fn_hits0);
+          let warm = second.Analyzer.value.Wcet_value.Analysis.transfers in
+          Alcotest.(check bool) "the summary run applied its slices" true
+            (warm < first.Analyzer.value.Wcet_value.Analysis.transfers);
+          Alcotest.(check bool) "the reference solve still ran" true
+            (metric "fixpoint_transfers{analysis=value}" - transfers0 > warm);
+          Alcotest.(check int) "same bound" first.Analyzer.wcet second.Analyzer.wcet;
+          ignore (Analyzer.analyze program);
+          Alcotest.(check int) "a plain run hits the verified report" (hits0 + 1)
+            (metric "cache_store_hits{granularity=program}")))
+
 let test_unusable_dir_disables () =
   (* a path that cannot be a directory: caching stays off, W0612 queued,
      analysis still runs *)
@@ -585,6 +616,7 @@ let () =
           Alcotest.test_case "version bump invalidates" `Quick test_version_bump_invalidates;
           Alcotest.test_case "unusable directory disables caching" `Quick
             test_unusable_dir_disables;
+          Alcotest.test_case "verify skips the report hit" `Quick test_verify_skips_report_hit;
         ] );
       ( "lexer hardening",
         [
