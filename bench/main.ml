@@ -4,13 +4,11 @@
    - T1: the lDivMod iteration histogram (Table 1),
    - F1: the analysis phase breakdown (Figure 1),
    - E1: the MISRA-rule study (Section 4.2, quantified),
-   - E2: the design-level-information study (Section 4.3, quantified),
+   - E2: the design-level-information study (Section 4.3, quantified).
 
-   plus Bechamel micro-benchmarks of the analyzer itself (one Test.make per
-   table) so the cost of regenerating each artifact is measured. Run with
-   BENCH_FAST=1 to skip the micro-benchmarks; LDIVMOD_SAMPLES=100000000
-   reproduces the paper's full 10^8-sample Table 1; PAR_DOMAINS caps the
-   domain pool used for the histogram shards and the corpus fan-out.
+   LDIVMOD_SAMPLES=100000000 reproduces the paper's full 10^8-sample
+   Table 1; PAR_DOMAINS caps the domain pool used for the histogram shards
+   and the corpus fan-out.
 
    T1 runs first at top level so the histogram shards own the whole pool;
    the remaining tables are then fanned out across domains (each worker
@@ -37,39 +35,6 @@ let render table =
   table ppf ();
   Format.pp_print_flush ppf ();
   Buffer.contents buf
-
-let run_bechamel () =
-  let open Bechamel in
-  let benchmark name f = Test.make ~name (Staged.stage f) in
-  let quickstart_program = Minic.Compile.compile Harness.quickstart_source in
-  let tests =
-    Test.make_grouped ~name:"repro"
-      [
-        benchmark "T1: ldivmod histogram (100k samples)" (fun () ->
-            Softarith.Ldivmod.histogram ~samples:100_000 ~seed:1L ());
-        benchmark "F1: full analysis of quickstart" (fun () ->
-            Wcet_core.Analyzer.analyze quickstart_program);
-        benchmark "E1: one rule entry (13.6, both variants)" (fun () ->
-            Harness.run_entry (Option.get (Wcet_corpus.Corpus.find "13.6")));
-        benchmark "E2: one tier-two entry (modes, both variants)" (fun () ->
-            Harness.run_entry (Option.get (Wcet_corpus.Corpus.find "modes")));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-  let instances = Toolkit.Instance.[ minor_allocated; monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Hashtbl.iter
-    (fun name result ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "  %-48s %14.0f ns/run@." name est
-      | Some _ | None -> Format.printf "  %-48s (no estimate)@." name)
-    results;
-  Format.printf "@."
 
 (* Cold-vs-warm wall clock of the persistent analysis cache on the
    quickstart program: the warm run must hit the whole-program entry and
@@ -416,8 +381,4 @@ let () =
     table_times;
   Format.printf "  T1 throughput: %.2e samples/s@." samples_per_sec;
   Format.printf "  (machine-readable copy in BENCH_results.json)@.";
-  write_ledger ~path:"BENCH_ledger.ndjson";
-  if Sys.getenv_opt "BENCH_FAST" = None then begin
-    Format.printf "== micro-benchmarks (bechamel) ==@.";
-    run_bechamel ()
-  end
+  write_ledger ~path:"BENCH_ledger.ndjson"

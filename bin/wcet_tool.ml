@@ -91,13 +91,7 @@ let handle_errors f =
         (Diag.makef Diag.Error Diag.Internal ~code:"E0901" "uncaught exception: %s"
            (Printexc.to_string e)))
 
-let profile_conv =
-  Arg.enum
-    [
-      ("default", Pred32_hw.Hw_config.default);
-      ("uncached", Pred32_hw.Hw_config.uncached);
-      ("no-hw-div", Pred32_hw.Hw_config.no_hw_div);
-    ]
+let profile_conv = Arg.enum Pred32_hw.Hw_config.profiles
 
 type format = Text | Json_format
 
@@ -223,14 +217,6 @@ let cache_setup ~cache_dir ~no_cache =
   else ignore (Report_cache.set_dir (resolve_cache_dir cache_dir));
   at_exit (fun () -> List.iter print_diag (Report_cache.drain_diags ()))
 
-(* MiniC sources compile; .s files go straight to the assembler. *)
-let compile path ~soft_div =
-  if Filename.check_suffix path ".s" then
-    Pred32_asm.Assembler.link (Pred32_asm.Asm_parser.parse (read_file path))
-  else
-    let options = { Minic.Codegen.default_options with Minic.Codegen.soft_div } in
-    Minic.Compile.compile ~options (read_file path)
-
 let load_annot = function
   | None -> Wcet_annot.Annot.empty
   | Some path -> (
@@ -254,20 +240,13 @@ let verify_arg =
 let domain_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("interval", Wcet_value.Analysis.Interval);
-             ("octagon", Wcet_value.Analysis.Octagon);
-             ("auto", Wcet_value.Analysis.Auto);
-           ])
-        Wcet_value.Analysis.Auto
+    & opt (enum Wcet_value.Analysis.all_domains) Wcet_value.Analysis.Auto
     & info [ "domain" ]
         ~doc:
-          "Value-analysis abstract domain: $(b,interval) (non-relational baseline), \
-           $(b,octagon) (relational re-solve of every function), or $(b,auto) (the default: \
-           interval first, then an octagon escalation of exactly the functions whose interval \
-           results left imprecise accesses or input-dependent loop bounds)")
+          "Value-analysis abstract domain: $(b,interval) (non-relational baseline) or \
+           $(b,auto) (the default: interval first, then an octagon escalation of exactly the \
+           functions whose interval results left imprecise accesses or input-dependent loop \
+           bounds)")
 
 let path_backend_arg =
   Arg.(
@@ -275,10 +254,10 @@ let path_backend_arg =
     & opt (enum Wcet_path.Path_analysis.all_choices) Wcet_path.Path_analysis.Portfolio
     & info [ "path-backend" ]
         ~doc:
-          "Path-analysis backend: $(b,ipet) (implicit path enumeration as an ILP), $(b,mc) \
-           (slicing plus bounded model checking — path-sensitive, prunes mode-infeasible \
-           paths), or $(b,portfolio) (the default: race both, take the tightest sound bound, \
-           and cross-check the results as a soundness oracle — disagreement beyond \
+          "Path-analysis backend: $(b,ipet) (implicit path enumeration as an ILP) or \
+           $(b,portfolio) (the default: race IPET against slicing plus bounded model checking, \
+           which is path-sensitive and prunes mode-infeasible paths, take the tightest sound \
+           bound, and cross-check the results as a soundness oracle — disagreement beyond \
            attributable slack is the E0303 fatal)")
 
 (* The bound-drift ledger: `analyze --ledger` and `check --ledger` append
@@ -325,7 +304,7 @@ let analyze_cmd =
     handle_errors (fun () ->
         obs_setup ~profile ~trace;
         cache_setup ~cache_dir ~no_cache;
-        let program = compile source ~soft_div in
+        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
         let annot = load_annot annot_file in
         match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
         | report -> (
@@ -381,7 +360,7 @@ let simulate_cmd =
   in
   let run source hw soft_div pokes =
     handle_errors (fun () ->
-        let program = compile source ~soft_div in
+        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
         let sim = Pred32_sim.Simulator.create hw program in
         List.iter
           (fun (sym, v) ->
@@ -400,14 +379,8 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Run a MiniC program in the cycle-level simulator")
     Term.(const run $ source_arg $ hw_arg $ soft_div_arg $ pokes_arg)
 
-(* User-code violations only: the linked runtime ("__"-prefixed functions)
-   deliberately violates some rules (software arithmetic loops, etc.). *)
 let user_violations source =
-  Misra.Checker.check (Minic.Compile.frontend_with_runtime (read_file source))
-  |> List.filter (fun (v : Misra.Checker.violation) ->
-         not
-           (String.length v.Misra.Checker.func > 1
-           && String.sub v.Misra.Checker.func 0 2 = "__"))
+  Misra.Checker.check_user (Minic.Compile.frontend_with_runtime (read_file source))
 
 let misra_cmd =
   let run source format =
@@ -485,7 +458,7 @@ let audit_cmd =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
         if corpus then begin
-          let rows = Wcet_experiments.Audit_corpus.run ~domain ~verify ~seed () in
+          let rows = Wcet_experiments.Audit_corpus.run ~domain ~path_backend ~verify ~seed () in
           (if grades then
              List.iter print_endline (Wcet_experiments.Audit_corpus.grades_lines rows)
            else
@@ -501,7 +474,7 @@ let audit_cmd =
               (Diag.make Diag.Error Diag.Frontend ~code:"E0101"
                  "audit needs a PROGRAM.mc argument (or --corpus)")
           | Some source ->
-            let program = compile source ~soft_div in
+            let program = Wcet_serve.Handlers.compile_file ~soft_div source in
             let annot = load_annot annot_file in
             let misra =
               if Filename.check_suffix source ".s" then [] else user_violations source
@@ -541,7 +514,7 @@ let audit_cmd =
 let disasm_cmd =
   let run source soft_div =
     handle_errors (fun () ->
-        let program = compile source ~soft_div in
+        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
         List.iter
           (fun f ->
             Format.printf "%a@.@."
@@ -555,7 +528,7 @@ let disasm_cmd =
 let cfg_cmd =
   let run source soft_div =
     handle_errors (fun () ->
-        let program = compile source ~soft_div in
+        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
         let graph = Wcet_value.Resolve_iter.build_graceful program in
         let loops = Wcet_cfg.Loops.analyze graph in
         Wcet_cfg.Dot.emit ~loops Format.std_formatter graph)
@@ -571,7 +544,7 @@ let suggest_cmd =
   let run source hw soft_div cache_dir no_cache =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
-        let program = compile source ~soft_div in
+        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
         match Analyzer.analyze ~hw program with
         | report -> (
           match report.Analyzer.verdict with
@@ -635,7 +608,7 @@ let explain_cmd =
       path_backend verify =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
-        let program = compile source ~soft_div in
+        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
         let annot = load_annot annot_file in
         match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
         | report when attribute -> (

@@ -299,7 +299,7 @@ let finish ~transfer ~nodes ~n (solution : FP.result) =
     transfers = solution.FP.transfers;
   }
 
-let run ?seeds ?cancel (cfg : Hw_config.t)
+let run ?cancel (cfg : Hw_config.t)
     (value : Analysis.result) ~region_hints =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
@@ -327,7 +327,7 @@ let run ?seeds ?cancel (cfg : Hw_config.t)
       widening_delay = max_int;
     }
   in
-  let solution = FP.solve ?seeds ?cancel problem in
+  let solution = FP.solve ?cancel problem in
   finish ~transfer ~nodes ~n solution
 
 (* [run_scheduled] solves the same reachability-filtered problem one

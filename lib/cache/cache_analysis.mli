@@ -43,11 +43,8 @@ type result = {
 (** [run cfg value_result ~region_hints] — [region_hints] maps a
     function name to the regions its unresolved accesses may touch (from
     annotations). The whole-program solve: the reference the analyzer's
-    [verify] compares {!run_scheduled} against. [seeds] supplies cached
-    per-node (in, out) states from a previous run (see
-    {!Wcet_util.Fixpoint.Make.solve}). *)
+    [verify] compares {!run_scheduled} against. *)
 val run :
-  ?seeds:(int -> (Cstate.t * Cstate.t) option) ->
   ?cancel:(unit -> bool) ->
   Pred32_hw.Hw_config.t ->
   Wcet_value.Analysis.result ->

@@ -20,12 +20,14 @@ type row = {
   codes : string list;  (** distinct finding codes of the automatic audit, sorted *)
 }
 
-(** [run ?domains ?domain ?verify ?seed ()] audits the whole corpus across the
-    {!Wcet_util.Parallel} domain pool; rows come back in corpus order, so
-    the output is identical for every domain count. [domain] (default
-    [Interval]) is the value-analysis abstract domain both audits run
-    under — [Auto] lets the octagon escalation discharge findings, which
-    shows up as [discharged-by: octagon] codes and better grades.
+(** [run ?domains ?domain ?path_backend ?verify ?seed ()] audits the whole
+    corpus across the {!Wcet_util.Parallel} domain pool; rows come back in
+    corpus order, so the output is identical for every domain count.
+    [domain] (default [Interval]) is the value-analysis abstract domain
+    both audits run under — [Auto] lets the octagon escalation discharge
+    findings, which shows up as [discharged-by: octagon] codes and better
+    grades.
+    [path_backend] (default [Portfolio]) is the path-analysis backend.
     [verify] (default [false]) runs every analysis under
     {!Wcet_core.Analyzer.analyze}'s reference cross-checks. [seed]
     (default the paper date, [20110318]) deterministically selects which
@@ -33,6 +35,7 @@ type row = {
 val run :
   ?domains:int ->
   ?domain:Wcet_value.Analysis.domain ->
+  ?path_backend:Wcet_path.Path_analysis.choice ->
   ?verify:bool ->
   ?seed:int64 ->
   unit ->

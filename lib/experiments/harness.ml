@@ -62,9 +62,8 @@ let run_scenario ~id ~variant (s : Corpus.scenario) =
   | Bound _ | Partial _ | Fails _ -> ());
   let misra_violations =
     (* count findings in the user's functions, not the linked runtime *)
-    Misra.Checker.check (Compile.frontend_with_runtime ~options:s.Corpus.options s.Corpus.source)
-    |> List.filter (fun (v : Misra.Checker.violation) ->
-           not (String.length v.Misra.Checker.func > 1 && String.sub v.Misra.Checker.func 0 2 = "__"))
+    Misra.Checker.check_user
+      (Compile.frontend_with_runtime ~options:s.Corpus.options s.Corpus.source)
     |> List.length
   in
   {

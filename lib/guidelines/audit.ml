@@ -105,8 +105,7 @@ let findingf ?func ?addr ?suggestion ?rules severity code fmt =
 
 (* --- helpers over the report --- *)
 
-let is_runtime_func name =
-  String.length name >= 2 && String.sub name 0 2 = "__"
+let is_runtime_func = Checker.is_runtime_func
 
 let node_func (g : Supergraph.t) nid = g.Supergraph.nodes.(nid).Supergraph.func
 

@@ -277,5 +277,8 @@ let check (p : Tast.tprogram) =
   in
   List.concat_map per_func p.Tast.funcs @ check_16_2 p
 
+let is_runtime_func name = String.length name >= 2 && String.sub name 0 2 = "__"
+let check_user p = List.filter (fun v -> not (is_runtime_func v.func)) (check p)
+
 let pp_violation ppf v =
   Format.fprintf ppf "rule %s in %s: %s" (rule_name v.rule) v.func v.message

@@ -23,6 +23,15 @@ val wcet_impact : rule -> string
     (use {!Minic.Compile.frontend}). *)
 val check : Minic.Tast.tprogram -> violation list
 
+(** [is_runtime_func name]: the linked runtime's functions are
+    ["__"]-prefixed. *)
+val is_runtime_func : string -> bool
+
+(** [check_user program] is {!check} restricted to the user's functions:
+    the linked runtime deliberately violates some rules (software
+    arithmetic loops, etc.). *)
+val check_user : Minic.Tast.tprogram -> violation list
+
 val violations_of : rule -> violation list -> violation list
 val pp_violation : Format.formatter -> violation -> unit
 val all_rules : rule list

@@ -21,6 +21,7 @@ let default =
 
 let no_hw_div = { default with has_hw_div = false }
 let uncached = { default with icache = None; dcache = None }
+let profiles = [ ("default", default); ("uncached", uncached); ("no-hw-div", no_hw_div) ]
 
 let pp ppf t =
   let pp_cache ppf = function

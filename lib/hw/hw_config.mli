@@ -28,4 +28,8 @@ val no_hw_div : t
     useful as an ablation to separate cache effects from path effects. *)
 val uncached : t
 
+(** The named profiles the CLI's [--hw] and the daemon's [hw] parameter
+    accept: [default], [uncached] and [no-hw-div]. *)
+val profiles : (string * t) list
+
 val pp : Format.formatter -> t -> unit

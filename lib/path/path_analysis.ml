@@ -25,10 +25,10 @@ module type BACKEND = sig
   val solve : spec -> Wcet_cfg.Loops.info -> (solution, error) result
 end
 
-type choice = Ipet | Mc | Portfolio
+type choice = Ipet | Portfolio
 
-let choice_name = function Ipet -> "ipet" | Mc -> "mc" | Portfolio -> "portfolio"
-let all_choices = [ ("ipet", Ipet); ("mc", Mc); ("portfolio", Portfolio) ]
+let choice_name = function Ipet -> "ipet" | Portfolio -> "portfolio"
+let all_choices = List.map (fun c -> (choice_name c, c)) [ Ipet; Portfolio ]
 
 let choice_of_string s = List.assoc_opt s all_choices
 

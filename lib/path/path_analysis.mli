@@ -56,10 +56,11 @@ module type BACKEND = sig
   val solve : spec -> Wcet_cfg.Loops.info -> (solution, error) result
 end
 
-(** Which backend(s) an analysis run uses: [Portfolio] races IPET and the
-    model checker. The structural constraint solver ([Csolve]) never
-    supplies a bound; [verify] runs it as a witness oracle. *)
-type choice = Ipet | Mc | Portfolio
+(** Which backend(s) an analysis run uses: [Ipet] alone, or [Portfolio],
+    which races IPET and the model checker ([Mc]). The structural
+    constraint solver ([Csolve]) never supplies a bound; [verify] runs it
+    as a witness oracle. *)
+type choice = Ipet | Portfolio
 
 val choice_name : choice -> string
 val choice_of_string : string -> choice option

@@ -13,10 +13,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Same source dispatch as the CLI: .s goes straight to the assembler,
-   everything else through the MiniC compiler. Frontend exceptions escape
-   to the server's classifier. *)
-let compile path ~soft_div =
+let compile_file ~soft_div path =
   if Filename.check_suffix path ".s" then
     Pred32_asm.Assembler.link (Pred32_asm.Asm_parser.parse (read_file path))
   else
@@ -33,10 +30,11 @@ let source_of params =
 
 let hw_of params =
   match str_param params "hw" with
-  | None | Some "default" -> Pred32_hw.Hw_config.default
-  | Some "uncached" -> Pred32_hw.Hw_config.uncached
-  | Some "no-hw-div" -> Pred32_hw.Hw_config.no_hw_div
-  | Some other -> raise (Bad_params ("unknown hw profile " ^ other))
+  | None -> Pred32_hw.Hw_config.default
+  | Some name -> (
+    match List.assoc_opt name Pred32_hw.Hw_config.profiles with
+    | Some hw -> hw
+    | None -> raise (Bad_params ("unknown hw profile " ^ name)))
 
 let annot_of params =
   match str_param params "annot" with
@@ -60,19 +58,10 @@ let path_backend_of params =
 let analyzed ~cancel params =
   let source = source_of params in
   let soft_div = bool_param params "soft_div" = Some true in
-  let program = compile source ~soft_div in
+  let program = compile_file ~soft_div source in
   let annot = annot_of params in
   Analyzer.analyze ~hw:(hw_of params) ~annot ~path_backend:(path_backend_of params) ~cancel
     program
-
-(* User-code MISRA violations only, as in [wcet_tool audit] (the linked
-   runtime deliberately violates some rules). *)
-let user_violations source =
-  Misra.Checker.check (Minic.Compile.frontend_with_runtime (read_file source))
-  |> List.filter (fun (v : Misra.Checker.violation) ->
-         not
-           (String.length v.Misra.Checker.func > 1
-           && String.sub v.Misra.Checker.func 0 2 = "__"))
 
 let cache_stats () =
   match (Report_cache.enabled (), Report_cache.dir ()) with
@@ -96,7 +85,7 @@ let cache_stats () =
    plain source tree). [Analysis_failed] becomes [Error]; anything else —
    frontend faults included — escapes for the server's classifier. *)
 let analyze_source path =
-  let program = compile path ~soft_div:false in
+  let program = compile_file ~soft_div:false path in
   match
     Analyzer.analyze ~hw:Pred32_hw.Hw_config.default ~annot:Wcet_annot.Annot.empty program
   with
@@ -120,9 +109,12 @@ let standard ~cancel ~meth ~params =
     let source = source_of params in
     let soft_div = bool_param params "soft_div" = Some true in
     let hw = hw_of params in
-    let program = compile source ~soft_div in
+    let program = compile_file ~soft_div source in
     let annot = annot_of params in
-    let misra = if Filename.check_suffix source ".s" then [] else user_violations source in
+    let misra =
+      if Filename.check_suffix source ".s" then []
+      else Misra.Checker.check_user (Minic.Compile.frontend_with_runtime (read_file source))
+    in
     let coverage =
       let sim = Pred32_sim.Simulator.create hw program in
       match Pred32_sim.Simulator.run sim with

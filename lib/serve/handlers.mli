@@ -25,6 +25,13 @@ module Json := Wcet_diag.Json
     D0702 at the server). *)
 exception Bad_params of string
 
+(** [compile_file ~soft_div path] is the source dispatch the CLI shares
+    with the daemon: a [.s] file goes straight to the assembler, anything
+    else compiles as MiniC ([soft_div] lowers division to the software
+    routine). Frontend and [Sys_error] exceptions escape to the caller's
+    classifier. *)
+val compile_file : soft_div:bool -> string -> Pred32_asm.Program.t
+
 (** [standard ~cancel ~meth ~params] runs one method; [None] for an
     unknown method. [cancel] is the request's deadline token, threaded
     into {!Wcet_core.Analyzer.analyze} (so

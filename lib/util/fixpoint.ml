@@ -149,7 +149,7 @@ module Make (D : Domain) = struct
      widens at *every* node visited more than that many times, as a
      convergence backstop for domains with infinite ascending chains outside
      the declared widening points. *)
-  let solve ?(strategy = Rpo) ?propagate ?seeds ?(force_widen_after = max_int) ?budget
+  let solve ?(strategy = Rpo) ?propagate ?(force_widen_after = max_int) ?budget
       ?(cancel = fun () -> false) p =
     let propagate =
       match propagate with
@@ -216,33 +216,7 @@ module Make (D : Domain) = struct
           enqueue n
         end
     in
-    (* Seeds are (in, out) pairs from a previous solve of a compatible
-       problem. A seeded node starts settled at those states: deliveries
-       that stay below the seeded in-state leave it quiet (no transfer),
-       anything above re-enters it through the normal join/widen path. *)
-    (match seeds with
-    | None -> ()
-    | Some seed ->
-      for n = 0 to p.num_nodes - 1 do
-        match seed n with
-        | Some (s_in, s_out) ->
-          input.(n) <- Some s_in;
-          output.(n) <- Some s_out
-        | None -> ()
-      done);
     List.iter (fun (n, s) -> update_input n s) p.entries;
-    (* Deliver every seeded out-state along its edges once, so unseeded
-       successors (e.g. the return site of a changed caller) receive the
-       cached dataflow even when the seeded region itself never re-runs.
-       Without this a quiet seeded callee would starve its downstream. *)
-    (match seeds with
-    | None -> ()
-    | Some _ ->
-      for n = 0 to p.num_nodes - 1 do
-        match output.(n) with
-        | Some out -> List.iter (fun (m, st) -> update_input m st) (propagate n out)
-        | None -> ()
-      done);
     while pending () do
       if cancel () then raise Cancelled;
       let n = dequeue () in

@@ -86,17 +86,6 @@ module Make (D : Domain) : sig
       (infeasible edge). The targets it returns must be a subset of
       [succs node] — the priority order is computed from [succs].
 
-      [seeds node] supplies an [(in_state, out_state)] pair recorded from a
-      previous solve of a compatible problem (same transfer semantics for
-      that node). Seeded nodes start settled at those states and re-enter
-      the worklist only when a propagated contribution is not already below
-      the seeded in-state; each seeded out-state is propagated once at
-      start-up so unseeded successors still receive the cached dataflow.
-      Soundness: because the system is monotone and seeds are post-fixpoint
-      components, the result is again a post-fixpoint; if the seeds came
-      from the least fixpoint of the *same* problem the result is identical
-      and no seeded node is re-transferred.
-
       [force_widen_after] widens at any node visited more than that many
       times regardless of [widening_points], as a convergence backstop.
       [budget] caps the transfer count; exceeding it raises [Failure].
@@ -105,7 +94,6 @@ module Make (D : Domain) : sig
   val solve :
     ?strategy:strategy ->
     ?propagate:(int -> D.t -> (int * D.t) list) ->
-    ?seeds:(int -> (D.t * D.t) option) ->
     ?force_widen_after:int ->
     ?budget:int ->
     ?cancel:(unit -> bool) ->
@@ -147,10 +135,10 @@ module Make (D : Domain) : sig
       comps] runs on the calling domain after a level is merged.
 
       [strategy] is not a parameter: scheduled solving is inherently
-      priority-driven ([Rpo]). [seeds] are not supported — summaries
-      subsume them. [cancel] is polled on the worker domains before every
-      transfer; a tripped token raises {!Cancelled} on the calling domain
-      (the token must therefore be safe to call from any domain). *)
+      priority-driven ([Rpo]). [cancel] is polled on the worker domains
+      before every transfer; a tripped token raises {!Cancelled} on the
+      calling domain (the token must therefore be safe to call from any
+      domain). *)
   val solve_plan :
     ?propagate:(int -> D.t -> (int * D.t) list) ->
     ?summary:(comp:int -> input:(int -> D.t option) -> (int -> (D.t * D.t) option) option) ->

@@ -271,7 +271,7 @@ let finish ?(publish = true) ctx (graph : Supergraph.t) node_in node_out (soluti
   if publish then publish_access_metrics accesses;
   { graph; node_in; node_out; accesses; transfers = solution.FP.transfers }
 
-let run ?(assumes = []) ?seeds ?cancel ?publish
+let run ?(assumes = []) ?cancel ?publish
     (graph : Supergraph.t) (loops : Loops.info) =
   let n = Array.length graph.Supergraph.nodes in
   let ctx = chronological_ctx graph.Supergraph.program in
@@ -280,7 +280,7 @@ let run ?(assumes = []) ?seeds ?cancel ?publish
     try
       FP.solve
         ~propagate:(propagate_of ctx graph)
-        ?seeds ?cancel ~force_widen_after:40
+        ?cancel ~force_widen_after:40
         ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
         {
           FP.num_nodes = n;
@@ -461,15 +461,10 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
 
 (* ---- Octagon escalation --------------------------------------------- *)
 
-type domain = Interval | Octagon | Auto
+type domain = Interval | Auto
 
-let domain_name = function Interval -> "interval" | Octagon -> "octagon" | Auto -> "auto"
-
-let domain_of_string = function
-  | "interval" -> Some Interval
-  | "octagon" -> Some Octagon
-  | "auto" -> Some Auto
-  | _ -> None
+let domain_name = function Interval -> "interval" | Auto -> "auto"
+let all_domains = List.map (fun d -> (domain_name d, d)) [ Interval; Auto ]
 
 let m_oct_transfers =
   Metrics.counter ~labels:[ ("analysis", "octagon") ] ~name:"fixpoint_transfers"

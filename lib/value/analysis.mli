@@ -26,15 +26,11 @@ type result = {
     design-level information). The whole-program solve on the shared
     fixpoint engine's reverse-postorder worklist, used to resolve indirect
     control flow and as the reference the analyzer's [verify] compares
-    {!run_scheduled} against. [seeds] supplies cached
-    per-node (in, out) states from a previous run (see
-    {!Wcet_util.Fixpoint.Make.solve}); nodes of unchanged functions then
-    settle without re-transferring (incremental re-analysis).
-    [cancel] is the cooperative cancellation token of the underlying
-    solver: when it trips, {!Wcet_util.Fixpoint.Cancelled} escapes. *)
+    {!run_scheduled} against. [cancel] is the cooperative cancellation
+    token of the underlying solver: when it trips,
+    {!Wcet_util.Fixpoint.Cancelled} escapes. *)
 val run :
   ?assumes:(int * Aval.t) list ->
-  ?seeds:(int -> (State.t * State.t) option) ->
   ?cancel:(unit -> bool) ->
   ?publish:bool ->
   Wcet_cfg.Supergraph.t ->
@@ -72,13 +68,16 @@ val publish_access_metrics : access list array -> unit
 (** {2 Octagon escalation} *)
 
 (** Which abstract domain the value analysis may use: [Interval] is the
-    always-on baseline; [Octagon] forces a relational re-solve of every
-    function; [Auto] escalates only functions whose interval results left
-    imprecise accesses or input-dependent/aliased loop-bound causes. *)
-type domain = Interval | Octagon | Auto
+    always-on baseline; [Auto] escalates to the interval x octagon product
+    only the functions whose interval results left imprecise accesses or
+    input-dependent/aliased loop-bound causes. *)
+type domain = Interval | Auto
 
 val domain_name : domain -> string
-val domain_of_string : string -> domain option
+
+(** [(domain_name d, d)] for every domain: the one name table the CLI
+    reads. *)
+val all_domains : (string * domain) list
 
 type escalation = {
   esc_funcs : string list;  (** functions that triggered the escalation *)

@@ -73,7 +73,6 @@ type hole =
    ([discharged-by: octagon]) and the observability layer can attribute the
    precision gain. *)
 type esc_info = {
-  ei_domain : string;  (* requested domain: "octagon" or "auto" *)
   ei_funcs : string list;  (* functions that triggered the escalation *)
   ei_transfers : int;  (* product-domain transfer count *)
   ei_slots : int list;  (* tracked stack/global word addresses *)
@@ -447,7 +446,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
         | exception Failure msg -> fatal c Diag.Loop_value ~code:"E0203" "%s" msg)
   in
   (* ---- Octagon escalation --------------------------------------------
-     The interval pass above ran everywhere. Under [Octagon]/[Auto], the
+     The interval pass above ran everywhere. Under [Auto], the
      functions whose interval results left imprecise accesses or
      input-dependent/aliased loop-bound causes are re-solved under the
      interval x octagon reduced product, and the refined result replaces
@@ -459,10 +458,6 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
     let tbl : (string, unit) Hashtbl.t = Hashtbl.create 8 in
     (match domain with
     | Analysis.Interval -> ()
-    | Analysis.Octagon ->
-      Array.iter
-        (fun (n : Supergraph.node) -> Hashtbl.replace tbl n.Supergraph.func ())
-        graph.Supergraph.nodes
     | Analysis.Auto ->
       Array.iteri
         (fun nid accs ->
@@ -551,7 +546,6 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
           value.Analysis.accesses;
         let info =
           {
-            ei_domain = Analysis.domain_name domain;
             ei_funcs = esc.Analysis.esc_funcs;
             ei_transfers = esc.Analysis.esc_transfers;
             ei_slots = esc.Analysis.esc_slots;
@@ -750,7 +744,6 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
         let backends : (module Path_analysis.BACKEND) list =
           match path_backend with
           | Path_analysis.Ipet -> [ (module Ipet) ]
-          | Path_analysis.Mc -> [ (module Wcet_path.Mc) ]
           | Path_analysis.Portfolio -> [ (module Ipet); (module Wcet_path.Mc) ]
         in
         let res =
@@ -1021,7 +1014,6 @@ let report_to_json r =
           in
           Obj
             [
-              ("domain", String e.ei_domain);
               ("functions", List (List.map (fun f -> String f) e.ei_funcs));
               ("transfers", Int e.ei_transfers);
               ("slots", List (List.map (fun s -> Int s) e.ei_slots));

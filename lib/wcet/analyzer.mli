@@ -57,7 +57,6 @@ type hole =
     guidelines auditor can mark the interval-pass findings the relational
     pass resolved ([discharged-by: octagon]). *)
 type esc_info = {
-  ei_domain : string;  (** requested domain: ["octagon"] or ["auto"] *)
   ei_funcs : string list;  (** functions that triggered the escalation *)
   ei_transfers : int;  (** product-domain transfer count *)
   ei_slots : int list;  (** tracked stack/global word addresses *)
@@ -126,8 +125,7 @@ val engine_name : engine -> string
 
     [domain] selects the value domain ({!Wcet_value.Analysis.domain},
     default [Interval] — bit-identical to the pre-octagon analyzer).
-    [Octagon] re-solves every function under the interval x octagon
-    reduced product after the interval pass; [Auto] escalates only the
+    [Auto] re-solves under the interval x octagon reduced product only the
     functions whose interval results left imprecise data accesses or
     input-dependent/aliased loop-bound causes. The refined result feeds
     every downstream phase, so escalation can tighten memory-region
@@ -135,10 +133,10 @@ val engine_name : engine -> string
 
     [path_backend] selects the path-analysis backend
     ({!Wcet_path.Path_analysis.choice}, default [Portfolio]): [Ipet] is the
-    ILP encoding, [Mc] the slicing + bounded-model-checking backend.
-    [Portfolio] races both, takes the tightest sound bound and cross-checks
-    the results as a soundness oracle — a disagreement beyond attributable
-    slack aborts with E0303.
+    ILP encoding alone; [Portfolio] races it against the slicing +
+    bounded-model-checking backend ({!Wcet_path.Mc}), takes the tightest
+    sound bound and cross-checks the results as a soundness oracle — a
+    disagreement beyond attributable slack aborts with E0303.
 
     [verify] (default [false]) re-runs the reference configuration and
     compares, aborting on any divergence; bound, verdict and transfer

@@ -49,9 +49,9 @@ module Diag = Wcet_diag.Diag
 module Metrics = Wcet_obs.Metrics
 
 (* Bump when the marshaled payload layout changes (report or slice types)
-   or a key component changes meaning (4: the "portfolio" path
-   configuration no longer races csolve). *)
-let format_version = "4"
+   or a key component changes meaning (5: the escalation record lost its
+   requested-domain field). *)
+let format_version = "5"
 
 let m_hits gran =
   Metrics.counter ~labels:[ ("granularity", gran) ] ~name:"cache_store_hits"

@@ -24,9 +24,7 @@ let annot_exn text =
   | Error msg -> Alcotest.failf "bad annotation: %s" msg
 
 let user_violations ?options source =
-  Checker.check (Compile.frontend_with_runtime ?options source)
-  |> List.filter (fun (v : Checker.violation) ->
-         not (String.length v.Checker.func > 1 && String.sub v.Checker.func 0 2 = "__"))
+  Checker.check_user (Compile.frontend_with_runtime ?options source)
 
 let coverage_of ?(hw = Hw_config.default) ?(pokes = []) program =
   let sim = Sim.create hw program in

@@ -7,9 +7,7 @@ module Compile = Minic.Compile
 module Corpus = Wcet_corpus.Corpus
 
 let rules_hit source =
-  Checker.check (Compile.frontend_with_runtime source)
-  |> List.filter (fun (v : Checker.violation) ->
-         not (String.length v.Checker.func > 1 && String.sub v.Checker.func 0 2 = "__"))
+  Checker.check_user (Compile.frontend_with_runtime source)
   |> List.map (fun (v : Checker.violation) -> Checker.rule_name v.Checker.rule)
   |> List.sort_uniq compare
 

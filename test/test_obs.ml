@@ -325,6 +325,16 @@ let test_analysis_populates_metrics () =
       Alcotest.(check int) "one csolve path solve under verify" 1
         (counter_value "path_solves{backend=csolve}"))
 
+(* The corpus audit runs the path backend it is given: IPET alone never
+   starts the model checker. *)
+let test_audit_corpus_path_backend () =
+  with_obs (fun () ->
+      ignore
+        (Wcet_experiments.Audit_corpus.run ~path_backend:Wcet_path.Path_analysis.Ipet ());
+      Alcotest.(check bool) "ipet path solves recorded" true
+        (counter_value "path_solves{backend=ipet}" > 0);
+      Alcotest.(check int) "no mc path solve" 0 (counter_value "path_solves{backend=mc}"))
+
 (* --- Prometheus exposition --- *)
 
 let contains hay needle = Astring.String.is_infix ~affix:needle hay
@@ -526,6 +536,8 @@ let () =
             test_ldivmod_metric_deterministic;
           Alcotest.test_case "registry pinned" `Quick test_registry_pinned;
           Alcotest.test_case "analysis populates metrics" `Quick test_analysis_populates_metrics;
+          Alcotest.test_case "audit corpus honours the path backend" `Quick
+            test_audit_corpus_path_backend;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "name round-trip" `Quick test_prometheus_escaping;
         ] );

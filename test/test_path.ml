@@ -186,11 +186,10 @@ let test_irreducible_portfolio_degrades () =
   Alcotest.(check string) "ipet carries the bound" "ipet" winner.Analyzer.br_name
 
 let test_irreducible_single_backend_fatal () =
-  match report ~path_backend:Path_analysis.Mc goto_cycle with
-  | _ -> Alcotest.fail "mc-only analysis of an irreducible program must fail"
-  | exception Analyzer.Analysis_failed ds ->
-    Alcotest.(check bool) "fails with E0305" true
-      (List.exists (fun d -> d.Diag.code = "E0305" && d.Diag.severity = Diag.Error) ds)
+  let spec, loops = spec_of_report (report ~path_backend:Path_analysis.Ipet goto_cycle) in
+  match Wcet_path.Mc.solve spec loops with
+  | Ok _ -> Alcotest.fail "the model checker must reject an irreducible program"
+  | Error e -> Alcotest.(check string) "fails with E0305" "E0305" e.Path_analysis.err_code
 
 (* --- corpus-wide verify sweep: portfolio never worse than IPET --- *)
 
@@ -268,11 +267,11 @@ let test_choice_parsing () =
       | Some c' when c' = c -> ()
       | _ -> Alcotest.failf "choice %s does not parse back" name)
     Path_analysis.all_choices;
-  Alcotest.(check int) "three choices" 3 (List.length Path_analysis.all_choices);
+  Alcotest.(check int) "two choices" 2 (List.length Path_analysis.all_choices);
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " rejected") true (Path_analysis.choice_of_string name = None))
-    [ "csolve"; "simplex" ]
+    [ "mc"; "csolve"; "simplex" ]
 
 let test_codes_registered () =
   List.iter

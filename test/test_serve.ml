@@ -423,6 +423,28 @@ let test_server_basics () =
             (ok_result (Client.request c ~id:(Json.Int 5) ~meth:"ping" (Json.Obj [])))));
   Sys.remove src
 
+(* Parameters the daemon shares with the CLI's enums: values outside the
+   shared tables (a retired path backend, an unknown hardware profile) are
+   typed D0702 replies, and a listed profile still analyzes. *)
+let test_server_rejects_unknown_params () =
+  let src = Filename.temp_file "wcet-serve-params" ".mc" in
+  write_file src (loop_src 4);
+  with_server (fun path ->
+      with_client path (fun c ->
+          let analyze id params =
+            Client.request c ~id:(Json.Int id) ~meth:"analyze"
+              (Json.Obj (("source", Json.String src) :: params))
+          in
+          expect_code "D0702" (analyze 1 [ ("path_backend", Json.String "mc") ]);
+          expect_code "D0702" (analyze 2 [ ("hw", Json.String "bogus") ]);
+          let report =
+            ok_result
+              (analyze 3 [ ("hw", Json.String "uncached"); ("path_backend", Json.String "ipet") ])
+          in
+          Alcotest.(check (option string)) "listed values still analyze" (Some "complete")
+            (Option.bind (Json.member "verdict" report) Json.to_string_opt)));
+  Sys.remove src
+
 let test_server_deadline () =
   let src = Filename.temp_file "wcet-serve-ddl" ".mc" in
   write_file src (loop_src 64);
@@ -799,6 +821,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "basics and fault isolation" `Quick test_server_basics;
+          Alcotest.test_case "unknown params rejected" `Quick test_server_rejects_unknown_params;
           Alcotest.test_case "deadline partial reply" `Quick test_server_deadline;
           Alcotest.test_case "backpressure" `Quick test_server_backpressure;
           Alcotest.test_case "retry helper" `Quick test_server_retry_helper;

@@ -1,20 +1,26 @@
-(* Cross-check of the two path-analysis engines: on programs without flow
-   facts, the structural (tree-based) bound must dominate the IPET bound
-   and, on the plain loop shapes our compiler emits, coincide with it. *)
+(* Cross-check of the structural path oracle (csolve) against the
+   analyzer: on programs without flow facts, the structural bound must
+   dominate the reported bound and, on the plain loop shapes our compiler
+   emits, coincide with it. *)
 
 module Compile = Minic.Compile
 module Analyzer = Wcet_core.Analyzer
-module Structural = Wcet_ipet.Structural
+module Path_analysis = Wcet_path.Path_analysis
+module Csolve = Wcet_path.Csolve
+
+let spec value ~times ~loop_bounds = { Path_analysis.value; times; loop_bounds; facts = [] }
 
 let both source =
   let program = Compile.compile source in
   let report = Analyzer.analyze program in
   let structural =
-    Structural.solve report.Analyzer.value report.Analyzer.loops
-      ~times:report.Analyzer.timing.Wcet_pipeline.Block_timing.wcet
-      ~loop_bounds:report.Analyzer.effective_bounds
+    Csolve.solve
+      (spec report.Analyzer.value
+         ~times:report.Analyzer.timing.Wcet_pipeline.Block_timing.wcet
+         ~loop_bounds:report.Analyzer.effective_bounds)
+      report.Analyzer.loops
   in
-  (report.Analyzer.wcet, structural)
+  (report.Analyzer.wcet, Result.map (fun sol -> sol.Path_analysis.wcet) structural)
 
 let check_agree name source =
   match both source with
@@ -23,7 +29,7 @@ let check_agree name source =
       (Printf.sprintf "%s: structural %d >= ipet %d" name structural ipet)
       true (structural >= ipet);
     Alcotest.(check int) (name ^ ": engines agree") ipet structural
-  | _, Error msg -> Alcotest.failf "%s: structural failed: %s" name msg
+  | _, Error e -> Alcotest.failf "%s: structural failed: %s" name e.Path_analysis.err_detail
 
 let check_dominates name source =
   match both source with
@@ -31,7 +37,7 @@ let check_dominates name source =
     Alcotest.(check bool)
       (Printf.sprintf "%s: structural %d >= ipet %d" name structural ipet)
       true (structural >= ipet)
-  | _, Error msg -> Alcotest.failf "%s: structural failed: %s" name msg
+  | _, Error e -> Alcotest.failf "%s: structural failed: %s" name e.Path_analysis.err_detail
 
 let test_straight_line () = check_agree "straight" "int main() { int x; x = 3; return x * 9; }"
 
@@ -64,10 +70,11 @@ let test_irreducible_rejected () =
   let loops = Wcet_cfg.Loops.analyze graph in
   let value = Wcet_value.Analysis.run graph loops in
   let times = Array.make (Array.length graph.Wcet_cfg.Supergraph.nodes) 1 in
-  match Structural.solve value loops ~times ~loop_bounds:[] with
-  | Error msg ->
+  match Csolve.solve (spec value ~times ~loop_bounds:[]) loops with
+  | Error e ->
+    Alcotest.(check string) "intractable" "E0305" e.Path_analysis.err_code;
     Alcotest.(check bool) "mentions reducibility" true
-      (Astring.String.is_infix ~affix:"reducible" msg)
+      (Astring.String.is_infix ~affix:"reducible" e.Path_analysis.err_detail)
   | Ok _ -> Alcotest.fail "expected irreducibility rejection"
 
 let () =
