@@ -211,7 +211,7 @@ let path_portfolio_json e5 =
           match b.Wcet_core.Analyzer.br_error with
           | Some (code, _) -> Json.String code
           | None -> Json.Null );
-        ("wall_ms", Json.Int b.Wcet_core.Analyzer.br_wall_ms);
+        ("wall_us", Json.Int b.Wcet_core.Analyzer.br_wall_us);
         ("winner", Json.Bool b.Wcet_core.Analyzer.br_winner);
       ]
   in

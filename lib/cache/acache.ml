@@ -16,7 +16,7 @@ let empty cfg = { cfg; must = Line_map.empty; may = Line_map.empty; may_universa
 
 let same_set cfg a b = Cache_config.set_of_line cfg a = Cache_config.set_of_line cfg b
 
-let access t line =
+let rebuild t line =
   let assoc = t.cfg.Cache_config.assoc in
   let old_must_age = match Line_map.find_opt line t.must with Some a -> a | None -> assoc in
   let must =
@@ -41,6 +41,17 @@ let access t line =
   in
   let may = Line_map.add line 0 may in
   { t with must; may }
+
+(* An access to the line that is already youngest in its set changes
+   nothing, and three fetches in four are such accesses. Must-age 0 says
+   exactly that. Only an access to [line] gives it must-age 0, and that
+   access also gives it may-age 0 and ages every other line of the set past
+   may-age 0; [join] keeps must-age 0 only where both sides have it, and
+   [access_unknown] ages it away. So while [line] has must-age 0 it has
+   may-age 0 and no other line of its set does, and [rebuild] would return
+   an equal state. *)
+let access t line =
+  match Line_map.find_opt line t.must with Some 0 -> t | _ -> rebuild t line
 
 let access_unknown t =
   (* One unknown line is touched: in every set, any line may age by one;

@@ -7,11 +7,26 @@
     (always-miss). Property tests check both guarantees against the
     concrete {!Pred32_hw.Lru_cache} on random traces. *)
 
-type t
+module Line_map : Map.S with type key = int
+
+(** [must]: line -> maximal possible age (present in every concrete state
+    with at most this age). [may]: line -> minimal possible age; absent
+    lines are provably uncached, unless [may_universal] is set (after an
+    unknown access nothing can be proven absent). Read-only, so tests can
+    check the maps against a reference transfer. *)
+type t = private {
+  cfg : Pred32_hw.Cache_config.t;
+  must : int Line_map.t;
+  may : int Line_map.t;
+  may_universal : bool;
+}
 
 val empty : Pred32_hw.Cache_config.t -> t
 
-(** [access t line] returns the state after an access to [line]. *)
+(** [access t line] returns the state after an access to [line]. When the
+    access cannot change the state (the line has age 0 in [must], hence
+    also in [may], and no other line of its set has may-age 0) it returns
+    [t] itself. *)
 val access : t -> int -> t
 
 (** [access_unknown_in_set t] models an access to an unknown line: every set

@@ -323,8 +323,8 @@ let pp_e5 ppf rows =
   Format.fprintf ppf "|----------|------------------|------------------|--------|----------|@,";
   let backend_cell row name =
     match List.find_opt (fun b -> b.Analyzer.br_name = name) row.e5_backends with
-    | Some { Analyzer.br_bound = Some b; br_wall_ms; _ } ->
-      Printf.sprintf "%d (%d ms)" b br_wall_ms
+    | Some { Analyzer.br_bound = Some b; br_wall_us; _ } ->
+      Printf.sprintf "%d (%.3f ms)" b (float_of_int br_wall_us /. 1000.)
     | Some { Analyzer.br_error = Some (code, _); _ } -> code
     | Some { Analyzer.br_error = None; _ } | None -> "-"
   in

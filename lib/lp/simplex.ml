@@ -18,28 +18,40 @@ type tableau = {
   t : Rat.t array array;
   basis : int array;  (* basic variable of each constraint row *)
   cols : int;  (* number of variable columns (rhs excluded) *)
+  nz : int array;  (* pivot scratch: nonzero columns of the pivot row *)
 }
 
+(* An IPET pivot row has a handful of nonzeros among hundreds of columns,
+   so scale and eliminate over those columns only. Skipping a zero column
+   is exact: [Rat] is canonical, so [x - f*0] is [x] itself, every cell
+   keeps the value the dense update would give it, and Bland's rule makes
+   the same choices. *)
 let pivot tab r c =
   Wcet_obs.Metrics.incr m_pivots 1;
-  let m = Array.length tab.t in
-  let width = tab.cols + 1 in
   let prow = tab.t.(r) in
-  let inv = Rat.div Rat.one prow.(c) in
-  for j = 0 to width - 1 do
-    prow.(j) <- Rat.mul prow.(j) inv
-  done;
-  for i = 0 to m - 1 do
-    if i <> r then begin
-      let factor = tab.t.(i).(c) in
-      if Rat.sign factor <> 0 then begin
-        let row = tab.t.(i) in
-        for j = 0 to width - 1 do
-          row.(j) <- Rat.sub row.(j) (Rat.mul factor prow.(j))
-        done
-      end
+  let nnz = ref 0 in
+  for j = 0 to tab.cols do
+    if Rat.sign prow.(j) <> 0 then begin
+      tab.nz.(!nnz) <- j;
+      incr nnz
     end
   done;
+  let inv = Rat.div Rat.one prow.(c) in
+  for k = 0 to !nnz - 1 do
+    let j = tab.nz.(k) in
+    prow.(j) <- Rat.mul prow.(j) inv
+  done;
+  Array.iteri
+    (fun i row ->
+      if i <> r then begin
+        let factor = row.(c) in
+        if Rat.sign factor <> 0 then
+          for k = 0 to !nnz - 1 do
+            let j = tab.nz.(k) in
+            row.(j) <- Rat.sub row.(j) (Rat.mul factor prow.(j))
+          done
+      end)
+    tab.t;
   tab.basis.(r - 1) <- c
 
 (* Bland's rule: entering = smallest eligible column; leaving = smallest
@@ -147,7 +159,7 @@ and solve_canonical (p : problem) =
   let cols = p.num_vars + n_slack + n_art in
   let t = Array.init (m + 1) (fun _ -> Array.make (cols + 1) Rat.zero) in
   let basis = Array.make m 0 in
-  let tab = { t; basis; cols } in
+  let tab = { t; basis; cols; nz = Array.make (cols + 1) 0 } in
   let slack_cursor = ref p.num_vars in
   let art_cursor = ref (p.num_vars + n_slack) in
   let art_cols = ref [] in

@@ -4,7 +4,9 @@
     IPET are small (hundreds of variables after chain collapsing), so a
     dense exact tableau is both fast enough and free of floating-point
     soundness concerns — the WCET bound comes out of this solver, it must
-    not be approximate. *)
+    not be approximate. Pivots touch only the pivot row's nonzero columns;
+    since [Rat] is canonical this changes no cell, so the pivot sequence and
+    the result are those of the full dense update. *)
 
 type op = Le | Ge | Eq
 

@@ -42,7 +42,7 @@ let check_identity (sol : solution) (times : int array) =
 (* Per-backend observability. Registered once at module initialization;
    injected test backends fall through to no-ops. *)
 
-let solve_buckets = [| 1; 5; 20; 100; 500; 2000; 10000 |]
+let solve_buckets = [| 10; 100; 1_000; 10_000; 100_000; 1_000_000; 10_000_000 |]
 
 let backend_cells =
   List.map
@@ -53,7 +53,7 @@ let backend_cells =
             ~name:"path_solves" ~help:"Path-analysis problems solved, by backend" (),
           Metrics.histogram
             ~labels:[ ("backend", b) ]
-            ~name:"path_solve_ms" ~help:"Path-analysis solve wall time (ms), by backend"
+            ~name:"path_solve_us" ~help:"Path-analysis solve wall time (us), by backend"
             ~buckets:solve_buckets (),
           Metrics.counter
             ~labels:[ ("backend", b) ]
@@ -69,11 +69,11 @@ let m_disagreements =
   Metrics.counter ~name:"path_disagreements"
     ~help:"Portfolio cross-checks that found backends disagreeing (E0303)" ()
 
-let record_solve ~backend ~ms =
+let record_solve ~backend ~us =
   match List.assoc_opt backend backend_cells with
   | Some (c, h, _) ->
     Metrics.incr c 1;
-    Metrics.observe h ms
+    Metrics.observe h us
   | None -> ()
 
 let record_win ~backend =

@@ -74,7 +74,7 @@ val check_identity : solution -> int array -> (unit, int) result
 (** {2 Per-backend observability} (no-ops for unknown backend names, so
     test-injected backends need no registration) *)
 
-val record_solve : backend:string -> ms:int -> unit
+val record_solve : backend:string -> us:int -> unit
 val record_win : backend:string -> unit
 val record_intractable : unit -> unit
 val record_disagreement : unit -> unit

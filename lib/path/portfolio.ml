@@ -4,7 +4,7 @@ type run = {
   r_fact_blind : bool;
   r_exact_witness : bool;
   r_outcome : (Path_analysis.solution, Path_analysis.error) result;
-  r_wall_ms : int;
+  r_wall_us : int;
 }
 
 type result = {
@@ -17,15 +17,15 @@ type result = {
 let run_one (spec : Path_analysis.spec) loops (module B : Path_analysis.BACKEND) =
   let t0 = Wcet_util.Mono_clock.now () in
   let outcome = B.solve spec loops in
-  let wall_ms = int_of_float ((Wcet_util.Mono_clock.now () -. t0) *. 1000.) in
-  Path_analysis.record_solve ~backend:B.name ~ms:wall_ms;
+  let wall_us = int_of_float ((Wcet_util.Mono_clock.now () -. t0) *. 1e6) in
+  Path_analysis.record_solve ~backend:B.name ~us:wall_us;
   {
     r_name = B.name;
     r_path_sensitive = B.path_sensitive;
     r_fact_blind = B.fact_blind;
     r_exact_witness = B.exact_witness;
     r_outcome = outcome;
-    r_wall_ms = wall_ms;
+    r_wall_us = wall_us;
   }
 
 let bound r = match r.r_outcome with Ok s -> Some s.Path_analysis.wcet | Error _ -> None

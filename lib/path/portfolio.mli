@@ -25,7 +25,7 @@ type run = {
   r_fact_blind : bool;
   r_exact_witness : bool;
   r_outcome : (Path_analysis.solution, Path_analysis.error) result;
-  r_wall_ms : int;
+  r_wall_us : int;  (** solve wall time, microseconds *)
 }
 
 type result = {

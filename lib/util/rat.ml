@@ -4,21 +4,29 @@ exception Overflow
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
+(* Numerators and denominators stay in the symmetric range
+   [-max_int, max_int]: [min_int] has no negation, so admitting it would
+   make [neg], [abs] and sign normalization wrap. [checked] rejects it. *)
+let checked n = if n = min_int then raise Overflow else n
+
 (* Overflow-checked native multiplication and addition: detect wrap by
    dividing back.  Native ints are 63-bit, plenty for IPET coefficients, but
-   we refuse to return silently wrong values. *)
+   we refuse to return silently wrong values. Dividing back cannot see
+   [min_int * -1] (it wraps to [min_int], and [min_int / -1] is [min_int]
+   again); [checked] can. *)
 let mul_exact a b =
   if a = 0 || b = 0 then 0
   else
     let r = a * b in
-    if r / b <> a then raise Overflow else r
+    if r / b <> a then raise Overflow else checked r
 
 let add_exact a b =
   let r = a + b in
-  if (a >= 0 && b >= 0 && r < 0) || (a < 0 && b < 0 && r >= 0) then raise Overflow else r
+  if (a >= 0 && b >= 0 && r < 0) || (a < 0 && b < 0 && r >= 0) then raise Overflow else checked r
 
 let make num den =
   if den = 0 then raise Division_by_zero;
+  let num = checked num and den = checked den in
   if num = 0 then { num = 0; den = 1 }
   else
     let s = if den < 0 then -1 else 1 in
@@ -29,7 +37,7 @@ let make num den =
 let zero = { num = 0; den = 1 }
 let one = { num = 1; den = 1 }
 let minus_one = { num = -1; den = 1 }
-let of_int n = { num = n; den = 1 }
+let of_int n = { num = checked n; den = 1 }
 
 let add a b =
   let g = gcd a.den b.den in

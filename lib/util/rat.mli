@@ -1,9 +1,12 @@
 (** Exact rational arithmetic on native integers.
 
     Used by the simplex solver in [Wcet_lp]. Numerators and denominators are
-    kept in lowest terms with a positive denominator. Overflow of the native
-    63-bit integer range raises [Overflow]; IPET problems are small enough
-    that this never fires in practice, and raising keeps results exact. *)
+    kept in lowest terms with a positive denominator, both within the
+    symmetric range [-max_int, max_int], so [neg] and [abs] are exact. A
+    value outside that range, [min_int] included, raises [Overflow] where it
+    would arise ([of_int], [make] or an operation); IPET problems are small
+    enough that this never fires in practice, and raising keeps results
+    exact. *)
 
 type t = private { num : int; den : int }
 

@@ -90,7 +90,7 @@ type backend_run = {
   br_name : string;
   br_bound : int option;  (* None = the backend failed *)
   br_error : (string * string) option;  (* (diag code, detail) *)
-  br_wall_ms : int;
+  br_wall_us : int;
   br_winner : bool;  (* supplied the bound the report carries *)
 }
 
@@ -780,7 +780,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
                     | Ok _ -> None
                     | Error e ->
                       Some (e.Path_analysis.err_code, e.Path_analysis.err_detail));
-                  br_wall_ms = r.Portfolio.r_wall_ms;
+                  br_wall_us = r.Portfolio.r_wall_us;
                   br_winner = r.Portfolio.r_name = wname;
                 })
               res.Portfolio.p_runs
@@ -941,13 +941,13 @@ let pp_report ppf r =
       (fun b ->
         match b.br_bound with
         | Some bound ->
-          Format.fprintf ppf "path backend %s: %d cycles, %d ms%s@," b.br_name bound
-            b.br_wall_ms
+          Format.fprintf ppf "path backend %s: %d cycles, %.3f ms%s@," b.br_name bound
+            (float_of_int b.br_wall_us /. 1000.)
             (if b.br_winner then " (tightest)" else "")
         | None ->
           let code = match b.br_error with Some (code, _) -> code | None -> "?" in
-          Format.fprintf ppf "path backend %s: failed (%s), %d ms@," b.br_name code
-            b.br_wall_ms)
+          Format.fprintf ppf "path backend %s: failed (%s), %.3f ms@," b.br_name code
+            (float_of_int b.br_wall_us /. 1000.))
       runs);
   List.iter (fun h -> Format.fprintf ppf "hole: %a@," pp_hole h) r.holes;
   List.iter
@@ -1054,7 +1054,7 @@ let report_to_json r =
                      | Some (code, detail) ->
                        Obj [ ("code", String code); ("detail", String detail) ]
                      | None -> Null );
-                   ("wall_ms", Int b.br_wall_ms);
+                   ("wall_us", Int b.br_wall_us);
                    ("winner", Bool b.br_winner);
                  ])
              r.backend_runs) );

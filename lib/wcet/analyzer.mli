@@ -74,7 +74,7 @@ type backend_run = {
   br_name : string;  (** ["ipet"] or ["mc"] *)
   br_bound : int option;  (** [None] = the backend failed *)
   br_error : (string * string) option;  (** (diag code, detail) on failure *)
-  br_wall_ms : int;
+  br_wall_us : int;  (** solve wall time, microseconds *)
   br_winner : bool;  (** supplied the bound the report carries *)
 }
 

@@ -152,13 +152,13 @@ let pp ?(top = 10) ppf t =
       (fun (b : Analyzer.backend_run) ->
         match b.Analyzer.br_bound with
         | Some bound ->
-          Format.fprintf ppf "path backend %s: %d cycles, %d ms%s@," b.Analyzer.br_name bound
-            b.Analyzer.br_wall_ms
+          Format.fprintf ppf "path backend %s: %d cycles, %.3f ms%s@," b.Analyzer.br_name bound
+            (float_of_int b.Analyzer.br_wall_us /. 1000.)
             (if b.Analyzer.br_winner then " (tightest, shown above)" else "")
         | None ->
-          Format.fprintf ppf "path backend %s: failed (%s), %d ms@," b.Analyzer.br_name
+          Format.fprintf ppf "path backend %s: failed (%s), %.3f ms@," b.Analyzer.br_name
             (match b.Analyzer.br_error with Some (code, _) -> code | None -> "?")
-            b.Analyzer.br_wall_ms)
+            (float_of_int b.Analyzer.br_wall_us /. 1000.))
       t.backends;
   Format.fprintf ppf "@]"
 
@@ -204,7 +204,7 @@ let to_json t =
                    ("name", Json.String b.Analyzer.br_name);
                    ( "bound",
                      match b.Analyzer.br_bound with Some x -> Json.Int x | None -> Json.Null );
-                   ("wall_ms", Json.Int b.Analyzer.br_wall_ms);
+                   ("wall_us", Json.Int b.Analyzer.br_wall_us);
                    ("winner", Json.Bool b.Analyzer.br_winner);
                  ])
              t.backends) );

@@ -144,6 +144,99 @@ let test_must_monotone_leq () =
     Alcotest.(check bool) "join idempotent" true (Acache.equal j (Acache.join j j))
   done
 
+(* --- the no-op fast path against the full rebuild --- *)
+
+module Line_map = Acache.Line_map
+
+(* [Acache.access] as it was before the fast path: rebuild both maps on
+   every access. Returns the (must, may) maps it would produce. *)
+let reference_access (t : Acache.t) line =
+  let cfg = t.Acache.cfg in
+  let assoc = cfg.Cache_config.assoc in
+  let same_set a b = Cache_config.set_of_line cfg a = Cache_config.set_of_line cfg b in
+  let old_must_age = match Line_map.find_opt line t.must with Some a -> a | None -> assoc in
+  let must =
+    Line_map.filter_map
+      (fun m age ->
+        if m = line then Some 0
+        else if same_set m line && age < old_must_age then
+          if age + 1 >= assoc then None else Some (age + 1)
+        else Some age)
+      t.must
+  in
+  let must = Line_map.add line 0 must in
+  let old_may_age = match Line_map.find_opt line t.may with Some a -> a | None -> assoc in
+  let may =
+    Line_map.filter_map
+      (fun m age ->
+        if m = line then Some 0
+        else if same_set m line && age <= old_may_age && age + 1 >= assoc then None
+        else if same_set m line && age <= old_may_age then Some (age + 1)
+        else Some age)
+      t.may
+  in
+  (must, Line_map.add line 0 may)
+
+let is_noop (t : Acache.t) line =
+  let cfg = t.Acache.cfg in
+  Line_map.find_opt line t.must = Some 0
+  && Line_map.find_opt line t.may = Some 0
+  && Line_map.for_all
+       (fun m age ->
+         m = line || age > 0 || Cache_config.set_of_line cfg m <> Cache_config.set_of_line cfg line)
+       t.may
+
+(* Random walks of access / access_unknown / join over two geometries.
+   About four accesses in ten repeat the previous line, so re-accessing
+   the youngest line (the fast path) and evicting from a full set both
+   occur often. Every access must agree with the rebuild, and must return
+   its argument physically exactly in the no-op case [is_noop] spells out
+   in full ([Acache.access] tests must-age 0 alone, relying on the
+   invariant that implies the rest). *)
+let test_fast_path_vs_rebuild () =
+  let rng = Pcg.create ~seed:1103L () in
+  let noops = ref 0 and rebuilds = ref 0 in
+  List.iter
+    (fun (sets, assoc) ->
+      let cfg = Cache_config.make ~sets ~assoc ~line_bytes:16 in
+      let lines = 3 * sets * assoc in
+      for _walk = 1 to 100 do
+        let pool = ref [ Acache.empty cfg ] in
+        let s = ref (Acache.empty cfg) and last = ref 0 in
+        for _step = 1 to 60 do
+          match Pcg.next_int rng 20 with
+          | 0 -> s := Acache.access_unknown !s
+          | 1 ->
+            s := Acache.join !s (List.nth !pool (Pcg.next_int rng (List.length !pool)))
+          | 2 -> pool := !s :: !pool
+          | k ->
+            let line = if k < 10 then !last else Pcg.next_int rng lines in
+            last := line;
+            let after = Acache.access !s line in
+            let must, may = reference_access !s line in
+            if
+              not
+                (Line_map.equal Int.equal after.Acache.must must
+                && Line_map.equal Int.equal after.Acache.may may
+                && after.Acache.may_universal = !s.Acache.may_universal)
+            then
+              Alcotest.failf "%dx%d: access %d from %s gave %s" sets assoc line
+                (Format.asprintf "%a" Acache.pp !s)
+                (Format.asprintf "%a" Acache.pp after);
+            let noop = is_noop !s line in
+            if noop <> (after == !s) then
+              Alcotest.failf "%dx%d: access %d from %s: no-op %b but returned %s" sets assoc
+                line
+                (Format.asprintf "%a" Acache.pp !s)
+                noop
+                (if after == !s then "its argument" else "a new state");
+            incr (if noop then noops else rebuilds);
+            s := after
+        done
+      done)
+    [ (16, 2); (4, 4) ];
+  Alcotest.(check bool) "both paths exercised" true (!noops > 500 && !rebuilds > 500)
+
 (* --- cache config --- *)
 
 let test_config_lines () =
@@ -170,6 +263,7 @@ let () =
           Alcotest.test_case "join sound" `Quick test_abstract_join_soundness;
           Alcotest.test_case "unknown access sound" `Quick test_unknown_access_soundness;
           Alcotest.test_case "lattice laws" `Quick test_must_monotone_leq;
+          Alcotest.test_case "no-op access vs full rebuild" `Quick test_fast_path_vs_rebuild;
         ] );
       ("config", [ Alcotest.test_case "geometry" `Quick test_config_lines ]);
     ]

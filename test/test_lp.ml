@@ -303,6 +303,345 @@ let test_degenerate_random_vs_bruteforce () =
     | Ilp.Infeasible -> Alcotest.fail "unexpected infeasible"
   done
 
+(* --- the sparse pivot against the dense reference --- *)
+
+(* The simplex as it was before pivots went sparse: every pivot scales and
+   eliminates across all columns of all rows. Kept verbatim (bar the pivot
+   counter) as the oracle for [Simplex.solve]. *)
+module Dense = struct
+  open Simplex
+
+  let pivots = ref 0
+
+  type tableau = { t : Rat.t array array; basis : int array; cols : int }
+
+  let pivot tab r c =
+    incr pivots;
+    let m = Array.length tab.t in
+    let width = tab.cols + 1 in
+    let prow = tab.t.(r) in
+    let inv = Rat.div Rat.one prow.(c) in
+    for j = 0 to width - 1 do
+      prow.(j) <- Rat.mul prow.(j) inv
+    done;
+    for i = 0 to m - 1 do
+      if i <> r then begin
+        let factor = tab.t.(i).(c) in
+        if Rat.sign factor <> 0 then begin
+          let row = tab.t.(i) in
+          for j = 0 to width - 1 do
+            row.(j) <- Rat.sub row.(j) (Rat.mul factor prow.(j))
+          done
+        end
+      end
+    done;
+    tab.basis.(r - 1) <- c
+
+  let rec iterate tab ~allowed =
+    let m = Array.length tab.t - 1 in
+    let entering = ref (-1) in
+    (try
+       for j = 0 to tab.cols - 1 do
+         if allowed j && Rat.sign tab.t.(0).(j) < 0 then begin
+           entering := j;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    if !entering < 0 then `Optimal
+    else begin
+      let c = !entering in
+      let best = ref None in
+      for i = 1 to m do
+        let a = tab.t.(i).(c) in
+        if Rat.sign a > 0 then begin
+          let ratio = Rat.div tab.t.(i).(tab.cols) a in
+          match !best with
+          | None -> best := Some (ratio, i)
+          | Some (r0, i0) ->
+            let cmp = Rat.compare ratio r0 in
+            if cmp < 0 || (cmp = 0 && tab.basis.(i - 1) < tab.basis.(i0 - 1)) then
+              best := Some (ratio, i)
+        end
+      done;
+      match !best with
+      | None -> `Unbounded
+      | Some (_, r) ->
+        pivot tab r c;
+        iterate tab ~allowed
+    end
+
+  let canon ~num_vars coeffs =
+    let tbl = Hashtbl.create 8 in
+    let order = ref [] in
+    List.iter
+      (fun (v, q) ->
+        if v < 0 || v >= num_vars then invalid_arg "Dense.solve";
+        match Hashtbl.find_opt tbl v with
+        | None ->
+          order := v :: !order;
+          Hashtbl.replace tbl v q
+        | Some q0 -> Hashtbl.replace tbl v (Rat.add q0 q))
+      coeffs;
+    List.filter
+      (fun (_, q) -> Rat.sign q <> 0)
+      (List.rev_map (fun v -> (v, Hashtbl.find tbl v)) !order)
+
+  exception Trivially_infeasible
+
+  let rec solve (p : problem) =
+    match
+      List.filter_map
+        (fun c ->
+          let coeffs = canon ~num_vars:p.num_vars c.coeffs in
+          if coeffs = [] then begin
+            let sat =
+              match c.op with
+              | Le -> Rat.sign c.rhs >= 0
+              | Ge -> Rat.sign c.rhs <= 0
+              | Eq -> Rat.sign c.rhs = 0
+            in
+            if sat then None else raise Trivially_infeasible
+          end
+          else Some { c with coeffs })
+        p.constraints
+    with
+    | exception Trivially_infeasible -> Infeasible
+    | canonical -> solve_canonical { p with constraints = canonical }
+
+  and solve_canonical (p : problem) =
+    let maximize = canon ~num_vars:p.num_vars p.maximize in
+    let m = List.length p.constraints in
+    let constraints =
+      List.map
+        (fun c ->
+          if Rat.sign c.rhs < 0 then
+            {
+              coeffs = List.map (fun (v, q) -> (v, Rat.neg q)) c.coeffs;
+              op = (match c.op with Le -> Ge | Ge -> Le | Eq -> Eq);
+              rhs = Rat.neg c.rhs;
+            }
+          else c)
+        p.constraints
+    in
+    let n_slack = List.length (List.filter (fun c -> c.op <> Eq) constraints) in
+    let n_art =
+      List.length (List.filter (fun c -> match c.op with Le -> false | Ge | Eq -> true) constraints)
+    in
+    let cols = p.num_vars + n_slack + n_art in
+    let t = Array.init (m + 1) (fun _ -> Array.make (cols + 1) Rat.zero) in
+    let basis = Array.make m 0 in
+    let tab = { t; basis; cols } in
+    let slack_cursor = ref p.num_vars in
+    let art_cursor = ref (p.num_vars + n_slack) in
+    let art_cols = ref [] in
+    List.iteri
+      (fun idx c ->
+        let row = t.(idx + 1) in
+        List.iter (fun (v, q) -> row.(v) <- Rat.add row.(v) q) c.coeffs;
+        row.(cols) <- c.rhs;
+        match c.op with
+        | Le ->
+          let s = !slack_cursor in
+          incr slack_cursor;
+          row.(s) <- Rat.one;
+          basis.(idx) <- s
+        | Ge ->
+          let s = !slack_cursor in
+          incr slack_cursor;
+          row.(s) <- Rat.minus_one;
+          let a = !art_cursor in
+          incr art_cursor;
+          row.(a) <- Rat.one;
+          art_cols := a :: !art_cols;
+          basis.(idx) <- a
+        | Eq ->
+          let a = !art_cursor in
+          incr art_cursor;
+          row.(a) <- Rat.one;
+          art_cols := a :: !art_cols;
+          basis.(idx) <- a)
+      constraints;
+    let is_artificial j = j >= p.num_vars + n_slack in
+    if n_art > 0 then begin
+      List.iter (fun a -> t.(0).(a) <- Rat.one) !art_cols;
+      for i = 1 to m do
+        if is_artificial basis.(i - 1) then
+          for j = 0 to cols do
+            t.(0).(j) <- Rat.sub t.(0).(j) t.(i).(j)
+          done
+      done;
+      match iterate tab ~allowed:(fun _ -> true) with
+      | `Unbounded -> assert false
+      | `Optimal -> ()
+    end;
+    if n_art > 0 && Rat.sign t.(0).(cols) <> 0 then Infeasible
+    else begin
+      for i = 1 to m do
+        if is_artificial basis.(i - 1) then begin
+          let found = ref (-1) in
+          (try
+             for j = 0 to p.num_vars + n_slack - 1 do
+               if Rat.sign t.(i).(j) <> 0 then begin
+                 found := j;
+                 raise Exit
+               end
+             done
+           with Exit -> ());
+          if !found >= 0 then pivot tab i !found
+        end
+      done;
+      for j = 0 to cols do
+        t.(0).(j) <- Rat.zero
+      done;
+      List.iter (fun (v, q) -> t.(0).(v) <- Rat.sub t.(0).(v) q) maximize;
+      for i = 1 to m do
+        let b = basis.(i - 1) in
+        let factor = t.(0).(b) in
+        if Rat.sign factor <> 0 then
+          for j = 0 to cols do
+            t.(0).(j) <- Rat.sub t.(0).(j) (Rat.mul factor t.(i).(j))
+          done
+      done;
+      match iterate tab ~allowed:(fun j -> not (is_artificial j)) with
+      | `Unbounded -> Unbounded
+      | `Optimal ->
+        let assignment = Array.make p.num_vars Rat.zero in
+        for i = 1 to m do
+          if basis.(i - 1) < p.num_vars then assignment.(basis.(i - 1)) <- t.(i).(cols)
+        done;
+        Optimal (t.(0).(cols), assignment)
+    end
+end
+
+let simplex_pivots () =
+  match Wcet_obs.Metrics.find "simplex_pivots" with
+  | Some (Wcet_obs.Metrics.Counter_value n) -> n
+  | _ -> Alcotest.fail "simplex_pivots is not registered"
+
+(* A random IPET problem over a random CFG: a chain 0 -> 1 -> ... -> n-1
+   with forward branches and loops (back edges), the last node exiting.
+   Rows are flow conservation ([Eq], entry rhs -1), loop bounds
+   [back - B * entries <= 0], and count facts [sum k * count <= b]; the
+   objective gives each edge a random time. A loop left without a
+   bound makes the problem unbounded and a tight fact can make it
+   infeasible, so all three outcomes occur. *)
+let random_ipet rng ~mangle =
+  let n = 3 + Pcg.next_int rng 18 in
+  let edges = ref [] in
+  for i = 0 to n - 2 do
+    edges := (i, i + 1) :: !edges
+  done;
+  for _ = 1 to Pcg.next_int rng (n / 2 + 1) do
+    let u = Pcg.next_int rng (n - 1) in
+    let v = u + 1 + Pcg.next_int rng (n - 1 - u) in
+    edges := (u, v) :: !edges
+  done;
+  let loops = ref [] in
+  for _ = 1 to Pcg.next_int rng 4 do
+    let h = 1 + Pcg.next_int rng (n - 1) in
+    let l = h + Pcg.next_int rng (n - h) in
+    edges := (l, h) :: !edges;
+    loops := (List.length !edges - 1, h) :: !loops
+  done;
+  (* a back edge's index is its position in order of addition *)
+  let edges = Array.of_list (List.rev !edges) in
+  let ne = Array.length edges in
+  let exit_var = ne in
+  let num_vars = ne + 1 in
+  let in_edges v = List.filter (fun e -> snd edges.(e) = v) (List.init ne Fun.id) in
+  let out_edges v = List.filter (fun e -> fst edges.(e) = v) (List.init ne Fun.id) in
+  let flow =
+    List.init n (fun v ->
+        let coeffs =
+          List.map (fun e -> (e, Rat.one)) (in_edges v)
+          @ List.map (fun e -> (e, Rat.minus_one)) (out_edges v)
+          @ if v = n - 1 then [ (exit_var, Rat.minus_one) ] else []
+        in
+        { Simplex.coeffs; op = Simplex.Eq; rhs = (if v = 0 then Rat.minus_one else Rat.zero) })
+  in
+  let bounds =
+    List.filter_map
+      (fun (back, h) ->
+        if Pcg.next_int rng 10 = 0 then None
+        else
+          let bound = Pcg.next_int rng 12 in
+          let entries = List.filter (fun e -> fst edges.(e) < h) (in_edges h) in
+          Some
+            {
+              Simplex.coeffs =
+                (back, Rat.one) :: List.map (fun e -> (e, q (-bound))) entries;
+              op = Simplex.Le;
+              rhs = Rat.zero;
+            })
+      !loops
+  in
+  let facts =
+    List.init (Pcg.next_int rng 3) (fun _ ->
+        let terms =
+          List.init (1 + Pcg.next_int rng 3) (fun _ ->
+              (Pcg.next_int rng n, List.nth [ -1; 1; 2 ] (Pcg.next_int rng 3)))
+        in
+        (* count(v) is v's inflow, plus the constant 1 for the entry *)
+        let const = List.fold_left (fun acc (v, k) -> if v = 0 then acc + k else acc) 0 terms in
+        {
+          Simplex.coeffs =
+            List.concat_map (fun (v, k) -> List.map (fun e -> (e, q k)) (in_edges v)) terms;
+          op = Simplex.Le;
+          rhs = q (Pcg.next_int rng 15 - const);
+        })
+  in
+  let maximize = List.init ne (fun e -> (e, q (1 + Pcg.next_int rng 40))) in
+  let mangle_row (cc : Simplex.constr) = { cc with Simplex.coeffs = mangle cc.Simplex.coeffs } in
+  {
+    Simplex.num_vars;
+    maximize = mangle maximize;
+    constraints = List.map mangle_row (flow @ bounds @ facts);
+  }
+
+let test_sparse_vs_dense_pivot () =
+  let rng = Pcg.create ~seed:18032011L () in
+  let mangle coeffs =
+    List.concat_map
+      (fun (v, k) ->
+        if Pcg.next_int rng 4 <> 0 then [ (v, k) ]
+        else
+          let d = Pcg.next_int rng 7 - 3 in
+          let zero = if Pcg.next_int rng 2 = 0 then [ (v, Rat.zero) ] else [] in
+          (v, Rat.sub k (q d)) :: (v, q d) :: zero)
+      coeffs
+  in
+  let seen = Hashtbl.create 3 in
+  Wcet_obs.Obs.enable ();
+  Fun.protect ~finally:Wcet_obs.Obs.disable (fun () ->
+      for case = 1 to 300 do
+        let problem = random_ipet rng ~mangle in
+        let before = simplex_pivots () in
+        let sparse = Simplex.solve problem in
+        let sparse_pivots = simplex_pivots () - before in
+        Dense.pivots := 0;
+        let dense = Dense.solve problem in
+        if sparse_pivots <> !Dense.pivots then
+          Alcotest.failf "case %d: %d sparse pivots, %d dense" case sparse_pivots !Dense.pivots;
+        let kind =
+          match (sparse, dense) with
+          | Simplex.Optimal (v, a), Simplex.Optimal (v', a') ->
+            if not (Rat.equal v v') then
+              Alcotest.failf "case %d: optimum %s, dense %s" case (Rat.to_string v)
+                (Rat.to_string v');
+            if Array.length a <> Array.length a' || not (Array.for_all2 Rat.equal a a') then
+              Alcotest.failf "case %d: assignments differ" case;
+            "optimal"
+          | Simplex.Unbounded, Simplex.Unbounded -> "unbounded"
+          | Simplex.Infeasible, Simplex.Infeasible -> "infeasible"
+          | _ -> Alcotest.failf "case %d: outcomes differ" case
+        in
+        Hashtbl.replace seen kind ()
+      done);
+  List.iter
+    (fun kind -> Alcotest.(check bool) (kind ^ " occurs") true (Hashtbl.mem seen kind))
+    [ "optimal"; "unbounded"; "infeasible" ]
+
 (* IPET-shaped problem: a diamond with a loop. *)
 let test_flow_shape () =
   (* Variables: e0 entry->A, e1 A->B, e2 A->C, e3 B->D, e4 C->D, e5 D->A
@@ -351,6 +690,8 @@ let () =
             test_out_of_range_variable_rejected;
           Alcotest.test_case "degenerate random vs brute force" `Quick
             test_degenerate_random_vs_bruteforce;
+          Alcotest.test_case "sparse pivot vs dense reference" `Quick
+            test_sparse_vs_dense_pivot;
         ] );
       ( "ilp",
         [

@@ -225,9 +225,9 @@ let pinned_names =
     "path_portfolio_wins{backend=csolve}";
     "path_portfolio_wins{backend=ipet}";
     "path_portfolio_wins{backend=mc}";
-    "path_solve_ms{backend=csolve}";
-    "path_solve_ms{backend=ipet}";
-    "path_solve_ms{backend=mc}";
+    "path_solve_us{backend=csolve}";
+    "path_solve_us{backend=ipet}";
+    "path_solve_us{backend=mc}";
     "path_solves{backend=csolve}";
     "path_solves{backend=ipet}";
     "path_solves{backend=mc}";

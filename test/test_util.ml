@@ -69,6 +69,34 @@ let test_rat_floor_ceil () =
   Alcotest.(check int) "floor 4" 4 (Rat.floor (Rat.of_int 4));
   Alcotest.(check int) "ceil 4" 4 (Rat.ceil (Rat.of_int 4))
 
+(* [min_int] has no negation, so the exactness contract keeps it out of
+   [Rat] altogether: every way of producing it raises [Overflow]. *)
+let overflows name f = Alcotest.check_raises name Rat.Overflow (fun () -> ignore (f ()))
+
+let test_rat_mul_min_int () =
+  overflows "min_int * -1" (fun () -> Rat.mul (Rat.of_int min_int) Rat.minus_one);
+  overflows "-1 * min_int" (fun () -> Rat.mul Rat.minus_one (Rat.of_int min_int));
+  (* in-range operands whose product is exactly min_int *)
+  overflows "2^31 * -2^31" (fun () -> Rat.mul (Rat.of_int (1 lsl 31)) (Rat.of_int (-(1 lsl 31))))
+
+let test_rat_neg_min_int () =
+  overflows "neg min_int" (fun () -> Rat.neg (Rat.of_int min_int));
+  Alcotest.check rat "neg -max_int" (Rat.of_int max_int) (Rat.neg (Rat.of_int (-max_int)))
+
+let test_rat_sub_min_int () =
+  overflows "0 - min_int" (fun () -> Rat.sub Rat.zero (Rat.of_int min_int));
+  overflows "-max_int - 1" (fun () -> Rat.sub (Rat.of_int (-max_int)) Rat.one)
+
+let test_rat_abs_min_int () =
+  overflows "abs min_int" (fun () -> Rat.abs (Rat.of_int min_int));
+  Alcotest.check rat "abs -max_int" (Rat.of_int max_int) (Rat.abs (Rat.of_int (-max_int)))
+
+let test_rat_make_min_int () =
+  overflows "make min_int 3" (fun () -> Rat.make min_int 3);
+  overflows "make 3 min_int" (fun () -> Rat.make 3 min_int);
+  let r = Rat.make (-max_int) 3 in
+  Alcotest.(check bool) "denominator positive" true (r.Rat.den > 0)
+
 let rat_qcheck =
   let gen =
     QCheck2.Gen.map2 (fun n d -> Rat.make n (if d = 0 then 1 else d))
@@ -108,6 +136,11 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_rat_arith;
           Alcotest.test_case "compare" `Quick test_rat_compare;
           Alcotest.test_case "floor/ceil" `Quick test_rat_floor_ceil;
+          Alcotest.test_case "mul reaching min_int" `Quick test_rat_mul_min_int;
+          Alcotest.test_case "neg min_int" `Quick test_rat_neg_min_int;
+          Alcotest.test_case "sub reaching min_int" `Quick test_rat_sub_min_int;
+          Alcotest.test_case "abs min_int" `Quick test_rat_abs_min_int;
+          Alcotest.test_case "make min_int" `Quick test_rat_make_min_int;
         ]
         @ rat_qcheck );
     ]
