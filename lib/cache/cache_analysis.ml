@@ -336,7 +336,7 @@ let run ?cancel (cfg : Hw_config.t)
    every member is covered and the delivered external cache state equals
    the recorded one; the caller must additionally have gated rows on the
    value states their access sets were derived from. *)
-let run_scheduled ?slice ?cancel ?domains (cfg : Hw_config.t) (value : Analysis.result)
+let run_scheduled ?slice ?cancel (cfg : Hw_config.t) (value : Analysis.result)
     ~region_hints =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
@@ -377,7 +377,7 @@ let run_scheduled ?slice ?cancel ?domains (cfg : Hw_config.t) (value : Analysis.
           else Some (fun m -> match lookup m with Some row -> row.sc_states | None -> None))
   in
   let solution, pinfo =
-    FP.solve_plan ?summary ?cancel ?domains ~plan
+    FP.solve_plan ?summary ?cancel ~plan
       {
         FP.num_nodes = n;
         entries = [ (graph.Supergraph.entry, initial) ];

@@ -84,7 +84,6 @@ val equal_cstate : Cstate.t -> Cstate.t -> bool
 val run_scheduled :
   ?slice:summary_slice ->
   ?cancel:(unit -> bool) ->
-  ?domains:int ->
   Pred32_hw.Hw_config.t ->
   Wcet_value.Analysis.result ->
   region_hints:(string -> Pred32_memory.Region.t list option) ->

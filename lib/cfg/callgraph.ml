@@ -4,7 +4,7 @@
 
    - [condense]: generic, over any integer node graph — builds the
      Fixpoint.plan that drives component-scheduled solving (components in
-     topological order, dependency levels, global RPO priority).
+     topological order, global RPO priority).
 
    - [of_supergraph]: the function-level view — which functions form
      recursive groups, in bottom-up (callee-first) order, and which program
@@ -88,45 +88,17 @@ let condense ~num_nodes ~entries ~succs =
      topological: comp(u) < comp(v) for every cross-component edge u->v. *)
   let comp_of = Array.init num_nodes (fun i -> nc - 1 - comp_emission.(i)) in
   let priority = Fixpoint.rpo_index ~num_nodes ~entries ~succs in
-  let comps = Array.make (max 1 nc) [||] in
-  List.iteri
-    (fun topo members ->
-      let arr = Array.of_list members in
-      Array.sort (fun a b -> compare (priority.(a), a) (priority.(b), b)) arr;
-      comps.(topo) <- arr)
-    !comps_rev;
-  let comps = if nc = 0 then [||] else Array.sub comps 0 nc in
-  (* Longest-path layering over the condensation: a component's level is one
-     past the deepest of its predecessors, so no level contains an edge. *)
-  let level = Array.make nc 0 in
-  for c = 0 to nc - 1 do
-    Array.iter
-      (fun u ->
-        List.iter
-          (fun v ->
-            if v >= 0 && v < num_nodes then begin
-              let cv = comp_of.(v) in
-              if cv <> c && level.(cv) < level.(c) + 1 then level.(cv) <- level.(c) + 1
-            end)
-          (succs u))
-      comps.(c)
-  done;
-  let depth = Array.fold_left (fun acc l -> max acc (l + 1)) 0 level in
-  let counts = Array.make (max 1 depth) 0 in
-  Array.iter (fun l -> counts.(l) <- counts.(l) + 1) level;
-  let levels = Array.init depth (fun l -> Array.make counts.(l) 0) in
-  let fill = Array.make (max 1 depth) 0 in
-  for c = 0 to nc - 1 do
-    let l = level.(c) in
-    levels.(l).(fill.(l)) <- c;
-    fill.(l) <- fill.(l) + 1
-  done;
-  {
-    Fixpoint.plan_comp_of = comp_of;
-    plan_comps = comps;
-    plan_levels = levels;
-    plan_priority = priority;
-  }
+  (* [comps_rev] lists the last-emitted component first: topological order. *)
+  let comps =
+    Array.of_list
+      (List.map
+         (fun members ->
+           let arr = Array.of_list members in
+           Array.sort (fun a b -> compare (priority.(a), a) (priority.(b), b)) arr;
+           arr)
+         !comps_rev)
+  in
+  { Fixpoint.plan_comp_of = comp_of; plan_comps = comps; plan_priority = priority }
 
 (* ---- Function-level view -------------------------------------------- *)
 

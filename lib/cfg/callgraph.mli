@@ -3,9 +3,8 @@
 
     {!condense} is the generic layer: it condenses any integer node graph
     into a {!Wcet_util.Fixpoint.plan} — components in topological order,
-    grouped into dependency levels, with the global RPO index as worklist
-    priority — which [Fixpoint.Make.solve_plan] schedules bottom-up, fanning
-    independent components across the domain pool.
+    with the global RPO index as worklist priority — which
+    [Fixpoint.Make.solve_plan] solves bottom-up, one component at a time.
 
     {!of_supergraph} is the function-level view used for reporting, metrics
     and slice bookkeeping: which functions form recursive groups (one SCC),
@@ -17,8 +16,7 @@
     [entries] included — they are never activated by the scheduler).
     Component ids are topological: [plan_comp_of.(u) < plan_comp_of.(v)]
     for every edge [u -> v] crossing components. Members of a component are
-    sorted by priority; levels are a longest-path layering of the
-    condensation, so the components of one level share no edge. *)
+    sorted by priority. *)
 val condense :
   num_nodes:int -> entries:int list -> succs:(int -> int list) -> Wcet_util.Fixpoint.plan
 

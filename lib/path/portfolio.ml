@@ -86,11 +86,8 @@ let cross_check ~witness_check ~no_facts runs =
   end;
   List.rev !bad
 
-let run ?oracles ?domains ~backends (spec : Path_analysis.spec) loops =
-  let all_runs =
-    Wcet_util.Parallel.map_list ?domains (run_one spec loops)
-      (backends @ Option.value oracles ~default:[])
-  in
+let run ?oracles ~backends (spec : Path_analysis.spec) loops =
+  let all_runs = List.map (run_one spec loops) (backends @ Option.value oracles ~default:[]) in
   let runs = List.filteri (fun i _ -> i < List.length backends) all_runs in
   let complete = List.filter (fun r -> Result.is_ok r.r_outcome) runs in
   let best =

@@ -1,4 +1,4 @@
-(** Portfolio driver: race independent path-analysis backends over the same
+(** Portfolio driver: run independent path-analysis backends over the same
     spec, take the tightest sound bound, and cross-check the results as a
     soundness oracle.
 
@@ -36,15 +36,14 @@ type result = {
   p_intractable : string list;  (** backends excluded by budget (W0305) *)
 }
 
-(** [run ?oracles ?domains ~backends spec loops] solves with every backend
-    concurrently on the domain pool. [oracles] (the analyzer's [verify]
+(** [run ?oracles ~backends spec loops] solves with every backend, one
+    after another, in list order. [oracles] (the analyzer's [verify]
     passes csolve) arms the witness cross-check: the oracle backends run
     alongside and join the cross-check, but never supply the bound and are
     left out of [p_runs] and [p_intractable]. Without [oracles] the
     witness check is off. *)
 val run :
   ?oracles:(module Path_analysis.BACKEND) list ->
-  ?domains:int ->
   backends:(module Path_analysis.BACKEND) list ->
   Path_analysis.spec ->
   Wcet_cfg.Loops.info ->

@@ -103,14 +103,12 @@ end
 
 (* Schedule for component-at-a-time solving: the node graph condensed into
    strongly connected components (see Wcet_cfg.Callgraph.condense), with
-   components numbered in topological order, grouped into dependency levels
-   (every cross-component edge goes to a strictly later level), and the
-   global RPO index kept as the worklist priority so a per-component solve
-   reproduces the whole-program pop order inside each component. *)
+   components numbered in topological order, and the global RPO index kept
+   as the worklist priority so a per-component solve reproduces the
+   whole-program pop order inside each component. *)
 type plan = {
   plan_comp_of : int array;  (** node -> component id (topological) *)
   plan_comps : int array array;  (** component id -> members, by priority *)
-  plan_levels : int array array;  (** level -> component ids, ascending *)
   plan_priority : int array;  (** global RPO index of every node *)
 }
 
@@ -254,14 +252,13 @@ module Make (D : Domain) = struct
     ext_input : D.t option array;
   }
 
-  (* Component-scheduled solve. Levels run in order; components within a
-     level are independent (no edges between them) and fan out across the
-     domain pool. Each component is solved against the cross-component
-     contributions accumulated in [ext_input] ("inbox"): because every
-     cross-component edge u->v has RPO(u) < RPO(v), the whole-program
-     heap-driven solve also delivers all external inputs of a component
-     before transferring any of its members, so the per-component solve —
-     run with the *global* RPO priority — pops the same sequence and
+  (* Component-scheduled solve. Components are solved one after another in
+     id order, which is topological. Each is solved against the
+     cross-component contributions accumulated in [ext_input] ("inbox"):
+     because every cross-component edge u->v has RPO(u) < RPO(v), the
+     whole-program heap-driven solve also delivers all external inputs of a
+     component before transferring any of its members, so the per-component
+     solve — run with the *global* RPO priority — pops the same sequence and
      converges to the same states (see DESIGN.md 5g for the fine print on
      widening at interleaved priorities).
 
@@ -269,14 +266,9 @@ module Make (D : Domain) = struct
      [Some rows], the recorded (in, out) states are installed without any
      transfer and the outputs are propagated downstream — the caller is
      responsible for only doing so when [input] (the delivered inbox)
-     matches the inputs the rows were recorded under. [on_comp_start] runs
-     on the worker domain before a component is examined; [on_level_done]
-     runs on the calling domain after a level's results are merged.
-
-     Determinism: results are merged in component order, so states,
-     counters and deliveries are identical for any domain count. *)
-  let solve_plan ?propagate ?summary ?on_comp_start ?on_level_done
-      ?(force_widen_after = max_int) ?budget ?(cancel = fun () -> false) ?domains ~plan p =
+     matches the inputs the rows were recorded under. *)
+  let solve_plan ?propagate ?summary ?(force_widen_after = max_int) ?budget
+      ?(cancel = fun () -> false) ~plan p =
     let propagate =
       match propagate with
       | Some f -> f
@@ -295,10 +287,10 @@ module Make (D : Domain) = struct
     let widenings = ref 0 in
     let joins = ref 0 in
     let max_pending = ref 0 in
-    (* Merge a cross-component contribution into the inbox (caller domain
-       only). Inbox states are never widened: every delivery lands before
-       the target is first visited, mirroring the whole-program solve where
-       such merges always take the join path (visits = 0). *)
+    (* Merge a cross-component contribution into the inbox. Inbox states
+       are never widened: every delivery lands before the target is first
+       visited, mirroring the whole-program solve where such merges always
+       take the join path (visits = 0). *)
     let deliver (m, st) =
       match ext_input.(m) with
       | None -> ext_input.(m) <- Some st
@@ -309,140 +301,109 @@ module Make (D : Domain) = struct
         end
     in
     List.iter deliver p.entries;
-    (* Solve (or apply) one component on a worker domain. Shared arrays are
-       written only at member indices, which are disjoint across the
-       components of a level. Returns the cross-component deliveries in
-       emission order plus local counters. *)
-    let solve_comp cid =
-      if cancel () then raise Cancelled;
-      (match on_comp_start with Some f -> f cid | None -> ());
-      let members = plan.plan_comps.(cid) in
-      if not (Array.exists (fun m -> ext_input.(m) <> None) members) then
-        (* Never activated: unreachable under the delivered dataflow. *)
-        ([], false, 0, 0, 0, 0)
-      else begin
-        let rows =
-          match summary with
-          | None -> None
-          | Some lookup -> lookup ~comp:cid ~input:(fun m -> ext_input.(m))
-        in
-        match rows with
-        | Some lookup ->
-          Array.iter
-            (fun m ->
-              match lookup m with
-              | Some (s_in, s_out) ->
-                input.(m) <- Some s_in;
-                output.(m) <- Some s_out
-              | None -> ())
-            members;
-          let outbox = ref [] in
-          Array.iter
-            (fun m ->
-              match output.(m) with
-              | None -> ()
-              | Some out ->
-                List.iter
-                  (fun (t, st) ->
-                    if plan.plan_comp_of.(t) <> cid then outbox := (t, st) :: !outbox)
-                  (propagate m out))
-            members;
-          (List.rev !outbox, true, 0, 0, 0, 0)
-        | None ->
-          let heap = Heap.create (max 16 (Array.length members)) in
-          let outbox = ref [] in
-          let local_transfers = ref 0 in
-          let local_widenings = ref 0 in
-          let local_joins = ref 0 in
-          let pending_now = ref 0 in
-          let local_peak = ref 0 in
-          let enqueue m =
-            if not in_queue.(m) then begin
-              in_queue.(m) <- true;
-              incr pending_now;
-              if !pending_now > !local_peak then local_peak := !pending_now;
-              Heap.push heap plan.plan_priority.(m) m
-            end
-          in
-          let update m st =
-            match input.(m) with
-            | None ->
-              input.(m) <- Some st;
-              enqueue m
-            | Some old ->
-              if not (D.leq st old) then begin
-                let merged =
-                  if
-                    (p.widening_points m && visits.(m) >= p.widening_delay)
-                    || visits.(m) >= force_widen_after
-                  then begin
-                    incr local_widenings;
-                    D.widen old st
-                  end
-                  else begin
-                    incr local_joins;
-                    D.join old st
-                  end
-                in
-                input.(m) <- Some merged;
-                enqueue m
-              end
-          in
-          Array.iter
-            (fun m -> match ext_input.(m) with Some st -> update m st | None -> ())
-            members;
-          (* [transfers] is only written between levels, so the budget base
-             is stable for the whole level (the cap is a per-level-start
-             snapshot — slightly lax across a level, still a backstop). *)
-          let base = !transfers in
-          while not (Heap.is_empty heap) do
-            if cancel () then raise Cancelled;
-            let m = Heap.pop heap in
-            in_queue.(m) <- false;
-            decr pending_now;
-            incr local_transfers;
-            (match budget with
-            | Some b when base + !local_transfers > b ->
-              failwith "fixpoint did not converge within budget"
-            | Some _ | None -> ());
-            visits.(m) <- visits.(m) + 1;
-            match input.(m) with
-            | None -> ()
-            | Some s ->
-              let out = p.transfer m s in
-              let changed =
-                match output.(m) with
-                | None -> true
-                | Some old -> not (D.leq out old)
-              in
-              if changed then begin
-                output.(m) <- Some out;
-                List.iter
-                  (fun (t, st) ->
-                    if plan.plan_comp_of.(t) = cid then update t st
-                    else outbox := (t, st) :: !outbox)
-                  (propagate m out)
-              end
-          done;
-          (List.rev !outbox, false, !local_transfers, !local_widenings, !local_joins, !local_peak)
+    (* One heap serves every component: it is empty between components. *)
+    let heap = Heap.create (min n 1024) in
+    let pending_now = ref 0 in
+    let enqueue m =
+      if not in_queue.(m) then begin
+        in_queue.(m) <- true;
+        incr pending_now;
+        if !pending_now > !max_pending then max_pending := !pending_now;
+        Heap.push heap plan.plan_priority.(m) m
       end
     in
-    let run_level comps =
-      let results = Parallel.map ?domains (Array.length comps) (fun k -> solve_comp comps.(k)) in
-      Array.iteri
-        (fun k (outbox, comp_applied, tr, wd, jn, pk) ->
-          let cid = comps.(k) in
-          applied.(cid) <- comp_applied;
-          per_comp_transfers.(cid) <- tr;
-          transfers := !transfers + tr;
-          widenings := !widenings + wd;
-          joins := !joins + jn;
-          if pk > !max_pending then max_pending := pk;
-          List.iter deliver outbox)
-        results;
-      match on_level_done with Some f -> f comps | None -> ()
+    let update m st =
+      match input.(m) with
+      | None ->
+        input.(m) <- Some st;
+        enqueue m
+      | Some old ->
+        if not (D.leq st old) then begin
+          let merged =
+            if
+              (p.widening_points m && visits.(m) >= p.widening_delay)
+              || visits.(m) >= force_widen_after
+            then begin
+              incr widenings;
+              D.widen old st
+            end
+            else begin
+              incr joins;
+              D.join old st
+            end
+          in
+          input.(m) <- Some merged;
+          enqueue m
+        end
     in
-    Array.iter run_level plan.plan_levels;
+    let solve_comp cid members =
+      Array.iter
+        (fun m -> match ext_input.(m) with Some st -> update m st | None -> ())
+        members;
+      while not (Heap.is_empty heap) do
+        if cancel () then raise Cancelled;
+        let m = Heap.pop heap in
+        in_queue.(m) <- false;
+        decr pending_now;
+        incr transfers;
+        per_comp_transfers.(cid) <- per_comp_transfers.(cid) + 1;
+        (match budget with
+        | Some b when !transfers > b -> failwith "fixpoint did not converge within budget"
+        | Some _ | None -> ());
+        visits.(m) <- visits.(m) + 1;
+        match input.(m) with
+        | None -> ()
+        | Some s ->
+          let out = p.transfer m s in
+          let changed =
+            match output.(m) with
+            | None -> true
+            | Some old -> not (D.leq out old)
+          in
+          if changed then begin
+            output.(m) <- Some out;
+            List.iter
+              (fun (t, st) ->
+                if plan.plan_comp_of.(t) = cid then update t st else deliver (t, st))
+              (propagate m out)
+          end
+      done
+    in
+    (* Install recorded rows and deliver their out-states downstream. *)
+    let apply_comp cid members lookup =
+      applied.(cid) <- true;
+      Array.iter
+        (fun m ->
+          match lookup m with
+          | Some (s_in, s_out) ->
+            input.(m) <- Some s_in;
+            output.(m) <- Some s_out
+          | None -> ())
+        members;
+      Array.iter
+        (fun m ->
+          match output.(m) with
+          | None -> ()
+          | Some out ->
+            List.iter
+              (fun (t, st) -> if plan.plan_comp_of.(t) <> cid then deliver (t, st))
+              (propagate m out))
+        members
+    in
+    Array.iteri
+      (fun cid members ->
+        if cancel () then raise Cancelled;
+        (* A component no delivery reached is unreachable: skip it. *)
+        if Array.exists (fun m -> ext_input.(m) <> None) members then
+          let rows =
+            match summary with
+            | None -> None
+            | Some lookup -> lookup ~comp:cid ~input:(fun m -> ext_input.(m))
+          in
+          match rows with
+          | Some rows -> apply_comp cid members rows
+          | None -> solve_comp cid members)
+      plan.plan_comps;
     ( {
         in_state = (fun m -> input.(m));
         out_state = (fun m -> output.(m));

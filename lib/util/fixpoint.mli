@@ -31,14 +31,12 @@ exception Cancelled
     connected components (built by [Wcet_cfg.Callgraph.condense], which lives
     above this module in the dependency order). Components are numbered
     topologically — every cross-component edge goes from a smaller to a
-    larger id — and grouped into dependency levels with no edges inside a
-    level. [plan_priority] is the global {!rpo_index} of the underlying
+    larger id. [plan_priority] is the global {!rpo_index} of the underlying
     problem, kept so per-component solves pop nodes in the whole-program
     order. *)
 type plan = {
   plan_comp_of : int array;  (** node -> component id (topological) *)
   plan_comps : int array array;  (** component id -> members, by priority *)
-  plan_levels : int array array;  (** level -> component ids, ascending *)
   plan_priority : int array;  (** global RPO index of every node *)
 }
 
@@ -111,10 +109,8 @@ module Make (D : Domain) : sig
   }
 
   (** [solve_plan ~plan problem] solves the problem one strongly connected
-      component at a time, bottom-up over the condensation: levels run in
-      order, the components of a level are independent and fan out across
-      the {!Parallel} domain pool, and results are merged in component
-      order so the outcome is deterministic for any domain count.
+      component at a time, in component id order (topological), so every
+      component sees the final contributions of all its predecessors.
 
       Because every cross-component edge goes forward in both the
       condensation and the RPO priority, the whole-program {!solve} also
@@ -128,26 +124,20 @@ module Make (D : Domain) : sig
       transferring and their out-states propagated downstream. The callback
       must only do so when [input] — the delivered inbox, per member —
       semantically equals the inputs the rows were recorded under, and the
-      rows cover every member (unreached members may map to [None]).
-      It runs on a worker domain and must not mutate shared state except at
-      member indices. [on_comp_start cid] runs on the worker domain before
-      the component is examined (summary check included); [on_level_done
-      comps] runs on the calling domain after a level is merged.
+      rows cover every member (unreached members may map to [None]). It is
+      called once per reached component, just before that component would
+      be solved.
 
       [strategy] is not a parameter: scheduled solving is inherently
-      priority-driven ([Rpo]). [cancel] is polled on the worker domains
-      before every transfer; a tripped token raises {!Cancelled} on the
-      calling domain (the token must therefore be safe to call from any
-      domain). *)
+      priority-driven ([Rpo]). [budget] caps the total transfer count
+      exactly as in {!solve}; [cancel] is polled before every component and
+      every transfer. *)
   val solve_plan :
     ?propagate:(int -> D.t -> (int * D.t) list) ->
     ?summary:(comp:int -> input:(int -> D.t option) -> (int -> (D.t * D.t) option) option) ->
-    ?on_comp_start:(int -> unit) ->
-    ?on_level_done:(int array -> unit) ->
     ?force_widen_after:int ->
     ?budget:int ->
     ?cancel:(unit -> bool) ->
-    ?domains:int ->
     plan:plan ->
     problem ->
     result * plan_info

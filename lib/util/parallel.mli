@@ -1,4 +1,7 @@
-(** Fixed-size domain pool for coarse-grained deterministic fan-out.
+(** Fixed-size domain pool for coarse-grained deterministic fan-out of
+    independent work: harness corpus entries, [audit --corpus], the
+    lDivMod histogram shards and the [bench/main.exe] tables. A single
+    analysis never fans out; it runs on the domain that calls it.
 
     Results are collected into slots indexed by task id, so the output —
     and every artifact derived from it — is identical for any domain count,

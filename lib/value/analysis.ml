@@ -66,9 +66,10 @@ let eval_alu op a b =
   | Insn.Slt -> Aval.slt a b
   | Insn.Sltu -> Aval.sltu a b
 
-(* Frame-linkage bookkeeping is behind hooks: the whole-program solve uses
-   one chronological table, the scheduled solve a level snapshot plus a
-   worker-local overlay (see run_scheduled). *)
+(* Frame-linkage bookkeeping: one chronological table per analysis, so a
+   store sees every registration transferred before it. [on_register] lets
+   the scheduled solve attribute registrations to the node that made them
+   (see run_scheduled). *)
 type ctx = {
   program : Program.t;
   is_linkage : int -> bool;
@@ -76,12 +77,15 @@ type ctx = {
   mutable record : (int -> int -> bool -> Aval.t -> unit) option;
 }
 
-let chronological_ctx program =
+let chronological_ctx ?(on_register = ignore) program =
   let linkage : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   {
     program;
     is_linkage = Hashtbl.mem linkage;
-    register_linkage = (fun a -> Hashtbl.replace linkage a ());
+    register_linkage =
+      (fun a ->
+        Hashtbl.replace linkage a ();
+        on_register a);
     record = None;
   }
 
@@ -337,7 +341,7 @@ let comp_spans analysis (graph : Supergraph.t) (plan : Wcet_util.Fixpoint.plan)
         end)
       plan.Wcet_util.Fixpoint.plan_comps
 
-let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supergraph.t)
+let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
     (loops : Loops.info) =
   let n = Array.length graph.Supergraph.nodes in
   let nodes = graph.Supergraph.nodes in
@@ -345,28 +349,16 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
   let plan =
     Wcet_cfg.Callgraph.condense ~num_nodes:n ~entries:[ graph.Supergraph.entry ] ~succs
   in
-  (* Linkage under scheduled solving: workers see the registrations of
-     strictly earlier levels (a snapshot merged between levels on the
-     calling domain) plus their own component's (a worker-local overlay,
-     reset per component). Per-node registrations are also recorded so that
-     an applied component replays the ones from its rows. *)
-  let snapshot : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let overlay_key = Domain.DLS.new_key (fun () -> Hashtbl.create 16) in
-  let current_node = Domain.DLS.new_key (fun () -> ref (-1)) in
+  (* Per-node registrations, for the summary rows: a solved node records the
+     ones its transfers make ([current_node] is the node being
+     transferred), an applied one takes them from its row. *)
+  let current_node = ref (-1) in
   let node_linkage : int list array = Array.make n [] in
   let ctx =
-    {
-      program = graph.Supergraph.program;
-      is_linkage =
-        (fun a -> Hashtbl.mem (Domain.DLS.get overlay_key) a || Hashtbl.mem snapshot a);
-      register_linkage =
-        (fun a ->
-          Hashtbl.replace (Domain.DLS.get overlay_key) a ();
-          let nd = !(Domain.DLS.get current_node) in
-          if nd >= 0 && not (List.mem a node_linkage.(nd)) then
-            node_linkage.(nd) <- a :: node_linkage.(nd));
-      record = None;
-    }
+    chronological_ctx graph.Supergraph.program ~on_register:(fun a ->
+        let nd = !current_node in
+        if nd >= 0 && not (List.mem a node_linkage.(nd)) then
+          node_linkage.(nd) <- a :: node_linkage.(nd))
   in
   let widening_point = widening_points graph loops in
   let summary =
@@ -386,10 +378,13 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
           in
           if not ok then None
           else begin
+            current_node := -1;
             Array.iter
               (fun m ->
                 match lookup m with
-                | Some row -> node_linkage.(m) <- row.Summary.linkage
+                | Some row ->
+                  node_linkage.(m) <- row.Summary.linkage;
+                  List.iter ctx.register_linkage row.Summary.linkage
                 | None -> ())
               members;
             Some
@@ -399,19 +394,8 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
   in
   let solution, pinfo =
     try
-      FP.solve_plan ?summary ?cancel ?domains
+      FP.solve_plan ?summary ?cancel
         ~propagate:(propagate_of ctx graph)
-        ~on_comp_start:(fun _ ->
-          Hashtbl.reset (Domain.DLS.get overlay_key);
-          Domain.DLS.get current_node := -1)
-        ~on_level_done:(fun comps ->
-          Array.iter
-            (fun cid ->
-              Array.iter
-                (fun m ->
-                  List.iter (fun a -> Hashtbl.replace snapshot a ()) node_linkage.(m))
-                plan.Wcet_util.Fixpoint.plan_comps.(cid))
-            comps)
         ~force_widen_after:40
         ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
         ~plan
@@ -421,7 +405,7 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
           succs;
           transfer =
             (fun i st ->
-              Domain.DLS.get current_node := i;
+              current_node := i;
               transfer_block ctx st nodes.(i));
           widening_points = (fun i -> widening_point.(i));
           widening_delay = 2;
@@ -434,9 +418,7 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
      already attributed (solved components during their transfers, applied
      ones from their rows), so replay registers nothing. *)
   let result =
-    finish ?publish
-      { ctx with is_linkage = Hashtbl.mem snapshot; register_linkage = ignore; record = None }
-      graph node_in node_out solution
+    finish ?publish { ctx with register_linkage = ignore } graph node_in node_out solution
   in
   let computed = ref 0 and applied = ref 0 in
   Array.iteri

@@ -40,11 +40,9 @@ val run :
 (** [run_scheduled ?assumes ?slice graph loops] solves the same problem one
     strongly connected component at a time, bottom-up over the call-graph
     condensation ({!Wcet_cfg.Callgraph.condense} +
-    {!Wcet_util.Fixpoint.Make.solve_plan}): independent components run
-    concurrently on the domain pool with a deterministic merge, and a
-    component whose members are covered by [slice] rows recorded under
-    semantically equal external inputs is applied without transferring a
-    single node — a one-function edit re-solves only that function's
+    {!Wcet_util.Fixpoint.Make.solve_plan}). A component whose members are
+    covered by [slice] rows recorded under semantically equal external
+    inputs is applied without transferring a single node — a one-function edit re-solves only that function's
     components and the components whose inputs actually changed.
 
     Returns the {!result} plus the {!Summary.info} needed to persist fresh
@@ -54,7 +52,6 @@ val run_scheduled :
   ?assumes:(int * Aval.t) list ->
   ?slice:Summary.slice ->
   ?cancel:(unit -> bool) ->
-  ?domains:int ->
   ?publish:bool ->
   Wcet_cfg.Supergraph.t ->
   Wcet_cfg.Loops.info ->

@@ -237,10 +237,9 @@ let region_hints_of_annot c program (annot : Annot.t) func =
     | [] -> None
     | rs -> Some rs)
 
-(* Region hints resolved once per function of the graph, up front: the
-   cache transfer runs on worker domains under the summary engine, where
-   resolving lazily would race on the diagnostic collector — and would
-   emit one W0403 per node instead of one per function. *)
+(* Region hints resolved once per function of the graph, up front:
+   resolving lazily in the cache transfer would emit one W0403 per node
+   instead of one per function. *)
 let region_hint_table c program annot (graph : Supergraph.t) =
   let tbl : (string, Pred32_memory.Region.t list option) Hashtbl.t = Hashtbl.create 16 in
   Array.iter

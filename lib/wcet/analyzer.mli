@@ -107,9 +107,8 @@ type report = {
 }
 
 (** Fixpoint engine for the value and cache analyses. [Summary] condenses
-    the call graph into strongly connected components and solves
-    bottom-up: independent components run concurrently on the domain pool,
-    and components covered by persisted summary rows recorded under the
+    the call graph into strongly connected components and solves them
+    bottom-up, one at a time; components covered by persisted summary rows recorded under the
     same external inputs are applied without transferring — a one-function
     edit re-analyzes only that function's components and the components
     whose inputs actually changed. The classic whole-program solve is kept

@@ -293,6 +293,28 @@ let test_phase_times_reported () =
   Alcotest.(check bool) "path last" true
     (List.nth names (List.length names - 1) = Analyzer.Path)
 
+(* --- an analysis leaves nothing live behind --- *)
+
+let test_no_retention () =
+  let source = In_channel.with_open_bin "../examples/quickstart.mc" In_channel.input_all in
+  let program = Compile.compile source in
+  let live_after runs =
+    for _ = 1 to runs do
+      ignore
+        (Analyzer.analyze ~domain:Wcet_value.Analysis.Interval
+           ~path_backend:Wcet_path.Path_analysis.Ipet program)
+    done;
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let after_100 = live_after 100 in
+  let after_300 = live_after 200 in
+  (* [program] must be live at both measurements. *)
+  ignore (Sys.opaque_identity program);
+  if after_300 - after_100 >= 1000 then
+    Alcotest.failf "live heap grew by %d words between 100 and 300 analyses"
+      (after_300 - after_100)
+
 let () =
   Alcotest.run "wcet"
     [
@@ -323,4 +345,5 @@ let () =
         ] );
       ("bcet", [ Alcotest.test_case "brackets observations" `Quick test_bcet_brackets_observed ]);
       ("phases", [ Alcotest.test_case "times reported" `Quick test_phase_times_reported ]);
+      ("memory", [ Alcotest.test_case "no retention per analysis" `Quick test_no_retention ]);
     ]
