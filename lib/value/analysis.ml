@@ -471,13 +471,19 @@ type oct_env = { slot_var : (int, int) Hashtbl.t; slot_addrs : int array }
 
 let max_slots = 16
 
-let oct_meet_unary oct v iv =
+module E = Octagon.Edit
+
+let oct_meet_unary e v iv =
   match safe_range iv with
-  | Some (lo, hi) -> Octagon.add_lb (Octagon.add_ub oct v hi) v lo
-  | None -> oct
+  | Some (lo, hi) ->
+    E.add_ub e v hi;
+    E.add_lb e v lo
+  | None -> ()
 
 (* x_v := a fresh value known only by its interval. *)
-let oct_set_var oct v iv = oct_meet_unary (Octagon.forget oct v) v iv
+let oct_set_var e v iv =
+  E.forget e v;
+  oct_meet_unary e v iv
 
 (* The product's reduction: an interval refined with the octagon's own
    unary bounds on the same variable. The wraparound guards below consult
@@ -485,8 +491,8 @@ let oct_set_var oct v iv = oct_meet_unary (Octagon.forget oct v) v iv
    routinely outlives the interval bound at a widened loop head, and
    without the reduction the guard would discard exactly the constraints
    the escalation exists to keep. *)
-let oct_range oct v iv =
-  match Octagon.var_bounds oct v with
+let oct_range bounds iv =
+  match bounds with
   | None, None -> iv
   | lo, hi ->
     let olo = Option.value lo ~default:min_int in
@@ -494,109 +500,113 @@ let oct_range oct v iv =
     let m = Aval.meet iv (Aval.interval olo ohi) in
     if Aval.is_bot m then iv else m
 
-let oct_read oct st r = oct_range oct (ovar r) (State.get_reg st r)
+let oct_read e st r = oct_range (E.var_bounds e (ovar r)) (State.get_reg st r)
 
-let oct_def_reg st' oct rd =
-  if Reg.equal rd Reg.zero then oct
-  else oct_set_var oct (ovar rd) (State.get_reg st' rd)
+(* [rd] gets a value the octagon cannot relate: forget it, keep its
+   interval; returns [st'] unchanged. *)
+let oct_def_reg st' e rd =
+  if not (Reg.equal rd Reg.zero) then oct_set_var e (ovar rd) (State.get_reg st' rd);
+  st'
 
 (* Octagon companion of [transfer_insn]. [st] is the interval state before
-   the instruction, [st'] after; returns the (possibly projected) interval
-   state and the new octagon. Every relational update is guarded by the
-   wraparound contract: the interval must prove the operands and the
-   mathematical result stay in [0, 2^31). *)
-let oct_transfer_insn env st st' oct (_addr, insn) =
-  if Octagon.is_bot oct then (st', oct)
+   the instruction, [st'] after; updates the block's octagon edit [e] in
+   place and returns the (possibly projected) interval state. Every
+   relational update is guarded by the wraparound contract: the interval
+   must prove the operands and the mathematical result stay in [0, 2^31). *)
+let oct_transfer_insn env st st' e (_addr, insn) =
+  if E.is_bot e then st'
   else
     match insn with
     | Insn.Alui ((Insn.Add | Insn.Sub), rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
       let c = match insn with Insn.Alui (Insn.Sub, _, _, _) -> -imm | _ -> imm in
-      match safe_range (oct_read oct st rs1) with
+      match safe_range (oct_read e st rs1) with
       | Some (lo, hi) when lo + c >= 0 && hi + c < half ->
-        let oct = Octagon.assign_var_plus oct ~dst:(ovar rd) ~src:(ovar rs1) c in
-        (st', oct_meet_unary oct (ovar rd) (State.get_reg st' rd))
-      | _ -> (st', oct_def_reg st' oct rd))
-    | Insn.Alui (_, rd, _, _) -> (st', oct_def_reg st' oct rd)
+        E.assign_var_plus e ~dst:(ovar rd) ~src:(ovar rs1) c;
+        oct_meet_unary e (ovar rd) (State.get_reg st' rd);
+        st'
+      | _ -> oct_def_reg st' e rd)
+    | Insn.Alui (_, rd, _, _) -> oct_def_reg st' e rd
     | Insn.Alu (Insn.Add, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read oct st rs1 and v2 = oct_read oct st rs2 in
+      let v1 = oct_read e st rs1 and v2 = oct_read e st rs2 in
       match (safe_range v1, safe_range v2) with
       | Some (lo1, hi1), Some (lo2, hi2) when hi1 + hi2 < half ->
         let d = ovar rd in
-        let oct =
-          match (Aval.singleton v2, Aval.singleton v1) with
-          | Some c, _ -> Octagon.assign_var_plus oct ~dst:d ~src:(ovar rs1) c
-          | None, Some c -> Octagon.assign_var_plus oct ~dst:d ~src:(ovar rs2) c
-          | None, None ->
-            (* x_rd - x_rs1 in [lo2, hi2] and symmetrically for rs2. *)
-            let oct = Octagon.forget oct d in
-            let bound oct s (lo, hi) =
-              if s = d then oct
-              else Octagon.add_diff (Octagon.add_diff oct ~u:d ~v:s hi) ~u:s ~v:d (-lo)
-            in
-            bound (bound oct (ovar rs1) (lo2, hi2)) (ovar rs2) (lo1, hi1)
-        in
-        (st', oct_meet_unary oct d (State.get_reg st' rd))
-      | _ -> (st', oct_def_reg st' oct rd))
+        (match (Aval.singleton v2, Aval.singleton v1) with
+        | Some c, _ -> E.assign_var_plus e ~dst:d ~src:(ovar rs1) c
+        | None, Some c -> E.assign_var_plus e ~dst:d ~src:(ovar rs2) c
+        | None, None ->
+          (* x_rd - x_rs1 in [lo2, hi2] and symmetrically for rs2. *)
+          E.forget e d;
+          let bound s (lo, hi) =
+            if s <> d then begin
+              E.add_diff e ~u:d ~v:s hi;
+              E.add_diff e ~u:s ~v:d (-lo)
+            end
+          in
+          bound (ovar rs1) (lo2, hi2);
+          bound (ovar rs2) (lo1, hi1));
+        oct_meet_unary e d (State.get_reg st' rd);
+        st'
+      | _ -> oct_def_reg st' e rd)
     | Insn.Alu (Insn.Sub, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read oct st rs1 and v2 = oct_read oct st rs2 in
+      let v1 = oct_read e st rs1 and v2 = oct_read e st rs2 in
       match (safe_range v1, Aval.singleton v2) with
       | Some (lo1, hi1), Some c when lo1 - c >= 0 && hi1 - c < half ->
-        let oct = Octagon.assign_var_plus oct ~dst:(ovar rd) ~src:(ovar rs1) (-c) in
-        (st', oct_meet_unary oct (ovar rd) (State.get_reg st' rd))
+        E.assign_var_plus e ~dst:(ovar rd) ~src:(ovar rs1) (-c);
+        oct_meet_unary e (ovar rd) (State.get_reg st' rd);
+        st'
       | _ -> (
         (* Project the relational difference: when the octagon proves
            rs1 - rs2 in [dlo, dhi] within [0, 2^31), the 32-bit subtraction
            cannot borrow and equals the mathematical difference. This is the
            step that turns a relation into a tight interval for downstream
            address computations. *)
-        match Octagon.diff_bounds oct ~u:(ovar rs1) ~v:(ovar rs2) with
+        match E.diff_bounds e ~u:(ovar rs1) ~v:(ovar rs2) with
         | Some dlo, Some dhi when dlo >= 0 && dhi < half ->
           let refined = Aval.meet (State.get_reg st' rd) (Aval.interval dlo dhi) in
           let refined = if Aval.is_bot refined then State.get_reg st' rd else refined in
-          let st' = State.set_reg st' rd refined in
-          (st', oct_set_var oct (ovar rd) refined)
-        | _ -> (st', oct_def_reg st' oct rd)))
-    | Insn.Alu (_, rd, _, _) | Insn.Lui (rd, _) | Insn.Cmovnz (rd, _, _) ->
-      if Reg.equal rd Reg.zero then (st', oct) else (st', oct_def_reg st' oct rd)
+          oct_set_var e (ovar rd) refined;
+          State.set_reg st' rd refined
+        | _ -> oct_def_reg st' e rd))
+    | Insn.Alu (_, rd, _, _) | Insn.Lui (rd, _) | Insn.Cmovnz (rd, _, _) -> oct_def_reg st' e rd
     | Insn.Load (rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
       let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
       match Aval.singleton av with
       | Some a when a land 3 = 0 -> (
         match Hashtbl.find_opt env.slot_var a with
         | Some s ->
-          let oct = Octagon.assign_var_plus oct ~dst:(ovar rd) ~src:s 0 in
+          E.assign_var_plus e ~dst:(ovar rd) ~src:s 0;
           (* Project the slot's relational bounds back into the interval
              component: the loaded value inherits everything the octagon
              proved about the slot across widening. *)
-          let refined = oct_range oct (ovar rd) (State.get_reg st' rd) in
-          let st' = State.set_reg st' rd refined in
-          (st', oct_meet_unary oct (ovar rd) refined)
-        | None -> (st', oct_def_reg st' oct rd))
-      | _ -> (st', oct_def_reg st' oct rd))
-    | Insn.Load _ -> (st', oct)
+          let refined = oct_range (E.var_bounds e (ovar rd)) (State.get_reg st' rd) in
+          oct_meet_unary e (ovar rd) refined;
+          State.set_reg st' rd refined
+        | None -> oct_def_reg st' e rd)
+      | _ -> oct_def_reg st' e rd)
+    | Insn.Load _ -> st'
     | Insn.Store (rs2, rs1, imm) -> (
       let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
       match Aval.singleton av with
-      | Some a when a land 3 = 0 -> (
-        match Hashtbl.find_opt env.slot_var a with
+      | Some a when a land 3 = 0 ->
+        (match Hashtbl.find_opt env.slot_var a with
         | Some s ->
-          let oct = Octagon.assign_var_plus oct ~dst:s ~src:(ovar rs2) 0 in
-          (st', oct_meet_unary oct s (State.get_reg st rs2))
-        | None -> (st', oct))
-      | Some _ -> (st', oct)
-      | None -> (
+          E.assign_var_plus e ~dst:s ~src:(ovar rs2) 0;
+          oct_meet_unary e s (State.get_reg st rs2)
+        | None -> ());
+        st'
+      | Some _ -> st'
+      | None ->
         let forget_slots pred =
-          let o = ref oct in
-          Array.iteri (fun i a -> if pred a then o := Octagon.forget !o (nregs + i)) env.slot_addrs;
-          !o
+          Array.iteri (fun i a -> if pred a then E.forget e (nregs + i)) env.slot_addrs
         in
-        match Aval.range av with
+        (match Aval.range av with
         | Some (lo, hi) when hi - lo <= weak_update_limit_bytes ->
-          (st', forget_slots (fun a -> a >= lo && a <= hi))
-        | Some _ | None -> (st', forget_slots (fun _ -> true))))
-    | Insn.Call _ | Insn.Call_reg _ -> (st', oct_def_reg st' oct Reg.lr)
-    | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ | Insn.Halt | Insn.Nop | Insn.Illegal _ ->
-      (st', oct)
+          forget_slots (fun a -> a >= lo && a <= hi)
+        | Some _ | None -> forget_slots (fun _ -> true));
+        st')
+    | Insn.Call _ | Insn.Call_reg _ -> oct_def_reg st' e Reg.lr
+    | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ | Insn.Halt | Insn.Nop | Insn.Illegal _ -> st'
 
 type pstate = { pst : State.t; poct : Octagon.t }
 
@@ -608,16 +618,17 @@ module FP2 = Wcet_util.Fixpoint.Make (struct
   let widen a b = { pst = State.widen a.pst b.pst; poct = Octagon.widen a.poct b.poct }
 end)
 
+(* One copy of the octagon per block: every instruction updates it in
+   place. *)
 let product_transfer env ctx p (node : Supergraph.node) =
-  let st = ref p.pst and oct = ref p.poct in
+  let e = Octagon.edit p.poct in
+  let st = ref p.pst in
   Array.iteri
     (fun i insn ->
       let st' = transfer_insn ctx !st i insn in
-      let st'', oct' = oct_transfer_insn env !st st' !oct insn in
-      st := st'';
-      oct := oct')
+      st := oct_transfer_insn env !st st' e insn)
     node.Supergraph.block.Func_cfg.insns;
-  { pst = !st; poct = !oct }
+  { pst = !st; poct = Octagon.freeze e }
 
 let product_refine_edge env ctx (node : Supergraph.node) kind p =
   ignore env;
@@ -629,12 +640,10 @@ let product_refine_edge env ctx (node : Supergraph.node) kind p =
       | Func_cfg.Term_branch { cond; rs1; rs2; _ }, (Supergraph.Etaken | Supergraph.Enottaken)
         when not (Octagon.is_bot p.poct) ->
         let holds = kind = Supergraph.Etaken in
-        if
-          Option.is_some (safe_range (oct_read p.poct pst rs1))
-          && Option.is_some (safe_range (oct_read p.poct pst rs2))
+        let read r = oct_range (Octagon.var_bounds p.poct (ovar r)) (State.get_reg pst r) in
+        if Option.is_some (safe_range (read rs1)) && Option.is_some (safe_range (read rs2))
         then begin
           let u = ovar rs1 and v = ovar rs2 in
-          let oct = p.poct in
           let eff =
             if holds then cond
             else
@@ -649,16 +658,20 @@ let product_refine_edge env ctx (node : Supergraph.node) kind p =
           (* Both operands proven in [0, 2^31): signed, unsigned and
              mathematical comparison orders all coincide. *)
           match eff with
-          | Insn.Beq -> Octagon.add_diff (Octagon.add_diff oct ~u ~v 0) ~u:v ~v:u 0
-          | Insn.Blt | Insn.Bltu -> Octagon.add_diff oct ~u ~v (-1)
-          | Insn.Bge | Insn.Bgeu -> Octagon.add_diff oct ~u:v ~v:u 0
+          | Insn.Beq ->
+            let e = Octagon.edit p.poct in
+            E.add_diff e ~u ~v 0;
+            E.add_diff e ~u:v ~v:u 0;
+            Octagon.freeze e
+          | Insn.Blt | Insn.Bltu -> Octagon.add_diff p.poct ~u ~v (-1)
+          | Insn.Bge | Insn.Bgeu -> Octagon.add_diff p.poct ~u:v ~v:u 0
           | Insn.Bne -> (
             (* Disequality strengthening: a one-sided bound touching zero
                becomes strict (x != y and x - y <= 0 imply x - y <= -1). *)
-            match Octagon.diff_bounds oct ~u ~v with
-            | _, Some 0 -> Octagon.add_diff oct ~u ~v (-1)
-            | Some 0, _ -> Octagon.add_diff oct ~u:v ~v:u (-1)
-            | _ -> oct)
+            match Octagon.diff_bounds p.poct ~u ~v with
+            | _, Some 0 -> Octagon.add_diff p.poct ~u ~v (-1)
+            | Some 0, _ -> Octagon.add_diff p.poct ~u:v ~v:u (-1)
+            | _ -> p.poct)
         end
         else p.poct
       | _ -> p.poct

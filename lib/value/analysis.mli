@@ -66,8 +66,10 @@ val publish_access_metrics : access list array -> unit
 
 (** Which abstract domain the value analysis may use: [Interval] is the
     always-on baseline; [Auto] escalates to the interval x octagon product
-    only the functions whose interval results left imprecise accesses or
-    input-dependent/aliased loop-bound causes. *)
+    when some function's interval results left imprecise accesses or
+    input-dependent/aliased loop-bound causes. The escalation re-solves
+    the whole supergraph; the flagged functions choose its slots and
+    thresholds ({!escalate}). *)
 type domain = Interval | Auto
 
 val domain_name : domain -> string

@@ -4,17 +4,18 @@
    in Mine's encoding.
 
    Each octagon variable [v] contributes two DBM vertices: [2v] standing
-   for [+x_v] and [2v+1] for [-x_v]. Cell [m.(i).(j)] is an upper bound on
-   [V_j - V_i] (max_int = unconstrained), so
+   for [+x_v] and [2v+1] for [-x_v]. The matrix is one flat row-major
+   array of [n*n] cells ([n = 2*dim]); cell (i, j), at index [i*n + j], is
+   an upper bound on [V_j - V_i] (max_int = unconstrained), so
 
-     x_u - x_v <= c   lives at  m.(2v).(2u)
-     x_u + x_v <= c   lives at  m.(2v+1).(2u)
-    -x_u - x_v <= c   lives at  m.(2v).(2u+1)
-         x_v <= c     lives at  m.(2v+1).(2v)  as  2c
-        -x_v <= c     lives at  m.(2v).(2v+1)  as  2c
+     x_u - x_v <= c   lives at  (2v, 2u)
+     x_u + x_v <= c   lives at  (2v+1, 2u)
+    -x_u - x_v <= c   lives at  (2v, 2u+1)
+         x_v <= c     lives at  (2v+1, 2v)  as  2c
+        -x_v <= c     lives at  (2v, 2v+1)  as  2c
 
-   with the coherence invariant [m.(i).(j) = m.(bar j).(bar i)] where
-   [bar] flips the low bit; every write goes to both cells.
+   with the coherence invariant [(i, j) = (bar j, bar i)] where [bar]
+   flips the low bit; every write goes to both cells.
 
    Soundness under 32-bit wraparound: a variable participates in
    constraints only while its companion interval proves its concrete value
@@ -29,17 +30,32 @@
    so reading an unclosed matrix only loses precision. We therefore keep
    matrices closed incrementally where cheap (constraint addition,
    assignment) and accept temporary unclosedness after widening (closing a
-   widened iterate would break termination). *)
+   widened iterate would break termination).
+
+   Mutation discipline: the kernels below edit a private matrix in place
+   ({!edit}). A transfer copies its input once, applies every update of a
+   block to the copy and {!freeze}s it; the pure operations are the same
+   kernels wrapped in one copy each. *)
 
 let inf = max_int
 
 type t = {
   dim : int;  (* octagon variables; matrix is 2*dim square *)
-  m : int array array option;  (* None = bottom *)
+  m : int array option;  (* None = bottom *)
   thr : int array;  (* widening thresholds, sorted ascending *)
 }
 
+type edit = {
+  base : t;  (* dimension and thresholds of the result *)
+  n : int;  (* 2 * dim *)
+  cells : int array;  (* owned copy; meaningless once [bot] *)
+  mutable bot : bool;
+  mutable work : int array;  (* closure working sets, allocated on first use *)
+}
+
 let bar i = i lxor 1
+
+let imin (a : int) b = if a <= b then a else b
 
 (* Saturating addition of path weights. *)
 let ( +! ) a b = if a = inf || b = inf then inf else a + b
@@ -51,216 +67,285 @@ let no_thresholds = [||]
 
 let top ?(thresholds = no_thresholds) dim =
   let n = 2 * dim in
-  let m = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0 else inf)) in
+  let m = Array.make (n * n) inf in
+  for i = 0 to n - 1 do
+    m.((i * n) + i) <- 0
+  done;
   { dim; m = Some m; thr = thresholds }
 
 let bottom ?(thresholds = no_thresholds) dim = { dim; m = None; thr = thresholds }
 let is_bot t = t.m = None
 let dim t = t.dim
 
-let copy_matrix m = Array.map Array.copy m
+let cells t =
+  let n = 2 * t.dim in
+  Option.map (fun m -> Array.init n (fun i -> Array.sub m (i * n) n)) t.m
+
+let edit t =
+  let cells, bot = match t.m with Some m -> (Array.copy m, false) | None -> ([||], true) in
+  { base = t; n = 2 * t.dim; cells; bot; work = [||] }
+
+let freeze e = { e.base with m = (if e.bot then None else Some e.cells) }
 
 (* ---- consistency ---------------------------------------------------- *)
 
 (* A DBM is inconsistent when some cycle has negative weight; after the
    incremental updates below it suffices to look at the diagonal and the
    unary pairs. *)
-let consistent m =
-  let n = Array.length m in
+let consistent m n =
   let ok = ref true in
   for i = 0 to n - 1 do
-    if m.(i).(i) < 0 then ok := false;
-    if m.(i).(bar i) +! m.(bar i).(i) < 0 then ok := false
+    if m.((i * n) + i) < 0 then ok := false;
+    if m.((i * n) + bar i) +! m.((bar i * n) + i) < 0 then ok := false
   done;
   !ok
 
-let normalize t =
-  match t.m with
-  | None -> t
-  | Some m -> if consistent m then t else { t with m = None }
+let normalize e = if (not e.bot) && not (consistent e.cells e.n) then e.bot <- true
 
 (* ---- incremental closure -------------------------------------------- *)
 
+(* Working-set layout, [n] ints each: the snapshots of column [a], column
+   [bar b], row [b] and row [bar a], then the row, column and unary
+   working sets. *)
+let work e =
+  if Array.length e.work = 0 then e.work <- Array.make (7 * e.n) 0;
+  e.work
+
 (* Tighten all paths through the new constraint [V_b - V_a <= c] (written
-   at m.(a).(b)) and its coherent mirror [m.(bar b).(bar a)], then
-   strengthen via the unary cells. Mine's incremental closure: a shortest
-   path in the updated graph uses the new edge at most twice (once in each
-   orientation; a third use would close a negative cycle), so five
+   at (a, b)) and its coherent mirror (bar b, bar a), then strengthen via
+   the unary cells. Mine's incremental closure: a shortest path in the
+   updated graph uses the new edge at most twice (once in each
+   orientation; a third use would close a negative cycle), so four path
    candidates per cell, all evaluated against the pre-insertion matrix,
-   restore strong closure in O(n^2). Mutates [m]. *)
-let close_after_add m a b c =
-  let n = Array.length m in
-  if c < m.(a).(b) then begin
+   restore strong closure. The candidates ending in row [b] and the ones
+   ending in row [bar a] share their suffix, and [+!] is monotone and
+   saturating, so each pair folds into one: a min of two per-row prefixes
+   plus the row cell.
+
+   Only rows with a finite cell in column [a] or [bar b] and columns with
+   a finite cell in row [b] or [bar a] can get a finite candidate; every
+   other cell keeps its value, so the loops visit that product only. The
+   strengthening pass likewise pairs only vertices with a finite unary
+   cell: it never rewrites a unary cell (the candidate for (i, bar i) is
+   the cell itself), so that set is fixed before the pass. None of this
+   assumes a closed input, so it holds after widening too. *)
+let close_after_add e a b c =
+  let m = e.cells and n = e.n in
+  if c < m.((a * n) + b) then begin
     let a' = bar a and b' = bar b in
-    (* Snapshot the rows/columns the candidates read so every candidate
-       sees the old (closed) matrix regardless of update order. *)
-    let col_a = Array.init n (fun i -> m.(i).(a)) in
-    let col_b' = Array.init n (fun i -> m.(i).(b')) in
-    let row_b = Array.copy m.(b) in
-    let row_a' = Array.copy m.(a') in
-    let w_bb' = row_b.(b') and w_a'a = row_a'.(a) in
+    let s = work e in
+    let col_a = 0 and col_b' = n and row_b = 2 * n and row_a' = 3 * n in
+    let rows = 4 * n and cols = 5 * n and unary = 6 * n in
+    Array.blit m (b * n) s row_b n;
+    Array.blit m (a' * n) s row_a' n;
+    let nr = ref 0 in
     for i = 0 to n - 1 do
-      let ia = col_a.(i) and ib' = col_b'.(i) in
-      if ia < inf || ib' < inf then
-        for j = 0 to n - 1 do
-          let best = ref m.(i).(j) in
-          let cand v = if v < !best then best := v in
-          (* i -> a -> b -> j *)
-          cand (ia +! c +! row_b.(j));
-          (* i -> bar b -> bar a -> j (the mirror orientation) *)
-          cand (ib' +! c +! row_a'.(j));
-          (* i -> a -> b ->* bar b -> bar a -> j (edge used twice) *)
-          cand (ia +! c +! w_bb' +! c +! row_a'.(j));
-          (* i -> bar b -> bar a ->* a -> b -> j *)
-          cand (ib' +! c +! w_a'a +! c +! row_b.(j));
-          if !best < m.(i).(j) then m.(i).(j) <- !best
-        done
+      let ia = m.((i * n) + a) and ib' = m.((i * n) + b') in
+      s.(col_a + i) <- ia;
+      s.(col_b' + i) <- ib';
+      if ia < inf || ib' < inf then begin
+        s.(rows + !nr) <- i;
+        incr nr
+      end
+    done;
+    let nc = ref 0 in
+    for j = 0 to n - 1 do
+      if s.(row_b + j) < inf || s.(row_a' + j) < inf then begin
+        s.(cols + !nc) <- j;
+        incr nc
+      end
+    done;
+    let w_bb' = s.(row_b + b') and w_a'a = s.(row_a' + a) in
+    for r = 0 to !nr - 1 do
+      let i = s.(rows + r) in
+      let ia = s.(col_a + i) and ib' = s.(col_b' + i) in
+      (* i -> a -> b, or i -> bar b -> bar a ->* a -> b; then b -> j *)
+      let via_b = imin (ia +! c) (ib' +! c +! w_a'a +! c) in
+      (* i -> bar b -> bar a, or i -> a -> b ->* bar b -> bar a; then bar a -> j *)
+      let via_a' = imin (ib' +! c) (ia +! c +! w_bb' +! c) in
+      let base = i * n in
+      for k = 0 to !nc - 1 do
+        let j = s.(cols + k) in
+        let best = imin (via_b +! s.(row_b + j)) (via_a' +! s.(row_a' + j)) in
+        if best < m.(base + j) then m.(base + j) <- best
+      done
     done;
     (* Unary cells encode 2c: floor to even, then strengthen by combining
        the two unary half-bounds. *)
+    let nu = ref 0 in
     for i = 0 to n - 1 do
-      m.(i).(bar i) <- floor_even m.(i).(bar i)
+      let k = (i * n) + bar i in
+      let u = floor_even m.(k) in
+      m.(k) <- u;
+      if u / 2 < inf / 4 then begin
+        s.(unary + !nu) <- i;
+        incr nu
+      end
     done;
-    for i = 0 to n - 1 do
-      let ui = floor_even m.(i).(bar i) / 2 in
-      if ui < inf / 4 then
-        for j = 0 to n - 1 do
-          let uj = floor_even m.(bar j).(j) / 2 in
-          if uj < inf / 4 && ui + uj < m.(i).(j) then m.(i).(j) <- ui + uj
-        done
+    for x = 0 to !nu - 1 do
+      let i = s.(unary + x) in
+      let ui = m.((i * n) + bar i) / 2 and base = i * n in
+      for y = 0 to !nu - 1 do
+        let j' = s.(unary + y) in
+        let j = bar j' in
+        let v = ui + (m.((j' * n) + j) / 2) in
+        if v < m.(base + j) then m.(base + j) <- v
+      done
     done
   end
 
-(* ---- constraint entry points ---------------------------------------- *)
+(* ---- queries --------------------------------------------------------- *)
 
-(* All take and return pure values; [None]-matrix (bottom) passes through. *)
+(* On bottom both bounds collapse to the empty pair. *)
+let no_bounds = (Some 0, Some (-1))
 
-let with_matrix t f =
-  match t.m with
-  | None -> t
-  | Some m ->
-    let m = copy_matrix m in
-    f m;
-    normalize { t with m = Some m }
+(* Bounds of x_v as (lo option, hi option); None = unconstrained on that
+   side. *)
+let var_bounds_in m n v =
+  let p = 2 * v and q = (2 * v) + 1 in
+  let hi = m.((q * n) + p) and lo = m.((p * n) + q) in
+  ( (if lo = inf then None else Some (-(floor_even lo / 2))),
+    if hi = inf then None else Some (floor_even hi / 2) )
 
-(* x_u - x_v <= c *)
-let add_diff t ~u ~v c =
-  if u = v then if c < 0 then { t with m = None } else t
-  else with_matrix t (fun m -> close_after_add m (2 * v) (2 * u) c)
+(* Bounds of x_u - x_v: (lo option, hi option). *)
+let diff_bounds_in m n ~u ~v =
+  let ub = m.((2 * v * n) + (2 * u)) and nlb = m.((2 * u * n) + (2 * v)) in
+  ( (if nlb = inf then None else Some (-nlb)),
+    if ub = inf then None else Some ub )
 
-(* x_u + x_v <= c *)
-let add_sum_ub t ~u ~v c =
-  if u = v then
-    with_matrix t (fun m -> close_after_add m ((2 * u) + 1) (2 * u) (floor_even c))
-  else with_matrix t (fun m -> close_after_add m ((2 * v) + 1) (2 * u) c)
+(* ---- in-place operations -------------------------------------------- *)
 
-(* -x_u - x_v <= c, i.e. x_u + x_v >= -c *)
-let add_sum_lb t ~u ~v c =
-  if u = v then
-    with_matrix t (fun m -> close_after_add m (2 * u) ((2 * u) + 1) (floor_even c))
-  else with_matrix t (fun m -> close_after_add m (2 * v) ((2 * u) + 1) c)
+(* Every operation is a no-op on bottom; one that finds the matrix
+   inconsistent turns the edit into bottom. *)
+module Edit = struct
+  let is_bot e = e.bot
 
-let add_ub t v c = add_sum_ub t ~u:v ~v (2 * c)
-let add_lb t v c = add_sum_lb t ~u:v ~v (-2 * c)
+  let add e a b c =
+    if not e.bot then begin
+      close_after_add e a b c;
+      normalize e
+    end
 
-let set_interval_constraints t v (lo, hi) = add_lb (add_ub t v hi) v lo
+  (* x_u - x_v <= c *)
+  let add_diff e ~u ~v c =
+    if u = v then (if c < 0 then e.bot <- true) else add e (2 * v) (2 * u) c
 
-(* ---- forget / assignment -------------------------------------------- *)
+  (* x_u + x_v <= c *)
+  let add_sum_ub e ~u ~v c =
+    if u = v then add e ((2 * u) + 1) (2 * u) (floor_even c) else add e ((2 * v) + 1) (2 * u) c
 
-(* Drop every constraint mentioning [v]. On a closed matrix the result is
-   closed (removing a variable cannot invalidate closure elsewhere). *)
-let forget t v =
-  match t.m with
-  | None -> t
-  | Some m ->
-    let n = Array.length m in
-    let m = copy_matrix m in
-    let p = 2 * v and q = (2 * v) + 1 in
-    for i = 0 to n - 1 do
-      m.(i).(p) <- (if i = p then 0 else inf);
-      m.(i).(q) <- (if i = q then 0 else inf);
-      m.(p).(i) <- (if i = p then 0 else inf);
-      m.(q).(i) <- (if i = q then 0 else inf)
-    done;
-    { t with m = Some m }
+  (* -x_u - x_v <= c, i.e. x_u + x_v >= -c *)
+  let add_sum_lb e ~u ~v c =
+    if u = v then add e (2 * u) ((2 * u) + 1) (floor_even c) else add e (2 * v) ((2 * u) + 1) c
 
-(* x_v := x_v + c: an exact shift of the two DBM vertices of [v]. The
-   caller guarantees no machine wraparound. Preserves closure. *)
-let shift t v c =
-  with_matrix t (fun m ->
-      let n = Array.length m in
+  let add_ub e v c = add_sum_ub e ~u:v ~v (2 * c)
+  let add_lb e v c = add_sum_lb e ~u:v ~v (-2 * c)
+
+  (* Drop every constraint mentioning [v]. On a closed matrix the result
+     is closed (removing a variable cannot invalidate closure elsewhere). *)
+  let forget e v =
+    if not e.bot then begin
+      let m = e.cells and n = e.n in
+      let p = 2 * v and q = (2 * v) + 1 in
+      Array.fill m (p * n) (2 * n) inf;
+      for i = 0 to n - 1 do
+        m.((i * n) + p) <- inf;
+        m.((i * n) + q) <- inf
+      done;
+      m.((p * n) + p) <- 0;
+      m.((q * n) + q) <- 0
+    end
+
+  (* x_v := x_v + c: an exact shift of the two DBM vertices of [v]. The
+     caller guarantees no machine wraparound. Preserves closure. *)
+  let shift e v c =
+    if not e.bot then begin
+      let m = e.cells and n = e.n in
       let p = 2 * v and q = (2 * v) + 1 in
       for i = 0 to n - 1 do
         if i <> p && i <> q then begin
           (* V_p grows by c: bounds on V_p - V_i grow, on V_i - V_p shrink. *)
-          m.(i).(p) <- m.(i).(p) +! c;
-          m.(p).(i) <- m.(p).(i) +! -c;
+          m.((i * n) + p) <- m.((i * n) + p) +! c;
+          m.((p * n) + i) <- m.((p * n) + i) +! -c;
           (* V_q = -x_v shrinks by c. *)
-          m.(i).(q) <- m.(i).(q) +! -c;
-          m.(q).(i) <- m.(q).(i) +! c
+          m.((i * n) + q) <- m.((i * n) + q) +! -c;
+          m.((q * n) + i) <- m.((q * n) + i) +! c
         end
       done;
-      m.(q).(p) <- m.(q).(p) +! (2 * c);
-      m.(p).(q) <- m.(p).(q) +! (-2 * c))
+      m.((q * n) + p) <- m.((q * n) + p) +! (2 * c);
+      m.((p * n) + q) <- m.((p * n) + q) +! (-2 * c);
+      normalize e
+    end
 
-(* x_v := -x_v + c (used for  x := c - x ): swap the vertices, then shift. *)
-let negate_shift t v c =
-  let t =
-    with_matrix t (fun m ->
-        let n = Array.length m in
-        let p = 2 * v and q = (2 * v) + 1 in
-        for i = 0 to n - 1 do
-          let tmp = m.(i).(p) in
-          m.(i).(p) <- m.(i).(q);
-          m.(i).(q) <- tmp
-        done;
-        for i = 0 to n - 1 do
-          let tmp = m.(p).(i) in
-          m.(p).(i) <- m.(q).(i);
-          m.(q).(i) <- tmp
-        done)
-  in
-  shift t v c
+  (* x_v := -x_v + c (used for  x := c - x ): swap the vertices, then
+     shift. *)
+  let negate_shift e v c =
+    if not e.bot then begin
+      let m = e.cells and n = e.n in
+      let p = 2 * v and q = (2 * v) + 1 in
+      for i = 0 to n - 1 do
+        let tmp = m.((i * n) + p) in
+        m.((i * n) + p) <- m.((i * n) + q);
+        m.((i * n) + q) <- tmp
+      done;
+      for i = 0 to n - 1 do
+        let tmp = m.((p * n) + i) in
+        m.((p * n) + i) <- m.((q * n) + i);
+        m.((q * n) + i) <- tmp
+      done;
+      normalize e;
+      shift e v c
+    end
 
-(* x_d := x_s + c  (d <> s handled by forget+add; d = s by shift). *)
-let assign_var_plus t ~dst ~src c =
-  if dst = src then shift t dst c
-  else
-    let t = forget t dst in
-    let t = add_diff t ~u:dst ~v:src c in
-    add_diff t ~u:src ~v:dst (-c)
+  (* x_d := x_s + c  (d <> s handled by forget+add; d = s by shift). *)
+  let assign_var_plus e ~dst ~src c =
+    if dst = src then shift e dst c
+    else begin
+      forget e dst;
+      add_diff e ~u:dst ~v:src c;
+      add_diff e ~u:src ~v:dst (-c)
+    end
 
-(* x_d := c - x_s. *)
-let assign_const_minus t ~dst ~src c =
-  if dst = src then negate_shift t dst c
-  else
-    let t = forget t dst in
-    let t = add_sum_ub t ~u:dst ~v:src c in
-    add_sum_lb t ~u:dst ~v:src (-c)
+  (* x_d := c - x_s. *)
+  let assign_const_minus e ~dst ~src c =
+    if dst = src then negate_shift e dst c
+    else begin
+      forget e dst;
+      add_sum_ub e ~u:dst ~v:src c;
+      add_sum_lb e ~u:dst ~v:src (-c)
+    end
 
-let assign_interval t dst (lo, hi) = set_interval_constraints (forget t dst) dst (lo, hi)
+  let assign_interval e dst (lo, hi) =
+    forget e dst;
+    add_ub e dst hi;
+    add_lb e dst lo
 
-(* ---- queries --------------------------------------------------------- *)
+  let var_bounds e v = if e.bot then no_bounds else var_bounds_in e.cells e.n v
+  let diff_bounds e ~u ~v = if e.bot then no_bounds else diff_bounds_in e.cells e.n ~u ~v
+end
 
-(* Bounds of x_v as (lo option, hi option); None = unconstrained on that
-   side. On bottom both bounds collapse to the empty (Some 0, Some (-1)). *)
-let var_bounds t v =
-  match t.m with
-  | None -> (Some 0, Some (-1))
-  | Some m ->
-    let p = 2 * v and q = (2 * v) + 1 in
-    let hi = m.(q).(p) and lo = m.(p).(q) in
-    ( (if lo = inf then None else Some (-(floor_even lo / 2))),
-      if hi = inf then None else Some (floor_even hi / 2) )
+(* ---- pure operations ------------------------------------------------- *)
 
-(* Bounds of x_u - x_v: (lo option, hi option). *)
+(* One copy, one kernel: bottom passes through. *)
+let pure f t =
+  let e = edit t in
+  f e;
+  freeze e
+
+let add_diff t ~u ~v c = pure (fun e -> Edit.add_diff e ~u ~v c) t
+let add_sum_ub t ~u ~v c = pure (fun e -> Edit.add_sum_ub e ~u ~v c) t
+let add_sum_lb t ~u ~v c = pure (fun e -> Edit.add_sum_lb e ~u ~v c) t
+let add_ub t v c = pure (fun e -> Edit.add_ub e v c) t
+let add_lb t v c = pure (fun e -> Edit.add_lb e v c) t
+let forget t v = pure (fun e -> Edit.forget e v) t
+let assign_var_plus t ~dst ~src c = pure (fun e -> Edit.assign_var_plus e ~dst ~src c) t
+let assign_const_minus t ~dst ~src c = pure (fun e -> Edit.assign_const_minus e ~dst ~src c) t
+let assign_interval t v range = pure (fun e -> Edit.assign_interval e v range) t
+
+let var_bounds t v = match t.m with Some m -> var_bounds_in m (2 * t.dim) v | None -> no_bounds
+
 let diff_bounds t ~u ~v =
-  match t.m with
-  | None -> (Some 0, Some (-1))
-  | Some m ->
-    let ub = m.(2 * v).(2 * u) and nlb = m.(2 * u).(2 * v) in
-    ( (if nlb = inf then None else Some (-nlb)),
-      if ub = inf then None else Some ub )
+  match t.m with Some m -> diff_bounds_in m (2 * t.dim) ~u ~v | None -> no_bounds
 
 (* ---- lattice --------------------------------------------------------- *)
 
@@ -269,19 +354,10 @@ let leq a b =
   | None, _ -> true
   | Some _, None -> false
   | Some ma, Some mb ->
-    let n = Array.length ma in
-    let ok = ref true in
-    (try
-       for i = 0 to n - 1 do
-         for j = 0 to n - 1 do
-           if ma.(i).(j) > mb.(i).(j) then begin
-             ok := false;
-             raise Exit
-           end
-         done
-       done
-     with Exit -> ());
-    !ok
+    let len = Array.length ma in
+    let k = ref 0 in
+    while !k < len && ma.(!k) <= mb.(!k) do incr k done;
+    !k = len
 
 let equal a b =
   match (a.m, b.m) with
@@ -296,8 +372,10 @@ let join a b =
   | None, _ -> b
   | _, None -> a
   | Some ma, Some mb ->
-    let n = Array.length ma in
-    let m = Array.init n (fun i -> Array.init n (fun j -> max ma.(i).(j) mb.(i).(j))) in
+    let m = Array.copy ma in
+    for k = 0 to Array.length m - 1 do
+      if mb.(k) > m.(k) then m.(k) <- mb.(k)
+    done;
     { a with m = Some m }
 
 (* Cell-wise meet (no re-closure: precision-only). *)
@@ -306,9 +384,11 @@ let meet a b =
   | None, _ -> a
   | _, None -> b
   | Some ma, Some mb ->
-    let n = Array.length ma in
-    let m = Array.init n (fun i -> Array.init n (fun j -> min ma.(i).(j) mb.(i).(j))) in
-    normalize { a with m = Some m }
+    let m = Array.copy ma in
+    for k = 0 to Array.length m - 1 do
+      if mb.(k) < m.(k) then m.(k) <- mb.(k)
+    done;
+    if consistent m (2 * a.dim) then { a with m = Some m } else { a with m = None }
 
 (* Threshold widening: a cell that grew jumps to the smallest threshold
    that still covers it (infinity when none does); stable cells keep their
@@ -328,23 +408,21 @@ let widen a b =
         if !k < n then thr.(!k) else inf
       end
     in
-    let n = Array.length ma in
-    let m =
-      Array.init n (fun i ->
-          Array.init n (fun j ->
-              let x = ma.(i).(j) and y = mb.(i).(j) in
-              if y <= x then x else jump y))
-    in
+    let m = Array.copy ma in
+    for k = 0 to Array.length m - 1 do
+      let y = mb.(k) in
+      if y > m.(k) then m.(k) <- jump y
+    done;
     { a with m = Some m }
 
 let pp ppf t =
   match t.m with
   | None -> Format.fprintf ppf "bottom"
   | Some m ->
-    let n = Array.length m in
+    let n = 2 * t.dim in
     let printed = ref 0 in
     Format.fprintf ppf "@[<v>";
-    for v = 0 to (n / 2) - 1 do
+    for v = 0 to t.dim - 1 do
       match var_bounds t v with
       | None, None -> ()
       | lo, hi ->
@@ -352,10 +430,10 @@ let pp ppf t =
         Format.fprintf ppf "x%d in [%s,%s]@," v (side lo) (side hi);
         incr printed
     done;
-    for u = 0 to (n / 2) - 1 do
-      for v = 0 to (n / 2) - 1 do
+    for u = 0 to t.dim - 1 do
+      for v = 0 to t.dim - 1 do
         if u <> v then begin
-          let c = m.(2 * v).(2 * u) in
+          let c = m.((2 * v * n) + (2 * u)) in
           if c < inf then begin
             Format.fprintf ppf "x%d - x%d <= %d@," u v c;
             incr printed
@@ -373,27 +451,27 @@ let close t =
   match t.m with
   | None -> t
   | Some m ->
-    let m = copy_matrix m in
-    let n = Array.length m in
+    let m = Array.copy m in
+    let n = 2 * t.dim in
     for k = 0 to n - 1 do
       for i = 0 to n - 1 do
-        let ik = m.(i).(k) in
+        let ik = m.((i * n) + k) in
         if ik < inf then
           for j = 0 to n - 1 do
-            let via = ik +! m.(k).(j) in
-            if via < m.(i).(j) then m.(i).(j) <- via
+            let via = ik +! m.((k * n) + j) in
+            if via < m.((i * n) + j) then m.((i * n) + j) <- via
           done
       done
     done;
     for i = 0 to n - 1 do
-      m.(i).(bar i) <- floor_even m.(i).(bar i)
+      m.((i * n) + bar i) <- floor_even m.((i * n) + bar i)
     done;
     for i = 0 to n - 1 do
-      let ui = floor_even m.(i).(bar i) / 2 in
+      let ui = floor_even m.((i * n) + bar i) / 2 in
       if ui < inf / 4 then
         for j = 0 to n - 1 do
-          let uj = floor_even m.(bar j).(j) / 2 in
-          if uj < inf / 4 && ui + uj < m.(i).(j) then m.(i).(j) <- ui + uj
+          let uj = floor_even m.((bar j * n) + j) / 2 in
+          if uj < inf / 4 && ui + uj < m.((i * n) + j) then m.((i * n) + j) <- ui + uj
         done
     done;
-    normalize { t with m = Some m }
+    if consistent m n then { t with m = Some m } else { t with m = None }

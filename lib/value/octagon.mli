@@ -78,9 +78,43 @@ val meet : t -> t -> t
     result is deliberately not re-closed (termination). *)
 val widen : t -> t -> t
 
+(** {2 In-place editing}
+
+    A transfer function applies many updates to one state. [edit t] takes
+    a private copy of [t]'s matrix, the {!Edit} operations update it in
+    place with exactly the semantics of the pure operations above (which
+    are each one [edit], one {!Edit} operation and one {!freeze}), and
+    [freeze] hands the matrix over as the result. An edit must not be
+    used after it is frozen. *)
+
+type edit
+
+val edit : t -> edit
+val freeze : edit -> t
+
+module Edit : sig
+  (** Once an operation finds the matrix inconsistent the edit is bottom,
+      and every later operation on it is a no-op. *)
+  val is_bot : edit -> bool
+
+  val add_diff : edit -> u:int -> v:int -> int -> unit
+  val add_ub : edit -> int -> int -> unit
+  val add_lb : edit -> int -> int -> unit
+  val forget : edit -> int -> unit
+  val assign_var_plus : edit -> dst:int -> src:int -> int -> unit
+  val var_bounds : edit -> int -> int option * int option
+  val diff_bounds : edit -> u:int -> v:int -> int option * int option
+end
+
 (** Full strong closure (Floyd–Warshall + integer strengthening). Exposed
     for the idempotence property tests; normal operation relies on the
     incremental closure inside the constraint operations. *)
 val close : t -> t
 
 val pp : Format.formatter -> t -> unit
+
+(** A fresh row-per-vertex copy of the matrix ([None] on bottom), cell
+    [(i).(j)] bounding [V_j - V_i] with [max_int] for unconstrained. It
+    exists for the differential test against the reference kernel; the
+    analysis never reads cells directly. *)
+val cells : t -> int array array option

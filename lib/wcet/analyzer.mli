@@ -124,9 +124,11 @@ val engine_name : engine -> string
 
     [domain] selects the value domain ({!Wcet_value.Analysis.domain},
     default [Interval] — bit-identical to the pre-octagon analyzer).
-    [Auto] re-solves under the interval x octagon reduced product only the
-    functions whose interval results left imprecise data accesses or
-    input-dependent/aliased loop-bound causes. The refined result feeds
+    [Auto] re-solves the whole program under the interval x octagon
+    reduced product when some function's interval results left imprecise
+    data accesses or input-dependent/aliased loop-bound causes; those
+    functions choose the tracked slots and widening thresholds, and each
+    product state is met with the interval one. The refined result feeds
     every downstream phase, so escalation can tighten memory-region
     classification, cache access sets and loop bounds — never loosen them.
 

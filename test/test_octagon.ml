@@ -17,6 +17,7 @@ module Sim = Pred32_sim.Simulator
 module Corpus = Wcet_corpus.Corpus
 module Annot = Wcet_annot.Annot
 module Pcg = Wcet_util.Pcg
+module Harness = Wcet_experiments.Harness
 
 (* ---- DBM unit and property tests ------------------------------------ *)
 
@@ -127,6 +128,285 @@ let test_widening_termination () =
     else state := w
   done;
   Alcotest.(check bool) "widening chain stabilizes quickly" true (!steps < 64)
+
+(* ---- the flat sparse kernel against the dense reference -------------- *)
+
+(* The octagon as it was before the DBM went flat: an array-of-arrays
+   matrix, every operation copying it, and an incremental closure that
+   scans every cell with four separate path candidates. Kept as it was,
+   bar its comments and the operations the comparison does not drive, as
+   the oracle for [Octagon]. *)
+module Reference = struct
+  let inf = max_int
+
+  type t = { dim : int; m : int array array option; thr : int array }
+
+  let bar i = i lxor 1
+  let ( +! ) a b = if a = inf || b = inf then inf else a + b
+  let floor_even c = if c = inf then inf else c - (c land 1)
+
+  let top ~thresholds dim =
+    let n = 2 * dim in
+    let m = Array.init n (fun i -> Array.init n (fun j -> if i = j then 0 else inf)) in
+    { dim; m = Some m; thr = thresholds }
+
+  let is_bot t = t.m = None
+  let copy_matrix m = Array.map Array.copy m
+
+  let consistent m =
+    let n = Array.length m in
+    let ok = ref true in
+    for i = 0 to n - 1 do
+      if m.(i).(i) < 0 then ok := false;
+      if m.(i).(bar i) +! m.(bar i).(i) < 0 then ok := false
+    done;
+    !ok
+
+  let normalize t =
+    match t.m with
+    | None -> t
+    | Some m -> if consistent m then t else { t with m = None }
+
+  let close_after_add m a b c =
+    let n = Array.length m in
+    if c < m.(a).(b) then begin
+      let a' = bar a and b' = bar b in
+      let col_a = Array.init n (fun i -> m.(i).(a)) in
+      let col_b' = Array.init n (fun i -> m.(i).(b')) in
+      let row_b = Array.copy m.(b) in
+      let row_a' = Array.copy m.(a') in
+      let w_bb' = row_b.(b') and w_a'a = row_a'.(a) in
+      for i = 0 to n - 1 do
+        let ia = col_a.(i) and ib' = col_b'.(i) in
+        if ia < inf || ib' < inf then
+          for j = 0 to n - 1 do
+            let best = ref m.(i).(j) in
+            let cand v = if v < !best then best := v in
+            cand (ia +! c +! row_b.(j));
+            cand (ib' +! c +! row_a'.(j));
+            cand (ia +! c +! w_bb' +! c +! row_a'.(j));
+            cand (ib' +! c +! w_a'a +! c +! row_b.(j));
+            if !best < m.(i).(j) then m.(i).(j) <- !best
+          done
+      done;
+      for i = 0 to n - 1 do
+        m.(i).(bar i) <- floor_even m.(i).(bar i)
+      done;
+      for i = 0 to n - 1 do
+        let ui = floor_even m.(i).(bar i) / 2 in
+        if ui < inf / 4 then
+          for j = 0 to n - 1 do
+            let uj = floor_even m.(bar j).(j) / 2 in
+            if uj < inf / 4 && ui + uj < m.(i).(j) then m.(i).(j) <- ui + uj
+          done
+      done
+    end
+
+  let with_matrix t f =
+    match t.m with
+    | None -> t
+    | Some m ->
+      let m = copy_matrix m in
+      f m;
+      normalize { t with m = Some m }
+
+  let add_diff t ~u ~v c =
+    if u = v then if c < 0 then { t with m = None } else t
+    else with_matrix t (fun m -> close_after_add m (2 * v) (2 * u) c)
+
+  let add_sum_ub t ~u ~v c =
+    if u = v then
+      with_matrix t (fun m -> close_after_add m ((2 * u) + 1) (2 * u) (floor_even c))
+    else with_matrix t (fun m -> close_after_add m ((2 * v) + 1) (2 * u) c)
+
+  let add_sum_lb t ~u ~v c =
+    if u = v then
+      with_matrix t (fun m -> close_after_add m (2 * u) ((2 * u) + 1) (floor_even c))
+    else with_matrix t (fun m -> close_after_add m (2 * v) ((2 * u) + 1) c)
+
+  let add_ub t v c = add_sum_ub t ~u:v ~v (2 * c)
+  let add_lb t v c = add_sum_lb t ~u:v ~v (-2 * c)
+  let set_interval_constraints t v (lo, hi) = add_lb (add_ub t v hi) v lo
+
+  let forget t v =
+    match t.m with
+    | None -> t
+    | Some m ->
+      let n = Array.length m in
+      let m = copy_matrix m in
+      let p = 2 * v and q = (2 * v) + 1 in
+      for i = 0 to n - 1 do
+        m.(i).(p) <- (if i = p then 0 else inf);
+        m.(i).(q) <- (if i = q then 0 else inf);
+        m.(p).(i) <- (if i = p then 0 else inf);
+        m.(q).(i) <- (if i = q then 0 else inf)
+      done;
+      { t with m = Some m }
+
+  let shift t v c =
+    with_matrix t (fun m ->
+        let n = Array.length m in
+        let p = 2 * v and q = (2 * v) + 1 in
+        for i = 0 to n - 1 do
+          if i <> p && i <> q then begin
+            m.(i).(p) <- m.(i).(p) +! c;
+            m.(p).(i) <- m.(p).(i) +! -c;
+            m.(i).(q) <- m.(i).(q) +! -c;
+            m.(q).(i) <- m.(q).(i) +! c
+          end
+        done;
+        m.(q).(p) <- m.(q).(p) +! (2 * c);
+        m.(p).(q) <- m.(p).(q) +! (-2 * c))
+
+  let negate_shift t v c =
+    let t =
+      with_matrix t (fun m ->
+          let n = Array.length m in
+          let p = 2 * v and q = (2 * v) + 1 in
+          for i = 0 to n - 1 do
+            let tmp = m.(i).(p) in
+            m.(i).(p) <- m.(i).(q);
+            m.(i).(q) <- tmp
+          done;
+          for i = 0 to n - 1 do
+            let tmp = m.(p).(i) in
+            m.(p).(i) <- m.(q).(i);
+            m.(q).(i) <- tmp
+          done)
+    in
+    shift t v c
+
+  let assign_var_plus t ~dst ~src c =
+    if dst = src then shift t dst c
+    else
+      let t = forget t dst in
+      let t = add_diff t ~u:dst ~v:src c in
+      add_diff t ~u:src ~v:dst (-c)
+
+  let assign_const_minus t ~dst ~src c =
+    if dst = src then negate_shift t dst c
+    else
+      let t = forget t dst in
+      let t = add_sum_ub t ~u:dst ~v:src c in
+      add_sum_lb t ~u:dst ~v:src (-c)
+
+  let assign_interval t dst (lo, hi) = set_interval_constraints (forget t dst) dst (lo, hi)
+
+  let join a b =
+    match (a.m, b.m) with
+    | None, _ -> b
+    | _, None -> a
+    | Some ma, Some mb ->
+      let n = Array.length ma in
+      let m = Array.init n (fun i -> Array.init n (fun j -> max ma.(i).(j) mb.(i).(j))) in
+      { a with m = Some m }
+
+  let meet a b =
+    match (a.m, b.m) with
+    | None, _ -> a
+    | _, None -> b
+    | Some ma, Some mb ->
+      let n = Array.length ma in
+      let m = Array.init n (fun i -> Array.init n (fun j -> min ma.(i).(j) mb.(i).(j))) in
+      normalize { a with m = Some m }
+
+  let widen a b =
+    match (a.m, b.m) with
+    | None, _ -> b
+    | _, None -> a
+    | Some ma, Some mb ->
+      let thr = a.thr in
+      let jump c =
+        if c = inf then inf
+        else begin
+          let k = ref 0 and n = Array.length thr in
+          while !k < n && thr.(!k) < c do incr k done;
+          if !k < n then thr.(!k) else inf
+        end
+      in
+      let n = Array.length ma in
+      let m =
+        Array.init n (fun i ->
+            Array.init n (fun j ->
+                let x = ma.(i).(j) and y = mb.(i).(j) in
+                if y <= x then x else jump y))
+      in
+      { a with m = Some m }
+end
+
+(* Random op sequences driven through both kernels side by side, compared
+   cell by cell after every step. Two states per sequence so the binary
+   operations see independent histories; the widenings (with odd
+   thresholds among them) leave unclosed states that later constraints
+   then close incrementally, and contradictory bounds reach bottom. *)
+let test_reference_oracle () =
+  let rng = Pcg.create ~seed:20110318L () in
+  let unclosed = ref 0 and bottoms = ref 0 and steps = ref 0 in
+  for seq = 1 to 320 do
+    let dim = 1 + Pcg.next_int rng 24 in
+    let thresholds =
+      Array.of_list (List.sort_uniq compare (List.init (Pcg.next_int rng 6) (fun _ -> 1 + Pcg.next_int rng 200)))
+    in
+    (* Most constraints fall on a few "live" variables so closure chains form. *)
+    let live = 1 + Pcg.next_int rng (min dim 5) in
+    let var () = if Pcg.next_int rng 4 = 0 then Pcg.next_int rng dim else Pcg.next_int rng live in
+    let const () = Pcg.next_int rng 80 - 20 in
+    let fresh () = (Reference.top ~thresholds dim, Octagon.top ~thresholds dim) in
+    let st = [| fresh (); fresh () |] in
+    for step = 1 to 40 do
+      incr steps;
+      let k = Pcg.next_int rng 2 in
+      let r, o = st.(k) in
+      let r', o' = st.(1 - k) in
+      let next =
+        match Pcg.next_int rng 14 with
+        | 0 ->
+          let u = var () and v = var () and c = const () in
+          (Reference.add_diff r ~u ~v c, Octagon.add_diff o ~u ~v c)
+        | 1 ->
+          let u = var () and v = var () and c = const () in
+          (Reference.add_sum_ub r ~u ~v c, Octagon.add_sum_ub o ~u ~v c)
+        | 2 ->
+          let u = var () and v = var () and c = const () in
+          (Reference.add_sum_lb r ~u ~v c, Octagon.add_sum_lb o ~u ~v c)
+        | 3 ->
+          let v = var () and c = const () in
+          (Reference.add_ub r v c, Octagon.add_ub o v c)
+        | 4 ->
+          let v = var () and c = const () in
+          (Reference.add_lb r v c, Octagon.add_lb o v c)
+        | 5 ->
+          let v = var () in
+          (Reference.forget r v, Octagon.forget o v)
+        | 6 ->
+          let dst = var () and src = var () and c = const () in
+          (Reference.assign_var_plus r ~dst ~src c, Octagon.assign_var_plus o ~dst ~src c)
+        | 7 ->
+          let dst = var () and src = var () and c = const () in
+          (Reference.assign_const_minus r ~dst ~src c, Octagon.assign_const_minus o ~dst ~src c)
+        | 8 | 9 ->
+          let v = var () and lo = const () in
+          let hi = lo + Pcg.next_int rng 40 in
+          (Reference.assign_interval r v (lo, hi), Octagon.assign_interval o v (lo, hi))
+        | 10 -> (Reference.join r r', Octagon.join o o')
+        | 11 -> (Reference.meet r r', Octagon.meet o o')
+        | 12 -> (Reference.widen r r', Octagon.widen o o')
+        | _ ->
+          (* Restart one side now and then so bottom is not absorbing. *)
+          if Reference.is_bot r || Pcg.next_int rng 4 = 0 then fresh () else (r, o)
+      in
+      let r, o = next in
+      if Octagon.cells o <> r.Reference.m || Octagon.is_bot o <> Reference.is_bot r then
+        Alcotest.failf "sequence %d (dim %d), step %d: flat kernel diverges from the reference"
+          seq dim step;
+      if Octagon.is_bot o then incr bottoms
+      else if not (Octagon.equal o (Octagon.close o)) then incr unclosed;
+      st.(k) <- next
+    done
+  done;
+  Alcotest.(check bool) "sequences reach bottom" true (!bottoms > 0);
+  Alcotest.(check bool) "sequences reach unclosed (widened) states" true (!unclosed > 0);
+  Alcotest.(check bool) "every step compared" true (!steps = 320 * 40)
 
 (* ---- escalation soundness on programs ------------------------------- *)
 
@@ -319,6 +599,48 @@ let test_interval_domain_identity () =
           Alcotest.fail (e.Corpus.id ^ ": explicit interval domain failed")))
     Corpus.all
 
+(* The E4 escalation table (conforming scenarios, assisted annotations,
+   [Auto] with the default portfolio) as committed in BENCH_results.json's
+   [value_domain] rows: verdict, bound, escalated functions and product
+   transfers per entry. Any kernel or trigger change that moves a row
+   fails here first. *)
+let test_e4_table_pinned () =
+  let expected =
+    [
+      ("13.4", 2955, 0, 0);
+      ("13.6", 5064, 0, 0);
+      ("14.1", 143, 0, 0);
+      ("14.4", 4435, 0, 0);
+      ("14.5", 3301, 0, 0);
+      ("16.1", 260, 0, 0);
+      ("16.2", 673, 0, 0);
+      ("20.4", 1043, 1, 21);
+      ("20.7", 1762, 1, 50);
+      ("modes", 995, 1, 24);
+      ("message", 1550, 2, 50);
+      ("memory", 1000, 1, 22);
+      ("errors", 7886, 0, 0);
+      ("arith", 33361, 1, 71);
+      ("handlers", 815, 1, 25);
+      ("relational", 7407, 1, 31);
+    ]
+  in
+  let rows = Harness.e4_rows ~domains:1 () in
+  Alcotest.(check (list string)) "E4 entries"
+    (List.map (fun (id, _, _, _) -> id) expected)
+    (List.map (fun (r : Harness.e4_row) -> r.Harness.e4_entry) rows);
+  List.iter2
+    (fun (id, bound, escalated, transfers) (r : Harness.e4_row) ->
+      (match r.Harness.e4_auto with
+      | Harness.Bound b -> Alcotest.(check int) (id ^ ": complete bound") bound b
+      | Harness.Partial (b, _) -> Alcotest.failf "%s: partial %d, expected complete %d" id b bound
+      | Harness.Fails _ -> Alcotest.failf "%s: failed, expected complete %d" id bound);
+      Alcotest.(check int) (id ^ ": escalated functions") escalated r.Harness.e4_escalated;
+      Alcotest.(check int) (id ^ ": octagon transfers") transfers r.Harness.e4_transfers)
+    expected rows;
+  Alcotest.(check int) "total octagon transfers" 294
+    (List.fold_left (fun acc (r : Harness.e4_row) -> acc + r.Harness.e4_transfers) 0 rows)
+
 let () =
   Alcotest.run "octagon"
     [
@@ -329,6 +651,7 @@ let () =
           Alcotest.test_case "bottom propagation" `Quick test_bottom_propagation;
           Alcotest.test_case "random closure soundness" `Quick test_random_closure_soundness;
           Alcotest.test_case "widening termination" `Quick test_widening_termination;
+          Alcotest.test_case "reference oracle" `Quick test_reference_oracle;
         ] );
       ( "escalation",
         [
@@ -338,5 +661,6 @@ let () =
           Alcotest.test_case "escalated bound sound" `Quick test_escalated_bound_sound;
           Alcotest.test_case "paranoid corpus" `Quick test_verify_corpus_auto;
           Alcotest.test_case "interval identity" `Quick test_interval_domain_identity;
+          Alcotest.test_case "E4 table pinned" `Quick test_e4_table_pinned;
         ] );
     ]
