@@ -7,19 +7,17 @@
     (always-miss). Property tests check both guarantees against the
     concrete {!Pred32_hw.Lru_cache} on random traces. *)
 
-module Line_map : Map.S with type key = int
+(** One abstract set per cache set, indexed by
+    {!Pred32_hw.Cache_config.set_of_line}. Each holds its must lines and
+    its may lines as short sequences of (line, age) pairs sorted by line.
+    The must part has at most [assoc] lines. The may part holds the union
+    of both sides after a join, so it can hold more. LRU aging is confined
+    to one set, so an access rewrites only the accessed set and shares
+    every other one physically with its argument. *)
+type t
 
-(** [must]: line -> maximal possible age (present in every concrete state
-    with at most this age). [may]: line -> minimal possible age; absent
-    lines are provably uncached, unless [may_universal] is set (after an
-    unknown access nothing can be proven absent). Read-only, so tests can
-    check the maps against a reference transfer. *)
-type t = private {
-  cfg : Pred32_hw.Cache_config.t;
-  must : int Line_map.t;
-  may : int Line_map.t;
-  may_universal : bool;
-}
+(** The abstract state of one cache set. *)
+type set
 
 val empty : Pred32_hw.Cache_config.t -> t
 
@@ -29,9 +27,10 @@ val empty : Pred32_hw.Cache_config.t -> t
     [t] itself. *)
 val access : t -> int -> t
 
-(** [access_unknown_in_set t] models an access to an unknown line: every set
+(** [access_unknown t] models an access to an unknown line: every set
     may age, and may-contents become unknown (classifications after it can
-    no longer prove always-miss, and all must-ages grow). *)
+    no longer prove always-miss, and all must-ages grow). The may parts are
+    dropped then, so that {!equal} agrees with {!leq} both ways. *)
 val access_unknown : t -> t
 
 val must_contains : t -> int -> bool
@@ -41,5 +40,25 @@ val may_excludes : t -> int -> bool
 
 val join : t -> t -> t
 val leq : t -> t -> bool
+
+(** [equal a b] holds exactly when [leq a b && leq b a]. Physically equal
+    sets are skipped, but the comparison is structural: states read back
+    with [Marshal] share nothing with the states they were written from. *)
 val equal : t -> t -> bool
+
 val pp : Format.formatter -> t -> unit
+
+(** {2 Read-only views for tests} *)
+
+(** [set t i] is the state of cache set [i], to check physical sharing. *)
+val set : t -> int -> set
+
+(** After an unknown access nothing can be proven absent. *)
+val may_universal : t -> bool
+
+(** [(line, maximal age)] of every must line, sorted by line. *)
+val must_bindings : t -> (int * int) list
+
+(** [(line, minimal age)] of every may line, sorted by line; empty once
+    {!may_universal} holds. *)
+val may_bindings : t -> (int * int) list

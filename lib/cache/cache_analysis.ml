@@ -63,13 +63,16 @@ module Cstate = struct
     | None, None -> None
     | Some _, None | None, Some _ -> assert false
 
-  let leq a b =
-    let le x y = match (x, y) with
-      | Some x, Some y -> Acache.leq x y
+  let for_both f a b =
+    let ok x y = match (x, y) with
+      | Some x, Some y -> f x y
       | None, None -> true
       | Some _, None | None, Some _ -> assert false
     in
-    le a.ic b.ic && le a.dc b.dc
+    ok a.ic b.ic && ok a.dc b.dc
+
+  let leq = for_both Acache.leq
+  let equal = for_both Acache.equal
 
   let join a b = { ic = map2 Acache.join a.ic b.ic; dc = map2 Acache.join a.dc b.dc }
   let widen = join
@@ -193,7 +196,7 @@ type scheduled_info = {
   sched_applied : int;
 }
 
-let equal_cstate a b = Cstate.leq a b && Cstate.leq b a
+let equal_cstate = Cstate.equal
 
 let equal_cinput a b =
   match (a, b) with

@@ -72,7 +72,8 @@ type scheduled_info = {
   sched_applied : int;  (** installed from summary rows *)
 }
 
-(** Semantic state equality ([leq] both ways). *)
+(** Semantic state equality: [leq] both ways, decided in one pass by
+    {!Acache.equal}. *)
 val equal_cstate : Cstate.t -> Cstate.t -> bool
 
 (** [run_scheduled ?slice cfg value_result ~region_hints] solves the cache

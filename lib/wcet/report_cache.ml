@@ -50,8 +50,9 @@ module Metrics = Wcet_obs.Metrics
 
 (* Bump when the marshaled payload layout changes (report or slice types)
    or a key component changes meaning (5: the escalation record lost its
-   requested-domain field; 6: backend runs record microseconds). *)
-let format_version = "6"
+   requested-domain field; 6: backend runs record microseconds; 7: cache
+   states are set-indexed). *)
+let format_version = "7"
 
 let m_hits gran =
   Metrics.counter ~labels:[ ("granularity", gran) ] ~name:"cache_store_hits"
