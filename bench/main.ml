@@ -125,20 +125,9 @@ let iso_date = Ledger.iso_date
    ledger so successive bench runs form a time series readable by
    [wcet_tool ledger report] and gated by [wcet_tool ledger diff]. *)
 let ledger_snapshot ~program source =
-  let report = Analyzer.analyze (Minic.Compile.compile source) in
-  {
-    Ledger.program;
-    digest = Digest.to_hex (Digest.string source);
-    commit = Ledger.git_commit ();
-    date = Ledger.iso_date ();
-    verdict =
-      (match report.Analyzer.verdict with
-      | Analyzer.Complete -> "complete"
-      | Analyzer.Partial -> "partial");
-    bound = Some report.Analyzer.wcet;
-    observed = None;
-    metrics = Wcet_core.Attribution.precision_counts report;
-  }
+  Wcet_serve.Handlers.ledger_entry ~program
+    ~digest:(Digest.to_hex (Digest.string source))
+    (Ok (Analyzer.analyze (Minic.Compile.compile source)))
 
 let write_ledger ~path =
   let entries =

@@ -59,18 +59,13 @@ module Store = Wcet_util.Store
 module Server = Wcet_serve.Server
 module Client = Wcet_serve.Client
 module Proto = Wcet_serve.Proto
+module Handlers = Wcet_serve.Handlers
 
 (* [wcet_tool metrics] lists every registered metric. Registration happens
    in the module initializers of the instrumented libraries, which only run
    for modules the executable links; reference the ones no subcommand pulls
    in otherwise. *)
 let () = ignore Softarith.Ldivmod.udivmod
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let print_diag d = Format.eprintf "@[<v>%a@]@." Diag.pp d
 
@@ -217,13 +212,6 @@ let cache_setup ~cache_dir ~no_cache =
   else ignore (Report_cache.set_dir (resolve_cache_dir cache_dir));
   at_exit (fun () -> List.iter print_diag (Report_cache.drain_diags ()))
 
-let load_annot = function
-  | None -> Wcet_annot.Annot.empty
-  | Some path -> (
-    match Wcet_annot.Annot.parse (read_file path) with
-    | Ok a -> a
-    | Error msg -> fail_with (Diag.make Diag.Error Diag.Annot ~code:"E0404" msg))
-
 let annot_arg =
   Arg.(value & opt (some file) None & info [ "annot" ] ~doc:"Annotation file")
 
@@ -260,6 +248,13 @@ let path_backend_arg =
            bound, and cross-check the results as a soundness oracle — disagreement beyond \
            attributable slack is the E0303 fatal)")
 
+(* The one place the CLI passes its --domain, --path-backend and --verify
+   values to the analysis commands (analyze, explain, audit). *)
+let config_term =
+  Term.(
+    const (fun domain path_backend verify -> { Handlers.domain; path_backend; verify })
+    $ domain_arg $ path_backend_arg $ verify_arg)
+
 (* The bound-drift ledger: `analyze --ledger` and `check --ledger` append
    one snapshot per run; `ledger report`/`ledger diff` read the series
    back. A ledger write failure is a W0802 warning, never a run failure. *)
@@ -270,25 +265,12 @@ let ledger_arg =
     & info [ "ledger" ] ~docv:"FILE"
         ~doc:"Append a bound-drift snapshot for this run to FILE (NDJSON, append-only)")
 
-let verdict_name = function
-  | Analyzer.Complete -> "complete"
-  | Analyzer.Partial -> "partial"
-
-let ledger_append_report ~ledger ~source (report : Analyzer.report) =
+let ledger_append ~ledger ~source report =
   match ledger with
   | None -> ()
   | Some path -> (
     let entry =
-      {
-        Ledger.program = source;
-        digest = (try Digest.to_hex (Digest.file source) with _ -> "");
-        commit = Ledger.git_commit ();
-        date = Ledger.iso_date ();
-        verdict = verdict_name report.Analyzer.verdict;
-        bound = Some report.Analyzer.wcet;
-        observed = None;
-        metrics = Attribution.precision_counts report;
-      }
+      Handlers.ledger_entry ~program:source ~digest:(Handlers.file_digest source) (Ok report)
     in
     match Ledger.append ~path [ entry ] with
     | Ok () -> ()
@@ -297,20 +279,45 @@ let ledger_append_report ~ledger ~source (report : Analyzer.report) =
         (Diag.makef Diag.Warning Diag.Obs ~code:"W0802" "bound ledger %s not written: %s" path
            msg))
 
+(* With --profile or --trace, the one-shot report JSON also carries the
+   run's metric snapshot and span trace. The daemon never embeds them: its
+   [metrics] method serves the registry. *)
+let with_obs_fields = function
+  | Json.Obj fields when Wcet_obs.Obs.on () ->
+    Json.Obj (fields @ [ ("metrics", Metrics.to_json ()); ("trace", Trace.to_json ()) ])
+  | json -> json
+
+let print_failure format ds =
+  match format with
+  | Json_format -> print_endline (Json.to_string (Analyzer.failure_to_json ds))
+  | Text -> Format.eprintf "@[<v>%a@]@." Diag.pp_list ds
+
+(* --dot FILE, where "-" is stdout. *)
+let write_dot dot emit =
+  match dot with
+  | None -> ()
+  | Some "-" -> emit Format.std_formatter
+  | Some path ->
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        let ppf = Format.formatter_of_out_channel oc in
+        emit ppf;
+        Format.pp_print_flush ppf ())
+
 let analyze_cmd =
   let verbose_arg = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the full report") in
-  let run source annot_file hw soft_div verbose format profile trace cache_dir no_cache domain
-      path_backend verify ledger =
+  let run source annot hw soft_div verbose format profile trace cache_dir no_cache config ledger =
     handle_errors (fun () ->
         obs_setup ~profile ~trace;
         cache_setup ~cache_dir ~no_cache;
-        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
-        let annot = load_annot annot_file in
-        match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
-        | report -> (
-          ledger_append_report ~ledger ~source report;
+        match Handlers.analyze { Handlers.source; annot; hw; soft_div; config } with
+        | Ok report -> (
+          ledger_append ~ledger ~source report;
           (match format with
-          | Json_format -> print_endline (Json.to_string (Analyzer.report_to_json report))
+          | Json_format ->
+            print_endline (Json.to_string (with_obs_fields (Analyzer.report_to_json report)))
           | Text ->
             if verbose then Format.printf "%a@." Analyzer.pp_report report
             else begin
@@ -329,18 +336,15 @@ let analyze_cmd =
           match report.Analyzer.verdict with
           | Analyzer.Complete -> ()
           | Analyzer.Partial -> exit Diag.Exit.partial)
-        | exception Analyzer.Analysis_failed ds ->
-          (match format with
-          | Json_format -> print_endline (Json.to_string (Analyzer.failure_to_json ds))
-          | Text -> Format.eprintf "@[<v>%a@]@." Diag.pp_list ds);
+        | Error ds ->
+          print_failure format ds;
           obs_finish ~profile ~trace;
           exit Diag.Exit.analysis)
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Compute a WCET bound for a MiniC program")
     Term.(
       const run $ source_arg $ annot_arg $ hw_arg $ soft_div_arg $ verbose_arg $ format_arg
-      $ profile_flag $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
-      $ path_backend_arg $ verify_arg $ ledger_arg)
+      $ profile_flag $ trace_arg $ cache_dir_arg $ no_cache_arg $ config_term $ ledger_arg)
 
 let poke_conv =
   let parse s =
@@ -360,7 +364,7 @@ let simulate_cmd =
   in
   let run source hw soft_div pokes =
     handle_errors (fun () ->
-        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
+        let program = Handlers.compile_file ~soft_div source in
         let sim = Pred32_sim.Simulator.create hw program in
         List.iter
           (fun (sym, v) ->
@@ -379,13 +383,12 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Run a MiniC program in the cycle-level simulator")
     Term.(const run $ source_arg $ hw_arg $ soft_div_arg $ pokes_arg)
 
-let user_violations source =
-  Misra.Checker.check_user (Minic.Compile.frontend_with_runtime (read_file source))
-
 let misra_cmd =
   let run source format =
     handle_errors (fun () ->
-        let violations = user_violations source in
+        let violations =
+          Misra.Checker.check_user (Minic.Compile.frontend_with_runtime (Handlers.read_file source))
+        in
         (match format with
         | Json_format ->
           print_endline
@@ -440,25 +443,11 @@ let audit_cmd =
           ~doc:"With $(b,--corpus): selects each scenario's nominal coverage input set \
                 (deterministic)")
   in
-  let emit_dot dot report audit =
-    match dot with
-    | None -> ()
-    | Some "-" -> Misra.Audit.emit_dot Format.std_formatter report audit
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let ppf = Format.formatter_of_out_channel oc in
-          Misra.Audit.emit_dot ppf report audit;
-          Format.pp_print_flush ppf ())
-  in
-  let run source annot_file hw soft_div format dot corpus grades seed cache_dir no_cache domain
-      path_backend verify =
+  let run source annot hw soft_div format dot corpus grades seed cache_dir no_cache config =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
         if corpus then begin
-          let rows = Wcet_experiments.Audit_corpus.run ~domain ~path_backend ~verify ~seed () in
+          let rows = Wcet_experiments.Audit_corpus.run ~config ~seed () in
           (if grades then
              List.iter print_endline (Wcet_experiments.Audit_corpus.grades_lines rows)
            else
@@ -474,28 +463,10 @@ let audit_cmd =
               (Diag.make Diag.Error Diag.Frontend ~code:"E0101"
                  "audit needs a PROGRAM.mc argument (or --corpus)")
           | Some source ->
-            let program = Wcet_serve.Handlers.compile_file ~soft_div source in
-            let annot = load_annot annot_file in
-            let misra =
-              if Filename.check_suffix source ".s" then [] else user_violations source
-            in
-            (* Nominal coverage: one zero-input simulator run (inputs left at
-               their initial memory image), feeding the A0510 detector. *)
-            let coverage =
-              let sim = Pred32_sim.Simulator.create hw program in
-              match Pred32_sim.Simulator.run sim with
-              | Pred32_sim.Simulator.Halted _ ->
-                Some (fun addr -> Pred32_sim.Simulator.exec_count sim addr)
-              | Pred32_sim.Simulator.Faulted _ | Pred32_sim.Simulator.Out_of_fuel _ -> None
-            in
-            let audit =
-              match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
-              | report ->
-                let audit = Misra.Audit.of_report ~misra ~annot ?coverage report in
-                emit_dot dot report audit;
-                audit
-              | exception Analyzer.Analysis_failed ds -> Misra.Audit.of_failure ds
-            in
+            let outcome, audit = Handlers.audit { Handlers.source; annot; hw; soft_div; config } in
+            (match outcome with
+            | Ok report -> write_dot dot (fun ppf -> Misra.Audit.emit_dot ppf report audit)
+            | Error _ -> ());
             (match format with
             | Json_format -> print_endline (Json.to_string (Misra.Audit.to_json audit))
             | Text -> Format.printf "%a@?" Misra.Audit.pp audit);
@@ -508,13 +479,12 @@ let audit_cmd =
           its predictability")
     Term.(
       const run $ source_opt_arg $ annot_arg $ hw_arg $ soft_div_arg $ format_arg $ dot_arg
-      $ corpus_arg $ grades_arg $ seed_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
-      $ path_backend_arg $ verify_arg)
+      $ corpus_arg $ grades_arg $ seed_arg $ cache_dir_arg $ no_cache_arg $ config_term)
 
 let disasm_cmd =
   let run source soft_div =
     handle_errors (fun () ->
-        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
+        let program = Handlers.compile_file ~soft_div source in
         List.iter
           (fun f ->
             Format.printf "%a@.@."
@@ -528,7 +498,7 @@ let disasm_cmd =
 let cfg_cmd =
   let run source soft_div =
     handle_errors (fun () ->
-        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
+        let program = Handlers.compile_file ~soft_div source in
         let graph = Wcet_value.Resolve_iter.build_graceful program in
         let loops = Wcet_cfg.Loops.analyze graph in
         Wcet_cfg.Dot.emit ~loops Format.std_formatter graph)
@@ -544,9 +514,16 @@ let suggest_cmd =
   let run source hw soft_div cache_dir no_cache =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
-        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
-        match Analyzer.analyze ~hw program with
-        | report -> (
+        (* suggest takes no analysis flags: it runs the library defaults. *)
+        let config =
+          {
+            Handlers.domain = Wcet_value.Analysis.Interval;
+            path_backend = Wcet_path.Path_analysis.Portfolio;
+            verify = false;
+          }
+        in
+        match Handlers.analyze { Handlers.source; annot = None; hw; soft_div; config } with
+        | Ok report -> (
           match report.Analyzer.verdict with
           | Analyzer.Complete ->
             Format.printf
@@ -562,7 +539,7 @@ let suggest_cmd =
                 | Some hint -> Format.printf "%s   # [%s] %s@." hint d.Diag.code d.Diag.message
                 | None -> ())
               report.Analyzer.diagnostics)
-        | exception Analyzer.Analysis_failed ds ->
+        | Error ds ->
           Format.printf "# analysis failed; diagnostics and templates:@.";
           List.iter
             (fun d ->
@@ -604,14 +581,11 @@ let explain_cmd =
       & info [ "poke" ]
           ~doc:"With $(b,--attribute): set a global before the observed simulation run")
   in
-  let run source annot_file hw soft_div top dot format attribute pokes cache_dir no_cache domain
-      path_backend verify =
+  let run source annot hw soft_div top dot format attribute pokes cache_dir no_cache config =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
-        let program = Wcet_serve.Handlers.compile_file ~soft_div source in
-        let annot = load_annot annot_file in
-        match Analyzer.analyze ~hw ~annot ~domain ~path_backend ~verify program with
-        | report when attribute -> (
+        match Handlers.analyze { Handlers.source; annot; hw; soft_div; config } with
+        | Ok report when attribute -> (
           match
             Attribution.of_report ~pokes:(List.map (fun (sym, v) -> (sym, 0, v)) pokes) report
           with
@@ -620,26 +594,14 @@ let explain_cmd =
             | Json_format -> print_endline (Json.to_string (Attribution.to_json a))
             | Text -> Format.printf "%a@." (Attribution.pp ~top) a)
           | Error d -> fail_with d)
-        | report ->
+        | Ok report ->
           let ex = Explain.of_report report in
           (match format with
           | Json_format -> print_endline (Json.to_string (Explain.to_json ex))
           | Text -> Format.printf "%a@." (Explain.pp ~top) ex);
-          (match dot with
-          | None -> ()
-          | Some "-" -> Explain.emit_dot Format.std_formatter report ex
-          | Some path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                let ppf = Format.formatter_of_out_channel oc in
-                Explain.emit_dot ppf report ex;
-                Format.pp_print_flush ppf ()))
-        | exception Analyzer.Analysis_failed ds ->
-          (match format with
-          | Json_format -> print_endline (Json.to_string (Analyzer.failure_to_json ds))
-          | Text -> Format.eprintf "@[<v>%a@]@." Diag.pp_list ds);
+          write_dot dot (fun ppf -> Explain.emit_dot ppf report ex)
+        | Error ds ->
+          print_failure format ds;
           exit Diag.Exit.analysis)
   in
   Cmd.v
@@ -650,8 +612,7 @@ let explain_cmd =
           into typed pessimism sources")
     Term.(
       const run $ source_arg $ annot_arg $ hw_arg $ soft_div_arg $ top_arg $ dot_arg $ format_arg
-      $ attribute_flag $ pokes_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
-      $ path_backend_arg $ verify_arg)
+      $ attribute_flag $ pokes_arg $ cache_dir_arg $ no_cache_arg $ config_term)
 
 let check_cmd =
   let seed_arg =
@@ -991,22 +952,10 @@ let cache_cmd =
     let run cache_dir format =
       handle_errors (fun () ->
           let s = open_cache_store cache_dir in
-          let st = Store.stats s in
           match format with
-          | Json_format ->
-            print_endline
-              (Json.to_string
-                 (Json.Obj
-                    [
-                      ("root", Json.String (Store.root s));
-                      ("version", Json.String (Report_cache.version ()));
-                      ("entries", Json.Int st.Store.entries);
-                      ("bytes", Json.Int st.Store.bytes);
-                      ( "by_kind",
-                        Json.Obj
-                          (List.map (fun (k, n) -> (k, Json.Int n)) st.Store.by_kind) );
-                    ]))
+          | Json_format -> print_endline (Json.to_string (Json.Obj (Handlers.store_stats_fields s)))
           | Text ->
+            let st = Store.stats s in
             Format.printf "cache %s: %d entr%s, %d bytes@." (Store.root s) st.Store.entries
               (if st.Store.entries = 1 then "y" else "ies")
               st.Store.bytes;

@@ -1,7 +1,7 @@
 module Corpus = Wcet_corpus.Corpus
 module Compile = Minic.Compile
 module Sim = Pred32_sim.Simulator
-module Analyzer = Wcet_core.Analyzer
+module Handlers = Wcet_serve.Handlers
 module Annot = Wcet_annot.Annot
 module Audit = Misra.Audit
 module Json = Wcet_diag.Json
@@ -33,25 +33,19 @@ let coverage_of ~seed (s : Corpus.scenario) program =
     | Sim.Halted _ -> Some (fun addr -> Sim.exec_count sim addr)
     | Sim.Faulted _ | Sim.Out_of_fuel _ -> None)
 
-(* [analyze] is [Analyzer.analyze] under the run's configuration. *)
-let audit_once ~analyze ~(s : Corpus.scenario) ~misra ~annot ?coverage program =
-  match analyze ~hw:s.Corpus.hw ~annot program with
-  | report -> Audit.of_report ~misra ~annot ?coverage report
-  | exception Analyzer.Analysis_failed ds -> Audit.of_failure ds
-
-let audit_scenario ~analyze ~seed ~id ~variant (s : Corpus.scenario) =
+let audit_scenario ~config ~seed ~id ~variant (s : Corpus.scenario) =
   let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
   let misra =
     Misra.Checker.check_user
       (Compile.frontend_with_runtime ~options:s.Corpus.options s.Corpus.source)
   in
   let coverage = coverage_of ~seed s program in
-  let automatic = audit_once ~analyze ~s ~misra ~annot:Annot.empty ?coverage program in
-  let annot = s.Corpus.annotations program in
-  let assisted =
-    if annot = Annot.empty then automatic
-    else audit_once ~analyze ~s ~misra ~annot ?coverage program
+  let audit annot =
+    snd (Handlers.audit_program config ~hw:s.Corpus.hw ~annot ~misra ?coverage program)
   in
+  let automatic = audit Annot.empty in
+  let annot = s.Corpus.annotations program in
+  let assisted = if annot = Annot.empty then automatic else audit annot in
   let count tier =
     List.length
       (List.filter (fun (f : Audit.finding) -> f.Audit.tier = tier) automatic.Audit.findings)
@@ -68,15 +62,12 @@ let audit_scenario ~analyze ~seed ~id ~variant (s : Corpus.scenario) =
         (List.map (fun (f : Audit.finding) -> f.Audit.code) automatic.Audit.findings);
   }
 
-let audit_entry ~analyze ~seed (e : Corpus.entry) =
-  let audit = audit_scenario ~analyze ~seed ~id:e.Corpus.id in
+let audit_entry ~config ~seed (e : Corpus.entry) =
+  let audit = audit_scenario ~config ~seed ~id:e.Corpus.id in
   (audit ~variant:"conforming" e.Corpus.conforming, audit ~variant:"violating" e.Corpus.violating)
 
-let run ?domains ?domain ?path_backend ?verify ?(seed = 20110318L) () =
-  let analyze ~hw ~annot program =
-    Analyzer.analyze ~hw ~annot ?domain ?path_backend ?verify program
-  in
-  Wcet_util.Parallel.map_list ?domains (audit_entry ~analyze ~seed) Corpus.all
+let run ?domains ~config ?(seed = 20110318L) () =
+  Wcet_util.Parallel.map_list ?domains (audit_entry ~config ~seed) Corpus.all
   |> List.concat_map (fun (a, b) -> [ a; b ])
 
 let grades_lines rows =

@@ -20,26 +20,15 @@ type row = {
   codes : string list;  (** distinct finding codes of the automatic audit, sorted *)
 }
 
-(** [run ?domains ?domain ?path_backend ?verify ?seed ()] audits the whole
-    corpus across the {!Wcet_util.Parallel} domain pool; rows come back in
-    corpus order, so the output is identical for every domain count.
-    [domain] (default [Interval]) is the value-analysis abstract domain
-    both audits run under — [Auto] lets the octagon escalation discharge
-    findings, which shows up as [discharged-by: octagon] codes and better
-    grades.
-    [path_backend] (default [Portfolio]) is the path-analysis backend.
-    [verify] (default [false]) runs every analysis under
-    {!Wcet_core.Analyzer.analyze}'s reference cross-checks. [seed]
+(** [run ?domains ~config ?seed ()] audits the whole corpus across the
+    {!Wcet_util.Parallel} domain pool; rows come back in corpus order, so
+    the output is identical for every domain count. Both audits of a
+    scenario run under [config] (see {!Wcet_serve.Handlers.config}): an
+    [Auto] domain lets the octagon escalation discharge findings, which
+    shows up as [discharged-by: octagon] codes and better grades. [seed]
     (default the paper date, [20110318]) deterministically selects which
     declared input set drives each scenario's nominal coverage run. *)
-val run :
-  ?domains:int ->
-  ?domain:Wcet_value.Analysis.domain ->
-  ?path_backend:Wcet_path.Path_analysis.choice ->
-  ?verify:bool ->
-  ?seed:int64 ->
-  unit ->
-  row list
+val run : ?domains:int -> config:Wcet_serve.Handlers.config -> ?seed:int64 -> unit -> row list
 
 (** One stable line per row, [id variant automatic=g assisted=g] — the
     golden-file format CI diffs ([test/audit_grades.golden]). *)

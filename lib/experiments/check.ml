@@ -6,6 +6,7 @@ module Attribution = Wcet_core.Attribution
 module Annot = Wcet_annot.Annot
 module Diag = Wcet_diag.Diag
 module Ledger = Wcet_obs.Ledger
+module Handlers = Wcet_serve.Handlers
 module Pcg = Wcet_util.Pcg
 
 type stats = {
@@ -52,22 +53,6 @@ let random_input_sets rng ~count (annot : Annot.t) inputs =
           keys)
 
 let sim_fuel = 2_000_000
-
-(* One ledger snapshot per analyzed scenario; [observed] is the worst
-   halting cycle count seen across this run's input sets (None when nothing
-   halted). The digest covers the scenario source text, so drift between
-   tool versions is attributed to the tool, not the program. *)
-let ledger_entry ~id ~variant (s : Corpus.scenario) ~verdict ~bound ~observed =
-  {
-    Ledger.program = id ^ "/" ^ variant;
-    digest = Digest.to_hex (Digest.string s.Corpus.source);
-    commit = Ledger.git_commit ();
-    date = Ledger.iso_date ();
-    verdict;
-    bound;
-    observed;
-    metrics = [];
-  }
 
 (* The exact-sum acceptance property, re-asserted on every complete
    scenario: [Attribution.of_report] internally verifies that the
@@ -126,24 +111,34 @@ let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
     (s : Corpus.scenario) acc =
   let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
   let annot = s.Corpus.annotations program in
-  match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain ~verify program with
-  | exception Analyzer.Analysis_failed ds ->
+  let outcome =
+    Handlers.run
+      { Handlers.domain; path_backend = Wcet_path.Path_analysis.Portfolio; verify }
+      ~hw:s.Corpus.hw ~annot program
+  in
+  (* One ledger snapshot per analyzed scenario; [observed] is the worst
+     halting cycle count seen across this run's input sets (None when
+     nothing halted). The digest covers the scenario source text, so drift
+     between tool versions is attributed to the tool, not the program. *)
+  let ledger_entry ?observed () =
+    Handlers.ledger_entry ~program:(id ^ "/" ^ variant)
+      ~digest:(Digest.to_hex (Digest.string s.Corpus.source))
+      ?observed outcome
+  in
+  match outcome with
+  | Error ds ->
     let d =
       Diag.make Diag.Error Diag.Check ~code:"E0701"
         (Printf.sprintf "%s/%s: analysis failed during check (%s)" id variant
            (match ds with d :: _ -> d.Diag.code | [] -> "?"))
     in
-    record (ledger_entry ~id ~variant s ~verdict:"failed" ~bound:None ~observed:None);
+    record (ledger_entry ());
     { acc with scenarios = acc.scenarios + 1; failed = acc.failed + 1;
       diagnostics = d :: acc.diagnostics }
-  | report -> (
-    let precision = Attribution.precision_counts report in
+  | Ok report -> (
     match report.Analyzer.verdict with
     | Analyzer.Partial ->
-      record
-        { (ledger_entry ~id ~variant s ~verdict:"partial"
-             ~bound:(Some report.Analyzer.wcet) ~observed:None)
-          with Ledger.metrics = precision };
+      record (ledger_entry ());
       { acc with scenarios = acc.scenarios + 1; partial = acc.partial + 1 }
     | Analyzer.Complete ->
       let bound = report.Analyzer.wcet in
@@ -198,12 +193,11 @@ let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
             in
             acc := { !acc with diagnostics = d :: !acc.diagnostics })
         input_sets;
+      let entry = ledger_entry ?observed:!worst_observed () in
       record
-        { (ledger_entry ~id ~variant s ~verdict:"complete" ~bound:(Some bound)
-             ~observed:!worst_observed)
-          with
-          Ledger.metrics =
-            (precision @ if verify then backend_metrics report else [])
+        {
+          entry with
+          Ledger.metrics = (entry.Ledger.metrics @ if verify then backend_metrics report else []);
         };
       let acc = check_attribution ~id ~variant s report !acc in
       if verify then check_portfolio ~domain ~id ~variant s ~annot program report acc

@@ -311,12 +311,6 @@ let rejection_histogram c =
 module Store = Wcet_util.Store
 module Report_cache = Wcet_core.Report_cache
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_whole_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
@@ -340,7 +334,7 @@ let list_wcache_files root =
 (* On-disk envelope mutations: the store must degrade every one of these to
    Miss/Corrupt on read, never raise. *)
 let corrupt_file rng path kind =
-  match read_whole_file path with
+  match Wcet_serve.Handlers.read_file path with
   | exception Sys_error _ -> ()
   | s ->
     let n = String.length s in

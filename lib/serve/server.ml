@@ -413,25 +413,12 @@ let conn_loop t conn =
    long-running daemon accumulates the same drift history `wcet_tool ledger`
    reads. Append failures are swallowed: telemetry must never take down the
    scanner. *)
-let ledger_record t path (report : Wcet_core.Analyzer.report) =
+let ledger_record t path report =
   match t.cfg.ledger with
   | None -> ()
   | Some ledger_path ->
-    let digest = try Digest.to_hex (Digest.file path) with _ -> "" in
     let entry =
-      {
-        Ledger.program = path;
-        digest;
-        commit = Ledger.git_commit ();
-        date = Ledger.iso_date ();
-        verdict =
-          (match report.Wcet_core.Analyzer.verdict with
-          | Wcet_core.Analyzer.Complete -> "complete"
-          | Wcet_core.Analyzer.Partial -> "partial");
-        bound = Some report.Wcet_core.Analyzer.wcet;
-        observed = None;
-        metrics = Wcet_core.Attribution.precision_counts report;
-      }
+      Handlers.ledger_entry ~program:path ~digest:(Handlers.file_digest path) (Ok report)
     in
     ignore (Ledger.append ~path:ledger_path [ entry ])
 

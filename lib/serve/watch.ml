@@ -45,14 +45,12 @@ let function_digests (program : Program.t) =
       (f.Program.name, Digest.to_hex (Digest.string (Buffer.contents buf))))
     program.Program.functions
 
-let verdict_name = function Analyzer.Complete -> "complete" | Analyzer.Partial -> "partial"
-
 let finding_key (d : Diag.t) = (d.Diag.code, match d.Diag.loc.Diag.func with Some f -> f | None -> "")
 
 let baseline_of (report : Analyzer.report) =
   {
     wcet = report.Analyzer.wcet;
-    verdict = verdict_name report.Analyzer.verdict;
+    verdict = Analyzer.verdict_name report.Analyzer.verdict;
     func_digests = function_digests report.Analyzer.program;
     findings = List.map finding_key report.Analyzer.diagnostics;
   }

@@ -62,6 +62,8 @@ let phase_name = function
 
 type confidence = Complete | Partial
 
+let verdict_name = function Complete -> "complete" | Partial -> "partial"
+
 type hole =
   | Hole_call of { site : int; func : string }
   | Hole_jump of { site : int; func : string }
@@ -888,13 +890,8 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
       Trace.add_attr "nodes" (Trace.Int (Array.length r.graph.Supergraph.nodes));
       Trace.add_attr "loops" (Trace.Int (Array.length r.loops.Loops.loops));
       Trace.add_attr "wcet" (Trace.Int r.wcet);
-      (match r.verdict with
-      | Complete ->
-        Trace.add_attr "verdict" (Trace.Str "complete");
-        Metrics.incr m_runs_complete 1
-      | Partial ->
-        Trace.add_attr "verdict" (Trace.Str "partial");
-        Metrics.incr m_runs_partial 1);
+      Trace.add_attr "verdict" (Trace.Str (verdict_name r.verdict));
+      Metrics.incr (match r.verdict with Complete -> m_runs_complete | Partial -> m_runs_partial) 1;
       r)
 
 let analyze_modes ?hw ?domain ?path_backend ?verify ~base ~modes program =
@@ -986,19 +983,11 @@ let hole_to_json = function
 
 let report_to_json r =
   let open Wcet_diag.Json in
-  (* When the observability layer is live, the machine-readable report also
-     carries the metric snapshot and the span trace — same Json renderer as
-     everything else, no second printer. *)
-  let obs_fields =
-    if Wcet_obs.Obs.on () then
-      [ ("metrics", Metrics.to_json ()); ("trace", Trace.to_json ()) ]
-    else []
-  in
   Obj
-    ([
+    [
       ("wcet", Int r.wcet);
       ("bcet", Int r.bcet);
-      ("verdict", String (match r.verdict with Complete -> "complete" | Partial -> "partial"));
+      ("verdict", String (verdict_name r.verdict));
       ("nodes", Int (Array.length r.graph.Supergraph.nodes));
       ("contexts", Int (Array.length r.graph.Supergraph.contexts));
       ("holes", List (List.map hole_to_json r.holes));
@@ -1076,7 +1065,6 @@ let report_to_json r =
                Obj [ ("name", String (phase_name phase)); ("seconds", Float dt) ])
              r.phase_seconds) );
     ]
-    @ obs_fields)
 
 let failure_to_json ds =
   let open Wcet_diag.Json in

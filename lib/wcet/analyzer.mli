@@ -186,8 +186,13 @@ val phase_name : phase -> string
 val pp_hole : Format.formatter -> hole -> unit
 val pp_report : Format.formatter -> report -> unit
 
+(** ["complete"] or ["partial"]: the verdict as the report JSON, the
+    ledger and watch-mode events name it. *)
+val verdict_name : confidence -> string
+
 (** Machine-readable report: wcet, bcet, verdict, holes, diagnostics,
-    per-loop effective bounds, per-phase times. *)
+    per-loop effective bounds, per-phase times. A function of the report
+    alone: the one-shot CLI appends the run's metrics and trace itself. *)
 val report_to_json : report -> Wcet_diag.Json.t
 
 (** JSON object for a failed analysis ([Analysis_failed] payload):

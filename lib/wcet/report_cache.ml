@@ -88,33 +88,6 @@ let salt_ref : string Atomic.t = Atomic.make ""
 let version () = format_version ^ Atomic.get salt_ref
 let set_version_salt s = Atomic.set salt_ref s
 
-type session = {
-  program_hits : int;
-  program_misses : int;
-  function_hits : int;
-  function_misses : int;
-  evictions : int;
-}
-
-let s_program_hits = Atomic.make 0
-let s_program_misses = Atomic.make 0
-let s_function_hits = Atomic.make 0
-let s_function_misses = Atomic.make 0
-let s_evictions = Atomic.make 0
-
-let session_stats () =
-  {
-    program_hits = Atomic.get s_program_hits;
-    program_misses = Atomic.get s_program_misses;
-    function_hits = Atomic.get s_function_hits;
-    function_misses = Atomic.get s_function_misses;
-    evictions = Atomic.get s_evictions;
-  }
-
-let reset_session () =
-  List.iter (fun a -> Atomic.set a 0)
-    [ s_program_hits; s_program_misses; s_function_hits; s_function_misses; s_evictions ]
-
 (* Store-layer warnings accumulate here (the analyzer's collector is not in
    scope at lookup time, and appending them to a cached report would break
    bit-identity); the CLI drains and prints them after the run. *)
@@ -328,7 +301,6 @@ let may_read_text (program : Program.t) (value : Analysis.result) nodes_of_func 
 
 let evict store key ~code ~why =
   ignore (Store.remove store ~key);
-  Atomic.incr s_evictions;
   Metrics.incr m_evictions 1;
   add_diag
     (Diag.makef Diag.Warning Diag.Store ~code "%s; entry evicted and the result recomputed" why)
@@ -373,11 +345,9 @@ let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
     let key = report_key ~hw ~annot ~strategy ~engine ~domain ~path program in
     match read_entry store ~key ~kind:"report" with
     | Some payload ->
-      Atomic.incr s_program_hits;
       Metrics.incr m_hits_program 1;
       Some payload
     | None ->
-      Atomic.incr s_program_misses;
       Metrics.incr m_misses_program 1;
       None)
 
@@ -399,8 +369,6 @@ let invalidate_report ~hw ~annot ~strategy ~engine ~domain ~path program =
     evict store
       (report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
       ~code:"W0610" ~why:"cached report failed to deserialize");
-  Atomic.decr s_program_hits;
-  Atomic.incr s_program_misses;
   Metrics.decr m_hits_program 1;
   Metrics.incr m_misses_program 1
 
@@ -456,13 +424,11 @@ let load_slices ~hw ~annot ~assumes (graph : Supergraph.t) =
         let key = function_key ~hw ~annot ~assumes ~rom_data ~has_indirect program fname in
         match read_entry store ~key ~kind:"func" with
         | None ->
-          Atomic.incr s_function_misses;
           Metrics.incr m_misses_function 1
         | Some payload -> (
           match (Marshal.from_string payload 0 : string * slice_row list) with
           | exception _ ->
             evict store key ~code:"W0610" ~why:"cached function slice failed to deserialize";
-            Atomic.incr s_function_misses;
             Metrics.incr m_misses_function 1
           | (dom, _) when dom <> "interval" ->
             (* Slices are interval-domain facts: an entry tagged with any
@@ -470,7 +436,6 @@ let load_slices ~hw ~annot ~assumes (graph : Supergraph.t) =
                baseline run, so it is evicted and recomputed. *)
             evict store key ~code:"W0613"
               ~why:(Printf.sprintf "cached slice was recorded under the %s value domain" dom);
-            Atomic.incr s_function_misses;
             Metrics.incr m_misses_function 1
           | (_, rows) ->
             List.iter
@@ -479,7 +444,6 @@ let load_slices ~hw ~annot ~assumes (graph : Supergraph.t) =
                 | None -> ()  (* context no longer exists; harmless *)
                 | Some nid -> srows.(nid) <- Some row)
               rows;
-            Atomic.incr s_function_hits;
             Metrics.incr m_hits_function 1;
             hits := fname :: !hits))
       (cached_function_names graph);

@@ -37,19 +37,6 @@ val version : unit -> string
 
 val set_version_salt : string -> unit
 
-(** {1 Session accounting} *)
-
-type session = {
-  program_hits : int;
-  program_misses : int;
-  function_hits : int;
-  function_misses : int;
-  evictions : int;
-}
-
-val session_stats : unit -> session
-val reset_session : unit -> unit
-
 (** Store-layer warnings (W0610/W0611/W0612) queued since the last drain.
     They are kept out of cached reports to preserve bit-identity; the CLI
     prints them on stderr after the run. *)

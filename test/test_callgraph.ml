@@ -124,11 +124,9 @@ let with_cache f =
     ~finally:(fun () ->
       Report_cache.disable ();
       ignore (Report_cache.drain_diags ());
-      Report_cache.reset_session ();
       rm_rf dir)
     (fun () ->
       if not (Report_cache.set_dir dir) then Alcotest.fail "set_dir refused a fresh temp dir";
-      Report_cache.reset_session ();
       f dir)
 
 let test_diamond_writes_one_slice_per_function () =

@@ -222,7 +222,6 @@ let pinned_names =
     "ldivmod_iterations";
     "path_disagreements";
     "path_mc_intractable";
-    "path_portfolio_wins{backend=csolve}";
     "path_portfolio_wins{backend=ipet}";
     "path_portfolio_wins{backend=mc}";
     "path_solve_us{backend=csolve}";
@@ -330,7 +329,14 @@ let test_analysis_populates_metrics () =
 let test_audit_corpus_path_backend () =
   with_obs (fun () ->
       ignore
-        (Wcet_experiments.Audit_corpus.run ~path_backend:Wcet_path.Path_analysis.Ipet ());
+        (Wcet_experiments.Audit_corpus.run
+           ~config:
+             {
+               Wcet_serve.Handlers.domain = Wcet_value.Analysis.Interval;
+               path_backend = Wcet_path.Path_analysis.Ipet;
+               verify = false;
+             }
+           ());
       Alcotest.(check bool) "ipet path solves recorded" true
         (counter_value "path_solves{backend=ipet}" > 0);
       Alcotest.(check int) "no mc path solve" 0 (counter_value "path_solves{backend=mc}"))

@@ -696,6 +696,56 @@ let test_server_metrics_prometheus () =
               | Json.Obj _ -> ()
               | _ -> Alcotest.fail "json metrics reply is not an object")))
 
+(* The daemon's analysis replies are a function of the report alone: with
+   the observability layer on, they embed neither the metric registry nor
+   the process's span buffer (which grew with every request), so two
+   replies for one source agree once timings are dropped. *)
+let rec drop_timing = function
+  | Json.Obj fields ->
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if List.mem k [ "phases"; "wall_us"; "seconds" ] then None
+           else Some (k, drop_timing v))
+         fields)
+  | Json.List items -> Json.List (List.map drop_timing items)
+  | j -> j
+
+let standard meth params =
+  match Handlers.standard ~cancel:(fun () -> false) ~meth ~params:(Json.Obj params) with
+  | Some reply -> reply
+  | None -> Alcotest.fail ("no standard method " ^ meth)
+
+let test_analyze_reply_is_pure () =
+  let src = Filename.temp_file "wcet-serve-pure" ".mc" in
+  write_file src (loop_src 8);
+  with_obs (fun () ->
+      let params = [ ("source", Json.String src) ] in
+      let first = standard "analyze" params in
+      let second = standard "analyze" params in
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) ("no " ^ key ^ " key") true
+            (Json.member key first = None && Json.member key second = None))
+        [ "trace"; "metrics" ];
+      Alcotest.check json_testable "replies agree" (drop_timing first) (drop_timing second));
+  Sys.remove src
+
+let counter_value name =
+  match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0
+
+(* [audit] runs the path backend its params name, like [analyze]. *)
+let test_audit_path_backend () =
+  let src = Filename.temp_file "wcet-serve-audit" ".mc" in
+  write_file src (loop_src 8);
+  with_obs (fun () ->
+      ignore
+        (standard "audit" [ ("source", Json.String src); ("path_backend", Json.String "ipet") ]);
+      Alcotest.(check bool) "ipet path solves recorded" true
+        (counter_value "path_solves{backend=ipet}" > 0);
+      Alcotest.(check int) "no mc path solve" 0 (counter_value "path_solves{backend=mc}"));
+  Sys.remove src
+
 let test_server_request_log () =
   let logged = ref [] in
   let log_m = Mutex.create () in
@@ -835,6 +885,8 @@ let () =
           Alcotest.test_case "prometheus metrics method" `Quick test_server_metrics_prometheus;
           Alcotest.test_case "per-request log lines" `Quick test_server_request_log;
           Alcotest.test_case "watch loop feeds the ledger" `Quick test_server_watch_ledger;
+          Alcotest.test_case "analyze reply is pure" `Quick test_analyze_reply_is_pure;
+          Alcotest.test_case "audit honours path_backend" `Quick test_audit_path_backend;
         ] );
       ( "campaigns",
         [

@@ -46,18 +46,43 @@ let with_store f =
       | Ok s -> f s
       | Error msg -> Alcotest.failf "open_store: %s" msg)
 
+(* The persistent-cache counters of the metrics registry, which count while
+   [with_cache] keeps the observability layer on; [Metrics.reset ()] starts
+   a fresh count. *)
+type cache_counts = {
+  program_hits : int;
+  program_misses : int;
+  function_hits : int;
+  function_misses : int;
+  evictions : int;
+}
+
+let cache_counts () =
+  let metric name =
+    match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0
+  in
+  {
+    program_hits = metric "cache_store_hits{granularity=program}";
+    program_misses = metric "cache_store_misses{granularity=program}";
+    function_hits = metric "cache_store_hits{granularity=function}";
+    function_misses = metric "cache_store_misses{granularity=function}";
+    evictions = metric "cache_store_evictions";
+  }
+
 let with_cache f =
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () ->
+      Obs.disable ();
+      Metrics.reset ();
       Report_cache.disable ();
       Report_cache.set_version_salt "";
       ignore (Report_cache.drain_diags ());
-      Report_cache.reset_session ();
       rm_rf dir)
     (fun () ->
       if not (Report_cache.set_dir dir) then Alcotest.fail "set_dir refused a fresh temp dir";
-      Report_cache.reset_session ();
+      Obs.enable ();
+      Metrics.reset ();
       ignore (Report_cache.drain_diags ());
       f dir)
 
@@ -199,13 +224,13 @@ let test_program_cold_then_warm () =
   with_cache (fun _dir ->
       let program = Compile.compile quickstart_like in
       let cold = Analyzer.analyze program in
-      let after_cold = Report_cache.session_stats () in
-      Alcotest.(check int) "cold run misses" 1 after_cold.Report_cache.program_misses;
-      Alcotest.(check int) "no hit yet" 0 after_cold.Report_cache.program_hits;
+      let after_cold = cache_counts () in
+      Alcotest.(check int) "cold run misses" 1 after_cold.program_misses;
+      Alcotest.(check int) "no hit yet" 0 after_cold.program_hits;
       let warm = Analyzer.analyze program in
-      let after_warm = Report_cache.session_stats () in
-      Alcotest.(check int) "warm run hits" 1 after_warm.Report_cache.program_hits;
-      Alcotest.(check int) "still one miss" 1 after_warm.Report_cache.program_misses;
+      let after_warm = cache_counts () in
+      Alcotest.(check int) "warm run hits" 1 after_warm.program_hits;
+      Alcotest.(check int) "still one miss" 1 after_warm.program_misses;
       (* the warm report reproduces the cold one bit for bit *)
       Alcotest.(check string) "byte-identical report" (report_bytes cold) (report_bytes warm);
       Alcotest.(check int) "same bound" cold.Analyzer.wcet warm.Analyzer.wcet)
@@ -219,15 +244,15 @@ let test_annotation_change_misses () =
         | Ok a -> a
         | Error msg -> Alcotest.failf "annot: %s" msg
       in
-      Report_cache.reset_session ();
+      Metrics.reset ();
       ignore (Analyzer.analyze ~annot program);
-      let s = Report_cache.session_stats () in
-      Alcotest.(check int) "different annotations do not hit" 0 s.Report_cache.program_hits;
+      let s = cache_counts () in
+      Alcotest.(check int) "different annotations do not hit" 0 s.program_hits;
       (* and the original key still hits afterwards *)
-      Report_cache.reset_session ();
+      Metrics.reset ();
       ignore (Analyzer.analyze program);
       Alcotest.(check int) "original still cached" 1
-        (Report_cache.session_stats ()).Report_cache.program_hits)
+        (cache_counts ()).program_hits)
 
 (* --- per-function incremental re-analysis --- *)
 
@@ -236,17 +261,17 @@ let test_function_invalidation_on_edit () =
       let v1 = Compile.compile quickstart_like in
       let v2 = Compile.compile quickstart_like_edited in
       let cold = Analyzer.analyze v1 in
-      Report_cache.reset_session ();
+      Metrics.reset ();
       let seeded = Analyzer.analyze v2 in
-      let s = Report_cache.session_stats () in
+      let s = cache_counts () in
       (* the program changed, so the report key misses... *)
-      Alcotest.(check int) "edited binary misses the report" 0 s.Report_cache.program_hits;
+      Alcotest.(check int) "edited binary misses the report" 0 s.program_hits;
       (* ...but f is untouched, so at least its slice is restored, while
          g (edited) and main (calls g) re-analyze from scratch *)
       Alcotest.(check bool) "unchanged function restored" true
-        (s.Report_cache.function_hits >= 1);
+        (s.function_hits >= 1);
       Alcotest.(check bool) "edited function re-analyzed" true
-        (s.Report_cache.function_misses >= 1);
+        (s.function_misses >= 1);
       (* seeding pays: fewer value transfers than the cold run of v1 *)
       Alcotest.(check bool) "seeded run transfers fewer" true
         (seeded.Analyzer.value.Wcet_value.Analysis.transfers
@@ -327,11 +352,11 @@ let seeded_then_scratch src_cold src_target =
       let a = Compile.compile src_cold in
       let b = Compile.compile src_target in
       ignore (Analyzer.analyze a);
-      Report_cache.reset_session ();
+      Metrics.reset ();
       let seeded = Analyzer.analyze b in
-      let s = Report_cache.session_stats () in
+      let s = cache_counts () in
       Alcotest.(check bool) "f's slice was restored (the test exercises seeding)" true
-        (s.Report_cache.function_hits >= 1);
+        (s.function_hits >= 1);
       Report_cache.disable ();
       let scratch = Analyzer.analyze b in
       (seeded, scratch))
@@ -389,29 +414,29 @@ let test_corrupt_entries_degrade () =
       let program = Compile.compile quickstart_like in
       let cold = Analyzer.analyze program in
       corrupt_every_entry dir;
-      Report_cache.reset_session ();
+      Metrics.reset ();
       ignore (Report_cache.drain_diags ());
       let recomputed = Analyzer.analyze program in
       Alcotest.(check int) "recomputed bound matches" cold.Analyzer.wcet
         recomputed.Analyzer.wcet;
-      let s = Report_cache.session_stats () in
-      Alcotest.(check int) "corrupt report is a miss" 0 s.Report_cache.program_hits;
-      Alcotest.(check bool) "corrupt entries evicted" true (s.Report_cache.evictions >= 1);
+      let s = cache_counts () in
+      Alcotest.(check int) "corrupt report is a miss" 0 s.program_hits;
+      Alcotest.(check bool) "corrupt entries evicted" true (s.evictions >= 1);
       let codes = List.map (fun d -> d.Diag.code) (Report_cache.drain_diags ()) in
       Alcotest.(check bool) "W0610 reported" true (List.mem "W0610" codes);
       Alcotest.(check bool) "every store diag is a warning, never fatal" true
         (codes <> []);
       (* the evicted keys were rewritten by the recompute: warm again *)
-      Report_cache.reset_session ();
+      Metrics.reset ();
       ignore (Analyzer.analyze program);
       Alcotest.(check int) "cache healed" 1
-        (Report_cache.session_stats ()).Report_cache.program_hits)
+        (cache_counts ()).program_hits)
 
 let test_undecodable_report_reclassifies_hit () =
   (* A valid envelope (checksum and version pass) whose payload is not a
      marshaled report: the analyzer's decode fails, the entry is evicted
-     and the lookup must end up counted as a miss — in the session stats
-     AND the metrics registry — not as a hit plus a miss. *)
+     and the lookup must end up counted as a miss in the metrics registry,
+     not as a hit plus a miss. *)
   with_cache (fun _dir ->
       let program = Compile.compile quickstart_like in
       let hw = Pred32_hw.Hw_config.default in
@@ -420,30 +445,19 @@ let test_undecodable_report_reclassifies_hit () =
       Report_cache.save_report ~hw ~annot ~strategy
         ~engine:(Analyzer.engine_name Analyzer.Summary)
         ~domain:"interval" ~path:"portfolio" program "not a marshaled report";
-      let metric name =
-        match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0
-      in
-      Obs.enable ();
-      Fun.protect ~finally:Obs.disable (fun () ->
-          let hits0 = metric "cache_store_hits{granularity=program}" in
-          let misses0 = metric "cache_store_misses{granularity=program}" in
-          let r = Analyzer.analyze program in
-          Alcotest.(check bool) "recomputed a real bound" true (r.Analyzer.wcet > 0);
-          let s = Report_cache.session_stats () in
-          Alcotest.(check int) "no net session hit" 0 s.Report_cache.program_hits;
-          Alcotest.(check int) "one session miss" 1 s.Report_cache.program_misses;
-          Alcotest.(check bool) "entry evicted" true (s.Report_cache.evictions >= 1);
-          Alcotest.(check int) "no net registry hit" hits0
-            (metric "cache_store_hits{granularity=program}");
-          Alcotest.(check int) "one registry miss" (misses0 + 1)
-            (metric "cache_store_misses{granularity=program}"));
+      let r = Analyzer.analyze program in
+      Alcotest.(check bool) "recomputed a real bound" true (r.Analyzer.wcet > 0);
+      let s = cache_counts () in
+      Alcotest.(check int) "no net hit" 0 s.program_hits;
+      Alcotest.(check int) "one miss" 1 s.program_misses;
+      Alcotest.(check bool) "entry evicted" true (s.evictions >= 1);
       let codes = List.map (fun d -> d.Diag.code) (Report_cache.drain_diags ()) in
       Alcotest.(check bool) "W0610 reported" true (List.mem "W0610" codes);
       (* the recompute rewrote the entry: warm again *)
-      Report_cache.reset_session ();
+      Metrics.reset ();
       ignore (Analyzer.analyze program);
       Alcotest.(check int) "cache healed" 1
-        (Report_cache.session_stats ()).Report_cache.program_hits)
+        (cache_counts ()).program_hits)
 
 let test_version_bump_invalidates () =
   with_cache (fun _dir ->
@@ -451,21 +465,21 @@ let test_version_bump_invalidates () =
       let cold = Analyzer.analyze program in
       (* same keys, new tool version: entries are stale, not corrupt *)
       Report_cache.set_version_salt "+next";
-      Report_cache.reset_session ();
+      Metrics.reset ();
       ignore (Report_cache.drain_diags ());
       let recomputed = Analyzer.analyze program in
       Alcotest.(check int) "recomputed bound matches" cold.Analyzer.wcet
         recomputed.Analyzer.wcet;
-      let s = Report_cache.session_stats () in
-      Alcotest.(check int) "stale report is a miss" 0 s.Report_cache.program_hits;
-      Alcotest.(check bool) "stale entries evicted" true (s.Report_cache.evictions >= 1);
+      let s = cache_counts () in
+      Alcotest.(check int) "stale report is a miss" 0 s.program_hits;
+      Alcotest.(check bool) "stale entries evicted" true (s.evictions >= 1);
       let codes = List.map (fun d -> d.Diag.code) (Report_cache.drain_diags ()) in
       Alcotest.(check bool) "W0611 reported" true (List.mem "W0611" codes);
       (* under the new version the rewritten entries hit again *)
-      Report_cache.reset_session ();
+      Metrics.reset ();
       ignore (Analyzer.analyze program);
       Alcotest.(check int) "warm under new version" 1
-        (Report_cache.session_stats ()).Report_cache.program_hits)
+        (cache_counts ()).program_hits)
 
 let test_verify_skips_report_hit () =
   (* A report hit would skip every cross-check, so a verified analysis never
