@@ -7,6 +7,7 @@ module Supergraph = Wcet_cfg.Supergraph
 module Func_cfg = Wcet_cfg.Func_cfg
 module Analysis = Wcet_value.Analysis
 module Aval = Wcet_value.Aval
+module Summary = Wcet_value.Summary
 
 module Metrics = Wcet_obs.Metrics
 
@@ -177,45 +178,13 @@ let fetch_info (cfg : Hw_config.t) map addr ic =
       (classification, Option.map (fun c -> Acache.access c line))
     | Some _ | None -> (Bypass, Fun.id))
 
-(* Per-node summary rows for the component-scheduled cache analysis (the
-   access-set transformer analogue of Wcet_value.Summary): recorded external
-   input and converged states. Validity additionally requires the value
-   states the access sets were derived from to match — the caller gates
-   rows on that (Report_cache.cache_slice). *)
-type summary_row = {
-  sc_input : Cstate.t option;
-  sc_states : (Cstate.t * Cstate.t) option;
-}
-
-type summary_slice = int -> summary_row option
-
-type scheduled_info = {
-  sched_ext_input : Cstate.t option array;
-  sched_components : int;
-  sched_computed : int;
-  sched_applied : int;
-}
+(* Summary rows of the component-scheduled cache analysis, the access-set
+   transformer analogue of Wcet_value.Summary. Validity additionally
+   requires the value states the access sets were derived from to match:
+   the caller gates rows on that (Report_cache.cache_slice). *)
+type summary_slice = int -> Cstate.t Wcet_util.Fixpoint.row option
 
 let equal_cstate = Cstate.equal
-
-let equal_cinput a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> equal_cstate a b
-  | None, Some _ | Some _, None -> false
-
-let m_summary_computes =
-  Metrics.counter ~labels:[ ("analysis", "cache") ] ~name:"summary_computes"
-    ~help:"Components solved by iteration in the scheduled cache analysis" ()
-
-let m_summary_hits =
-  Metrics.counter ~labels:[ ("analysis", "cache") ] ~name:"summary_hits"
-    ~help:"Components applied from recorded summary rows in the cache analysis" ()
-
-let m_scc_transfers =
-  Metrics.histogram ~labels:[ ("analysis", "cache") ] ~name:"summary_scc_transfers"
-    ~help:"Transfer count per solved component of the scheduled cache analysis"
-    ~buckets:[| 0; 1; 2; 4; 8; 16; 32; 64; 128; 256 |] ()
 
 (* Per-node transfer, optionally recording classifications. *)
 let make_transfer (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
@@ -258,7 +227,8 @@ let make_transfer (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
 (* Shared tail of [run] / [run_scheduled]: a recording pass over the
    converged states to classify every fetch and data access, plus the
    fixpoint and classification metrics. *)
-let finish ~transfer ~nodes ~n (solution : FP.result) =
+let finish ~transfer ~nodes (solution : FP.result) =
+  let n = Array.length nodes in
   let fetch =
     Array.map
       (fun node -> Array.make (Array.length node.Supergraph.block.Func_cfg.insns) Not_classified)
@@ -302,11 +272,11 @@ let finish ~transfer ~nodes ~n (solution : FP.result) =
     transfers = solution.FP.transfers;
   }
 
-let run ?cancel (cfg : Hw_config.t)
-    (value : Analysis.result) ~region_hints =
+(* The reachability-filtered problem both solvers run, with its
+   recording transfer. *)
+let problem (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
-  let n = Array.length nodes in
   let initial =
     {
       Cstate.ic = Option.map Acache.empty cfg.Hw_config.icache;
@@ -314,9 +284,9 @@ let run ?cancel (cfg : Hw_config.t)
     }
   in
   let transfer = make_transfer cfg value ~region_hints in
-  let problem =
+  ( transfer,
     {
-      FP.num_nodes = n;
+      FP.num_nodes = Array.length nodes;
       entries = [ (graph.Supergraph.entry, initial) ];
       succs =
         (fun i ->
@@ -328,106 +298,26 @@ let run ?cancel (cfg : Hw_config.t)
       transfer = (fun i st -> transfer None i st);
       widening_points = (fun _ -> false);
       widening_delay = max_int;
-    }
-  in
-  let solution = FP.solve ?cancel problem in
-  finish ~transfer ~nodes ~n solution
-
-(* [run_scheduled] solves the same reachability-filtered problem one
-   component at a time (its condensation can be finer than the value
-   analysis': infeasible edges drop out of the plan). Rows are applied when
-   every member is covered and the delivered external cache state equals
-   the recorded one; the caller must additionally have gated rows on the
-   value states their access sets were derived from. *)
-let run_scheduled ?slice ?cancel (cfg : Hw_config.t) (value : Analysis.result)
-    ~region_hints =
-  let graph = value.Analysis.graph in
-  let nodes = graph.Supergraph.nodes in
-  let n = Array.length nodes in
-  let initial =
-    {
-      Cstate.ic = Option.map Acache.empty cfg.Hw_config.icache;
-      dc = Option.map Acache.empty cfg.Hw_config.dcache;
-    }
-  in
-  let transfer = make_transfer cfg value ~region_hints in
-  let succs i =
-    if Analysis.reachable value i then
-      List.filter_map
-        (fun (_, t) -> if Analysis.reachable value t then Some t else None)
-        nodes.(i).Supergraph.succs
-    else []
-  in
-  let plan =
-    Wcet_cfg.Callgraph.condense ~num_nodes:n ~entries:[ graph.Supergraph.entry ] ~succs
-  in
-  let summary =
-    match slice with
-    | None -> None
-    | Some lookup ->
-      Some
-        (fun ~comp ~input ->
-          let members = plan.Wcet_util.Fixpoint.plan_comps.(comp) in
-          let ok =
-            Array.for_all
-              (fun m ->
-                match lookup m with
-                | None -> false
-                | Some row -> equal_cinput (input m) row.sc_input)
-              members
-          in
-          if not ok then None
-          else Some (fun m -> match lookup m with Some row -> row.sc_states | None -> None))
-  in
-  let solution, pinfo =
-    FP.solve_plan ?summary ?cancel ~plan
-      {
-        FP.num_nodes = n;
-        entries = [ (graph.Supergraph.entry, initial) ];
-        succs;
-        transfer = (fun i st -> transfer None i st);
-        widening_points = (fun _ -> false);
-        widening_delay = max_int;
-      }
-  in
-  let computed = ref 0 and applied = ref 0 in
-  Array.iteri
-    (fun cid a ->
-      if a then incr applied
-      else if pinfo.FP.per_comp_transfers.(cid) > 0 then begin
-        incr computed;
-        Metrics.observe m_scc_transfers pinfo.FP.per_comp_transfers.(cid)
-      end)
-    pinfo.FP.applied;
-  Metrics.incr m_summary_computes !computed;
-  Metrics.incr m_summary_hits !applied;
-  if Wcet_obs.Obs.on () then
-    Array.iteri
-      (fun cid members ->
-        if (not pinfo.FP.applied.(cid)) && pinfo.FP.per_comp_transfers.(cid) > 0 then begin
-          let funcs =
-            List.sort_uniq compare
-              (Array.to_list (Array.map (fun m -> nodes.(m).Supergraph.func) members))
-          in
-          Wcet_obs.Trace.with_span ~cat:"summary"
-            ~attrs:
-              [
-                ("analysis", Wcet_obs.Trace.Str "cache");
-                ("funcs", Wcet_obs.Trace.Str (String.concat "," funcs));
-                ("nodes", Wcet_obs.Trace.Int (Array.length members));
-                ("transfers", Wcet_obs.Trace.Int pinfo.FP.per_comp_transfers.(cid));
-              ]
-            "scc"
-            (fun () -> ())
-        end)
-      plan.Wcet_util.Fixpoint.plan_comps;
-  ( finish ~transfer ~nodes ~n solution,
-    {
-      sched_ext_input = pinfo.FP.ext_input;
-      sched_components = !computed + !applied;
-      sched_computed = !computed;
-      sched_applied = !applied;
     } )
+
+let run ?cancel cfg (value : Analysis.result) ~region_hints =
+  let transfer, p = problem cfg value ~region_hints in
+  finish ~transfer ~nodes:value.Analysis.graph.Supergraph.nodes (FP.solve ?cancel p)
+
+(* [run_scheduled] solves the same problem one component at a time (its
+   condensation can be finer than the value analysis': infeasible edges
+   drop out of the plan); the engine applies rows whose recorded external
+   cache state equals the delivered one. *)
+let run_scheduled ?slice ?cancel cfg (value : Analysis.result) ~region_hints =
+  let graph = value.Analysis.graph in
+  let transfer, p = problem cfg value ~region_hints in
+  let plan =
+    Wcet_cfg.Callgraph.condense ~num_nodes:p.FP.num_nodes ~entries:[ graph.Supergraph.entry ]
+      ~succs:p.FP.succs
+  in
+  let solution, pinfo = FP.solve_plan ?rows:slice ?cancel ~plan p in
+  Summary.account Summary.Cache graph plan pinfo;
+  (finish ~transfer ~nodes:graph.Supergraph.nodes solution, pinfo.Wcet_util.Fixpoint.ext_input)
 
 let pp_classification ppf = function
   | Always_hit -> Format.pp_print_string ppf "AH"

@@ -51,26 +51,12 @@ val run :
   region_hints:(string -> Pred32_memory.Region.t list option) ->
   result
 
-(** Per-node summary row for {!run_scheduled}: the external
-    (cross-component) cache input the node's component received when the
-    row was recorded, and the converged (in, out) states. A row is only
-    valid when the value states its access sets were derived from also
-    match — the caller gates the slice on that. *)
-type summary_row = {
-  sc_input : Cstate.t option;
-  sc_states : (Cstate.t * Cstate.t) option;
-}
-
-type summary_slice = int -> summary_row option
-
-(** Accounting from a scheduled run, for persisting fresh rows. *)
-type scheduled_info = {
-  sched_ext_input : Cstate.t option array;
-      (** per node: external input received this run *)
-  sched_components : int;  (** components activated by the dataflow *)
-  sched_computed : int;  (** solved by iteration *)
-  sched_applied : int;  (** installed from summary rows *)
-}
+(** Per-node summary rows for {!run_scheduled}: the engine row holds the
+    external (cross-component) cache input the node's component received
+    when the row was recorded, and the converged (in, out) states. A row
+    is only valid when the value states its access sets were derived from
+    also match — the caller gates the slice on that. *)
+type summary_slice = int -> Cstate.t Wcet_util.Fixpoint.row option
 
 (** Semantic state equality: [leq] both ways, decided in one pass by
     {!Acache.equal}. *)
@@ -79,15 +65,17 @@ val equal_cstate : Cstate.t -> Cstate.t -> bool
 (** [run_scheduled ?slice cfg value_result ~region_hints] solves the cache
     problem one call-graph component at a time over the
     reachability-filtered supergraph (see
-    {!Wcet_value.Analysis.run_scheduled}); components whose members are
-    covered by [slice] rows recorded under semantically equal external
-    inputs are applied without transferring. *)
+    {!Wcet_value.Analysis.run_scheduled}). The engine installs a component
+    from [slice] rows when every member has one recorded under an external
+    input equal ({!equal_cstate}) to the one delivered this run. Returns
+    the {!result} plus, per node, the external input received this run,
+    for persisting fresh rows. *)
 val run_scheduled :
   ?slice:summary_slice ->
   ?cancel:(unit -> bool) ->
   Pred32_hw.Hw_config.t ->
   Wcet_value.Analysis.result ->
   region_hints:(string -> Pred32_memory.Region.t list option) ->
-  result * scheduled_info
+  result * Cstate.t option array
 
 val pp_classification : Format.formatter -> classification -> unit

@@ -98,8 +98,6 @@ let build ?(extra_leaders = []) program (func : Program.func_info) =
   done;
   List.rev !blocks
 
-let block_at blocks addr = List.find_opt (fun b -> b.entry = addr) blocks
-
 let pp_term ppf = function
   | Term_fall a -> Format.fprintf ppf "fall -> 0x%x" a
   | Term_branch { taken; fall; _ } -> Format.fprintf ppf "branch -> 0x%x / 0x%x" taken fall

@@ -36,7 +36,4 @@ type block = {
 val build :
   ?extra_leaders:int list -> Pred32_asm.Program.t -> Pred32_asm.Program.func_info -> block list
 
-(** [block_at blocks addr] finds the block whose entry is [addr]. *)
-val block_at : block list -> int -> block option
-
 val pp_block : Format.formatter -> block -> unit

@@ -294,9 +294,6 @@ let call_string g (n : node) =
   in
   go n.ctx []
 
-let nodes_at g addr =
-  Array.to_list g.nodes |> List.filter (fun n -> n.block.Func_cfg.entry = addr)
-
 let pp_node g ppf (n : node) =
   Format.fprintf ppf "n%d[%s @ 0x%x ctx=%s]" n.id n.func n.block.Func_cfg.entry
     (String.concat ">" (call_string g n))

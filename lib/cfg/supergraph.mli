@@ -73,9 +73,5 @@ val exits : t -> int list
     context to the node's context, for reporting. *)
 val call_string : t -> node -> string list
 
-(** [nodes_containing g addr] lists all nodes whose block starts at [addr]
-    (one per context). *)
-val nodes_at : t -> int -> node list
-
 val pp_node : t -> Format.formatter -> node -> unit
 val pp_stats : Format.formatter -> t -> unit

@@ -45,8 +45,6 @@ let wcet_impact = function
      writes destroy tracked memory"
   | R20_7 -> "setjmp/longjmp builds irreducible cross-function flow, as rule 14.4 does"
 
-let violations_of rule = List.filter (fun v -> v.rule = rule)
-
 (* --- helpers over the typed AST --- *)
 
 let expr_has_float e =

@@ -32,6 +32,5 @@ val is_runtime_func : string -> bool
     arithmetic loops, etc.). *)
 val check_user : Minic.Tast.tprogram -> violation list
 
-val violations_of : rule -> violation list -> violation list
 val pp_violation : Format.formatter -> violation -> unit
 val all_rules : rule list

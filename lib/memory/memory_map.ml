@@ -22,9 +22,6 @@ let data_regions t = List.filter (fun (r : Region.t) -> r.kind <> Region.Rom) t.
 let worst_read_latency t =
   List.fold_left (fun acc (r : Region.t) -> max acc r.read_latency) 1 (data_regions t)
 
-let worst_write_latency t =
-  List.fold_left (fun acc (r : Region.t) -> max acc r.write_latency) 1 (data_regions t)
-
 let default =
   make
     [

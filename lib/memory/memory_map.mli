@@ -13,12 +13,10 @@ val find : t -> int -> Region.t option
 
 val find_by_name : t -> string -> Region.t option
 
-(** Worst read/write latencies over the data regions an unresolved access
-    may target (everything except ROM): what an analysis must assume for an
+(** Worst read latency over the data regions an unresolved access may
+    target (everything except ROM): what an analysis must assume for an
     unknown address with no annotation. *)
 val worst_read_latency : t -> int
-
-val worst_write_latency : t -> int
 
 (** The default PRED32 board used throughout examples, tests and benches:
 

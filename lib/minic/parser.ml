@@ -503,9 +503,3 @@ let parse source =
   let st = { tokens = Array.of_list (Lexer.tokenize source); index = 0 } in
   let rec go acc = if peek st = Lexer.EOF then List.rev acc else go (parse_global st :: acc) in
   go []
-
-let parse_expr source =
-  let st = { tokens = Array.of_list (Lexer.tokenize source); index = 0 } in
-  let e = parse_expression st in
-  expect st Lexer.EOF;
-  e

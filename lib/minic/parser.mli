@@ -4,6 +4,3 @@ exception Error of string * Ast.loc
 
 (** [parse source] parses a full translation unit. *)
 val parse : string -> Ast.program
-
-(** [parse_expr source] parses a single expression (used by tests). *)
-val parse_expr : string -> Ast.expr

@@ -63,16 +63,6 @@ let control_penalty (cfg : Hw_config.t) insn ~worst =
     cfg.Hw_config.branch_taken_penalty
   | Insn.Fallthrough | Insn.Stop -> 0
 
-let insn_worst_cycles cfg ~fetch_class ~data ~addr insn =
-  let fetch = fetch_worst cfg ~addr fetch_class in
-  let base = Timing.base_cycles cfg insn in
-  let data_cost =
-    match data with
-    | None -> 0
-    | Some (kind, regions) -> data_worst cfg ~is_store:(Insn.writes_memory insn) kind regions
-  in
-  fetch + base + data_cost + control_penalty cfg insn ~worst:true
-
 let insn_best_cycles cfg ~fetch_class ~data ~addr insn =
   let fetch = fetch_best cfg ~addr fetch_class in
   let base = Timing.base_cycles cfg insn in

@@ -48,13 +48,3 @@ val ladder :
   Wcet_cache.Cache_analysis.result ->
   persistence:Wcet_cache.Persistence.t ->
   ladder
-
-(** [insn_worst_cycles cfg ~fetch_class ~data ~addr insn] — exposed for unit
-    tests: worst-case cycles of one instruction. *)
-val insn_worst_cycles :
-  Pred32_hw.Hw_config.t ->
-  fetch_class:Wcet_cache.Cache_analysis.classification ->
-  data:(Wcet_cache.Cache_analysis.classification * Pred32_memory.Region.t list) option ->
-  addr:int ->
-  Pred32_isa.Insn.t ->
-  int

@@ -112,10 +112,21 @@ type plan = {
   plan_priority : int array;  (** global RPO index of every node *)
 }
 
+(* A recorded summary row: the inbox the node's component received when
+   the row was recorded, and the converged (in, out) states. *)
+type 'a row = { input : 'a option; states : ('a * 'a) option }
+
+type 'a plan_info = {
+  applied : bool array;
+  per_comp_transfers : int array;
+  ext_input : 'a option array;
+}
+
 module type Domain = sig
   type t
 
   val leq : t -> t -> bool
+  val equal : t -> t -> bool
   val join : t -> t -> t
   val widen : t -> t -> t
 end
@@ -246,12 +257,6 @@ module Make (D : Domain) = struct
       max_pending = !max_pending;
     }
 
-  type plan_info = {
-    applied : bool array;
-    per_comp_transfers : int array;
-    ext_input : D.t option array;
-  }
-
   (* Component-scheduled solve. Components are solved one after another in
      id order, which is topological. Each is solved against the
      cross-component contributions accumulated in [ext_input] ("inbox"):
@@ -262,12 +267,13 @@ module Make (D : Domain) = struct
      converges to the same states (see DESIGN.md 5g for the fine print on
      widening at interleaved priorities).
 
-     [summary ~comp ~input] may short-circuit a component: when it returns
-     [Some rows], the recorded (in, out) states are installed without any
-     transfer and the outputs are propagated downstream — the caller is
-     responsible for only doing so when [input] (the delivered inbox)
-     matches the inputs the rows were recorded under. *)
-  let solve_plan ?propagate ?summary ?(force_widen_after = max_int) ?budget
+     A component whose members all have [rows] recorded under the inbox
+     delivered this run is installed from them instead of solved: the
+     engine owns that check, so no caller can apply rows under a different
+     input. [on_apply] replays per-member side effects of an installed row
+     (the value analysis's frame linkage) before any out-state of the
+     component propagates. *)
+  let solve_plan ?propagate ?rows ?(on_apply = ignore) ?(force_widen_after = max_int) ?budget
       ?(cancel = fun () -> false) ~plan p =
     let propagate =
       match propagate with
@@ -369,16 +375,34 @@ module Make (D : Domain) = struct
           end
       done
     in
+    (* The summary rule: the rows of every member, when each was recorded
+       under the inbox that member received this run. *)
+    let recorded members =
+      match rows with
+      | None -> None
+      | Some lookup ->
+        let recorded = Array.map lookup members in
+        let same_input m = function
+          | None -> false
+          | Some row -> (
+            match (ext_input.(m), row.input) with
+            | None, None -> true
+            | Some a, Some b -> D.equal a b
+            | None, Some _ | Some _, None -> false)
+        in
+        if Array.for_all2 same_input members recorded then Some recorded else None
+    in
     (* Install recorded rows and deliver their out-states downstream. *)
-    let apply_comp cid members lookup =
+    let apply_comp cid members recorded =
       applied.(cid) <- true;
-      Array.iter
-        (fun m ->
-          match lookup m with
+      Array.iteri
+        (fun i m ->
+          (match Option.bind recorded.(i) (fun row -> row.states) with
           | Some (s_in, s_out) ->
             input.(m) <- Some s_in;
             output.(m) <- Some s_out
-          | None -> ())
+          | None -> ());
+          on_apply m)
         members;
       Array.iter
         (fun m ->
@@ -395,12 +419,7 @@ module Make (D : Domain) = struct
         if cancel () then raise Cancelled;
         (* A component no delivery reached is unreachable: skip it. *)
         if Array.exists (fun m -> ext_input.(m) <> None) members then
-          let rows =
-            match summary with
-            | None -> None
-            | Some lookup -> lookup ~comp:cid ~input:(fun m -> ext_input.(m))
-          in
-          match rows with
+          match recorded members with
           | Some rows -> apply_comp cid members rows
           | None -> solve_comp cid members)
       plan.plan_comps;

@@ -40,11 +40,38 @@ type plan = {
   plan_priority : int array;  (** global RPO index of every node *)
 }
 
+(** A recorded summary row for one node of a component (see
+    {!Make.solve_plan}). *)
+type 'a row = {
+  input : 'a option;
+      (** the external ("inbox") contribution the node received when the
+          row was recorded; [None] when it only saw intra-component
+          dataflow *)
+  states : ('a * 'a) option;
+      (** converged (in, out); [None] for a node unreached under that
+          dataflow *)
+}
+
+(** Per-component outcome of {!Make.solve_plan}. *)
+type 'a plan_info = {
+  applied : bool array;
+      (** component was installed from summary rows, not solved *)
+  per_comp_transfers : int array;
+  ext_input : 'a option array;
+      (** per node: the joined cross-component ("inbox") contribution the
+          node received, [None] when it only saw intra-component dataflow *)
+}
+
 module type Domain = sig
   type t
 
   (** Partial-order test: [leq a b] iff [a] is at most [b]. *)
   val leq : t -> t -> bool
+
+  (** Semantic equality, the test {!Make.solve_plan} applies to recorded
+      inputs. States with equal meaning may differ structurally, so this
+      is typically [leq] both ways, never a byte comparison. *)
+  val equal : t -> t -> bool
 
   (** Least upper bound. *)
   val join : t -> t -> t
@@ -98,16 +125,6 @@ module Make (D : Domain) : sig
     problem ->
     result
 
-  (** Per-component outcome of {!solve_plan}. *)
-  type plan_info = {
-    applied : bool array;
-        (** component was installed from summary rows, not solved *)
-    per_comp_transfers : int array;
-    ext_input : D.t option array;
-        (** per node: the joined cross-component ("inbox") contribution the
-            node received, [None] when it only saw intra-component dataflow *)
-  }
-
   (** [solve_plan ~plan problem] solves the problem one strongly connected
       component at a time, in component id order (topological), so every
       component sees the final contributions of all its predecessors.
@@ -119,14 +136,14 @@ module Make (D : Domain) : sig
       inputs with the global RPO priority therefore reproduces the
       whole-program fixpoint (and transfer count) component by component.
 
-      [summary ~comp ~input] may short-circuit a component by returning
-      recorded [(in, out)] rows for its members; they are installed without
-      transferring and their out-states propagated downstream. The callback
-      must only do so when [input] — the delivered inbox, per member —
-      semantically equals the inputs the rows were recorded under, and the
-      rows cover every member (unreached members may map to [None]). It is
-      called once per reached component, just before that component would
-      be solved.
+      [rows] offers recorded summary rows by node. Just before a reached
+      component would be solved, the engine installs it from its rows
+      instead — no transfer — exactly when every member has a row and each
+      row's [input] equals the inbox delivered to that member this run
+      under [D.equal] ([None] only equals [None]). Then the rows' states
+      are installed, [on_apply] runs once per member, and the out-states
+      propagate downstream. Otherwise the component is solved and its rows
+      are ignored.
 
       [strategy] is not a parameter: scheduled solving is inherently
       priority-driven ([Rpo]). [budget] caps the total transfer count
@@ -134,11 +151,12 @@ module Make (D : Domain) : sig
       every transfer. *)
   val solve_plan :
     ?propagate:(int -> D.t -> (int * D.t) list) ->
-    ?summary:(comp:int -> input:(int -> D.t option) -> (int -> (D.t * D.t) option) option) ->
+    ?rows:(int -> D.t row option) ->
+    ?on_apply:(int -> unit) ->
     ?force_widen_after:int ->
     ?budget:int ->
     ?cancel:(unit -> bool) ->
     plan:plan ->
     problem ->
-    result * plan_info
+    result * D.t plan_info
 end

@@ -211,6 +211,7 @@ module FP = Wcet_util.Fixpoint.Make (struct
   type t = State.t
 
   let leq = State.leq
+  let equal = Summary.equal_state
   let join = State.join
   let widen = State.widen
 end)
@@ -302,45 +303,6 @@ let run ?(assumes = []) ?cancel ?publish
 
 (* ---- Component-scheduled solve -------------------------------------- *)
 
-let m_summary_computes =
-  Metrics.counter ~labels:[ ("analysis", "value") ] ~name:"summary_computes"
-    ~help:"Components solved by iteration in the scheduled value analysis" ()
-
-let m_summary_hits =
-  Metrics.counter ~labels:[ ("analysis", "value") ] ~name:"summary_hits"
-    ~help:"Components applied from recorded summary rows in the value analysis" ()
-
-let m_scc_transfers =
-  Metrics.histogram ~labels:[ ("analysis", "value") ] ~name:"summary_scc_transfers"
-    ~help:"Transfer count per solved component of the scheduled value analysis"
-    ~buckets:[| 0; 1; 2; 4; 8; 16; 32; 64; 128; 256 |] ()
-
-(* Emit one retrospective "scc" span per solved component (trace-only
-   bookkeeping; durations are not meaningful, the attributes are). *)
-let comp_spans analysis (graph : Supergraph.t) (plan : Wcet_util.Fixpoint.plan)
-    (info : FP.plan_info) =
-  if Wcet_obs.Obs.on () then
-    Array.iteri
-      (fun cid members ->
-        if (not info.FP.applied.(cid)) && info.FP.per_comp_transfers.(cid) > 0 then begin
-          let funcs =
-            List.sort_uniq compare
-              (Array.to_list
-                 (Array.map (fun m -> graph.Supergraph.nodes.(m).Supergraph.func) members))
-          in
-          Wcet_obs.Trace.with_span ~cat:"summary"
-            ~attrs:
-              [
-                ("analysis", Wcet_obs.Trace.Str analysis);
-                ("funcs", Wcet_obs.Trace.Str (String.concat "," funcs));
-                ("nodes", Wcet_obs.Trace.Int (Array.length members));
-                ("transfers", Wcet_obs.Trace.Int info.FP.per_comp_transfers.(cid));
-              ]
-            "scc"
-            (fun () -> ())
-        end)
-      plan.Wcet_util.Fixpoint.plan_comps
-
 let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
     (loops : Loops.info) =
   let n = Array.length graph.Supergraph.nodes in
@@ -361,40 +323,20 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
           node_linkage.(nd) <- a :: node_linkage.(nd))
   in
   let widening_point = widening_points graph loops in
-  let summary =
-    match slice with
-    | None -> None
-    | Some lookup ->
-      Some
-        (fun ~comp ~input ->
-          let members = plan.Wcet_util.Fixpoint.plan_comps.(comp) in
-          let ok =
-            Array.for_all
-              (fun m ->
-                match lookup m with
-                | None -> false
-                | Some (row : Summary.row) -> Summary.equal_input (input m) row.Summary.input)
-              members
-          in
-          if not ok then None
-          else begin
-            current_node := -1;
-            Array.iter
-              (fun m ->
-                match lookup m with
-                | Some row ->
-                  node_linkage.(m) <- row.Summary.linkage;
-                  List.iter ctx.register_linkage row.Summary.linkage
-                | None -> ())
-              members;
-            Some
-              (fun m ->
-                match lookup m with Some row -> row.Summary.states | None -> None)
-          end)
+  (* An applied node takes its registrations from its slice. They enter the
+     chronological table, attributed to no transferred node, before the
+     component's out-states propagate. *)
+  let on_apply (slice : Summary.slice) m =
+    current_node := -1;
+    node_linkage.(m) <- slice.Summary.linkage m;
+    List.iter ctx.register_linkage node_linkage.(m)
   in
   let solution, pinfo =
     try
-      FP.solve_plan ?summary ?cancel
+      FP.solve_plan
+        ?rows:(Option.map (fun (s : Summary.slice) -> s.Summary.rows) slice)
+        ?on_apply:(Option.map on_apply slice)
+        ?cancel
         ~propagate:(propagate_of ctx graph)
         ~force_widen_after:40
         ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
@@ -420,26 +362,8 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
   let result =
     finish ?publish { ctx with register_linkage = ignore } graph node_in node_out solution
   in
-  let computed = ref 0 and applied = ref 0 in
-  Array.iteri
-    (fun cid a ->
-      if a then incr applied
-      else if pinfo.FP.per_comp_transfers.(cid) > 0 then begin
-        incr computed;
-        Metrics.observe m_scc_transfers pinfo.FP.per_comp_transfers.(cid)
-      end)
-    pinfo.FP.applied;
-  Metrics.incr m_summary_computes !computed;
-  Metrics.incr m_summary_hits !applied;
-  comp_spans "value" graph plan pinfo;
-  ( result,
-    {
-      Summary.ext_input = pinfo.FP.ext_input;
-      node_linkage;
-      components = !computed + !applied;
-      computed = !computed;
-      applied = !applied;
-    } )
+  Summary.account Summary.Value graph plan pinfo;
+  (result, { Summary.ext_input = pinfo.Wcet_util.Fixpoint.ext_input; node_linkage })
 
 (* ---- Octagon escalation --------------------------------------------- *)
 
@@ -614,6 +538,7 @@ module FP2 = Wcet_util.Fixpoint.Make (struct
   type t = pstate
 
   let leq a b = State.leq a.pst b.pst && Octagon.leq a.poct b.poct
+  let equal a b = leq a b && leq b a
   let join a b = { pst = State.join a.pst b.pst; poct = Octagon.join a.poct b.poct }
   let widen a b = { pst = State.widen a.pst b.pst; poct = Octagon.widen a.poct b.poct }
 end)
@@ -849,11 +774,6 @@ let reg_at_exit r i reg =
   match r.node_out.(i) with
   | None -> Aval.bot
   | Some st -> State.get_reg st reg
-
-let mem_at_entry r i addr =
-  match r.node_in.(i) with
-  | None -> Aval.bot
-  | Some st -> State.load ~program:r.graph.Supergraph.program st addr
 
 (* Path-exploration hooks for the model-checking path backend: a fresh
    linkage context (it only forgets less than the fixpoint did) plus the

@@ -40,14 +40,17 @@ val run :
 (** [run_scheduled ?assumes ?slice graph loops] solves the same problem one
     strongly connected component at a time, bottom-up over the call-graph
     condensation ({!Wcet_cfg.Callgraph.condense} +
-    {!Wcet_util.Fixpoint.Make.solve_plan}). A component whose members are
-    covered by [slice] rows recorded under semantically equal external
-    inputs is applied without transferring a single node — a one-function edit re-solves only that function's
-    components and the components whose inputs actually changed.
+    {!Wcet_util.Fixpoint.Make.solve_plan}). [slice] offers recorded rows;
+    the engine applies a component from them, without transferring a
+    single node, when every member has a row recorded under an external
+    input equal ({!Summary.equal_state}) to the one delivered this run,
+    and the slice's linkage words are replayed for every applied member.
+    A one-function edit re-solves only that function's components and the
+    components whose inputs actually changed. The summary accounting is
+    published through {!Summary.account}.
 
     Returns the {!result} plus the {!Summary.info} needed to persist fresh
-    rows (external inputs, linkage registrations) and the
-    computed/applied component counts. *)
+    rows (external inputs, linkage registrations). *)
 val run_scheduled :
   ?assumes:(int * Aval.t) list ->
   ?slice:Summary.slice ->
@@ -117,10 +120,6 @@ val feasible_successors :
 (** [reg_at_exit result node reg] is the register's interval in the node's
     out-state ([Bot] if unreachable). *)
 val reg_at_exit : result -> int -> Pred32_isa.Reg.t -> Aval.t
-
-(** [mem_at_entry result node addr] is the tracked interval of a memory word
-    in the node's in-state. *)
-val mem_at_entry : result -> int -> int -> Aval.t
 
 (** {2 Path-exploration hooks}
 

@@ -1,43 +1,48 @@
-(** Summary representation for the component-scheduled value analysis
-    ({!Analysis.run_scheduled}).
+(** Summary slices and summary accounting for the component-scheduled
+    analyses ({!Analysis.run_scheduled},
+    [Wcet_cache.Cache_analysis.run_scheduled]).
 
     A summary maps a component's abstract input state to its converged
     output states (plus, indirectly, the access sets the cache analysis
-    replays from them). Rows are recorded per node; a component is applied
-    from rows — skipping every transfer — exactly when all members are
-    covered and the delivered external input semantically equals the
-    recorded one. Equality is [leq] both ways: abstract states with equal
-    meaning can differ structurally (map balance), so byte digests are
-    never compared. *)
+    replays from them). Rows are the fixpoint engine's
+    {!Wcet_util.Fixpoint.row}s, recorded per node; the engine applies a
+    component from rows — skipping every transfer — exactly when all
+    members are covered and the delivered external input equals the
+    recorded one under the domain's semantic equality ({!equal_state} for
+    the value analysis). *)
 
-type row = {
-  input : State.t option;
-      (** external (cross-component) contribution the node's component
-          received when the row was recorded *)
-  states : (State.t * State.t) option;
-      (** converged (in, out); [None] for a node unreached under that
-          dataflow *)
-  linkage : int list;
-      (** frame-linkage words registered while transferring this node;
-          replayed when the component is applied so downstream havocs see
-          the same linkage set *)
+(** The persistent rows a value-analysis run may apply. *)
+type slice = {
+  rows : int -> State.t Wcet_util.Fixpoint.row option;
+      (** node-indexed row lookup, [None] when the node has no recorded
+          row *)
+  linkage : int -> int list;
+      (** frame-linkage words the node registered when its row was
+          recorded; replayed when its component is applied so downstream
+          havocs see the same linkage set *)
 }
 
-(** Node-indexed row lookup, [None] when the node has no recorded row. *)
-type slice = int -> row option
-
-(** Everything a scheduled run records beyond the {!Analysis.result}. *)
+(** Everything a scheduled run records beyond the {!Analysis.result}, to
+    persist fresh rows. *)
 type info = {
   ext_input : State.t option array;
       (** per node: the external input it received this run *)
   node_linkage : int list array;
       (** per node: linkage registrations (recorded or replayed) *)
-  components : int;  (** components activated by the dataflow *)
-  computed : int;  (** components solved by iteration *)
-  applied : int;  (** components installed from summary rows *)
 }
 
 (** Semantic equality: [leq] both ways. *)
 val equal_state : State.t -> State.t -> bool
 
-val equal_input : State.t option -> State.t option -> bool
+(** The scheduled analyses whose summary work is accounted. *)
+type analysis = Value | Cache
+
+(** [account analysis graph plan info] publishes a scheduled run's summary
+    accounting under [analysis]: [summary_computes] (components solved by
+    iteration), [summary_hits] (components installed from rows) and the
+    [summary_scc_transfers] histogram of solved components; while
+    observability is on, it also emits one retrospective [scc] trace span
+    per solved component (attributes: analysis, member functions, node
+    count, transfer count). *)
+val account :
+  analysis -> Wcet_cfg.Supergraph.t -> Wcet_util.Fixpoint.plan -> 'a Wcet_util.Fixpoint.plan_info -> unit

@@ -670,7 +670,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   in
   check_cancel ();
   let region_hints = region_hint_table c program annot graph in
-  let cache, cinfo =
+  let cache, cache_input =
     (* Cache rows are gated on the value fixpoint: a row is only offered at
        nodes whose value states converged to the ones recorded with it,
        because the cache transfer replays this run's access sets
@@ -829,7 +829,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   (* Summary slices persist interval-domain facts only: refined states must
      never reach a warm interval run (see Report_cache). *)
   if escalation = None then
-    Report_cache.save_slices ~hw ~annot ~assumes value vinfo cache cinfo;
+    Report_cache.save_slices ~hw ~annot ~assumes value vinfo cache cache_input;
   {
     program;
     hw;
@@ -893,11 +893,6 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
       Trace.add_attr "verdict" (Trace.Str (verdict_name r.verdict));
       Metrics.incr (match r.verdict with Complete -> m_runs_complete | Partial -> m_runs_partial) 1;
       r)
-
-let analyze_modes ?hw ?domain ?path_backend ?verify ~base ~modes program =
-  let run annot = analyze ?hw ?domain ?path_backend ?verify ~annot program in
-  let oblivious = ("(all modes)", run base) in
-  oblivious :: List.map (fun (name, annot) -> (name, run (Annot.merge base annot))) modes
 
 let pp_hole ppf = function
   | Hole_call { site; func } ->

@@ -168,20 +168,6 @@ val analyze :
   Pred32_asm.Program.t ->
   report
 
-(** [analyze_modes ?hw ~base ~modes program] runs one analysis per operating
-    mode (merging each mode's annotations into [base]) plus the
-    mode-oblivious analysis, returning [(mode name, report)] pairs with
-    [None] keyed as ["(all modes)"] first. *)
-val analyze_modes :
-  ?hw:Pred32_hw.Hw_config.t ->
-  ?domain:Wcet_value.Analysis.domain ->
-  ?path_backend:Wcet_path.Path_analysis.choice ->
-  ?verify:bool ->
-  base:Wcet_annot.Annot.t ->
-  modes:(string * Wcet_annot.Annot.t) list ->
-  Pred32_asm.Program.t ->
-  (string * report) list
-
 val phase_name : phase -> string
 val pp_hole : Format.formatter -> hole -> unit
 val pp_report : Format.formatter -> report -> unit

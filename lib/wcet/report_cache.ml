@@ -12,10 +12,10 @@
      keyed by the function's OWN code bytes, the annotation slices that
      feed its fixpoints, and the non-text ROM data it may read — not by
      its callees' code. The key is honest: everything it omits
-     (caller- and callee-supplied dataflow) is re-checked at apply time,
-     because a component is only installed from rows when the external
-     inputs delivered this run semantically equal the recorded ones
-     (Summary.equal_input). Editing a callee changes the inputs flowing
+     (caller- and callee-supplied dataflow) is re-checked at apply time:
+     Fixpoint.Make.solve_plan only installs a component from rows when
+     the external inputs delivered this run semantically equal the
+     recorded ones. Editing a callee changes the inputs flowing
      back to its callers, so their rows fail the input check and re-solve;
      editing nothing but one leaf re-solves exactly that leaf's component
      and the components whose inputs actually changed. Cache rows carry
@@ -39,6 +39,8 @@ module Hw_config = Pred32_hw.Hw_config
 module Supergraph = Wcet_cfg.Supergraph
 module Func_cfg = Wcet_cfg.Func_cfg
 module Analysis = Wcet_value.Analysis
+module Summary = Wcet_value.Summary
+module Fixpoint = Wcet_util.Fixpoint
 module State = Wcet_value.State
 module Aval = Wcet_value.Aval
 module Cache_analysis = Wcet_cache.Cache_analysis
@@ -449,15 +451,15 @@ let load_slices ~hw ~annot ~assumes (graph : Supergraph.t) =
       (cached_function_names graph);
     if !hits = [] then None else Some { srows; shit_functions = List.rev !hits }
 
-let value_slice slices i =
-  Option.map
-    (fun row ->
-      {
-        Wcet_value.Summary.input = row.rvinput;
-        states = row.rvalue;
-        linkage = row.rlinkage;
-      })
-    slices.srows.(i)
+let value_slice slices =
+  {
+    Summary.rows =
+      (fun i ->
+        Option.map
+          (fun row -> { Fixpoint.input = row.rvinput; states = row.rvalue })
+          slices.srows.(i));
+    linkage = (fun i -> match slices.srows.(i) with Some row -> row.rlinkage | None -> []);
+  }
 
 (* The cache transfer function at node [i] replays this run's access set
    (value.Analysis.accesses.(i), a deterministic function of the converged
@@ -477,18 +479,16 @@ let cache_slice slices (value : Analysis.result) i =
     let value_matches =
       match (row.rvalue, value.Analysis.node_in.(i), value.Analysis.node_out.(i)) with
       | Some (s_in, s_out), Some v_in, Some v_out ->
-        State.leq s_in v_in && State.leq v_in s_in && State.leq s_out v_out
-        && State.leq v_out s_out
+        Summary.equal_state s_in v_in && Summary.equal_state s_out v_out
       | None, None, None -> true
       | _ -> false
     in
     if value_matches then
-      Some { Cache_analysis.sc_input = row.rcinput; sc_states = row.rcache }
+      Some { Fixpoint.input = row.rcinput; states = row.rcache }
     else None
 
 let save_slices ~hw ~annot ~assumes (value : Analysis.result)
-    (vinfo : Wcet_value.Summary.info) (cache : Cache_analysis.result)
-    (cinfo : Cache_analysis.scheduled_info) =
+    (vinfo : Summary.info) (cache : Cache_analysis.result) cache_input =
   match Atomic.get store_ref with
   | None -> ()
   | Some store ->
@@ -511,13 +511,13 @@ let save_slices ~hw ~annot ~assumes (value : Analysis.result)
               (fun nid ->
                 {
                   rsig = nsig graph.Supergraph.nodes.(nid);
-                  rvinput = vinfo.Wcet_value.Summary.ext_input.(nid);
+                  rvinput = vinfo.Summary.ext_input.(nid);
                   rvalue =
                     (match (value.Analysis.node_in.(nid), value.Analysis.node_out.(nid)) with
                     | Some i, Some o -> Some (i, o)
                     | _ -> None);
-                  rlinkage = vinfo.Wcet_value.Summary.node_linkage.(nid);
-                  rcinput = cinfo.Cache_analysis.sched_ext_input.(nid);
+                  rlinkage = vinfo.Summary.node_linkage.(nid);
+                  rcinput = cache_input.(nid);
                   rcache =
                     (match
                        (cache.Cache_analysis.node_in.(nid), cache.Cache_analysis.node_out.(nid))

@@ -118,9 +118,10 @@ val value_slice : slices -> Wcet_value.Summary.slice
 val cache_slice :
   slices -> Wcet_value.Analysis.result -> Wcet_cache.Cache_analysis.summary_slice
 
-(** [save_slices ~hw ~annot ~assumes value vinfo cache cinfo] writes one
-    slice entry per analyzed function (skipping functions whose loads may
-    read the text segment). An existing entry under the same key is
+(** [save_slices ~hw ~annot ~assumes value vinfo cache cache_input] writes
+    one slice entry per analyzed function (skipping functions whose loads
+    may read the text segment); [cache_input] is the per-node external
+    input of the scheduled cache run. An existing entry under the same key is
     overwritten: the key does not cover caller-supplied dataflow, so it
     may hold rows from an older run. *)
 val save_slices :
@@ -130,5 +131,5 @@ val save_slices :
   Wcet_value.Analysis.result ->
   Wcet_value.Summary.info ->
   Wcet_cache.Cache_analysis.result ->
-  Wcet_cache.Cache_analysis.scheduled_info ->
+  Wcet_cache.Cache_analysis.Cstate.t option array ->
   unit

@@ -14,6 +14,7 @@ module Bits = struct
   type t = int
 
   let leq a b = a land b = a
+  let equal = Int.equal
   let join = ( lor )
   let widen = ( lor )
 end
@@ -141,6 +142,7 @@ module Counter = struct
 
   let top = 1_000_000
   let leq a b = a <= b
+  let equal = Int.equal
   let join = max
   let widen a b = if b > a then top else a
 end
@@ -254,24 +256,26 @@ let test_solve_plan_matches_solve () =
      pop order, so the transfer counts agree exactly *)
   Alcotest.(check int) "same transfer count" whole.FP.transfers sched.FP.transfers;
   Alcotest.(check bool) "nothing applied without a summary" true
-    (Array.for_all not info.FP.applied)
+    (Array.for_all not info.Fixpoint.applied)
+
+(* Rows recorded by a cold run: every node's converged (in, out) states
+   under the inbox it received, as the persistent store replays them. *)
+let recorded_rows (cold : FP.result) (info : int Fixpoint.plan_info) m =
+  Some
+    {
+      Fixpoint.input = info.Fixpoint.ext_input.(m);
+      states =
+        (match (cold.FP.in_state m, cold.FP.out_state m) with
+        | Some i, Some o -> Some (i, o)
+        | _ -> None);
+    }
 
 let test_solve_plan_applies_summary () =
   let p, plan = ladder_plan () in
   let first, info0 = FP.solve_plan ~plan p in
-  (* offer every component its recorded rows, gated on the same external
-     inputs — the warm-run contract of the scheduled analyses *)
-  let summary ~comp ~input =
-    let members = plan.Fixpoint.plan_comps.(comp) in
-    if Array.for_all (fun m -> input m = info0.FP.ext_input.(m)) members then
-      Some
-        (fun m ->
-          match (first.FP.in_state m, first.FP.out_state m) with
-          | Some i, Some o -> Some (i, o)
-          | _ -> None)
-    else None
-  in
-  let second, info = FP.solve_plan ~summary ~plan p in
+  (* offer every component the rows recorded under this run's external
+     inputs — the warm-run case of the scheduled analyses *)
+  let second, info = FP.solve_plan ~rows:(recorded_rows first info0) ~plan p in
   Alcotest.(check int) "warm run transfers nothing" 0 second.FP.transfers;
   for n = 0 to 12 do
     Alcotest.(check (option int))
@@ -285,7 +289,41 @@ let test_solve_plan_applies_summary () =
       in
       if active then
         Alcotest.(check bool) (Printf.sprintf "component %d applied" cid) true applied)
-    info.FP.applied
+    info.Fixpoint.applied
+
+(* The engine owns the summary rule: rows recorded under another inbox, or
+   missing for one member, leave the component to be solved — with exactly
+   the cold solve's transfers — while every other component is applied. *)
+let test_solve_plan_rejects_rows () =
+  let p, plan = ladder_plan () in
+  let cold, info0 = FP.solve_plan ~plan p in
+  let loop = plan.Fixpoint.plan_comp_of.(10) in
+  let check_rejected what rows =
+    let warm, info = FP.solve_plan ~rows ~plan p in
+    Alcotest.(check bool) (what ^ ": loop component solved") false info.Fixpoint.applied.(loop);
+    Alcotest.(check int) (what ^ ": cold transfer count")
+      info0.Fixpoint.per_comp_transfers.(loop) info.Fixpoint.per_comp_transfers.(loop);
+    Alcotest.(check int) (what ^ ": only the loop transfers")
+      info0.Fixpoint.per_comp_transfers.(loop) warm.FP.transfers;
+    for n = 0 to 12 do
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s: state %d" what n)
+        (cold.FP.in_state n) (warm.FP.in_state n)
+    done;
+    Array.iteri
+      (fun cid applied ->
+        if cid <> loop then
+          Alcotest.(check bool) (Printf.sprintf "%s: component %d applied" what cid) true applied)
+      info.Fixpoint.applied
+  in
+  let rows = recorded_rows cold info0 in
+  (* node 10 is the loop's entry: the only member with an inbox *)
+  check_rejected "other inbox" (fun m ->
+      if m = 10 then
+        Option.map (fun r -> { r with Fixpoint.input = Some 0x100 }) (rows m)
+      else rows m);
+  (* node 11 only sees intra-component dataflow: its row is still required *)
+  check_rejected "missing row" (fun m -> if m = 11 then None else rows m)
 
 (* --- domain pool --- *)
 
@@ -355,6 +393,8 @@ let () =
           Alcotest.test_case "solve_plan = solve (cold bit-identity)" `Quick
             test_solve_plan_matches_solve;
           Alcotest.test_case "summary application" `Quick test_solve_plan_applies_summary;
+          Alcotest.test_case "rows under another input are solved" `Quick
+            test_solve_plan_rejects_rows;
         ] );
       ( "pool",
         [

@@ -155,18 +155,12 @@ let test_mode_analysis_tightens () =
      int main() { if (mode == 1) { return flight_control(); } return ground_control(); }"
   in
   let program = Compile.compile source in
-  let reports =
-    Analyzer.analyze_modes ~base:Annot.empty
-      ~modes:
-        [
-          ("flight", annot_exn "assume mode = 1");
-          ("ground", annot_exn "assume mode = 0");
-        ]
-      program
-  in
-  let wcet_of name = (List.assoc name reports).Analyzer.wcet in
-  let oblivious = wcet_of "(all modes)" in
-  let flight = wcet_of "flight" and ground = wcet_of "ground" in
+  (* one analysis per operating mode, each mode's annotations merged into
+     the (empty) base set, plus the mode-oblivious one *)
+  let wcet_of annot = (Analyzer.analyze ~annot program).Analyzer.wcet in
+  let oblivious = wcet_of Annot.empty in
+  let mode text = wcet_of (Annot.merge Annot.empty (annot_exn text)) in
+  let flight = mode "assume mode = 1" and ground = mode "assume mode = 0" in
   (* soundness per mode *)
   let o_flight = observed ~pokes:[ ("mode", 0, 1) ] program in
   let o_ground = observed ~pokes:[ ("mode", 0, 0) ] program in
