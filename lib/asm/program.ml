@@ -21,6 +21,16 @@ let find_function t name = List.find_opt (fun f -> f.name = name) t.functions
 let decode_at t addr =
   Pred32_isa.Encode.decode (Pred32_isa.Word.to_int32 (Pred32_memory.Image.read_word t.image addr))
 
+let code_digest t (f : func_info) =
+  let b = Buffer.create 256 in
+  let addr = ref f.entry in
+  while !addr < f.limit do
+    Buffer.add_string b (string_of_int (Pred32_memory.Image.read_word t.image !addr));
+    Buffer.add_char b ';';
+    addr := !addr + 4
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let disassemble t f =
   let rec go addr acc =
     if addr >= f.limit then List.rev acc else go (addr + 4) ((addr, decode_at t addr) :: acc)

@@ -30,6 +30,10 @@ val find_function : t -> string -> func_info option
 (** [decode_at t addr] decodes the instruction word at [addr]. *)
 val decode_at : t -> int -> Pred32_isa.Insn.t
 
+(** [code_digest t f] is the hex digest of [f]'s code words: it changes
+    exactly when the function's own code does. *)
+val code_digest : t -> func_info -> string
+
 (** [disassemble t f] lists [(address, instruction)] for a function. *)
 val disassemble : t -> func_info -> (int * Pred32_isa.Insn.t) list
 

@@ -1,52 +1,41 @@
-type t = { map : Memory_map.t; store : (string, Bytes.t) Hashtbl.t }
+(* The words a program holds, by address; writing 0 drops the binding, so
+   an unbound address reads 0 and the table never holds a zero word. *)
+module Words = Hashtbl.Make (Int)
+
+type t = { map : Memory_map.t; words : int Words.t }
 
 exception Bus_error of int
 exception Write_to_rom of int
 
-let create map = { map; store = Hashtbl.create 7 }
-let memory_map t = t.map
+let create map = { map; words = Words.create 64 }
 
-let backing t (r : Region.t) =
-  match Hashtbl.find_opt t.store r.name with
-  | Some b -> b
-  | None ->
-    let b = Bytes.make r.size '\000' in
-    Hashtbl.add t.store r.name b;
-    b
-
-let locate t addr =
+let region t addr =
   if addr land 3 <> 0 then raise (Bus_error addr);
-  match Memory_map.find t.map addr with
-  | None -> raise (Bus_error addr)
-  | Some r -> (r, addr - r.base)
+  match Memory_map.find t.map addr with None -> raise (Bus_error addr) | Some r -> r
 
 let read_word t addr =
-  let r, off = locate t addr in
-  let b = backing t r in
-  Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
+  ignore (region t addr);
+  Option.value (Words.find_opt t.words addr) ~default:0
 
-let write_raw t addr v =
-  let r, off = locate t addr in
-  let b = backing t r in
-  Bytes.set_int32_le b off (Int32.of_int v);
-  r
+let set t addr v =
+  match Pred32_isa.Word.mask v with
+  | 0 -> Words.remove t.words addr
+  | w -> Words.replace t.words addr w
 
 let write_word t addr v =
-  if addr land 3 <> 0 then raise (Bus_error addr);
-  match Memory_map.find t.map addr with
-  | None -> raise (Bus_error addr)
-  | Some r ->
-    if not r.writable then raise (Write_to_rom addr);
-    ignore (write_raw t addr v)
+  if not (region t addr).Region.writable then raise (Write_to_rom addr);
+  set t addr v
 
 let load_words t ~base words =
-  Array.iteri (fun i w -> ignore (write_raw t (base + (4 * i)) w)) words
+  Array.iteri
+    (fun i w ->
+      let addr = base + (4 * i) in
+      ignore (region t addr);
+      set t addr w)
+    words
 
 let contents t =
-  Hashtbl.fold (fun name b acc -> (name, Bytes.to_string b) :: acc) t.store []
-  |> List.sort compare
+  Words.fold (fun addr w acc -> (addr, w) :: acc) t.words []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let copy t =
-  let store = Hashtbl.create 7 in
-  Hashtbl.iter (fun k v -> Hashtbl.add store k (Bytes.copy v)) t.store;
-  { map = t.map; store }
+let copy t = { map = t.map; words = Words.copy t.words }

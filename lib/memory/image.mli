@@ -1,6 +1,10 @@
 (** A concrete memory image over a {!Memory_map}: the loaded program plus
     data, as seen by the simulator.
 
+    The image holds only the non-zero words a program wrote (code, data
+    initializers, simulator stores); every other mapped word reads as zero.
+    Its size follows the program, not the address space.
+
     Word accesses must be 4-byte aligned; unaligned or unmapped accesses
     raise [Bus_error], and writes to read-only regions raise
     [Write_to_rom] — both correspond to hardware faults the simulator
@@ -12,7 +16,6 @@ exception Bus_error of int
 exception Write_to_rom of int
 
 val create : Memory_map.t -> t
-val memory_map : t -> Memory_map.t
 
 (** [read_word t addr] ignores write-only concerns; unmapped/unaligned
     raises [Bus_error addr]. Fresh memory reads as zero. *)
@@ -24,10 +27,11 @@ val write_word : t -> int -> Pred32_isa.Word.t -> unit
     read-only check (used by the loader to install code into ROM). *)
 val load_words : t -> base:int -> Pred32_isa.Word.t array -> unit
 
-(** [contents t] is the backing bytes of every region ever touched, sorted
-    by region name — a canonical dump for content-addressed cache keys
-    (independent of hashtable iteration order). *)
-val contents : t -> (string * string) list
+(** [contents t] is every non-zero word as [(address, word)], sorted by
+    address: a canonical dump for content-addressed cache keys. Two images
+    that read the same everywhere have equal contents, whatever order they
+    were written in. *)
+val contents : t -> (int * Pred32_isa.Word.t) list
 
 (** [copy t] is a deep copy; the simulator snapshots the loaded image so each
     run starts from identical memory. *)

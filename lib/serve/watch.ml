@@ -31,27 +31,17 @@ type t = {
 let create ~dir ~debounce_s ~analyze =
   { dir; debounce_s; analyze; files = Hashtbl.create 16; initialized = false }
 
-let function_digests (program : Program.t) =
-  List.map
-    (fun (f : Program.func_info) ->
-      let buf = Buffer.create 256 in
-      let addr = ref f.Program.entry in
-      while !addr < f.Program.limit do
-        Buffer.add_string buf
-          (string_of_int (Pred32_memory.Image.read_word program.Program.image !addr));
-        Buffer.add_char buf ';';
-        addr := !addr + 4
-      done;
-      (f.Program.name, Digest.to_hex (Digest.string (Buffer.contents buf))))
-    program.Program.functions
-
 let finding_key (d : Diag.t) = (d.Diag.code, match d.Diag.loc.Diag.func with Some f -> f | None -> "")
 
 let baseline_of (report : Analyzer.report) =
+  let program = report.Analyzer.program in
   {
     wcet = report.Analyzer.wcet;
     verdict = Analyzer.verdict_name report.Analyzer.verdict;
-    func_digests = function_digests report.Analyzer.program;
+    func_digests =
+      List.map
+        (fun (f : Program.func_info) -> (f.Program.name, Program.code_digest program f))
+        program.Program.functions;
     findings = List.map finding_key report.Analyzer.diagnostics;
   }
 

@@ -35,6 +35,3 @@ val create : dir:string -> debounce_s:float -> analyze:analyze -> t
     [now] is the monotonic time used for debouncing (injectable so tests
     need not sleep). *)
 val poll : ?now:float -> t -> Json.t list
-
-(** Per-function digests of a program's code bytes, exposed for tests. *)
-val function_digests : Pred32_asm.Program.t -> (string * string) list

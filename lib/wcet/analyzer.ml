@@ -873,7 +873,10 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
             (* The envelope checksum and version already passed; a decode
                failure here means marshal-layout drift — degrade to a
                recompute, reclassifying the hit as a miss. *)
-            match (Marshal.from_string payload 0 : report) with
+            match
+              Trace.with_span ~cat:"store" "store.decode" (fun () ->
+                  (Marshal.from_string payload 0 : report))
+            with
             | r -> Some r
             | exception _ ->
               key Report_cache.invalidate_report;
@@ -884,7 +887,9 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
         | Some r -> r
         | None ->
           let r = analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program in
-          if Report_cache.enabled () then key Report_cache.save_report (Marshal.to_string r []);
+          if Report_cache.enabled () then
+            Trace.with_span ~cat:"store" "store.write" (fun () ->
+                key Report_cache.save_report (Marshal.to_string r []));
           r
       in
       Trace.add_attr "nodes" (Trace.Int (Array.length r.graph.Supergraph.nodes));

@@ -49,12 +49,14 @@ module Annot = Wcet_annot.Annot
 module Store = Wcet_util.Store
 module Diag = Wcet_diag.Diag
 module Metrics = Wcet_obs.Metrics
+module Trace = Wcet_obs.Trace
 
 (* Bump when the marshaled payload layout changes (report or slice types)
    or a key component changes meaning (5: the escalation record lost its
    requested-domain field; 6: backend runs record microseconds; 7: cache
-   states are set-indexed). *)
-let format_version = "7"
+   states are set-indexed; 8: the memory image holds only non-zero
+   words). *)
+let format_version = "8"
 
 let m_hits gran =
   Metrics.counter ~labels:[ ("granularity", gran) ] ~name:"cache_store_hits"
@@ -127,27 +129,30 @@ let digest_parts parts = Digest.to_hex (Digest.string (String.concat "\x00" part
 let marshal v = Marshal.to_string v []
 
 (* Everything of the program the analyses can observe: entry/layout/symbol
-   tables plus the canonical image dump (region name + backing bytes,
-   sorted — independent of hashtable iteration order). *)
+   tables plus the canonical image dump (the non-zero words, sorted by
+   address). *)
 let program_parts (p : Program.t) =
-  marshal (p.Program.entry, p.Program.text_base, p.Program.text_limit, p.Program.functions,
-           p.Program.symbols)
-  :: marshal (Memory_map.regions p.Program.map)
-  :: List.concat_map (fun (name, bytes) -> [ name; bytes ]) (Image.contents p.Program.image)
+  [
+    marshal (p.Program.entry, p.Program.text_base, p.Program.text_limit, p.Program.functions,
+             p.Program.symbols);
+    marshal (Memory_map.regions p.Program.map);
+    marshal (Image.contents p.Program.image);
+  ]
 
 (* [engine] and [strategy] are fixed by the analyzer ("summary", rpo); they
    stay key components so keys computed by external replay tools remain
    stable. [domain] is the
-   value-domain name ("interval" / "octagon" / "auto"): an escalated run
-   carries refined states and extra escalation accounting, so its report
-   must never be served to (or overwrite) an interval-only run. *)
+   value-domain name ("interval" / "auto"): an escalated run carries
+   refined states and extra escalation accounting, so its report must
+   never be served to (or overwrite) an interval-only run. *)
 let report_key ~hw ~annot ~strategy ~engine ~domain ~path program =
-  digest_parts
-    ("report" :: engine :: domain :: path
-    :: marshal (hw : Hw_config.t)
-    :: marshal (annot : Annot.t)
-    :: Wcet_util.Fixpoint.strategy_name strategy
-    :: program_parts program)
+  Trace.with_span ~cat:"store" "store.key" (fun () ->
+      digest_parts
+        ("report" :: engine :: domain :: path
+        :: marshal (hw : Hw_config.t)
+        :: marshal (annot : Annot.t)
+        :: Wcet_util.Fixpoint.strategy_name strategy
+        :: program_parts program))
 
 (* ---- Per-function slices -------------------------------------------- *)
 
@@ -191,49 +196,19 @@ let node_sig graph =
   fun (n : Supergraph.node) ->
     ((csig n.Supergraph.ctx, n.Supergraph.block.Func_cfg.entry) : node_sig)
 
-let code_bytes (p : Program.t) (f : Program.func_info) =
-  let b = Buffer.create 256 in
-  let addr = ref f.Program.entry in
-  while !addr < f.Program.limit do
-    (match Image.read_word p.Program.image !addr with
-    | w -> Buffer.add_string b (string_of_int w)
-    | exception _ -> Buffer.add_string b "?");
-    Buffer.add_char b ';';
-    addr := !addr + 4
-  done;
-  Buffer.contents b
-
-(* ROM bytes outside the text segment: constant data the value analysis
-   can read through State.load. Text bytes are covered per function by
-   code_bytes; functions whose loads may reach into text are not cached
-   at all (see may_read_text). *)
+(* ROM words outside the text segment: constant data the value analysis
+   can read through State.load. Text words are covered per function by
+   Program.code_digest; functions whose loads may reach into text are not
+   cached at all (see may_read_text). *)
 let rom_data_digest (p : Program.t) =
-  let text_lo = p.Program.text_base and text_hi = p.Program.text_limit in
-  let parts =
-    List.concat_map
-      (fun (r : Region.t) ->
-        match r.Region.kind with
-        | Region.Rom ->
-          let bytes =
-            match List.assoc_opt r.Region.name (Image.contents p.Program.image) with
-            | Some b -> b
-            | None -> ""
-          in
-          (* blank out the text window so code edits don't shift this digest *)
-          let lo = max 0 (text_lo - r.Region.base) in
-          let hi = min (String.length bytes) (text_hi - r.Region.base) in
-          let bytes =
-            if lo < hi then
-              String.sub bytes 0 lo
-              ^ String.make (hi - lo) '\000'
-              ^ String.sub bytes hi (String.length bytes - hi)
-            else bytes
-          in
-          [ r.Region.name; bytes ]
-        | Region.Ram | Region.Scratchpad | Region.Io -> [])
-      (Memory_map.regions p.Program.map)
-  in
-  digest_parts parts
+  Image.contents p.Program.image
+  |> List.filter (fun (addr, _) ->
+         (addr < p.Program.text_base || addr >= p.Program.text_limit)
+         &&
+         match Memory_map.find p.Program.map addr with
+         | Some r -> r.Region.kind = Region.Rom
+         | None -> false)
+  |> marshal |> Digest.string |> Digest.to_hex
 
 (* Functions containing indirect control flow, whose resolution depends on
    annotations or global dataflow. *)
@@ -258,7 +233,7 @@ let function_key ~hw ~(annot : Annot.t) ~assumes ~rom_data ~has_indirect
     (program : Program.t) fname =
   let own_code =
     match Program.find_function program fname with
-    | Some fi -> [ string_of_int fi.Program.entry; code_bytes program fi ]
+    | Some fi -> [ string_of_int fi.Program.entry; Program.code_digest program fi ]
     | None -> [ "?" ]
   in
   let region_slices =
@@ -345,7 +320,9 @@ let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
   | None -> None
   | Some store -> (
     let key = report_key ~hw ~annot ~strategy ~engine ~domain ~path program in
-    match read_entry store ~key ~kind:"report" with
+    match
+      Trace.with_span ~cat:"store" "store.read" (fun () -> read_entry store ~key ~kind:"report")
+    with
     | Some payload ->
       Metrics.incr m_hits_program 1;
       Some payload
@@ -410,46 +387,47 @@ let load_slices ~hw ~annot ~assumes (graph : Supergraph.t) =
   match Atomic.get store_ref with
   | None -> None
   | Some store ->
-    let program = graph.Supergraph.program in
-    let has_indirect = indirect_funcs graph in
-    let rom_data = rom_data_digest program in
-    let nsig = node_sig graph in
-    let n = Array.length graph.Supergraph.nodes in
-    let by_sig : (node_sig, int) Hashtbl.t = Hashtbl.create n in
-    Array.iter
-      (fun (node : Supergraph.node) -> Hashtbl.replace by_sig (nsig node) node.Supergraph.id)
-      graph.Supergraph.nodes;
-    let srows = Array.make n None in
-    let hits = ref [] in
-    List.iter
-      (fun fname ->
-        let key = function_key ~hw ~annot ~assumes ~rom_data ~has_indirect program fname in
-        match read_entry store ~key ~kind:"func" with
-        | None ->
-          Metrics.incr m_misses_function 1
-        | Some payload -> (
-          match (Marshal.from_string payload 0 : string * slice_row list) with
-          | exception _ ->
-            evict store key ~code:"W0610" ~why:"cached function slice failed to deserialize";
-            Metrics.incr m_misses_function 1
-          | (dom, _) when dom <> "interval" ->
-            (* Slices are interval-domain facts: an entry tagged with any
-               other domain would feed refined (escalated) states into a
-               baseline run, so it is evicted and recomputed. *)
-            evict store key ~code:"W0613"
-              ~why:(Printf.sprintf "cached slice was recorded under the %s value domain" dom);
-            Metrics.incr m_misses_function 1
-          | (_, rows) ->
-            List.iter
-              (fun row ->
-                match Hashtbl.find_opt by_sig row.rsig with
-                | None -> ()  (* context no longer exists; harmless *)
-                | Some nid -> srows.(nid) <- Some row)
-              rows;
-            Metrics.incr m_hits_function 1;
-            hits := fname :: !hits))
-      (cached_function_names graph);
-    if !hits = [] then None else Some { srows; shit_functions = List.rev !hits }
+    Trace.with_span ~cat:"store" "store.read" (fun () ->
+        let program = graph.Supergraph.program in
+        let has_indirect = indirect_funcs graph in
+        let rom_data = rom_data_digest program in
+        let nsig = node_sig graph in
+        let n = Array.length graph.Supergraph.nodes in
+        let by_sig : (node_sig, int) Hashtbl.t = Hashtbl.create n in
+        Array.iter
+          (fun (node : Supergraph.node) -> Hashtbl.replace by_sig (nsig node) node.Supergraph.id)
+          graph.Supergraph.nodes;
+        let srows = Array.make n None in
+        let hits = ref [] in
+        List.iter
+          (fun fname ->
+            let key = function_key ~hw ~annot ~assumes ~rom_data ~has_indirect program fname in
+            match read_entry store ~key ~kind:"func" with
+            | None ->
+              Metrics.incr m_misses_function 1
+            | Some payload -> (
+              match (Marshal.from_string payload 0 : string * slice_row list) with
+              | exception _ ->
+                evict store key ~code:"W0610" ~why:"cached function slice failed to deserialize";
+                Metrics.incr m_misses_function 1
+              | (dom, _) when dom <> "interval" ->
+                (* Slices are interval-domain facts: an entry tagged with any
+                   other domain would feed refined (escalated) states into a
+                   baseline run, so it is evicted and recomputed. *)
+                evict store key ~code:"W0613"
+                  ~why:(Printf.sprintf "cached slice was recorded under the %s value domain" dom);
+                Metrics.incr m_misses_function 1
+              | (_, rows) ->
+                List.iter
+                  (fun row ->
+                    match Hashtbl.find_opt by_sig row.rsig with
+                    | None -> ()  (* context no longer exists; harmless *)
+                    | Some nid -> srows.(nid) <- Some row)
+                  rows;
+                Metrics.incr m_hits_function 1;
+                hits := fname :: !hits))
+          (cached_function_names graph);
+        if !hits = [] then None else Some { srows; shit_functions = List.rev !hits })
 
 let value_slice slices =
   {
@@ -492,42 +470,43 @@ let save_slices ~hw ~annot ~assumes (value : Analysis.result)
   match Atomic.get store_ref with
   | None -> ()
   | Some store ->
-    let graph = value.Analysis.graph in
-    let program = graph.Supergraph.program in
-    let has_indirect = indirect_funcs graph in
-    let rom_data = rom_data_digest program in
-    let nsig = node_sig graph in
-    let nodes_of = nodes_by_func graph in
-    List.iter
-      (fun fname ->
-        if not (may_read_text program value nodes_of fname) then begin
-          let key = function_key ~hw ~annot ~assumes ~rom_data ~has_indirect program fname in
-          (* Overwrite any existing entry: the key does not cover
-             caller-supplied dataflow, so it may hold rows recorded under
-             inputs that no longer flow; the store always tracks the
-             latest run. *)
-          let rows =
-            List.map
-              (fun nid ->
-                {
-                  rsig = nsig graph.Supergraph.nodes.(nid);
-                  rvinput = vinfo.Summary.ext_input.(nid);
-                  rvalue =
-                    (match (value.Analysis.node_in.(nid), value.Analysis.node_out.(nid)) with
-                    | Some i, Some o -> Some (i, o)
-                    | _ -> None);
-                  rlinkage = vinfo.Summary.node_linkage.(nid);
-                  rcinput = cache_input.(nid);
-                  rcache =
-                    (match
-                       (cache.Cache_analysis.node_in.(nid), cache.Cache_analysis.node_out.(nid))
-                     with
-                    | Some i, Some o -> Some (i, o)
-                    | _ -> None);
-                })
-              (nodes_of fname)
-          in
-          write_entry store ~key ~kind:"func"
-            (marshal (("interval", rows) : string * slice_row list))
-        end)
-      (cached_function_names graph)
+    Trace.with_span ~cat:"store" "store.write" (fun () ->
+        let graph = value.Analysis.graph in
+        let program = graph.Supergraph.program in
+        let has_indirect = indirect_funcs graph in
+        let rom_data = rom_data_digest program in
+        let nsig = node_sig graph in
+        let nodes_of = nodes_by_func graph in
+        List.iter
+          (fun fname ->
+            if not (may_read_text program value nodes_of fname) then begin
+              let key = function_key ~hw ~annot ~assumes ~rom_data ~has_indirect program fname in
+              (* Overwrite any existing entry: the key does not cover
+                 caller-supplied dataflow, so it may hold rows recorded under
+                 inputs that no longer flow; the store always tracks the
+                 latest run. *)
+              let rows =
+                List.map
+                  (fun nid ->
+                    {
+                      rsig = nsig graph.Supergraph.nodes.(nid);
+                      rvinput = vinfo.Summary.ext_input.(nid);
+                      rvalue =
+                        (match (value.Analysis.node_in.(nid), value.Analysis.node_out.(nid)) with
+                        | Some i, Some o -> Some (i, o)
+                        | _ -> None);
+                      rlinkage = vinfo.Summary.node_linkage.(nid);
+                      rcinput = cache_input.(nid);
+                      rcache =
+                        (match
+                           (cache.Cache_analysis.node_in.(nid), cache.Cache_analysis.node_out.(nid))
+                         with
+                        | Some i, Some o -> Some (i, o)
+                        | _ -> None);
+                    })
+                  (nodes_of fname)
+              in
+              write_entry store ~key ~kind:"func"
+                (marshal (("interval", rows) : string * slice_row list))
+            end)
+          (cached_function_names graph))

@@ -15,6 +15,7 @@ module Trace = Wcet_obs.Trace
 module Json = Wcet_diag.Json
 module Analyzer = Wcet_core.Analyzer
 module Explain = Wcet_core.Explain
+module Report_cache = Wcet_core.Report_cache
 module Harness = Wcet_experiments.Harness
 
 (* Metric registration happens at module-initialization time; reference
@@ -324,6 +325,49 @@ let test_analysis_populates_metrics () =
       Alcotest.(check int) "one csolve path solve under verify" 1
         (counter_value "path_solves{backend=csolve}"))
 
+(* With a store, the store work inside analyze shows in the profile: a
+   cold run derives the key, reads (a miss) and writes the report; a warm
+   run reads and decodes it and runs no phase. *)
+let test_store_spans () =
+  let program = Minic.Compile.compile Harness.quickstart_source in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wcet_test_obs.%d" (Unix.getpid ()))
+  in
+  let rec rm_rf path =
+    match Sys.is_directory path with
+    | true ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    | false -> Sys.remove path
+    | exception Sys_error _ -> ()
+  in
+  let spans () = List.map (fun (e : Trace.event) -> e.Trace.name) (Trace.events ()) in
+  let check_spans what expected =
+    List.iter
+      (fun (name, present) ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %s span present" what name) present
+          (List.mem name (spans ())))
+      expected
+  in
+  with_obs (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Report_cache.disable ();
+          ignore (Report_cache.drain_diags ());
+          rm_rf dir)
+        (fun () ->
+          if not (Report_cache.set_dir dir) then Alcotest.fail "set_dir refused a fresh temp dir";
+          ignore (Analyzer.analyze program);
+          check_spans "cold"
+            [ ("analyze", true); ("store.key", true); ("store.read", true); ("store.write", true);
+              ("store.decode", false); ("value", true) ];
+          Trace.reset ();
+          ignore (Analyzer.analyze program);
+          check_spans "warm"
+            [ ("analyze", true); ("store.key", true); ("store.read", true); ("store.decode", true);
+              ("store.write", false); ("value", false) ]))
+
 (* The corpus audit runs the path backend it is given: IPET alone never
    starts the model checker. *)
 let test_audit_corpus_path_backend () =
@@ -528,6 +572,7 @@ let () =
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "balances on exception" `Quick test_span_balances_on_exception;
           Alcotest.test_case "span attributes" `Quick test_span_attrs;
+          Alcotest.test_case "store spans inside analyze" `Quick test_store_spans;
         ] );
       ( "disabled",
         [

@@ -120,7 +120,15 @@ let test_image_faults () =
   Alcotest.check_raises "unmapped" (Image.Bus_error 0x30000000) (fun () ->
       ignore (Image.read_word image 0x30000000));
   Alcotest.check_raises "rom write" (Image.Write_to_rom 0x100) (fun () ->
-      Image.write_word image 0x100 1)
+      Image.write_word image 0x100 1);
+  Alcotest.check_raises "unaligned write" (Image.Bus_error 0x10000006) (fun () ->
+      Image.write_word image 0x10000006 1);
+  Alcotest.check_raises "unmapped write" (Image.Bus_error 0x30000000) (fun () ->
+      Image.write_word image 0x30000000 1);
+  Alcotest.check_raises "unmapped load" (Image.Bus_error 0x30000000) (fun () ->
+      Image.load_words image ~base:0x30000000 [| 1 |]);
+  Alcotest.(check (list (pair int int))) "failed accesses leave no words" []
+    (Image.contents image)
 
 let test_image_copy_isolated () =
   let image = Image.create Memory_map.default in
@@ -128,7 +136,40 @@ let test_image_copy_isolated () =
   let copy = Image.copy image in
   Image.write_word copy 0x10000000 7;
   Alcotest.(check int) "original intact" 42 (Image.read_word image 0x10000000);
-  Alcotest.(check int) "copy changed" 7 (Image.read_word copy 0x10000000)
+  Alcotest.(check int) "copy changed" 7 (Image.read_word copy 0x10000000);
+  Image.write_word image 0x10000004 5;
+  Alcotest.(check int) "copy unaffected by the original" 0 (Image.read_word copy 0x10000004);
+  Alcotest.(check (list (pair int int))) "copy contents" [ (0x10000000, 7) ] (Image.contents copy)
+
+(* The image holds the non-zero words a program wrote and nothing else. *)
+let test_image_sparse_contents () =
+  let image = Image.create Memory_map.default in
+  List.iter
+    (fun addr ->
+      Alcotest.(check int) (Printf.sprintf "0x%x reads 0" addr) 0 (Image.read_word image addr))
+    [ 0x0; 0x3FFFC; 0x10000000; 0x100FFFFC; 0x20000000; 0xF0000000 ];
+  Alcotest.(check (list (pair int int))) "fresh image is empty" [] (Image.contents image);
+  Image.load_words image ~base:0x40 [| 1; 0; -1 |];
+  Image.write_word image 0x10000008 9;
+  Image.write_word image 0x10000000 3;
+  Alcotest.(check (list (pair int int))) "sorted non-zero words, masked to 32 bits"
+    [ (0x40, 1); (0x48, 0xFFFFFFFF); (0x10000000, 3); (0x10000008, 9) ]
+    (Image.contents image);
+  Image.write_word image 0x10000008 0;
+  Image.load_words image ~base:0x40 [| 0 |];
+  Alcotest.(check (list (pair int int))) "writing 0 drops the word"
+    [ (0x48, 0xFFFFFFFF); (0x10000000, 3) ]
+    (Image.contents image);
+  Alcotest.(check int) "dropped word reads 0" 0 (Image.read_word image 0x10000008);
+  (* two write orders that leave the same memory have equal contents *)
+  let other = Image.create Memory_map.default in
+  Image.write_word other 0x10000000 77;
+  Image.write_word other 0x10000004 4;
+  Image.write_word other 0x10000000 3;
+  Image.write_word other 0x10000004 0;
+  Image.load_words other ~base:0x48 [| 0xFFFFFFFF |];
+  Alcotest.(check (list (pair int int))) "order-independent contents" (Image.contents image)
+    (Image.contents other)
 
 let () =
   Alcotest.run "state_memory"
@@ -149,5 +190,6 @@ let () =
           Alcotest.test_case "overlap rejected" `Quick test_overlap_rejected;
           Alcotest.test_case "image faults" `Quick test_image_faults;
           Alcotest.test_case "image copy isolation" `Quick test_image_copy_isolated;
+          Alcotest.test_case "image sparse contents" `Quick test_image_sparse_contents;
         ] );
     ]

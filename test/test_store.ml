@@ -235,6 +235,39 @@ let test_program_cold_then_warm () =
       Alcotest.(check string) "byte-identical report" (report_bytes cold) (report_bytes warm);
       Alcotest.(check int) "same bound" cold.Analyzer.wcet warm.Analyzer.wcet)
 
+(* An initialized RAM global: the report entry carries the words the
+   program wrote, not the address space they live in. *)
+let initialized_ram_array =
+  "int table[4] = {1, 2, 3, 4};\n\
+   int main() { int i; int s; s = 0; for (i = 0; i < 4; i = i + 1) { s = s + table[i]; } \
+   return s; }\n"
+
+let test_initialized_ram_entry_is_small () =
+  with_cache (fun dir ->
+      let program = Compile.compile initialized_ram_array in
+      let cold = Analyzer.analyze program in
+      let report_entry_sizes =
+        match Store.open_store dir with
+        | Error msg -> Alcotest.failf "open_store: %s" msg
+        | Ok s ->
+          List.filter_map
+            (fun path ->
+              let key = Filename.remove_extension (Filename.basename path) in
+              match Store.read s ~key with
+              | Store.Hit { kind = "report"; _ } -> Some (Unix.stat path).Unix.st_size
+              | _ -> None)
+            (files_under dir)
+      in
+      (match report_entry_sizes with
+      | [ n ] ->
+        Alcotest.(check bool)
+          (Printf.sprintf "report entry (%d bytes) under 64 KB" n)
+          true (n < 65536)
+      | sizes -> Alcotest.failf "expected one report entry, found %d" (List.length sizes));
+      let warm = Analyzer.analyze program in
+      Alcotest.(check int) "warm run hits" 1 (cache_counts ()).program_hits;
+      Alcotest.(check string) "byte-identical report" (report_bytes cold) (report_bytes warm))
+
 let test_annotation_change_misses () =
   with_cache (fun _dir ->
       let program = Compile.compile quickstart_like in
@@ -616,6 +649,8 @@ let () =
       ( "report cache",
         [
           Alcotest.test_case "cold then warm" `Quick test_program_cold_then_warm;
+          Alcotest.test_case "initialized RAM array entry is small" `Quick
+            test_initialized_ram_entry_is_small;
           Alcotest.test_case "annotation change misses" `Quick test_annotation_change_misses;
           Alcotest.test_case "one-function edit invalidates one function" `Quick
             test_function_invalidation_on_edit;
