@@ -14,8 +14,9 @@
    the remaining tables are then fanned out across domains (each worker
    runs its table's corpus entries serially — the pool refuses to nest).
    Every run also writes machine-readable BENCH_results.json — table
-   wall-clock, histogram throughput, fixpoint transfer counts (RPO vs FIFO
-   worklist) — so the performance trajectory is trackable across PRs. *)
+   wall-clock, histogram throughput, the summary engine's cold and warm
+   transfer counts, the E4/E5 blocks and every metric — so the performance
+   trajectory is trackable across PRs. *)
 
 module Harness = Wcet_experiments.Harness
 module Parallel = Wcet_util.Parallel

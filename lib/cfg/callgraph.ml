@@ -6,13 +6,12 @@
      Fixpoint.plan that drives component-scheduled solving (components in
      topological order, global RPO priority).
 
-   - [of_supergraph]: the function-level view — which functions form
-     recursive groups, in bottom-up (callee-first) order, and which program
-     functions the supergraph never expanded (unreachable). This is the
-     reporting/metrics view; the analyses schedule at supergraph-node
-     granularity where a "component" is usually much smaller than a
-     function (one basic block, or one loop body possibly spanning the
-     contexts of callees invoked inside the loop). *)
+   - [function_scc_count]: the function-level view, for the [scc_count]
+     metric — how many SCCs the resolved calls between expanded functions
+     form. The analyses schedule at supergraph-node granularity, where a
+     "component" is usually much smaller than a function (one basic block,
+     or one loop body possibly spanning the contexts of callees invoked
+     inside the loop). *)
 
 module Supergraph = Supergraph
 module Fixpoint = Wcet_util.Fixpoint
@@ -102,30 +101,19 @@ let condense ~num_nodes ~entries ~succs =
 
 (* ---- Function-level view -------------------------------------------- *)
 
-type t = {
-  sccs : string list array;
-  recursive : bool array;
-  unreachable : string list;
-}
-
-let of_supergraph (graph : Supergraph.t) =
-  let program = graph.Supergraph.program in
-  (* Functions the graph actually expanded, in program order. *)
+let function_scc_count (graph : Supergraph.t) =
+  let nodes = graph.Supergraph.nodes in
+  (* The program functions the graph actually expanded. *)
   let expanded : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun (n : Supergraph.node) -> Hashtbl.replace expanded n.Supergraph.func ())
-    graph.Supergraph.nodes;
-  let funcs, unreachable =
-    List.partition
-      (fun (f : Pred32_asm.Program.func_info) -> Hashtbl.mem expanded f.Pred32_asm.Program.name)
-      program.Pred32_asm.Program.functions
-  in
-  let funcs = Array.of_list (List.map (fun f -> f.Pred32_asm.Program.name) funcs) in
+  Array.iter (fun (n : Supergraph.node) -> Hashtbl.replace expanded n.Supergraph.func ()) nodes;
   let index_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  Array.iteri (fun i f -> Hashtbl.replace index_of f i) funcs;
-  let nf = Array.length funcs in
-  let callees = Array.make (max 1 nf) [] in
-  let self_call = Array.make (max 1 nf) false in
+  List.iter
+    (fun (f : Pred32_asm.Program.func_info) ->
+      let name = f.Pred32_asm.Program.name in
+      if Hashtbl.mem expanded name && not (Hashtbl.mem index_of name) then
+        Hashtbl.replace index_of name (Hashtbl.length index_of))
+    graph.Supergraph.program.Pred32_asm.Program.functions;
+  let callees = Array.make (Hashtbl.length index_of) [] in
   Array.iter
     (fun (n : Supergraph.node) ->
       match Hashtbl.find_opt index_of n.Supergraph.func with
@@ -133,41 +121,12 @@ let of_supergraph (graph : Supergraph.t) =
       | Some fi ->
         List.iter
           (fun (kind, m) ->
-            match kind with
-            | Supergraph.Ecall -> (
-              let callee = graph.Supergraph.nodes.(m).Supergraph.func in
-              match Hashtbl.find_opt index_of callee with
-              | None -> ()
-              | Some ci ->
-                if ci = fi then self_call.(fi) <- true;
-                if not (List.mem ci callees.(fi)) then callees.(fi) <- ci :: callees.(fi))
+            match (kind, Hashtbl.find_opt index_of nodes.(m).Supergraph.func) with
+            | Supergraph.Ecall, Some ci -> callees.(fi) <- ci :: callees.(fi)
             | _ -> ())
           n.Supergraph.succs)
-    graph.Supergraph.nodes;
-  let sccs_rev = ref [] in
-  (* Tarjan emission order is reverse topological over caller->callee edges,
-     i.e. callees before callers: exactly the bottom-up summary order. *)
-  tarjan ~num_nodes:nf ~succs:(fun i -> callees.(i)) ~emit:(fun members ->
-      sccs_rev := members :: !sccs_rev);
-  let sccs = Array.of_list (List.rev !sccs_rev) in
-  let recursive =
-    Array.map
-      (fun members ->
-        match members with
-        | [ f ] -> self_call.(f)
-        | _ :: _ :: _ -> true
-        | [] -> false)
-      sccs
-  in
-  {
-    sccs = Array.map (fun ms -> List.sort compare (List.map (fun i -> funcs.(i)) ms)) sccs;
-    recursive;
-    unreachable = List.map (fun f -> f.Pred32_asm.Program.name) unreachable;
-  }
-
-let scc_count t = Array.length t.sccs
-
-let scc_of t fname =
-  let found = ref None in
-  Array.iteri (fun i ms -> if !found = None && List.mem fname ms then found := Some i) t.sccs;
-  !found
+    nodes;
+  let count = ref 0 in
+  tarjan ~num_nodes:(Array.length callees) ~succs:(fun i -> callees.(i)) ~emit:(fun _ ->
+      incr count);
+  !count

@@ -6,10 +6,8 @@
     with the global RPO index as worklist priority — which
     [Fixpoint.Make.solve_plan] solves bottom-up, one component at a time.
 
-    {!of_supergraph} is the function-level view used for reporting, metrics
-    and slice bookkeeping: which functions form recursive groups (one SCC),
-    in callee-first order, and which program functions the supergraph never
-    expanded. *)
+    {!function_scc_count} is the function-level view, read only by the
+    [scc_count] metric. *)
 
 (** [condense ~num_nodes ~entries ~succs] condenses the graph into SCCs.
     Every node belongs to exactly one component (nodes unreachable from
@@ -20,21 +18,9 @@
 val condense :
   num_nodes:int -> entries:int list -> succs:(int -> int list) -> Wcet_util.Fixpoint.plan
 
-(** Function-level call graph of a supergraph. *)
-type t = {
-  sccs : string list array;
-      (** one entry per SCC, callees before callers (bottom-up); members
-          sorted by name *)
-  recursive : bool array;  (** SCC has >1 member or a self call *)
-  unreachable : string list;
-      (** program functions the supergraph never expanded *)
-}
-
-(** Built from the resolved call edges ([Ecall]) of the supergraph, so
-    indirect calls count once resolved. *)
-val of_supergraph : Supergraph.t -> t
-
-val scc_count : t -> int
-
-(** SCC index of a function, [None] if it was never expanded. *)
-val scc_of : t -> string -> int option
+(** Number of strongly connected components of the function-level call
+    graph: the program functions the supergraph expanded, linked by its
+    resolved call edges ([Ecall]), so indirect calls count once resolved.
+    A recursive group is one component; functions never expanded are not
+    counted. *)
+val function_scc_count : Supergraph.t -> int

@@ -1,16 +1,18 @@
 (* Generic dataflow fixpoint engine shared by the value and cache analyses.
 
-   The worklist is a priority queue keyed by reverse-postorder (RPO) index of
-   the node, computed once from the problem's entry nodes and successor
-   function. Picking the RPO-least pending node means a node is re-transferred
-   only after its (forward-graph) predecessors have stabilised in this sweep,
-   which empirically cuts the transfer count well below chaotic FIFO
-   iteration on loop nests. [Fifo] is kept as the reference order the
-   transfer-count test compares against. *)
+   There is one worklist loop, [solve_plan]: a priority queue keyed by the
+   reverse-postorder (RPO) index of each node, computed once from the
+   problem's entry nodes and successor function, run one strongly connected
+   component at a time. Picking the RPO-least pending node means a node is
+   re-transferred only after its (forward-graph) predecessors have
+   stabilised in this sweep. The whole-program [solve] is the same loop over
+   a plan with a single component. *)
 
-type strategy = Fifo | Rpo
+(* The worklist order. [Rpo] is the only one; the type stays because
+   report-cache keys name it. *)
+type strategy = Rpo
 
-let strategy_name = function Fifo -> "fifo" | Rpo -> "rpo"
+let strategy_name Rpo = "rpo"
 
 (* Cooperative cancellation: [solve]/[solve_plan] poll their token before
    every transfer and bail out with this. Declared outside the functor so
@@ -150,122 +152,25 @@ module Make (D : Domain) = struct
     max_pending : int;  (** peak worklist occupancy *)
   }
 
-  (* [propagate] maps a node and its out-state to per-edge contributions
+  (* Component-scheduled solve, the engine's one worklist loop. Components
+     are solved one after another in id order, which is topological. Each
+     is solved against the cross-component contributions accumulated in
+     [ext_input] ("inbox"): because every cross-component edge u->v has
+     RPO(u) < RPO(v), a single heap over the whole graph would also deliver
+     all external inputs of a component before transferring any of its
+     members, so the per-component solve — run with the *global* RPO
+     priority — pops the same sequence and converges to the same states as
+     the one-component plan [solve] builds (see DESIGN.md 5g for the fine
+     print on widening at interleaved priorities).
+
+     [propagate] maps a node and its out-state to per-edge contributions
      (target, state); the default forwards the out-state to every successor.
      Consumers use it for branch refinement, where an edge may transform the
      state or kill it entirely (infeasible edge). [budget] bounds the number
      of transfers; exceeding it raises [Failure msg]. [force_widen_after]
      widens at *every* node visited more than that many times, as a
      convergence backstop for domains with infinite ascending chains outside
-     the declared widening points. *)
-  let solve ?(strategy = Rpo) ?propagate ?(force_widen_after = max_int) ?budget
-      ?(cancel = fun () -> false) p =
-    let propagate =
-      match propagate with
-      | Some f -> f
-      | None -> fun n out -> List.map (fun m -> (m, out)) (p.succs n)
-    in
-    let priority =
-      match strategy with
-      | Fifo -> [||]
-      | Rpo ->
-        rpo_index ~num_nodes:p.num_nodes ~entries:(List.map fst p.entries) ~succs:p.succs
-    in
-    let input : D.t option array = Array.make p.num_nodes None in
-    let output : D.t option array = Array.make p.num_nodes None in
-    let visits = Array.make p.num_nodes 0 in
-    let in_queue = Array.make p.num_nodes false in
-    let fifo = Queue.create () in
-    let heap = Heap.create (min p.num_nodes 1024) in
-    let transfers = ref 0 in
-    let widenings = ref 0 in
-    let joins = ref 0 in
-    let pending_now = ref 0 in
-    let max_pending = ref 0 in
-    let enqueue n =
-      if not in_queue.(n) then begin
-        in_queue.(n) <- true;
-        incr pending_now;
-        if !pending_now > !max_pending then max_pending := !pending_now;
-        match strategy with
-        | Fifo -> Queue.add n fifo
-        | Rpo -> Heap.push heap priority.(n) n
-      end
-    in
-    let dequeue () =
-      let n = match strategy with Fifo -> Queue.take fifo | Rpo -> Heap.pop heap in
-      in_queue.(n) <- false;
-      decr pending_now;
-      n
-    in
-    let pending () =
-      match strategy with Fifo -> not (Queue.is_empty fifo) | Rpo -> not (Heap.is_empty heap)
-    in
-    let update_input n state =
-      match input.(n) with
-      | None ->
-        input.(n) <- Some state;
-        enqueue n
-      | Some old ->
-        if not (D.leq state old) then begin
-          let merged =
-            if
-              (p.widening_points n && visits.(n) >= p.widening_delay)
-              || visits.(n) >= force_widen_after
-            then begin
-              incr widenings;
-              D.widen old state
-            end
-            else begin
-              incr joins;
-              D.join old state
-            end
-          in
-          input.(n) <- Some merged;
-          enqueue n
-        end
-    in
-    List.iter (fun (n, s) -> update_input n s) p.entries;
-    while pending () do
-      if cancel () then raise Cancelled;
-      let n = dequeue () in
-      incr transfers;
-      (match budget with
-      | Some b when !transfers > b -> failwith "fixpoint did not converge within budget"
-      | Some _ | None -> ());
-      visits.(n) <- visits.(n) + 1;
-      match input.(n) with
-      | None -> ()
-      | Some s ->
-        let out = p.transfer n s in
-        let changed =
-          match output.(n) with
-          | None -> true
-          | Some old -> not (D.leq out old)
-        in
-        if changed then begin
-          output.(n) <- Some out;
-          List.iter (fun (m, st) -> update_input m st) (propagate n out)
-        end
-    done;
-    {
-      in_state = (fun n -> input.(n));
-      out_state = (fun n -> output.(n));
-      transfers = !transfers;
-      widenings = !widenings;
-      joins = !joins;
-      max_pending = !max_pending;
-    }
-
-  (* Component-scheduled solve. Components are solved one after another in
-     id order, which is topological. Each is solved against the
-     cross-component contributions accumulated in [ext_input] ("inbox"):
-     because every cross-component edge u->v has RPO(u) < RPO(v), the
-     whole-program heap-driven solve also delivers all external inputs of a
-     component before transferring any of its members, so the per-component
-     solve — run with the *global* RPO priority — pops the same sequence and
-     converges to the same states (see DESIGN.md 5g for the fine print on
-     widening at interleaved priorities).
+     the declared widening points.
 
      A component whose members all have [rows] recorded under the inbox
      delivered this run is installed from them instead of solved: the
@@ -295,8 +200,7 @@ module Make (D : Domain) = struct
     let max_pending = ref 0 in
     (* Merge a cross-component contribution into the inbox. Inbox states
        are never widened: every delivery lands before the target is first
-       visited, mirroring the whole-program solve where such merges always
-       take the join path (visits = 0). *)
+       visited, where [update] would also take the join path (visits = 0). *)
     let deliver (m, st) =
       match ext_input.(m) with
       | None -> ext_input.(m) <- Some st
@@ -432,4 +336,25 @@ module Make (D : Domain) = struct
         max_pending = !max_pending;
       },
       { applied; per_comp_transfers; ext_input } )
+
+  (* The whole-program solve: every node in component 0, popped by its RPO
+     index. No edge leaves the component, so nothing is ever delivered
+     across components after the entries. *)
+  let solve ?propagate ?force_widen_after ?budget ?cancel p =
+    let priority =
+      rpo_index ~num_nodes:p.num_nodes ~entries:(List.map fst p.entries) ~succs:p.succs
+    in
+    let members = Array.init p.num_nodes Fun.id in
+    Array.sort
+      (fun a b ->
+        match Int.compare priority.(a) priority.(b) with 0 -> Int.compare a b | c -> c)
+      members;
+    let plan =
+      {
+        plan_comp_of = Array.make p.num_nodes 0;
+        plan_comps = [| members |];
+        plan_priority = priority;
+      }
+    in
+    fst (solve_plan ?propagate ?force_widen_after ?budget ?cancel ~plan p)
 end

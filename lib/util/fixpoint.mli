@@ -2,16 +2,17 @@
     explicit directed graph of integer-indexed nodes.
 
     All abstract-interpretation passes (value analysis, cache analysis) are
-    instances of this solver. The default worklist is a binary heap keyed by
-    the reverse-postorder index of each node (computed once from the
-    problem's entries and successor function), so a node is re-transferred
+    instances of this solver. It has one worklist loop, {!Make.solve_plan}:
+    a binary heap keyed by the reverse-postorder index of each node
+    (computed once from the problem's entries and successor function), run
+    one strongly connected component at a time, so a node is re-transferred
     only after its forward-graph predecessors have settled in the current
-    sweep — far fewer transfers than chaotic FIFO iteration on loop nests. *)
+    sweep. The whole-program {!Make.solve} is that loop over a plan with a
+    single component. *)
 
-(** [Rpo] is the default and the only order the analyses use. [Fifo]
-    preserves the historical chaotic-iteration order as the reference the
-    transfer-count test compares [Rpo] against. *)
-type strategy = Fifo | Rpo
+(** The worklist order. [Rpo] is the only one; the type stays because
+    report-cache keys name it ({!strategy_name} gives ["rpo"]). *)
+type strategy = Rpo
 
 val strategy_name : strategy -> string
 
@@ -101,8 +102,11 @@ module Make (D : Domain) : sig
     max_pending : int;  (** peak worklist occupancy *)
   }
 
-  (** [solve ?strategy ?propagate ?force_widen_after ?budget problem] runs
-      the worklist algorithm to a post-fixpoint.
+  (** [solve ?propagate ?force_widen_after ?budget ?cancel problem] runs
+      the worklist algorithm to a post-fixpoint over the whole graph. It is
+      {!solve_plan} on the one-component plan: every node in component 0,
+      with {!rpo_index} as the priority, so nodes pop in reverse postorder
+      and no contribution ever crosses components.
 
       [propagate node out_state] lists the per-edge contributions
       [(target, state)] of a node's out-state; the default forwards
@@ -117,7 +121,6 @@ module Make (D : Domain) : sig
       [cancel] is polled before every transfer; when it returns [true] the
       solve raises {!Cancelled}. *)
   val solve :
-    ?strategy:strategy ->
     ?propagate:(int -> D.t -> (int * D.t) list) ->
     ?force_widen_after:int ->
     ?budget:int ->
@@ -130,11 +133,12 @@ module Make (D : Domain) : sig
       component sees the final contributions of all its predecessors.
 
       Because every cross-component edge goes forward in both the
-      condensation and the RPO priority, the whole-program {!solve} also
-      finishes a component's predecessors before first visiting the
-      component; solving each component against its accumulated external
-      inputs with the global RPO priority therefore reproduces the
-      whole-program fixpoint (and transfer count) component by component.
+      condensation and the RPO priority, the one-component plan of
+      {!solve} also finishes a component's predecessors before first
+      visiting the component; solving each component against its
+      accumulated external inputs with the global RPO priority therefore
+      reproduces the whole-program fixpoint (and transfer count) component
+      by component.
 
       [rows] offers recorded summary rows by node. Just before a reached
       component would be solved, the engine installs it from its rows
@@ -145,10 +149,9 @@ module Make (D : Domain) : sig
       propagate downstream. Otherwise the component is solved and its rows
       are ignored.
 
-      [strategy] is not a parameter: scheduled solving is inherently
-      priority-driven ([Rpo]). [budget] caps the total transfer count
-      exactly as in {!solve}; [cancel] is polled before every component and
-      every transfer. *)
+      [propagate], [force_widen_after] and [budget] (the total transfer
+      count) act as in {!solve}; [cancel] is polled before every component
+      and every transfer. *)
   val solve_plan :
     ?propagate:(int -> D.t -> (int * D.t) list) ->
     ?rows:(int -> D.t row option) ->

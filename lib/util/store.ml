@@ -108,15 +108,16 @@ let write t ~key ~kind ~version payload =
             (Digest.to_hex (Digest.string payload))
             (String.length payload)
         in
-        let tmp = Filename.temp_file ~temp_dir:dir ".tmp-" ".part" in
+        let tmp, oc = Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir ".tmp-" ".part" in
         let ok =
           try
-            Out_channel.with_open_bin tmp (fun oc ->
-                output_string oc header;
-                output_string oc payload);
+            output_string oc header;
+            output_string oc payload;
+            close_out oc;
             Sys.rename tmp (entry_path t key);
             true
           with Sys_error _ ->
+            close_out_noerr oc;
             (try Sys.remove tmp with Sys_error _ -> ());
             false
         in

@@ -276,29 +276,38 @@ let finish ?(publish = true) ctx (graph : Supergraph.t) node_in node_out (soluti
   if publish then publish_access_metrics accesses;
   { graph; node_in; node_out; accesses; transfers = solution.FP.transfers }
 
-let run ?(assumes = []) ?cancel ?publish
-    (graph : Supergraph.t) (loops : Loops.info) =
-  let n = Array.length graph.Supergraph.nodes in
-  let ctx = chronological_ctx graph.Supergraph.program in
+(* The problem both solvers run. [on_transfer i] runs just before node
+   [i]'s transfer. *)
+let problem ?(on_transfer = ignore) ~assumes ctx (graph : Supergraph.t) (loops : Loops.info) =
+  let nodes = graph.Supergraph.nodes in
   let widening_point = widening_points graph loops in
+  {
+    FP.num_nodes = Array.length nodes;
+    entries = [ (graph.Supergraph.entry, State.entry_state ~assumes) ];
+    succs = (fun i -> List.map snd nodes.(i).Supergraph.succs);
+    transfer =
+      (fun i st ->
+        on_transfer i;
+        transfer_block ctx st nodes.(i));
+    widening_points = (fun i -> widening_point.(i));
+    widening_delay = 2;
+  }
+
+(* The transfer budget both solvers get. *)
+let budget (loops : Loops.info) (p : FP.problem) =
+  200 * p.FP.num_nodes * (1 + Array.length loops.Loops.loops)
+
+let run ?(assumes = []) ?cancel ?publish (graph : Supergraph.t) (loops : Loops.info) =
+  let ctx = chronological_ctx graph.Supergraph.program in
+  let p = problem ~assumes ctx graph loops in
   let solution =
     try
-      FP.solve
-        ~propagate:(propagate_of ctx graph)
-        ?cancel ~force_widen_after:40
-        ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
-        {
-          FP.num_nodes = n;
-          entries = [ (graph.Supergraph.entry, State.entry_state ~assumes) ];
-          succs = (fun i -> List.map snd graph.Supergraph.nodes.(i).Supergraph.succs);
-          transfer = (fun i st -> transfer_block ctx st graph.Supergraph.nodes.(i));
-          widening_points = (fun i -> widening_point.(i));
-          widening_delay = 2;
-        }
+      FP.solve ~propagate:(propagate_of ctx graph) ?cancel ~force_widen_after:40
+        ~budget:(budget loops p) p
     with Failure _ -> failwith "value analysis did not converge"
   in
-  let node_in = Array.init n solution.FP.in_state in
-  let node_out = Array.init n solution.FP.out_state in
+  let node_in = Array.init p.FP.num_nodes solution.FP.in_state in
+  let node_out = Array.init p.FP.num_nodes solution.FP.out_state in
   finish ?publish ctx graph node_in node_out solution
 
 (* ---- Component-scheduled solve -------------------------------------- *)
@@ -306,11 +315,6 @@ let run ?(assumes = []) ?cancel ?publish
 let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
     (loops : Loops.info) =
   let n = Array.length graph.Supergraph.nodes in
-  let nodes = graph.Supergraph.nodes in
-  let succs i = List.map snd nodes.(i).Supergraph.succs in
-  let plan =
-    Wcet_cfg.Callgraph.condense ~num_nodes:n ~entries:[ graph.Supergraph.entry ] ~succs
-  in
   (* Per-node registrations, for the summary rows: a solved node records the
      ones its transfers make ([current_node] is the node being
      transferred), an applied one takes them from its row. *)
@@ -322,7 +326,10 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
         if nd >= 0 && not (List.mem a node_linkage.(nd)) then
           node_linkage.(nd) <- a :: node_linkage.(nd))
   in
-  let widening_point = widening_points graph loops in
+  let p = problem ~on_transfer:(fun i -> current_node := i) ~assumes ctx graph loops in
+  let plan =
+    Wcet_cfg.Callgraph.condense ~num_nodes:n ~entries:[ graph.Supergraph.entry ] ~succs:p.FP.succs
+  in
   (* An applied node takes its registrations from its slice. They enter the
      chronological table, attributed to no transferred node, before the
      component's out-states propagate. *)
@@ -338,20 +345,7 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
         ?on_apply:(Option.map on_apply slice)
         ?cancel
         ~propagate:(propagate_of ctx graph)
-        ~force_widen_after:40
-        ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
-        ~plan
-        {
-          FP.num_nodes = n;
-          entries = [ (graph.Supergraph.entry, State.entry_state ~assumes) ];
-          succs;
-          transfer =
-            (fun i st ->
-              current_node := i;
-              transfer_block ctx st nodes.(i));
-          widening_points = (fun i -> widening_point.(i));
-          widening_delay = 2;
-        }
+        ~force_widen_after:40 ~budget:(budget loops p) ~plan p
     with Failure _ -> failwith "value analysis did not converge"
   in
   let node_in = Array.init n solution.FP.in_state in

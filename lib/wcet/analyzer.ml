@@ -423,8 +423,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
     graph.Supergraph.unresolved_jumps;
   let loops = Loops.analyze graph in
   if Wcet_obs.Obs.on () then
-    Metrics.set m_scc_count
-      (Wcet_cfg.Callgraph.scc_count (Wcet_cfg.Callgraph.of_supergraph graph));
+    Metrics.set m_scc_count (Wcet_cfg.Callgraph.function_scc_count graph);
   (* Per-function summary rows from the persistent cache: components whose
      members all carry rows recorded under the inputs delivered this run
      are applied without re-transferring a node. *)
@@ -855,10 +854,12 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
 
 let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis.Interval)
     ?(path_backend = Path_analysis.Portfolio) ?(verify = false) ?cancel program =
-  let key f =
-    f ~hw ~annot ~strategy:Wcet_util.Fixpoint.Rpo ~engine:(engine_name Summary)
-      ~domain:(Analysis.domain_name domain) ~path:(Path_analysis.choice_name path_backend)
-      program
+  (* Derived at most once per analysis, and only when a store is set. *)
+  let key =
+    lazy
+      (Report_cache.report_key ~hw ~annot ~strategy:Wcet_util.Fixpoint.Rpo
+         ~engine:(engine_name Summary) ~domain:(Analysis.domain_name domain)
+         ~path:(Path_analysis.choice_name path_backend) program)
   in
   Trace.with_span ~cat:"analyzer" "analyze" (fun () ->
       (* A report hit would skip every cross-check, so [verify] always
@@ -867,7 +868,7 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
       let cached =
         if verify || not (Report_cache.enabled ()) then None
         else
-          match key Report_cache.find_report with
+          match Report_cache.find ~key:(Lazy.force key) with
           | None -> None
           | Some payload -> (
             (* The envelope checksum and version already passed; a decode
@@ -879,7 +880,7 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
             with
             | r -> Some r
             | exception _ ->
-              key Report_cache.invalidate_report;
+              Report_cache.invalidate ~key:(Lazy.force key);
               None)
       in
       let r =
@@ -889,7 +890,7 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
           let r = analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program in
           if Report_cache.enabled () then
             Trace.with_span ~cat:"store" "store.write" (fun () ->
-                key Report_cache.save_report (Marshal.to_string r []));
+                Report_cache.save ~key:(Lazy.force key) (Marshal.to_string r []));
           r
       in
       Trace.add_attr "nodes" (Trace.Int (Array.length r.graph.Supergraph.nodes));

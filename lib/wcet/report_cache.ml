@@ -315,11 +315,10 @@ let write_entry store ~key ~kind payload =
 
 (* ---- Whole-program reports ------------------------------------------ *)
 
-let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
+let find ~key =
   match Atomic.get store_ref with
   | None -> None
   | Some store -> (
-    let key = report_key ~hw ~annot ~strategy ~engine ~domain ~path program in
     match
       Trace.with_span ~cat:"store" "store.read" (fun () -> read_entry store ~key ~kind:"report")
     with
@@ -330,26 +329,28 @@ let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
       Metrics.incr m_misses_program 1;
       None)
 
-let save_report ~hw ~annot ~strategy ~engine ~domain ~path program payload =
+let save ~key payload =
   match Atomic.get store_ref with
   | None -> ()
-  | Some store ->
-    write_entry store
-      ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
-      ~kind:"report" payload
+  | Some store -> write_entry store ~key ~kind:"report" payload
 
-(* The caller could not decode a payload [find_report] returned (marshal
-   layout drift not covered by the version string): reclassify the hit as
-   a miss and evict the entry. *)
-let invalidate_report ~hw ~annot ~strategy ~engine ~domain ~path program =
+(* The caller could not decode a payload [find] returned (marshal layout
+   drift not covered by the version string): reclassify the hit as a miss
+   and evict the entry. *)
+let invalidate ~key =
   (match Atomic.get store_ref with
   | None -> ()
-  | Some store ->
-    evict store
-      (report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
-      ~code:"W0610" ~why:"cached report failed to deserialize");
+  | Some store -> evict store key ~code:"W0610" ~why:"cached report failed to deserialize");
   Metrics.decr m_hits_program 1;
   Metrics.incr m_misses_program 1
+
+let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
+  if enabled () then find ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
+  else None
+
+let save_report ~hw ~annot ~strategy ~engine ~domain ~path program payload =
+  if enabled () then
+    save ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program) payload
 
 (* ---- Per-function summary slices ------------------------------------ *)
 

@@ -47,6 +47,30 @@ val drain_diags : unit -> Diag.t list
     Payloads are opaque bytes: the analyzer marshals/unmarshals its report
     type itself (this module cannot name it without a dependency cycle). *)
 
+(** The store key of a whole-program report: a digest of the analysis
+    configuration and the program. Opens a [store.key] trace span. *)
+val report_key :
+  hw:Pred32_hw.Hw_config.t ->
+  annot:Wcet_annot.Annot.t ->
+  strategy:Wcet_util.Fixpoint.strategy ->
+  engine:string ->
+  domain:string ->
+  path:string ->
+  Pred32_asm.Program.t ->
+  string
+
+(** The report payload stored under [key], if any (counted as a program
+    hit or miss). [None] without a store. *)
+val find : key:string -> string option
+
+(** Store [payload] under [key]; a no-op without a store. *)
+val save : key:string -> string -> unit
+
+(** The payload [find] returned failed to deserialize: evict it and
+    reclassify the hit as a miss (W0610). *)
+val invalidate : key:string -> unit
+
+(** [find] and [save] under the {!report_key} of these arguments. *)
 val find_report :
   hw:Pred32_hw.Hw_config.t ->
   annot:Wcet_annot.Annot.t ->
@@ -66,18 +90,6 @@ val save_report :
   path:string ->
   Pred32_asm.Program.t ->
   string ->
-  unit
-
-(** The payload [find_report] returned failed to deserialize: evict it and
-    reclassify the hit as a miss (W0610). *)
-val invalidate_report :
-  hw:Pred32_hw.Hw_config.t ->
-  annot:Wcet_annot.Annot.t ->
-  strategy:Wcet_util.Fixpoint.strategy ->
-  engine:string ->
-  domain:string ->
-  path:string ->
-  Pred32_asm.Program.t ->
   unit
 
 (** {1 Per-function summary slices}

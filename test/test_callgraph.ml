@@ -1,7 +1,7 @@
 (* Tests for the call-graph condensation (lib/cfg/callgraph) and the
-   summary-based scheduled analyses built on it: SCC structure and slice
-   bookkeeping, and the corpus-wide property that the summary engine and
-   the whole-program reference solve agree state by state. *)
+   summary-based scheduled analyses built on it: the function-level SCC
+   count, slice bookkeeping, and the corpus-wide property that the summary
+   engine and the whole-program reference solve agree state by state. *)
 
 module Compile = Minic.Compile
 module Analyzer = Wcet_core.Analyzer
@@ -18,47 +18,22 @@ let annot_exn text =
 let graph_of ?annot source =
   (Analyzer.analyze ?annot (Compile.compile source)).Analyzer.graph
 
-let scc_with cg f =
-  match Callgraph.scc_of cg f with
-  | Some i -> i
-  | None -> Alcotest.failf "function %s not in any SCC" f
-
 (* --- SCC structure --- *)
 
 let test_mutual_recursion_one_scc () =
-  (* f -> g -> h -> f: one three-member SCC, marked recursive; main in its
-     own non-recursive SCC, after (above) the cycle. *)
+  (* f -> g -> h -> f: one three-member SCC; main in its own. *)
   let source =
     "int f(int n) { if (n < 1) { return 0; } return g(n - 1); } \
      int g(int n) { return h(n); } \
      int h(int n) { return f(n); } \
      int main() { return f(6); }"
   in
-  let cg =
-    Callgraph.of_supergraph
-      (graph_of
-         ~annot:(annot_exn "recursion f depth 7\nrecursion g depth 7\nrecursion h depth 7")
-         source)
+  let graph =
+    graph_of
+      ~annot:(annot_exn "recursion f depth 7\nrecursion g depth 7\nrecursion h depth 7")
+      source
   in
-  let sf = scc_with cg "f" in
-  Alcotest.(check int) "f and g share an SCC" sf (scc_with cg "g");
-  Alcotest.(check int) "f and h share an SCC" sf (scc_with cg "h");
-  Alcotest.(check (list string)) "members sorted" [ "f"; "g"; "h" ] cg.Callgraph.sccs.(sf);
-  Alcotest.(check bool) "cycle is recursive" true cg.Callgraph.recursive.(sf);
-  let sm = scc_with cg "main" in
-  Alcotest.(check bool) "main is its own SCC" true (sm <> sf);
-  Alcotest.(check bool) "main is not recursive" false cg.Callgraph.recursive.(sm);
-  Alcotest.(check bool) "callee SCC first (bottom-up order)" true (sf < sm)
-
-let test_self_recursion_marked () =
-  let source =
-    "int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); } \
-     int main() { return fact(6); }"
-  in
-  let cg = Callgraph.of_supergraph (graph_of ~annot:(annot_exn "recursion fact depth 8") source) in
-  Alcotest.(check bool) "single-member self-call SCC is recursive" true
-    cg.Callgraph.recursive.(scc_with cg "fact");
-  Alcotest.(check bool) "main is not" false cg.Callgraph.recursive.(scc_with cg "main")
+  Alcotest.(check int) "two SCCs (the cycle, main)" 2 (Callgraph.function_scc_count graph)
 
 let diamond_source =
   "int shared(int x) { int i; int s; s = x; for (i = 0; i < 4; i = i + 1) { s = s + i; } \
@@ -69,36 +44,18 @@ let diamond_source =
 
 let test_diamond_sccs () =
   (* main -> {helper_a, helper_b} -> shared: four singleton SCCs, shared
-     exactly once (not once per call path), callee-first order. *)
-  let cg = Callgraph.of_supergraph (graph_of diamond_source) in
-  Alcotest.(check int) "four SCCs" 4 (Callgraph.scc_count cg);
-  Alcotest.(check (list string)) "no function duplicated"
-    [ "helper_a"; "helper_b"; "main"; "shared" ]
-    (List.sort compare (Array.to_list cg.Callgraph.sccs |> List.concat));
-  Alcotest.(check bool) "shared before its callers" true
-    (scc_with cg "shared" < scc_with cg "helper_a"
-    && scc_with cg "shared" < scc_with cg "helper_b");
-  Alcotest.(check bool) "callers before main" true
-    (scc_with cg "helper_a" < scc_with cg "main"
-    && scc_with cg "helper_b" < scc_with cg "main");
-  Alcotest.(check bool) "nothing recursive" true
-    (Array.for_all not cg.Callgraph.recursive);
-  Alcotest.(check (list string)) "nothing unreachable" [] cg.Callgraph.unreachable
+     counted once (not once per call path). *)
+  Alcotest.(check int) "four SCCs" 4 (Callgraph.function_scc_count (graph_of diamond_source))
 
 let test_unreachable_function_skipped () =
-  (* orphan is never called: the supergraph does not expand it and the
-     call graph reports it, so no summary work (or slice entry) is spent
-     on it. *)
+  (* orphan is never called: the supergraph does not expand it, so it is
+     not counted. *)
   let source =
     "int orphan(int x) { return x * 3; }\n\
      int used(int x) { return x + 1; }\n\
      int main() { return used(41); }\n"
   in
-  let cg = Callgraph.of_supergraph (graph_of source) in
-  Alcotest.(check (list string)) "orphan reported unreachable" [ "orphan" ]
-    cg.Callgraph.unreachable;
-  Alcotest.(check (option int)) "orphan has no SCC" None (Callgraph.scc_of cg "orphan");
-  Alcotest.(check int) "two SCCs (used, main)" 2 (Callgraph.scc_count cg)
+  Alcotest.(check int) "two SCCs (used, main)" 2 (Callgraph.function_scc_count (graph_of source))
 
 (* --- slice bookkeeping: one store entry per function --- *)
 
@@ -163,7 +120,6 @@ let () =
         [
           Alcotest.test_case "mutual recursion is one SCC" `Quick
             test_mutual_recursion_one_scc;
-          Alcotest.test_case "self recursion marked" `Quick test_self_recursion_marked;
           Alcotest.test_case "diamond condensation" `Quick test_diamond_sccs;
           Alcotest.test_case "unreachable function skipped" `Quick
             test_unreachable_function_skipped;

@@ -1,7 +1,8 @@
 (* Tests for the shared fixpoint engine (RPO priority worklist) and the
    domain pool: worklist determinism, widening-delay behavior, the
-   RPO-beats-FIFO transfer-count property, and parallel-vs-serial equality
-   of the sharded histogram and the E1/E2 corpus tables. *)
+   whole-program solve's pinned work counts, the component schedule against
+   the one-component plan, and parallel-vs-serial equality of the sharded
+   histogram and the E1/E2 corpus tables. *)
 
 module Fixpoint = Wcet_util.Fixpoint
 module Parallel = Wcet_util.Parallel
@@ -81,8 +82,8 @@ let test_rpo_index () =
     (index.(3) > index.(1) && index.(3) > index.(2));
   Alcotest.(check int) "unreachable gets max_int" max_int index.(4)
 
-(* A ladder of diamonds feeding a loop: enough structure that chaotic FIFO
-   iteration re-transfers nodes the RPO order visits once. *)
+(* A ladder of diamonds feeding a loop: joins at every diamond and a
+   back edge into the loop head. *)
 let ladder_problem () =
   (* Nodes 0..9 chain of diamonds; 10..12 loop: 10 -> 11 -> 12 -> 10. *)
   let succs = function
@@ -109,21 +110,6 @@ let ladder_problem () =
     widening_points = (fun n -> n = 10);
     widening_delay = 2;
   }
-
-let test_rpo_fewer_transfers_than_fifo () =
-  let rpo = FP.solve ~strategy:Fixpoint.Rpo (ladder_problem ()) in
-  let fifo = FP.solve ~strategy:Fixpoint.Fifo (ladder_problem ()) in
-  (* Same fixpoint either way... *)
-  for n = 0 to 12 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "same in-state at %d" n)
-      (fifo.FP.in_state n) (rpo.FP.in_state n)
-  done;
-  (* ...but the priority worklist needs no more transfers. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "rpo %d <= fifo %d" rpo.FP.transfers fifo.FP.transfers)
-    true
-    (rpo.FP.transfers <= fifo.FP.transfers)
 
 let test_deterministic () =
   let a = FP.solve (ladder_problem ()) in
@@ -200,6 +186,41 @@ let sibling_loops_problem () =
     widening_delay = 4;
   }
 
+(* The whole-program solve's work on the ladder and counter problems, as
+   recorded from the engine before [solve] became the one-component plan of
+   [solve_plan]: (transfers, widenings, joins, max_pending). *)
+let check_counts what (t, w, j, mp) (transfers, widenings, joins, max_pending) =
+  Alcotest.(check (list int))
+    (what ^ ": transfers, widenings, joins, max_pending")
+    [ t; w; j; mp ]
+    [ transfers; widenings; joins; max_pending ]
+
+let test_solve_counts_pinned () =
+  let r = FP.solve (ladder_problem ()) in
+  check_counts "ladder" (13, 0, 3, 2) (r.FP.transfers, r.FP.widenings, r.FP.joins, r.FP.max_pending);
+  let states =
+    [| (1, 1); (1, 3); (1, 5); (7, 15); (15, 31); (15, 47); (63, 127); (127, 255); (127, 127);
+       (255, 255); (255, 255); (255, 255); (255, 255) |]
+  in
+  Array.iteri
+    (fun n (i, o) ->
+      Alcotest.(check (option int)) (Printf.sprintf "ladder in %d" n) (Some i) (r.FP.in_state n);
+      Alcotest.(check (option int)) (Printf.sprintf "ladder out %d" n) (Some o) (r.FP.out_state n))
+    states;
+  List.iter
+    (fun (delay, counts) ->
+      let r = FPC.solve (counter_problem ~widening_delay:delay) in
+      let what = Printf.sprintf "counter (delay %d)" delay in
+      check_counts what counts (r.FPC.transfers, r.FPC.widenings, r.FPC.joins, r.FPC.max_pending);
+      List.iter
+        (fun (n, s) ->
+          Alcotest.(check (option int)) (Printf.sprintf "%s: in %d" what n) (Some s)
+            (r.FPC.in_state n);
+          Alcotest.(check (option int)) (Printf.sprintf "%s: out %d" what n) (Some s)
+            (r.FPC.out_state n))
+        [ (0, 0); (1, Counter.top); (2, Counter.top) ])
+    [ (2, (7, 1, 3, 1)); (8, (19, 1, 15, 1)) ]
+
 let test_budget () =
   let exhausted = Failure "fixpoint did not converge within budget" in
   Alcotest.check_raises "budget exhausted" exhausted (fun () ->
@@ -244,17 +265,26 @@ let test_plan_shape () =
   done
 
 let test_solve_plan_matches_solve () =
+  (* [solve] is the one-component plan; the condensed plan splits the
+     ladder into its diamonds' nodes and the loop *)
   let p, plan = ladder_plan () in
   let whole = FP.solve p in
   let sched, info = FP.solve_plan ~plan p in
+  Alcotest.(check bool) "condensed plan has several components" true
+    (Array.length plan.Fixpoint.plan_comps > 1);
   for n = 0 to 12 do
     Alcotest.(check (option int))
       (Printf.sprintf "same in-state at %d" n)
-      (whole.FP.in_state n) (sched.FP.in_state n)
+      (whole.FP.in_state n) (sched.FP.in_state n);
+    Alcotest.(check (option int))
+      (Printf.sprintf "same out-state at %d" n)
+      (whole.FP.out_state n) (sched.FP.out_state n)
   done;
-  (* cold bit-identity: the component schedule replays the global solve's
-     pop order, so the transfer counts agree exactly *)
+  (* cold bit-identity: the component schedule replays the one-component
+     plan's pop order, so the work counts agree exactly *)
   Alcotest.(check int) "same transfer count" whole.FP.transfers sched.FP.transfers;
+  Alcotest.(check int) "same widening count" whole.FP.widenings sched.FP.widenings;
+  Alcotest.(check int) "same join count" whole.FP.joins sched.FP.joins;
   Alcotest.(check bool) "nothing applied without a summary" true
     (Array.for_all not info.Fixpoint.applied)
 
@@ -382,9 +412,9 @@ let () =
           Alcotest.test_case "reachability" `Quick test_reachability;
           Alcotest.test_case "transfer composition" `Quick test_transfer_composition;
           Alcotest.test_case "rpo index" `Quick test_rpo_index;
-          Alcotest.test_case "rpo <= fifo transfers" `Quick test_rpo_fewer_transfers_than_fifo;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "widening delay" `Quick test_widening_delay;
+          Alcotest.test_case "solve counts pinned" `Quick test_solve_counts_pinned;
           Alcotest.test_case "budget" `Quick test_budget;
         ] );
       ( "scheduled",

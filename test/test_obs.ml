@@ -326,7 +326,7 @@ let test_analysis_populates_metrics () =
         (counter_value "path_solves{backend=csolve}"))
 
 (* With a store, the store work inside analyze shows in the profile: a
-   cold run derives the key, reads (a miss) and writes the report; a warm
+   cold run derives the key once, reads (a miss) and writes the report; a warm
    run reads and decodes it and runs no phase. *)
 let test_store_spans () =
   let program = Minic.Compile.compile Harness.quickstart_source in
@@ -362,6 +362,9 @@ let test_store_spans () =
           check_spans "cold"
             [ ("analyze", true); ("store.key", true); ("store.read", true); ("store.write", true);
               ("store.decode", false); ("value", true) ];
+          (* the report key is derived once, for the read and the write *)
+          Alcotest.(check int) "cold: one store.key span" 1
+            (List.length (List.filter (String.equal "store.key") (spans ())));
           Trace.reset ();
           ignore (Analyzer.analyze program);
           check_spans "warm"
