@@ -223,7 +223,8 @@ let verify_arg =
           "Re-run the reference configuration and abort on any divergence: summary vs \
            whole-program states (E0204), octagon-refined vs interval states and bound (E0503), \
            and the path backends against certified witness paths with csolve as the \
-           structural witness (E0303). Never reads a cached report")
+           structural witness and the simplex as the oracle of fact-free IPET (E0303). \
+           Never reads a cached report")
 
 let domain_arg =
   Arg.(

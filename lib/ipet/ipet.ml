@@ -4,6 +4,7 @@ module Loops = Wcet_cfg.Loops
 module Analysis = Wcet_value.Analysis
 
 module Metrics = Wcet_obs.Metrics
+module Trace = Wcet_obs.Trace
 
 let m_solves = Metrics.counter ~name:"ipet_solves" ~help:"IPET problems handed to the ILP solver" ()
 
@@ -35,7 +36,7 @@ let path_sensitive = false
 let fact_blind = false
 let exact_witness = false
 
-let solve (spec : spec) (loops : Loops.info) =
+let solve_lp (spec : spec) (loops : Loops.info) =
   let graph = spec.value.Analysis.graph in
   let n = Array.length graph.Supergraph.nodes in
   let entry = graph.Supergraph.entry in
@@ -223,10 +224,25 @@ let solve (spec : spec) (loops : Loops.info) =
         node_counts.(v) <- count
       end
     done;
-    let sol = { wcet; node_counts } in
-    (match Path_analysis.check_identity sol spec.times with
-    | Ok () -> Ok sol
-    | Error d ->
-      Error
-        (Path_analysis.internal
-           (Printf.sprintf "IPET count/time identity off by %d cycles" d)))
+    Path_analysis.checked ~who:"IPET" { wcet; node_counts } spec.times
+
+module Simplex = struct
+  let name = "simplex"
+  let path_sensitive = false
+  let fact_blind = false
+  let exact_witness = false
+  let solve = solve_lp
+end
+
+(* A fact-free spec is a tree-structured problem: the longest path over the
+   collapsed loop forest is its optimum. Flow facts, and any spec the
+   forest cannot collapse (irreducible or unbounded cycles), go to the
+   simplex, which also supplies the typed error. *)
+let solve (spec : spec) (loops : Loops.info) =
+  match if spec.facts = [] then Some (Wcet_path.Forest.solve spec loops) else None with
+  | Some sol ->
+    Trace.add_attr "solver" (Trace.Str "forest");
+    Path_analysis.checked ~who:"IPET" sol spec.times
+  | None | (exception Wcet_path.Forest.Failed _) ->
+    Trace.add_attr "solver" (Trace.Str "simplex");
+    solve_lp spec loops

@@ -148,7 +148,7 @@ let pp_attr ppf (k, v) =
 type agg = {
   mutable a_total_ns : int64;
   mutable a_count : int;
-  mutable a_attrs : (string * attr) list;  (* shown only while a_count = 1 *)
+  mutable a_attrs : (string * attr) list;  (* shown while every merged span carried them *)
   a_children : (string, agg) Hashtbl.t;
 }
 
@@ -176,7 +176,7 @@ let aggregate evs =
       in
       node.a_total_ns <- Int64.add node.a_total_ns e.dur_ns;
       node.a_count <- node.a_count + 1;
-      node.a_attrs <- (if node.a_count = 1 then e.attrs else []);
+      node.a_attrs <- (if node.a_count = 1 || e.attrs = node.a_attrs then e.attrs else []);
       Hashtbl.replace cur (e.tid, e.depth) node)
     evs;
   root

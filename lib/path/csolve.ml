@@ -1,21 +1,9 @@
-module Analysis = Wcet_value.Analysis
-module Supergraph = Wcet_cfg.Supergraph
-
 let name = "csolve"
 let path_sensitive = false
 let fact_blind = true
 let exact_witness = true
 
-let solve (spec : Path_analysis.spec) (loops : Wcet_cfg.Loops.info) =
-  try
-    let t = Forest.build spec loops in
-    let wcet, counts = Forest.solve_dag t in
-    let n = Array.length spec.Path_analysis.value.Analysis.graph.Supergraph.nodes in
-    let sol = { Path_analysis.wcet; node_counts = Forest.counts_to_array ~n counts } in
-    match Path_analysis.check_identity sol spec.Path_analysis.times with
-    | Ok () -> Ok sol
-    | Error d ->
-      Error
-        (Path_analysis.internal
-           (Printf.sprintf "csolve count/time identity off by %d cycles" d))
-  with Forest.Failed e -> Error e
+let solve (spec : Path_analysis.spec) loops =
+  match Forest.solve spec loops with
+  | sol -> Path_analysis.checked ~who:name sol spec.Path_analysis.times
+  | exception Forest.Failed e -> Error e

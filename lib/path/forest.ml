@@ -302,3 +302,8 @@ let solve_dag t =
   | None ->
     raise (Failed (Path_analysis.unbounded "no halting path is reachable from the entry"))
   | Some (c, mk) -> (c, mk ())
+
+let solve (spec : Path_analysis.spec) loops =
+  let wcet, counts = solve_dag (build spec loops) in
+  let n = Array.length spec.Path_analysis.value.Analysis.graph.Supergraph.nodes in
+  { Path_analysis.wcet; node_counts = counts_to_array ~n counts }

@@ -57,6 +57,11 @@ val build : Path_analysis.spec -> Wcet_cfg.Loops.info -> t
     fully-expanded execution counts of the witness path. *)
 val solve_dag : t -> int * counts
 
+(** [solve spec loops] is {!build} then {!solve_dag}, with the witness
+    counts spread over every supergraph node: the structural WCET of a
+    fact-free spec. Raises {!Failed} as they do. *)
+val solve : Path_analysis.spec -> Wcet_cfg.Loops.info -> Path_analysis.solution
+
 val counts_to_array : n:int -> counts -> int array
 
 (** [merge_counts [(cs, mult); ...]] sums scaled sparse count lists. *)

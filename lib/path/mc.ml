@@ -133,12 +133,7 @@ let solve (spec : Path_analysis.spec) (loops : Wcet_cfg.Loops.info) =
         Error (Path_analysis.internal "model checking pruned every path from the entry")
       | Some (wcet, counts) ->
         let sol = { Path_analysis.wcet; node_counts = Forest.counts_to_array ~n counts } in
-        (match Path_analysis.check_identity sol spec.Path_analysis.times with
-        | Ok () -> Ok sol
-        | Error d ->
-          Error
-            (Path_analysis.internal
-               (Printf.sprintf "mc count/time identity off by %d cycles" d))))
+        Path_analysis.checked ~who:name sol spec.Path_analysis.times)
   with
   | Forest.Failed e -> Error e
   | Intractable ->

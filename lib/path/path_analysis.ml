@@ -39,6 +39,11 @@ let check_identity (sol : solution) (times : int array) =
     sol.node_counts;
   if !total = sol.wcet then Ok () else Error (sol.wcet - !total)
 
+let checked ~who sol times =
+  match check_identity sol times with
+  | Ok () -> Ok sol
+  | Error d -> Error (internal (Printf.sprintf "%s count/time identity off by %d cycles" who d))
+
 (* Per-backend observability. Registered once at module initialization;
    injected test backends fall through to no-ops. *)
 

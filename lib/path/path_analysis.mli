@@ -71,6 +71,10 @@ val all_choices : (string * choice) list
     offending delta when violated. *)
 val check_identity : solution -> int array -> (unit, int) result
 
+(** [checked ~who sol times] is [Ok sol] when {!check_identity} holds, and
+    otherwise the E0304 internal error naming the solver [who]. *)
+val checked : who:string -> solution -> int array -> (solution, error) result
+
 (** {2 Per-backend observability} (no-ops for unknown backend names, so
     test-injected backends need no registration) *)
 

@@ -14,9 +14,15 @@ type result = {
   p_intractable : string list;
 }
 
+(* One span per backend, [path.<name>]; with tracing off no span name is
+   built. *)
 let run_one (spec : Path_analysis.spec) loops (module B : Path_analysis.BACKEND) =
   let t0 = Wcet_util.Mono_clock.now () in
-  let outcome = B.solve spec loops in
+  let outcome =
+    if Wcet_obs.Obs.on () then
+      Wcet_obs.Trace.with_span ~cat:"path" ("path." ^ B.name) (fun () -> B.solve spec loops)
+    else B.solve spec loops
+  in
   let wall_us = int_of_float ((Wcet_util.Mono_clock.now () -. t0) *. 1e6) in
   Path_analysis.record_solve ~backend:B.name ~us:wall_us;
   {
@@ -57,6 +63,15 @@ let cross_check ~witness_check ~no_facts runs =
     if bound_of mc > bound_of cs then
       flag "mc bound %d exceeds the csolve bound %d on the same structural model"
         (bound_of mc) (bound_of cs)
+  | _ -> ());
+  (* On a fact-free spec, IPET's forest answer must be the simplex optimum. *)
+  (match
+     ( List.find_opt (fun r -> r.r_name = "ipet") complete,
+       List.find_opt (fun r -> r.r_name = "simplex") complete )
+   with
+  | Some ipet, Some lp when no_facts && bound_of ipet <> bound_of lp ->
+    flag "ipet bound %d differs from the simplex bound %d on a fact-free spec"
+      (bound_of ipet) (bound_of lp)
   | _ -> ());
   (* Witness check, fact-free: no complete backend may undercut a certified
      witness it must account for. *)

@@ -10,6 +10,8 @@
       tighten);
     - the model checker explores a subset of the constraint solver's
       structural paths under identical weights, so mc <= csolve;
+    - on a fact-free spec IPET answers from the loop forest, whose longest
+      path is the flow optimum, so it equals the [simplex] oracle's bound;
     - when [oracles] are given (the analyzer's [verify]), a complete
       backend can never undercut a certified witness path it is required to account
       for (structural witnesses bind non-path-sensitive backends;
@@ -37,8 +39,9 @@ type result = {
 }
 
 (** [run ?oracles ~backends spec loops] solves with every backend, one
-    after another, in list order. [oracles] (the analyzer's [verify]
-    passes csolve) arms the witness cross-check: the oracle backends run
+    after another, in list order, each inside a [path.<name>] trace span.
+    [oracles] (the analyzer's [verify] passes csolve, and the simplex for a
+    fact-free spec) arm the witness cross-check: the oracle backends run
     alongside and join the cross-check, but never supply the bound and are
     left out of [p_runs] and [p_intractable]. Without [oracles] the
     witness check is off. *)

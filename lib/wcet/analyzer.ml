@@ -370,7 +370,8 @@ let validate_loop_places c program (annot : Annot.t) =
 (* [verify] runs every reference cross-check (see analyzer.mli): summary
    vs whole-program states (E0204), octagon-refined vs interval states and
    bound (E0503), and the portfolio's certified-witness check with csolve
-   as the structural witness (E0303). *)
+   as the structural witness and, on a fact-free spec, the simplex as the
+   oracle of IPET's forest answer (E0303). *)
 let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   (* The token reaches the value/cache fixpoints (polled per transfer); the
      remaining phases poll it at their boundary so a deadline that expires
@@ -746,10 +747,11 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
           | Path_analysis.Ipet -> [ (module Ipet) ]
           | Path_analysis.Portfolio -> [ (module Ipet); (module Wcet_path.Mc) ]
         in
+        let oracles : (module Path_analysis.BACKEND) list =
+          (module Wcet_path.Csolve) :: (if spec.facts = [] then [ (module Ipet.Simplex) ] else [])
+        in
         let res =
-          Portfolio.run
-            ?oracles:(if verify then Some [ (module Wcet_path.Csolve) ] else None)
-            ~backends spec loops
+          Portfolio.run ?oracles:(if verify then Some oracles else None) ~backends spec loops
         in
         (* In portfolio mode a budget-exhausted model checker is excluded
            with a warning; a single requested backend failing is fatal. *)

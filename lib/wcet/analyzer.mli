@@ -149,7 +149,8 @@ val engine_name : engine -> string
       (E0503);
     - the path backends against certified witness paths, with the
       structural constraint solver ({!Wcet_path.Csolve}) added as the
-      structural witness (E0303).
+      structural witness, and, on a fact-free spec, IPET's loop-forest
+      bound against the simplex ({!Wcet_ipet.Ipet.Simplex}) (E0303).
     A report-cache hit would skip these checks, so a verified analysis
     never reads a cached report; it still writes one. The reference solves
     add to the fixpoint-transfer and path-solve metrics.

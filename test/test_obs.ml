@@ -108,7 +108,8 @@ let test_disabled_allocation_free () =
     Metrics.incr c 1;
     Metrics.observe h 1;
     Metrics.observe_n h 1 ~n:3;
-    Trace.with_span "off" body
+    Trace.with_span "off" body;
+    Trace.add_attr "solver" (Trace.Str "forest")
   done;
   let delta = Gc.minor_words () -. w0 in
   (* Allow a few words for the measurement itself; anything per-iteration
@@ -293,6 +294,17 @@ let counter_value name =
   | Some (Metrics.Gauge_value v) -> v
   | _ -> Alcotest.failf "metric %s not found" name
 
+(* The [solver] attribute of every [path.ipet] span. *)
+let ipet_solvers () =
+  List.filter_map
+    (fun (e : Trace.event) ->
+      if e.Trace.name <> "path.ipet" then None
+      else
+        match List.assoc_opt "solver" e.Trace.attrs with
+        | Some (Trace.Str s) -> Some s
+        | _ -> Some "?")
+    (Trace.events ())
+
 let test_analysis_populates_metrics () =
   let program = Minic.Compile.compile Harness.quickstart_source in
   with_obs (fun () ->
@@ -307,8 +319,10 @@ let test_analysis_populates_metrics () =
          + counter_value "cache_fetch_class{class=not_classified}"
          + counter_value "cache_fetch_class{class=bypass}"
         > 0);
-      Alcotest.(check bool) "simplex pivoted" true (counter_value "simplex_pivots" > 0);
-      Alcotest.(check int) "one ipet solve" 1 (counter_value "ipet_solves");
+      (* Quickstart is fact-free: IPET answers from the loop forest and
+         hands nothing to the ILP solver. *)
+      Alcotest.(check int) "no simplex pivot" 0 (counter_value "simplex_pivots");
+      Alcotest.(check int) "no ipet solve" 0 (counter_value "ipet_solves");
       (* The default portfolio races IPET and the model checker; csolve
          runs only as verify's structural-witness oracle. *)
       Alcotest.(check int) "one ipet path solve" 1 (counter_value "path_solves{backend=ipet}");
@@ -320,10 +334,35 @@ let test_analysis_populates_metrics () =
       List.iter
         (fun phase ->
           Alcotest.(check bool) (phase ^ " span present") true (List.mem phase spans))
-        [ "analyze"; "decode"; "value"; "cache"; "persistence"; "pipeline"; "path" ];
+        [ "analyze"; "decode"; "value"; "cache"; "persistence"; "pipeline"; "path"; "path.ipet";
+          "path.mc" ];
+      Alcotest.(check (list string)) "the forest answered" [ "forest" ] (ipet_solvers ());
       ignore (Analyzer.analyze ~verify:true program);
       Alcotest.(check int) "one csolve path solve under verify" 1
-        (counter_value "path_solves{backend=csolve}"))
+        (counter_value "path_solves{backend=csolve}");
+      (* verify's simplex oracle is the one ILP problem *)
+      Alcotest.(check int) "one ipet solve under verify" 1 (counter_value "ipet_solves");
+      Alcotest.(check bool) "simplex pivoted under verify" true
+        (counter_value "simplex_pivots" > 0);
+      Alcotest.(check bool) "the profile names the solver" true
+        (Astring.String.is_infix ~affix:"{solver=forest}"
+           (Format.asprintf "@[<v>%a@]" Trace.pp_profile ())))
+
+(* A spec with flow facts goes to the simplex: the irreducible goto cycle
+   is bounded only through its synthetic facts. *)
+let goto_cycle =
+  "int flag; int acc; int main() { int i; i = 0; acc = 0; \
+   if (flag) { goto inside; } top: acc = acc + 1; inside: acc = acc + 2; i = i + 1; \
+   if (i < 50) { goto top; } return acc; }"
+
+let test_facts_reach_the_simplex () =
+  let program = Minic.Compile.compile goto_cycle in
+  with_obs (fun () ->
+      ignore (Analyzer.analyze ~path_backend:Wcet_path.Path_analysis.Ipet program);
+      Alcotest.(check bool) "simplex pivoted" true (counter_value "simplex_pivots" > 0);
+      Alcotest.(check int) "one ipet solve" 1 (counter_value "ipet_solves");
+      Alcotest.(check int) "one ipet path solve" 1 (counter_value "path_solves{backend=ipet}");
+      Alcotest.(check (list string)) "the simplex answered" [ "simplex" ] (ipet_solvers ()))
 
 (* With a store, the store work inside analyze shows in the profile: a
    cold run derives the key once, reads (a miss) and writes the report; a warm
@@ -537,7 +576,17 @@ let test_profile_aggregation () =
       in
       Alcotest.(check int) "one aggregated work row" 1 (count_occurrences "work" rendered);
       let r2 = Format.asprintf "@[<v>%a@]" Trace.pp_profile () in
-      Alcotest.(check string) "re-rendering is deterministic" rendered r2)
+      Alcotest.(check string) "re-rendering is deterministic" rendered r2;
+      (* a merged row keeps the attributes all its spans agree on *)
+      List.iter
+        (fun v -> Trace.with_span ~attrs:[ ("k", Trace.Str v) ] "same" (fun () -> ()))
+        [ "a"; "a" ];
+      List.iter
+        (fun v -> Trace.with_span ~attrs:[ ("k", Trace.Str v) ] "mixed" (fun () -> ()))
+        [ "a"; "b"; "a" ];
+      let rendered = Format.asprintf "@[<v>%a@]" Trace.pp_profile () in
+      Alcotest.(check bool) "agreeing attributes shown" true (contains rendered "x2  {k=a}");
+      Alcotest.(check bool) "disagreeing attributes hidden" false (contains rendered "x3  {"))
 
 (* --- explain --- *)
 
@@ -590,6 +639,7 @@ let () =
             test_ldivmod_metric_deterministic;
           Alcotest.test_case "registry pinned" `Quick test_registry_pinned;
           Alcotest.test_case "analysis populates metrics" `Quick test_analysis_populates_metrics;
+          Alcotest.test_case "facts reach the simplex" `Quick test_facts_reach_the_simplex;
           Alcotest.test_case "audit corpus honours the path backend" `Quick
             test_audit_corpus_path_backend;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;

@@ -257,6 +257,91 @@ let test_csolve_never_wins () =
         [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
     Corpus.all
 
+(* --- IPET answers fact-free specs from the loop forest --- *)
+
+(* Every fact-free spec of the corpus sweep and the examples gets the same
+   bound and node counts from [Ipet.solve] (the forest) as from the
+   simplex; a spec with a flow fact goes to the simplex; and a spec with an
+   unbounded loop keeps the simplex's E0301. *)
+
+let outcome = function
+  | Ok (s : Path_analysis.solution) ->
+    Ok (s.Path_analysis.wcet, Array.to_list s.Path_analysis.node_counts)
+  | Error (e : Path_analysis.error) -> Error (e.Path_analysis.err_code, e.Path_analysis.err_detail)
+
+let outcome_t = Alcotest.(result (pair int (list int)) (pair string string))
+
+let counter name =
+  match Wcet_obs.Metrics.find name with
+  | Some (Wcet_obs.Metrics.Counter_value n) -> n
+  | _ -> 0
+
+let examples () =
+  let dir = "../examples" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mc")
+  |> List.sort compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         let source = In_channel.with_open_bin path In_channel.input_all in
+         let annot_path = Filename.chop_suffix path ".mc" ^ ".annot" in
+         let annots =
+           if Sys.file_exists annot_path then
+             match Annot.parse (In_channel.with_open_bin annot_path In_channel.input_all) with
+             | Ok a -> [ ("automatic", Annot.empty); ("annotated", a) ]
+             | Error e -> Alcotest.failf "%s: %s" annot_path e
+           else [ ("automatic", Annot.empty) ]
+         in
+         List.map (fun (mode, annot) -> (Printf.sprintf "%s %s" f mode, source, annot)) annots)
+
+let test_forest_equals_simplex () =
+  let forest_solved = ref 0 in
+  let compare_on where (r : Analyzer.report) =
+    let spec, loops = spec_of_report r in
+    Alcotest.check outcome_t (where ^ ": ipet = simplex")
+      (outcome (Ipet.solve_lp spec loops))
+      (outcome (Ipet.solve spec loops));
+    (match Wcet_path.Forest.solve spec loops with
+    | _ -> incr forest_solved
+    | exception Wcet_path.Forest.Failed _ -> ());
+    (* A flow fact every run satisfies: the entry executes once. *)
+    let entry = r.Analyzer.graph.Wcet_cfg.Supergraph.entry in
+    let fact =
+      { Path_analysis.fact_coeffs = [ (entry, 1) ]; fact_bound = 1; fact_label = "entry" }
+    in
+    let with_fact = { spec with Path_analysis.facts = [ fact ] } in
+    let pivots = counter "simplex_pivots" and solves = counter "ipet_solves" in
+    let answer = Ipet.solve with_fact loops in
+    Alcotest.(check int) (where ^ ": the fact goes to the simplex") (solves + 1)
+      (counter "ipet_solves");
+    Alcotest.(check bool) (where ^ ": simplex pivots rise") true
+      (counter "simplex_pivots" > pivots);
+    Alcotest.check outcome_t (where ^ ": a satisfied fact changes nothing")
+      (outcome (Ipet.solve spec loops)) (outcome answer)
+  in
+  Verify_sweep.sweep ~domain:Wcet_value.Analysis.Interval (fun o ->
+      compare_on o.Verify_sweep.where o.Verify_sweep.report);
+  Wcet_obs.Obs.enable ();
+  Fun.protect ~finally:Wcet_obs.Obs.disable (fun () ->
+      List.iter
+        (fun (where, source, annot) ->
+          match Analyzer.analyze ~annot ~verify:true (Compile.compile source) with
+          | r -> compare_on where r
+          | exception Analyzer.Analysis_failed _ -> ())
+        (examples ()));
+  Alcotest.(check bool)
+    (Printf.sprintf "the forest answered (%d specs)" !forest_solved)
+    true (!forest_solved > 50);
+  (* No loop bound at all: the forest fails, and the simplex's E0301 comes
+     back unchanged. *)
+  let spec, loops = spec_of_report (report loopy) in
+  Alcotest.check outcome_t "unbounded loop"
+    (Error
+       ( "E0301",
+         "some cycle has neither a derived loop bound nor an annotation (irreducible control \
+          flow or an unbounded loop)" ))
+    (outcome (Ipet.solve { spec with Path_analysis.loop_bounds = [] } loops))
+
 (* --- plumbing --- *)
 
 let test_choice_parsing () =
@@ -293,6 +378,7 @@ let () =
             test_irreducible_single_backend_fatal;
           Alcotest.test_case "corpus never worse" `Slow test_corpus_portfolio_never_worse;
           Alcotest.test_case "csolve never wins" `Slow test_csolve_never_wins;
+          Alcotest.test_case "forest ipet equals simplex" `Slow test_forest_equals_simplex;
         ] );
       ( "interface",
         [

@@ -1,42 +1,46 @@
-(* Cross-check of the structural path oracle (csolve) against the
-   analyzer: on programs without flow facts, the structural bound must
-   dominate the reported bound and, on the plain loop shapes our compiler
-   emits, coincide with it. *)
+(* Cross-check of the structural path solver (csolve, the loop forest
+   IPET answers fact-free specs from) against the simplex on the same
+   fact-free spec: the structural bound must dominate the simplex optimum
+   and, on the plain loop shapes our compiler emits, coincide with it. *)
 
 module Compile = Minic.Compile
 module Analyzer = Wcet_core.Analyzer
 module Path_analysis = Wcet_path.Path_analysis
 module Csolve = Wcet_path.Csolve
+module Ipet = Wcet_ipet.Ipet
 
 let spec value ~times ~loop_bounds = { Path_analysis.value; times; loop_bounds; facts = [] }
 
 let both source =
   let program = Compile.compile source in
   let report = Analyzer.analyze program in
-  let structural =
-    Csolve.solve
-      (spec report.Analyzer.value
-         ~times:report.Analyzer.timing.Wcet_pipeline.Block_timing.wcet
-         ~loop_bounds:report.Analyzer.effective_bounds)
-      report.Analyzer.loops
+  let spec =
+    spec report.Analyzer.value
+      ~times:report.Analyzer.timing.Wcet_pipeline.Block_timing.wcet
+      ~loop_bounds:report.Analyzer.effective_bounds
   in
-  (report.Analyzer.wcet, Result.map (fun sol -> sol.Path_analysis.wcet) structural)
+  let bound solve =
+    Result.map (fun sol -> sol.Path_analysis.wcet) (solve spec report.Analyzer.loops)
+  in
+  match bound Ipet.solve_lp with
+  | Ok simplex -> (simplex, bound Csolve.solve)
+  | Error e -> Alcotest.failf "simplex failed: %s" e.Path_analysis.err_detail
 
 let check_agree name source =
   match both source with
-  | ipet, Ok structural ->
+  | simplex, Ok structural ->
     Alcotest.(check bool)
-      (Printf.sprintf "%s: structural %d >= ipet %d" name structural ipet)
-      true (structural >= ipet);
-    Alcotest.(check int) (name ^ ": engines agree") ipet structural
+      (Printf.sprintf "%s: structural %d >= simplex %d" name structural simplex)
+      true (structural >= simplex);
+    Alcotest.(check int) (name ^ ": engines agree") simplex structural
   | _, Error e -> Alcotest.failf "%s: structural failed: %s" name e.Path_analysis.err_detail
 
 let check_dominates name source =
   match both source with
-  | ipet, Ok structural ->
+  | simplex, Ok structural ->
     Alcotest.(check bool)
-      (Printf.sprintf "%s: structural %d >= ipet %d" name structural ipet)
-      true (structural >= ipet)
+      (Printf.sprintf "%s: structural %d >= simplex %d" name structural simplex)
+      true (structural >= simplex)
   | _, Error e -> Alcotest.failf "%s: structural failed: %s" name e.Path_analysis.err_detail
 
 let test_straight_line () = check_agree "straight" "int main() { int x; x = 3; return x * 9; }"
