@@ -221,6 +221,10 @@ let path_portfolio_json e5 =
                    ("portfolio", verdict_json r.Harness.e5_verdict);
                    ("winner", Json.String r.Harness.e5_winner);
                    ("backends", Json.List (List.map backend_json r.Harness.e5_backends));
+                   ( "mc_gate",
+                     match r.Harness.e5_mc_gate with
+                     | Some g -> Json.String (Wcet_core.Analyzer.mc_gate_decision g)
+                     | None -> Json.Null );
                  ])
              e5) );
       ("winners", Json.Obj [ ("ipet", Json.Int (wins "ipet")); ("mc", Json.Int (wins "mc")) ]);

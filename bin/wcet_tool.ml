@@ -223,8 +223,9 @@ let verify_arg =
           "Re-run the reference configuration and abort on any divergence: summary vs \
            whole-program states (E0204), octagon-refined vs interval states and bound (E0503), \
            and the path backends against certified witness paths with csolve as the \
-           structural witness and the simplex as the oracle of fact-free IPET (E0303). \
-           Never reads a cached report")
+           structural witness and the simplex as the oracle of fact-free IPET (E0303), and \
+           the model checker on programs its gate kept IPET-only (an Info W0306 when it \
+           would have tightened the bound). Never reads a cached report")
 
 let domain_arg =
   Arg.(
@@ -244,10 +245,11 @@ let path_backend_arg =
     & info [ "path-backend" ]
         ~doc:
           "Path-analysis backend: $(b,ipet) (implicit path enumeration as an ILP) or \
-           $(b,portfolio) (the default: race IPET against slicing plus bounded model checking, \
-           which is path-sensitive and prunes mode-infeasible paths, take the tightest sound \
-           bound, and cross-check the results as a soundness oracle — disagreement beyond \
-           attributable slack is the E0303 fatal)")
+           $(b,portfolio) (the default: where the value analysis shows a mode guard, race IPET \
+           against slicing plus bounded model checking, which is path-sensitive and prunes \
+           mode-infeasible paths, take the tightest sound bound, and cross-check the results \
+           as a soundness oracle — disagreement beyond attributable slack is the E0303 fatal; \
+           without a mode guard IPET runs alone)")
 
 (* The one place the CLI passes its --domain, --path-backend and --verify
    values to the analysis commands (analyze, explain, audit). *)

@@ -140,6 +140,7 @@ let all_codes =
     ("E0304", "path solution violates the count/time identity (internal)");
     ("E0305", "requested path backend cannot analyse this program");
     ("W0305", "model-checking path backend intractable here (excluded from portfolio)");
+    ("W0306", "mc gated off where it would have tightened the bound (--verify precision oracle)");
   ]
 
 let describe code = List.assoc_opt code all_codes

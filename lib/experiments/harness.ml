@@ -280,6 +280,7 @@ type e5_row = {
   e5_verdict : verdict;  (** portfolio verdict/bound *)
   e5_backends : Analyzer.backend_run list;
   e5_winner : string;
+  e5_mc_gate : Analyzer.mc_gate option;
 }
 
 let e5_entry_row (e : Corpus.entry) =
@@ -288,7 +289,13 @@ let e5_entry_row (e : Corpus.entry) =
   let annot = s.Corpus.annotations program in
   match Analyzer.analyze ~hw:s.Corpus.hw ~annot program with
   | exception Analyzer.Analysis_failed ds ->
-    { e5_entry = e.Corpus.id; e5_verdict = Fails ds; e5_backends = []; e5_winner = "-" }
+    {
+      e5_entry = e.Corpus.id;
+      e5_verdict = Fails ds;
+      e5_backends = [];
+      e5_winner = "-";
+      e5_mc_gate = None;
+    }
   | r ->
     (* Standing acceptance check: the portfolio includes IPET, so the
        tightest-of-backends bound can never exceed the IPET bound. *)
@@ -311,6 +318,7 @@ let e5_entry_row (e : Corpus.entry) =
         (match List.find_opt (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs with
         | Some b -> b.Analyzer.br_name
         | None -> "-");
+      e5_mc_gate = r.Analyzer.mc_gate;
     }
 
 let e5_rows ?domains () = Wcet_util.Parallel.map_list ?domains e5_entry_row Corpus.all
@@ -326,7 +334,8 @@ let pp_e5 ppf rows =
     | Some { Analyzer.br_bound = Some b; br_wall_us; _ } ->
       Printf.sprintf "%d (%.3f ms)" b (float_of_int br_wall_us /. 1000.)
     | Some { Analyzer.br_error = Some (code, _); _ } -> code
-    | Some { Analyzer.br_error = None; _ } | None -> "-"
+    | Some { Analyzer.br_error = None; _ } -> "-"
+    | None -> if name = "mc" && row.e5_mc_gate = Some Analyzer.Mc_gated then "gated" else "-"
   in
   List.iter
     (fun r ->
@@ -355,7 +364,8 @@ let pp_e5 ppf rows =
   Format.fprintf ppf
     "@,winners: ipet %d, mc %d; portfolio strictly below IPET on %d entr(ies)@,\
      (ties prefer IPET for stable worst-path counts; * marks a partial bound;@,\
-     the model checker wins exactly where path-sensitivity prunes mode-infeasible paths)@]@."
+     mc races only behind a mode guard and is gated elsewhere;@,\
+     it wins exactly where path-sensitivity prunes mode-infeasible paths)@]@."
     (wins "ipet") (wins "mc") strict
 
 let table_e5 ?domains ppf () = pp_e5 ppf (e5_rows ?domains ())

@@ -89,6 +89,9 @@ type e5_row = {
   e5_verdict : verdict;  (** portfolio verdict/bound *)
   e5_backends : Wcet_core.Analyzer.backend_run list;
   e5_winner : string;  (** backend that supplied the bound, ["-"] on failure *)
+  e5_mc_gate : Wcet_core.Analyzer.mc_gate option;
+      (** whether the model checker raced ([None] on failure); the table
+          shows [gated] in the mc column when it did not *)
 }
 
 (** All E5 rows, in corpus order (entries fan out across the domain pool

@@ -7,7 +7,7 @@ module Func_cfg = Wcet_cfg.Func_cfg
 module Analysis = Wcet_value.Analysis
 module Loop_bounds = Wcet_value.Loop_bounds
 module Aval = Wcet_value.Aval
-module State = Wcet_value.State
+module Modes = Wcet_value.Modes
 module Annot = Wcet_annot.Annot
 module Program = Pred32_asm.Program
 module Memory_map = Pred32_memory.Memory_map
@@ -331,107 +331,28 @@ let audit_recursion (r : Analyzer.report) (annot : Annot.t) =
 
 (* --- tier-2: operating-mode structure (Section 4.3) --- *)
 
-(* A mode variable in the paper's sense: a global the program only ever
-   reads, tested by conditional branches outside any loop — either at two or
-   more sites, or at one site whose two sides dispatch to different callees
-   (the flight-control/ground-control shape of Section 4.3). The value
-   analysis records, per register, the memory word it was loaded from
-   ([State.origins]); a branch whose operand originates at a never-written
-   data symbol is a mode guard. *)
+(* Mode guards ([Wcet_value.Modes]): never-written globals tested by
+   branches outside loops at two or more sites or at a dispatch. The path
+   phase races the model checker on the same guards. *)
 let audit_modes (r : Analyzer.report) (annot : Annot.t) =
-  let g = r.Analyzer.graph in
-  let v = r.Analyzer.value in
-  let loops = r.Analyzer.loops in
-  let program = r.Analyzer.program in
-  let data_syms =
-    List.filter
-      (fun (_, a) ->
-        a < program.Program.text_base || a >= program.Program.text_limit)
-      program.Program.symbols
-  in
-  let sym_at a = List.find_opt (fun (_, sa) -> sa = a) data_syms in
-  let stored addr =
-    Array.exists
-      (fun accs ->
-        List.exists
-          (fun (acc : Analysis.access) ->
-            acc.Analysis.is_store
-            &&
-            match Aval.range acc.Analysis.addr with
-            | Some (lo, hi) -> lo <= addr && addr <= hi && hi - lo < 4096
-            | None -> false)
-          accs)
-      v.Analysis.accesses
-  in
-  (* Does the branch select between two different callees? The successor
-     block on each side is inspected for the first direct call. *)
-  let side_callee n kind =
-    List.fold_left
-      (fun acc (k, d) ->
-        if acc <> None || k <> kind then acc
-        else
-          match g.Supergraph.nodes.(d).Supergraph.block.Func_cfg.term with
-          | Func_cfg.Term_call { target; _ } -> (
-            match Program.function_at program target with
-            | Some f -> Some f.Program.name
-            | None -> None)
-          | _ -> None)
-      None n.Supergraph.succs
-  in
-  let dispatches (n : Supergraph.node) =
-    match (side_callee n Supergraph.Etaken, side_callee n Supergraph.Enottaken) with
-    | Some a, Some b -> a <> b
-    | _ -> false
-  in
-  let guards = Hashtbl.create 8 in
-  Array.iter
-    (fun (n : Supergraph.node) ->
-      match n.Supergraph.block.Func_cfg.term with
-      | Func_cfg.Term_branch { rs1; rs2; _ }
-        when Loops.innermost_loop loops n.Supergraph.id = None -> (
-        match v.Analysis.node_out.(n.Supergraph.id) with
-        | None -> ()
-        | Some st ->
-          List.iter
-            (fun rs ->
-              match st.State.origins.(Reg.to_int rs) with
-              | Some a -> (
-                match sym_at a with
-                | Some (name, saddr) when not (stored saddr) ->
-                  let site = terminator_addr n in
-                  let prev = try Hashtbl.find guards name with Not_found -> [] in
-                  if not (List.mem_assoc site prev) then
-                    Hashtbl.replace guards name ((site, (n.Supergraph.func, dispatches n)) :: prev)
-                | _ -> ())
-              | None -> ())
-            [ rs1; rs2 ])
-      | _ -> ())
-    g.Supergraph.nodes;
-  Hashtbl.fold
-    (fun sym sites acc ->
-      if List.length sites < 2 && not (List.exists (fun (_, (_, d)) -> d) sites) then acc
+  List.map
+    (fun { Modes.symbol = sym; sites } ->
+      let addr, func = List.hd sites in
+      let pinned = List.exists (fun (s, lo, hi) -> s = sym && lo = hi) annot.Annot.assumes in
+      if pinned then
+        findingf ~func ~addr Diag.Info "A0508"
+          "operating-mode variable '%s' guards %d branch sites; mode pinned by an assume \
+           annotation (per-mode analysis)"
+          sym (List.length sites)
       else
-        let sites = List.sort compare (List.map (fun (a, (f, _)) -> (a, f)) sites) in
-        let addr, func = List.hd sites in
-        let pinned =
-          List.exists (fun (s, lo, hi) -> s = sym && lo = hi) annot.Annot.assumes
-        in
-        if pinned then
-          findingf ~func ~addr Diag.Info "A0508"
-            "operating-mode variable '%s' guards %d branch sites; mode pinned by an assume \
-             annotation (per-mode analysis)"
-            sym (List.length sites)
-          :: acc
-        else
-          findingf ~func ~addr
-            ~suggestion:(Printf.sprintf "assume %s = <mode>" sym)
-            Diag.Warning "A0508"
-            "operating-mode structure: never-written global '%s' guards %d branch sites \
-             (0x%s); a mode-oblivious analysis sums mutually exclusive paths"
-            sym (List.length sites)
-            (String.concat ", 0x" (List.map (fun (a, _) -> Printf.sprintf "%x" a) sites))
-          :: acc)
-    guards []
+        findingf ~func ~addr
+          ~suggestion:(Printf.sprintf "assume %s = <mode>" sym)
+          Diag.Warning "A0508"
+          "operating-mode structure: never-written global '%s' guards %d branch sites \
+           (0x%s); a mode-oblivious analysis sums mutually exclusive paths"
+          sym (List.length sites)
+          (String.concat ", 0x" (List.map (fun (a, _) -> Printf.sprintf "%x" a) sites)))
+    (Modes.guards r.Analyzer.program r.Analyzer.loops r.Analyzer.value)
 
 (* --- tier-2: imprecise memory accesses --- *)
 

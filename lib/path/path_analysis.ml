@@ -60,10 +60,10 @@ let backend_cells =
             ~labels:[ ("backend", b) ]
             ~name:"path_solve_us" ~help:"Path-analysis solve wall time (us), by backend"
             ~buckets:solve_buckets () ) ))
-    [ "ipet"; "mc"; "csolve" ]
+    [ "ipet"; "mc"; "csolve"; "simplex" ]
 
-(* csolve is only [--verify]'s structural witness and never races, so only
-   the portfolio's racers have a win counter. *)
+(* csolve and the simplex are only [--verify]'s oracles and never race, so
+   only the portfolio's racers have a win counter. *)
 let win_cells =
   List.map
     (fun b ->

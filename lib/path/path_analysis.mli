@@ -57,7 +57,8 @@ module type BACKEND = sig
 end
 
 (** Which backend(s) an analysis run uses: [Ipet] alone, or [Portfolio],
-    which races IPET and the model checker ([Mc]). The structural
+    which races IPET and the model checker ([Mc]) where the value result
+    shows a mode guard, and runs IPET alone elsewhere. The structural
     constraint solver ([Csolve]) never supplies a bound; [verify] runs it
     as a witness oracle. *)
 type choice = Ipet | Portfolio

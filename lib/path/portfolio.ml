@@ -9,6 +9,7 @@ type run = {
 
 type result = {
   p_runs : run list;
+  p_oracles : run list;
   p_best : (string * Path_analysis.solution) option;
   p_disagreements : string list;
   p_intractable : string list;
@@ -103,7 +104,9 @@ let cross_check ~witness_check ~no_facts runs =
 
 let run ?oracles ~backends (spec : Path_analysis.spec) loops =
   let all_runs = List.map (run_one spec loops) (backends @ Option.value oracles ~default:[]) in
-  let runs = List.filteri (fun i _ -> i < List.length backends) all_runs in
+  let racing = List.length backends in
+  let runs = List.filteri (fun i _ -> i < racing) all_runs in
+  let oracle_runs = List.filteri (fun i _ -> i >= racing) all_runs in
   let complete = List.filter (fun r -> Result.is_ok r.r_outcome) runs in
   let best =
     (* tightest bound; ties prefer IPET so counts stay stable for explain *)
@@ -138,4 +141,10 @@ let run ?oracles ~backends (spec : Path_analysis.spec) loops =
       runs
   in
   if intractable <> [] then Path_analysis.record_intractable ();
-  { p_runs = runs; p_best = best; p_disagreements = disagreements; p_intractable = intractable }
+  {
+    p_runs = runs;
+    p_oracles = oracle_runs;
+    p_best = best;
+    p_disagreements = disagreements;
+    p_intractable = intractable;
+  }

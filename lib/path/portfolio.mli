@@ -32,6 +32,7 @@ type run = {
 
 type result = {
   p_runs : run list;  (** in backend order *)
+  p_oracles : run list;  (** the [oracles]' runs, in oracle order *)
   p_best : (string * Path_analysis.solution) option;
       (** tightest complete bound; ties prefer IPET (stable counts) *)
   p_disagreements : string list;  (** E0303 findings, empty when sound *)
@@ -43,8 +44,8 @@ type result = {
     [oracles] (the analyzer's [verify] passes csolve, and the simplex for a
     fact-free spec) arm the witness cross-check: the oracle backends run
     alongside and join the cross-check, but never supply the bound and are
-    left out of [p_runs] and [p_intractable]. Without [oracles] the
-    witness check is off. *)
+    left out of [p_runs] and [p_intractable]; [p_oracles] keeps their
+    runs. Without [oracles] the witness check is off. *)
 val run :
   ?oracles:(module Path_analysis.BACKEND) list ->
   backends:(module Path_analysis.BACKEND) list ->

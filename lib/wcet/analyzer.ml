@@ -9,6 +9,7 @@ module Aval = Wcet_value.Aval
 module Analysis = Wcet_value.Analysis
 module Loop_bounds = Wcet_value.Loop_bounds
 module Resolve_iter = Wcet_value.Resolve_iter
+module Modes = Wcet_value.Modes
 module Cache_analysis = Wcet_cache.Cache_analysis
 module Block_timing = Wcet_pipeline.Block_timing
 module Ipet = Wcet_ipet.Ipet
@@ -96,6 +97,26 @@ type backend_run = {
   br_winner : bool;  (* supplied the bound the report carries *)
 }
 
+(* Whether the portfolio raced the model checker next to IPET. It can only
+   undercut IPET through path correlation, and a mode guard is that
+   correlation, so it races only where one exists. *)
+type mc_gate =
+  | Mc_raced of Modes.guard list  (* the guards that admitted it *)
+  | Mc_gated  (* no mode guard: IPET ran alone *)
+
+let mc_gate_decision = function Mc_raced _ -> "race" | Mc_gated -> "gated"
+
+let mc_gate_reason = function
+  | Mc_gated -> "no mode guard"
+  | Mc_raced guards ->
+    String.concat "; "
+      (List.map
+         (fun { Modes.symbol; sites } ->
+           Printf.sprintf "mode guard %s at %s" symbol
+             (String.concat ", "
+                (List.map (fun (a, f) -> Printf.sprintf "0x%x (%s)" a f) sites)))
+         guards)
+
 type report = {
   program : Program.t;
   hw : Hw_config.t;
@@ -111,6 +132,7 @@ type report = {
   solution : Ipet.solution;
   path_backend : string;  (* requested backend configuration *)
   backend_runs : backend_run list;
+  mc_gate : mc_gate option;  (* None: the portfolio was not requested *)
   wcet : int;
   bcet : int;
   verdict : confidence;
@@ -732,7 +754,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
     timed phases Pipeline (fun () -> Block_timing.compute hw value cache ~persistence)
   in
   check_cancel ();
-  let solution, backend_runs =
+  let solution, backend_runs, mc_gate =
     timed phases Path (fun () ->
         let spec =
           {
@@ -742,13 +764,27 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
             facts = facts @ synthetic_facts;
           }
         in
-        let backends : (module Path_analysis.BACKEND) list =
+        let mc_gate =
           match path_backend with
-          | Path_analysis.Ipet -> [ (module Ipet) ]
-          | Path_analysis.Portfolio -> [ (module Ipet); (module Wcet_path.Mc) ]
+          | Path_analysis.Ipet -> None
+          | Path_analysis.Portfolio -> (
+            match Modes.guards program loops value with
+            | [] -> Some Mc_gated
+            | guards -> Some (Mc_raced guards))
         in
-        let oracles : (module Path_analysis.BACKEND) list =
-          (module Wcet_path.Csolve) :: (if spec.facts = [] then [ (module Ipet.Simplex) ] else [])
+        let mc = (module Wcet_path.Mc : Path_analysis.BACKEND) in
+        let backends =
+          (module Ipet : Path_analysis.BACKEND)
+          :: (match mc_gate with Some (Mc_raced _) -> [ mc ] | _ -> [])
+        in
+        (* [verify] also runs a gated-off model checker, to police the gate. *)
+        let oracles =
+          List.concat
+            [
+              [ (module Wcet_path.Csolve : Path_analysis.BACKEND) ];
+              (if spec.facts = [] then [ (module Ipet.Simplex : Path_analysis.BACKEND) ] else []);
+              (if mc_gate = Some Mc_gated then [ mc ] else []);
+            ]
         in
         let res =
           Portfolio.run ?oracles:(if verify then Some oracles else None) ~backends spec loops
@@ -766,6 +802,18 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
         | ds ->
           fatal c Diag.Path ~code:"E0303" "%s: %s" (phase_name Path)
             (String.concat "; " ds));
+        (match
+           ( List.find_opt (fun r -> r.Portfolio.r_name = "mc") res.Portfolio.p_oracles,
+             res.Portfolio.p_best )
+         with
+        | Some { Portfolio.r_outcome = Ok m; _ }, Some (_, best)
+          when m.Ipet.wcet < best.Ipet.wcet ->
+          Diag.add c
+            (Diag.makef Diag.Info Diag.Path ~code:"W0306"
+               "the model checker, gated off (no mode guard), bounds this program at %d \
+                cycles, below the reported %d"
+               m.Ipet.wcet best.Ipet.wcet)
+        | _ -> ());
         match res.Portfolio.p_best with
         | Some (wname, sol) ->
           let runs =
@@ -787,7 +835,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
                 })
               res.Portfolio.p_runs
           in
-          (sol, runs)
+          (sol, runs, mc_gate)
         | None ->
           let e =
             match
@@ -846,6 +894,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
     solution;
     path_backend = Path_analysis.choice_name path_backend;
     backend_runs;
+    mc_gate;
     wcet = solution.Ipet.wcet;
     bcet = best_case_bound value timing;
     verdict = (if !holes = [] then Complete else Partial);
@@ -948,6 +997,9 @@ let pp_report ppf r =
           Format.fprintf ppf "path backend %s: failed (%s), %.3f ms@," b.br_name code
             (float_of_int b.br_wall_us /. 1000.))
       runs);
+  Option.iter
+    (fun g -> Format.fprintf ppf "mc gate: %s (%s)@," (mc_gate_decision g) (mc_gate_reason g))
+    r.mc_gate;
   List.iter (fun h -> Format.fprintf ppf "hole: %a@," pp_hole h) r.holes;
   List.iter
     (fun (li, b) ->
@@ -983,6 +1035,28 @@ let hole_to_json = function
         ("blocks", List (List.map (fun b -> Wcet_diag.Json.Int b) blocks));
         ("func", String func);
       ]
+
+let mc_gate_to_json g =
+  let open Wcet_diag.Json in
+  Obj
+    [
+      ("decision", String (mc_gate_decision g));
+      ("reason", String (mc_gate_reason g));
+      ( "guards",
+        List
+          (List.map
+             (fun { Modes.symbol; sites } ->
+               Obj
+                 [
+                   ("symbol", String symbol);
+                   ( "sites",
+                     List
+                       (List.map
+                          (fun (a, f) -> Obj [ ("addr", Int a); ("func", String f) ])
+                          sites) );
+                 ])
+             (match g with Mc_raced guards -> guards | Mc_gated -> [])) );
+    ]
 
 let report_to_json r =
   let open Wcet_diag.Json in
@@ -1049,6 +1123,7 @@ let report_to_json r =
                    ("winner", Bool b.br_winner);
                  ])
              r.backend_runs) );
+      ("mc_gate", match r.mc_gate with None -> Null | Some g -> mc_gate_to_json g);
       ( "loops",
         List
           (List.map

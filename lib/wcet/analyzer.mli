@@ -78,6 +78,24 @@ type backend_run = {
   br_winner : bool;  (** supplied the bound the report carries *)
 }
 
+(** Whether the portfolio raced the model checker next to IPET. The model
+    checker can only undercut IPET through path correlation; a mode guard
+    ({!Wcet_value.Modes}) is that correlation, so it races only where the
+    value result shows one. *)
+type mc_gate =
+  | Mc_raced of Wcet_value.Modes.guard list  (** the guards that admitted it *)
+  | Mc_gated  (** no mode guard: IPET ran alone *)
+
+(** ["race"] or ["gated"]. *)
+val mc_gate_decision : mc_gate -> string
+
+(** The decision's reason: each guard's symbol and sites, or
+    ["no mode guard"]. *)
+val mc_gate_reason : mc_gate -> string
+
+(** [{"decision": "race"|"gated", "reason": ..., "guards": [...]}]. *)
+val mc_gate_to_json : mc_gate -> Wcet_diag.Json.t
+
 type report = {
   program : Pred32_asm.Program.t;
   hw : Pred32_hw.Hw_config.t;
@@ -97,7 +115,8 @@ type report = {
   path_backend : string;  (** requested backend configuration (a {!Wcet_path.Path_analysis.choice} name) *)
   backend_runs : backend_run list;
       (** per-backend bounds/verdicts/wall times; a singleton unless the
-          portfolio ran *)
+          portfolio raced the model checker *)
+  mc_gate : mc_gate option;  (** [None]: the portfolio was not requested *)
   wcet : int;  (** cycles, from program entry to halt; partial if [verdict = Partial] *)
   bcet : int;  (** best-case lower bound (shortest feasible walk) *)
   verdict : confidence;
@@ -135,9 +154,11 @@ val engine_name : engine -> string
     [path_backend] selects the path-analysis backend
     ({!Wcet_path.Path_analysis.choice}, default [Portfolio]): [Ipet] is the
     ILP encoding alone; [Portfolio] races it against the slicing +
-    bounded-model-checking backend ({!Wcet_path.Mc}), takes the tightest
-    sound bound and cross-checks the results as a soundness oracle — a
-    disagreement beyond attributable slack aborts with E0303.
+    bounded-model-checking backend ({!Wcet_path.Mc}) when the value result
+    shows a mode guard ([mc_gate]), takes the tightest sound bound and
+    cross-checks the results as a soundness oracle — a disagreement beyond
+    attributable slack aborts with E0303. Without a mode guard IPET runs
+    alone.
 
     [verify] (default [false]) re-runs the reference configuration and
     compares, aborting on any divergence; bound, verdict and transfer
@@ -150,7 +171,10 @@ val engine_name : engine -> string
     - the path backends against certified witness paths, with the
       structural constraint solver ({!Wcet_path.Csolve}) added as the
       structural witness, and, on a fact-free spec, IPET's loop-forest
-      bound against the simplex ({!Wcet_ipet.Ipet.Simplex}) (E0303).
+      bound against the simplex ({!Wcet_ipet.Ipet.Simplex}) (E0303);
+    - the mc gate: a portfolio run the gate kept IPET-only also runs the
+      model checker as an oracle, and an Info W0306 records a tighter
+      bound the gate missed (a precision oracle: the bound stays IPET's).
     A report-cache hit would skip these checks, so a verified analysis
     never reads a cached report; it still writes one. The reference solves
     add to the fixpoint-transfer and path-solve metrics.

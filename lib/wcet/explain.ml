@@ -42,6 +42,7 @@ type t = {
   dominating : loop_row option;
   covered : int;  (* sum of block totals; equals [wcet] *)
   backends : Analyzer.backend_run list;  (* per-backend portfolio outcomes *)
+  mc_gate : Analyzer.mc_gate option;  (* why the model checker did or did not race *)
 }
 
 let share_of wcet total = if wcet = 0 then 0. else float_of_int total /. float_of_int wcet
@@ -103,6 +104,7 @@ let of_report (r : Analyzer.report) =
     dominating;
     covered = !covered;
     backends = r.Analyzer.backend_runs;
+    mc_gate = r.Analyzer.mc_gate;
   }
 
 let pp_loop_row ppf row =
@@ -160,6 +162,11 @@ let pp ?(top = 10) ppf t =
             (match b.Analyzer.br_error with Some (code, _) -> code | None -> "?")
             (float_of_int b.Analyzer.br_wall_us /. 1000.))
       t.backends;
+  Option.iter
+    (fun g ->
+      Format.fprintf ppf "mc gate: %s (%s)@," (Analyzer.mc_gate_decision g)
+        (Analyzer.mc_gate_reason g))
+    t.mc_gate;
   Format.fprintf ppf "@]"
 
 let block_row_json row =
@@ -208,6 +215,8 @@ let to_json t =
                    ("winner", Json.Bool b.Analyzer.br_winner);
                  ])
              t.backends) );
+      ( "mc_gate",
+        match t.mc_gate with Some g -> Analyzer.mc_gate_to_json g | None -> Json.Null );
     ]
 
 (* DOT view: the whole supergraph, with worst-case-path nodes filled —

@@ -34,6 +34,9 @@ type t = {
   backends : Analyzer.backend_run list;
       (** per-backend portfolio outcomes from the report; printed after the
           decomposition when more than one backend raced *)
+  mc_gate : Analyzer.mc_gate option;
+      (** whether the model checker raced and why; printed after the
+          backends *)
 }
 
 val of_report : Analyzer.report -> t

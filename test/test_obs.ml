@@ -229,9 +229,11 @@ let pinned_names =
     "path_solve_us{backend=csolve}";
     "path_solve_us{backend=ipet}";
     "path_solve_us{backend=mc}";
+    "path_solve_us{backend=simplex}";
     "path_solves{backend=csolve}";
     "path_solves{backend=ipet}";
     "path_solves{backend=mc}";
+    "path_solves{backend=simplex}";
     "pipeline_block_wcet_cycles";
     "pipeline_blocks";
     "scc_count";
@@ -323,23 +325,28 @@ let test_analysis_populates_metrics () =
          hands nothing to the ILP solver. *)
       Alcotest.(check int) "no simplex pivot" 0 (counter_value "simplex_pivots");
       Alcotest.(check int) "no ipet solve" 0 (counter_value "ipet_solves");
-      (* The default portfolio races IPET and the model checker; csolve
-         runs only as verify's structural-witness oracle. *)
+      (* Quickstart has no mode guard, so the default portfolio runs IPET
+         alone; csolve, the simplex and the gated-off model checker run
+         only as verify's oracles. *)
       Alcotest.(check int) "one ipet path solve" 1 (counter_value "path_solves{backend=ipet}");
       Alcotest.(check int) "no csolve path solve" 0
         (counter_value "path_solves{backend=csolve}");
-      Alcotest.(check int) "one mc path solve" 1 (counter_value "path_solves{backend=mc}");
+      Alcotest.(check int) "no mc path solve: gated" 0 (counter_value "path_solves{backend=mc}");
       Alcotest.(check int) "one complete run" 1 (counter_value "analyzer_runs{verdict=complete}");
       let spans = List.map (fun (e : Trace.event) -> e.Trace.name) (Trace.events ()) in
       List.iter
         (fun phase ->
           Alcotest.(check bool) (phase ^ " span present") true (List.mem phase spans))
-        [ "analyze"; "decode"; "value"; "cache"; "persistence"; "pipeline"; "path"; "path.ipet";
-          "path.mc" ];
+        [ "analyze"; "decode"; "value"; "cache"; "persistence"; "pipeline"; "path"; "path.ipet" ];
+      Alcotest.(check bool) "no path.mc span" false (List.mem "path.mc" spans);
       Alcotest.(check (list string)) "the forest answered" [ "forest" ] (ipet_solvers ());
       ignore (Analyzer.analyze ~verify:true program);
       Alcotest.(check int) "one csolve path solve under verify" 1
         (counter_value "path_solves{backend=csolve}");
+      Alcotest.(check int) "one simplex path solve under verify" 1
+        (counter_value "path_solves{backend=simplex}");
+      Alcotest.(check int) "the gated-off mc runs under verify" 1
+        (counter_value "path_solves{backend=mc}");
       (* verify's simplex oracle is the one ILP problem *)
       Alcotest.(check int) "one ipet solve under verify" 1 (counter_value "ipet_solves");
       Alcotest.(check bool) "simplex pivoted under verify" true

@@ -1,7 +1,8 @@
 (* Portfolio path-analysis tests: backend agreement as a soundness oracle,
-   the injected-bug detector, the model checker's strict win on
-   mode-guarded programs, csolve's place as an oracle that never wins, and
-   the intractability escape hatches. *)
+   the injected-bug detector, the mode-guard gate that admits the model
+   checker and its strict win on mode-guarded programs, the --verify
+   oracle that catches a gate miss, csolve's place as an oracle that never
+   wins, and the intractability escape hatches. *)
 
 module Compile = Minic.Compile
 module Sim = Pred32_sim.Simulator
@@ -53,6 +54,24 @@ let modal =
    int main() { int r; r = 0; if (mode == 0) { r = r + rd(); } if (mode == 1) { r = r + wr(); } \
    return r; }"
 
+(* The same exclusion through a derived local: [m] is [mode + 1], so the
+   branches read a stack slot, not the never-written global, and no mode
+   guard shows. The model checker still prunes through the slot. *)
+let derived_modal =
+  "int mode; int buf[8]; \
+   int rd() { int i; int s; s = 0; for (i = 0; i < 8; i = i + 1) { s = s + buf[i]; } return s; } \
+   int wr() { int i; for (i = 0; i < 8; i = i + 1) { buf[i] = i; } return 8; } \
+   int main() { int m; int r; m = mode + 1; r = 0; if (m == 1) { r = r + rd(); } \
+   if (m == 2) { r = r + wr(); } return r; }"
+
+let gated (r : Analyzer.report) = r.Analyzer.mc_gate = Some Analyzer.Mc_gated
+
+(* A backend's bound on the spec, solved directly. *)
+let solve_bound (module B : Path_analysis.BACKEND) (spec, loops) =
+  match B.solve spec loops with
+  | Ok sol -> sol.Path_analysis.wcet
+  | Error e -> Alcotest.failf "%s failed: %s" B.name e.Path_analysis.err_code
+
 let bound_of name (r : Analyzer.report) =
   match List.find_opt (fun b -> b.Analyzer.br_name = name) r.Analyzer.backend_runs with
   | Some { Analyzer.br_bound = Some b; _ } -> b
@@ -65,20 +84,20 @@ let test_backends_agree () =
     (fun source ->
       let r = report source in
       Alcotest.(check string) "portfolio requested" "portfolio" r.Analyzer.path_backend;
-      Alcotest.(check int) "two runs recorded" 2 (List.length r.Analyzer.backend_runs);
+      (* No mode guard: the gate keeps IPET alone, so one run is recorded
+         and none of it is mc. *)
+      Alcotest.(check bool) "mc gated: no mode guard" true (gated r);
+      Alcotest.(check (list string)) "one run recorded, no mc" [ "ipet" ]
+        (List.map (fun b -> b.Analyzer.br_name) r.Analyzer.backend_runs);
       let ipet = bound_of "ipet" r in
-      let mc = bound_of "mc" r in
-      let csolve =
-        let spec, loops = spec_of_report r in
-        match Wcet_path.Csolve.solve spec loops with
-        | Ok sol -> sol.Path_analysis.wcet
-        | Error e -> Alcotest.failf "csolve failed: %s" e.Path_analysis.err_code
-      in
+      let mc = solve_bound (module Wcet_path.Mc) (spec_of_report r) in
+      let csolve = solve_bound (module Wcet_path.Csolve) (spec_of_report r) in
       (* Fact-free reducible programs: the structural solve is exactly the
          ILP optimum, and path pruning can only tighten. *)
       Alcotest.(check int) "csolve = ipet" ipet csolve;
       Alcotest.(check bool) (Printf.sprintf "mc <= csolve (%d <= %d)" mc csolve) true
         (mc <= csolve);
+      (* The gate lost nothing: the report carries the tightest bound. *)
       Alcotest.(check int) "report carries the tightest bound" (min ipet mc) r.Analyzer.wcet;
       let winner =
         List.filter (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs
@@ -157,6 +176,12 @@ let test_injected_bug_detected () =
 let test_mc_strictly_tighter_on_modes () =
   let r_ipet = report ~path_backend:Path_analysis.Ipet modal in
   let r = report modal in
+  (match r.Analyzer.mc_gate with
+  | Some (Analyzer.Mc_raced [ { Wcet_value.Modes.symbol = "mode"; sites } ]) ->
+    Alcotest.(check int) "two guard sites" 2 (List.length sites)
+  | _ -> Alcotest.fail "the mode guard must admit the model checker");
+  Alcotest.(check (list string)) "mc races" [ "ipet"; "mc" ]
+    (List.map (fun b -> b.Analyzer.br_name) r.Analyzer.backend_runs);
   Alcotest.(check bool)
     (Printf.sprintf "portfolio < ipet (%d < %d)" r.Analyzer.wcet r_ipet.Analyzer.wcet)
     true
@@ -176,14 +201,48 @@ let goto_cycle =
    if (flag) { goto inside; } top: acc = acc + 1; inside: acc = acc + 2; i = i + 1; \
    if (i < 50) { goto top; } return acc; }"
 
+(* The same cycle with [flag] also tested after it: a mode guard at two
+   sites, so the model checker races. *)
+let goto_cycle_guarded =
+  "int flag; int acc; int main() { int i; i = 0; acc = 0; \
+   if (flag) { goto inside; } top: acc = acc + 1; inside: acc = acc + 2; i = i + 1; \
+   if (i < 50) { goto top; } if (flag) { acc = acc + 3; } return acc; }"
+
 let test_irreducible_portfolio_degrades () =
   (* The model checker cannot analyse an irreducible region; the portfolio
      continues on IPET with a W0305 warning instead of failing. *)
-  let r = report goto_cycle in
+  let r = report goto_cycle_guarded in
+  Alcotest.(check bool) "the guard admits mc" false (gated r);
   let w0305 = List.filter (fun d -> d.Diag.code = "W0305") r.Analyzer.diagnostics in
   Alcotest.(check int) "mc excluded with W0305" 1 (List.length w0305);
   let winner = List.find (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs in
-  Alcotest.(check string) "ipet carries the bound" "ipet" winner.Analyzer.br_name
+  Alcotest.(check string) "ipet carries the bound" "ipet" winner.Analyzer.br_name;
+  (* Unguarded, mc never starts, so there is nothing to degrade. *)
+  let r = report goto_cycle in
+  Alcotest.(check bool) "unguarded: mc gated" true (gated r);
+  Alcotest.(check bool) "unguarded: no W0305" false
+    (List.exists (fun d -> d.Diag.code = "W0305") r.Analyzer.diagnostics)
+
+(* --- the gate misses a derived mode; --verify says so --- *)
+
+let test_gate_miss_reported () =
+  let r = report derived_modal in
+  Alcotest.(check bool) "no mode guard: mc gated" true (gated r);
+  let mc = solve_bound (module Wcet_path.Mc) (spec_of_report r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mc would have tightened (%d < %d)" mc r.Analyzer.wcet)
+    true (mc < r.Analyzer.wcet);
+  let w0306 (r : Analyzer.report) =
+    List.filter (fun d -> d.Diag.code = "W0306") r.Analyzer.diagnostics
+  in
+  Alcotest.(check int) "no W0306 without verify" 0 (List.length (w0306 r));
+  let rv = Analyzer.analyze ~verify:true (Compile.compile derived_modal) in
+  (match w0306 rv with
+  | [ d ] -> Alcotest.(check bool) "W0306 is Info" true (d.Diag.severity = Diag.Info)
+  | ds -> Alcotest.failf "expected one W0306, got %d" (List.length ds));
+  Alcotest.(check int) "verify leaves the bound" r.Analyzer.wcet rv.Analyzer.wcet;
+  Alcotest.(check (list string)) "the oracle is not a racer" [ "ipet" ]
+    (List.map (fun b -> b.Analyzer.br_name) rv.Analyzer.backend_runs)
 
 let test_irreducible_single_backend_fatal () =
   let spec, loops = spec_of_report (report ~path_backend:Path_analysis.Ipet goto_cycle) in
@@ -362,7 +421,7 @@ let test_codes_registered () =
   List.iter
     (fun code ->
       Alcotest.(check bool) (code ^ " registered") true (Diag.describe code <> None))
-    [ "E0301"; "E0302"; "E0303"; "E0304"; "E0305"; "W0305" ]
+    [ "E0301"; "E0302"; "E0303"; "E0304"; "E0305"; "W0305"; "W0306" ]
 
 let () =
   Alcotest.run "path"
@@ -376,6 +435,7 @@ let () =
           Alcotest.test_case "irreducible degrades" `Quick test_irreducible_portfolio_degrades;
           Alcotest.test_case "irreducible single backend fatal" `Quick
             test_irreducible_single_backend_fatal;
+          Alcotest.test_case "gate miss reported under verify" `Quick test_gate_miss_reported;
           Alcotest.test_case "corpus never worse" `Slow test_corpus_portfolio_never_worse;
           Alcotest.test_case "csolve never wins" `Slow test_csolve_never_wins;
           Alcotest.test_case "forest ipet equals simplex" `Slow test_forest_equals_simplex;
