@@ -605,18 +605,29 @@ type escalation = {
   esc_rel : int -> counter:Reg.t -> other:Reg.t -> int option * int option;
 }
 
-(* Re-solve the whole supergraph under the interval x octagon product and
-   fold the result back under [base] (a meet, so the refinement is leq the
-   interval result by construction). Octagon slot variables are the
-   singleton access targets inside the escalated functions, loop-body ones
-   first: that is where counters and limits live. *)
+(* Solve the escalated functions' nodes under the interval x octagon
+   product and fold the result back under [base] (a meet, so the refinement
+   is leq the interval result by construction). Octagon slot variables are
+   the singleton access targets inside the escalated functions, loop-body
+   ones first: that is where counters and limits live.
+
+   The region is every node of an escalated function, in every context.
+   Nodes outside it keep [base]'s states and accesses. The product starts at
+   the program entry when it is in the region, and at every region node
+   that control reaches from outside along any edge but a return (a caller,
+   a longjmp), seeded there with the base in-state. A call out of the
+   region into an unescalated callee becomes one summary edge to its return
+   site: the octagon resets every register the callee's context subtree
+   defines and every slot its stores may write to its interval in the base
+   in-state of the return site, which is also the interval half. Both
+   halves stay sound because the base states are, and a relation over
+   untouched variables survives any execution of the callee. *)
 let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info) =
   let graph = base.graph in
-  let n = Array.length graph.Supergraph.nodes in
+  let nodes = graph.Supergraph.nodes in
+  let n = Array.length nodes in
   let ctx = chronological_ctx graph.Supergraph.program in
-  let in_funcs =
-    Array.map (fun (nd : Supergraph.node) -> List.mem nd.Supergraph.func funcs) graph.Supergraph.nodes
-  in
+  let in_funcs = Array.map (fun (nd : Supergraph.node) -> List.mem nd.Supergraph.func funcs) nodes in
   let in_loop = Array.make n false in
   Array.iter
     (fun (l : Loops.loop) -> List.iter (fun i -> in_loop.(i) <- true) l.Loops.body)
@@ -651,7 +662,7 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
             | Insn.Lui (_, imm) -> thr := imm lsl 16 :: !thr
             | _ -> ())
           nd.Supergraph.block.Func_cfg.insns)
-    graph.Supergraph.nodes;
+    nodes;
   List.iter
     (fun (_, v) ->
       match Aval.range v with Some (lo, hi) -> thr := lo :: hi :: !thr | None -> ())
@@ -662,61 +673,161 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
          (List.concat_map (fun c -> [ c; 2 * c ]) (List.filter (fun c -> c > 0 && c < half) !thr)))
   in
   let dim = nregs + Array.length slot_addrs in
-  let entry_oct =
-    let o = Octagon.top ~thresholds dim in
-    let o = Octagon.assign_interval o (ovar Reg.zero) (0, 0) in
-    List.fold_left
-      (fun o (a, v) ->
-        match (Hashtbl.find_opt slot_var a, safe_range v) with
-        | Some s, Some (lo, hi) -> Octagon.assign_interval o s (lo, hi)
-        | _ -> o)
-      o assumes
+  (* The interval of octagon variable [v] in [st]. *)
+  let var_interval st v =
+    if v < nregs then State.get_reg st (Reg.of_int v)
+    else State.load ~program:ctx.program st slot_addrs.(v - nregs)
+  in
+  (* An entry's octagon: the unary bounds of its interval state. At the
+     program entry that is [r0 = 0] plus the assumed slot ranges. *)
+  let entry_oct st =
+    let e = Octagon.edit (Octagon.top ~thresholds dim) in
+    for v = 0 to dim - 1 do
+      oct_meet_unary e v (var_interval st v)
+    done;
+    Octagon.freeze e
+  in
+  let entries =
+    List.filter_map
+      (fun (nd : Supergraph.node) ->
+        let i = nd.Supergraph.id in
+        let from_outside =
+          i = graph.Supergraph.entry
+          || List.exists
+               (fun (kind, p) -> kind <> Supergraph.Ereturn && not in_funcs.(p))
+               nd.Supergraph.preds
+        in
+        match base.node_in.(i) with
+        | Some st when in_funcs.(i) && from_outside -> Some (i, { pst = st; poct = entry_oct st })
+        | _ -> None)
+      (Array.to_list nodes)
+  in
+  (* The call summaries. Contexts are numbered parent first, so one
+     backward sweep folds each context's clobbers into its parent's. A
+     clobber is a bit set over octagon variables. *)
+  let contexts = graph.Supergraph.contexts in
+  let return_site = Array.make (Array.length contexts) (-1) in
+  let clobber = Array.make (Array.length contexts) 0 in
+  let bit v = 1 lsl v in
+  let all_slots = (bit dim - 1) lxor (bit nregs - 1) in
+  let slots_in lo hi =
+    Array.fold_left
+      (fun (m, v) a -> ((if a >= lo && a <= hi then m lor bit v else m), v + 1))
+      (0, nregs) slot_addrs
+    |> fst
+  in
+  Array.iter
+    (fun (nd : Supergraph.node) ->
+      let k = nd.Supergraph.ctx in
+      List.iter
+        (fun (kind, t) -> if kind = Supergraph.Ereturn then return_site.(k) <- t)
+        nd.Supergraph.succs;
+      Array.iter
+        (fun (_, insn) ->
+          List.iter (fun r -> clobber.(k) <- clobber.(k) lor bit (ovar r)) (Insn.defs insn))
+        nd.Supergraph.block.Func_cfg.insns;
+      List.iter
+        (fun (a : access) ->
+          if a.is_store then
+            let slots =
+              match (Aval.singleton a.addr, Aval.range a.addr) with
+              | Some ad, _ -> (
+                match Hashtbl.find_opt slot_var ad with Some v -> bit v | None -> 0)
+              | None, Some (lo, hi) when hi - lo <= weak_update_limit_bytes -> slots_in lo hi
+              | None, _ -> all_slots
+            in
+            clobber.(k) <- clobber.(k) lor slots)
+        base.accesses.(nd.Supergraph.id))
+    nodes;
+  for k = Array.length contexts - 1 downto 0 do
+    match contexts.(k).Supergraph.parent with
+    | Some (p, _) -> clobber.(p) <- clobber.(p) lor clobber.(k)
+    | None -> ()
+  done;
+  let summarize k oct ret_st =
+    let e = Octagon.edit oct in
+    for v = 0 to dim - 1 do
+      if clobber.(k) land bit v <> 0 then oct_set_var e v (var_interval ret_st v)
+    done;
+    Octagon.freeze e
+  in
+  (* Region edges: [`Within] keeps the edge, [`Summary k] replaces a call
+     into the unescalated context [k] by its return site. *)
+  let region_succs =
+    Array.map
+      (fun (nd : Supergraph.node) ->
+        if not in_funcs.(nd.Supergraph.id) then []
+        else
+          List.filter_map
+            (fun (kind, t) ->
+              if in_funcs.(t) then Some (t, `Within kind)
+              else
+                let k = nodes.(t).Supergraph.ctx in
+                if kind = Supergraph.Ecall && return_site.(k) >= 0 then
+                  Some (return_site.(k), `Summary k)
+                else None)
+            nd.Supergraph.succs)
+      nodes
   in
   let widening_point = widening_points graph loops in
   let solution =
     try
       FP2.solve
         ~propagate:(fun i p ->
-          let node = graph.Supergraph.nodes.(i) in
+          let node = nodes.(i) in
           List.filter_map
-            (fun (kind, target) ->
-              Option.map (fun p' -> (target, p')) (product_refine_edge env ctx node kind p))
-            node.Supergraph.succs)
+            (fun (t, edge) ->
+              match edge with
+              | `Within kind ->
+                Option.map (fun p' -> (t, p')) (product_refine_edge env ctx node kind p)
+              | `Summary k ->
+                Option.map
+                  (fun st -> (t, { pst = st; poct = summarize k p.poct st }))
+                  base.node_in.(t))
+            region_succs.(i))
         ?cancel ~force_widen_after:40
         ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
         {
           FP2.num_nodes = n;
-          entries = [ (graph.Supergraph.entry, { pst = State.entry_state ~assumes; poct = entry_oct }) ];
-          succs = (fun i -> List.map snd graph.Supergraph.nodes.(i).Supergraph.succs);
-          transfer = (fun i p -> product_transfer env ctx p graph.Supergraph.nodes.(i));
+          entries;
+          succs = (fun i -> List.map fst region_succs.(i));
+          transfer = (fun i p -> product_transfer env ctx p nodes.(i));
           widening_points = (fun i -> widening_point.(i));
           widening_delay = 2;
         }
     with Failure _ -> failwith "octagon escalation did not converge"
   in
-  let prod_in = Array.init n solution.FP2.in_state in
-  let meet_opt p b =
-    match (p, b) with Some p, Some b -> Some (State.meet p.pst b) | _ -> None
+  (* Outside the region the base result stands as it is. *)
+  let fold base_states prod =
+    Array.init n (fun i ->
+        if not in_funcs.(i) then base_states.(i)
+        else
+          match (prod i, base_states.(i)) with
+          | Some p, Some b -> Some (State.meet p.pst b)
+          | _ -> None)
   in
-  let node_in = Array.init n (fun i -> meet_opt prod_in.(i) base.node_in.(i)) in
-  let node_out = Array.init n (fun i -> meet_opt (solution.FP2.out_state i) base.node_out.(i)) in
+  let node_in = fold base.node_in solution.FP2.in_state in
+  let node_out = fold base.node_out solution.FP2.out_state in
   (* Access replay under the product transfer: the relational projections at
      defining instructions are what tighten the recorded address values. *)
-  let accesses = Array.make n [] in
-  Array.iteri
-    (fun i (node : Supergraph.node) ->
-      match (prod_in.(i), node_in.(i)) with
-      | Some p, Some stmeet ->
-        let acc = ref [] in
-        ctx.record <-
-          Some
-            (fun insn_index insn_addr is_store addr ->
-              acc := { insn_index; insn_addr; is_store; addr } :: !acc);
-        ignore (product_transfer env ctx { pst = stmeet; poct = p.poct } node);
-        ctx.record <- None;
-        accesses.(i) <- List.rev !acc
-      | _ -> ())
-    graph.Supergraph.nodes;
+  let accesses =
+    Array.mapi
+      (fun i base_acc ->
+        if not in_funcs.(i) then base_acc
+        else
+          match (solution.FP2.in_state i, node_in.(i)) with
+          | Some p, Some stmeet ->
+            let acc = ref [] in
+            ctx.record <-
+              Some
+                (fun insn_index insn_addr is_store addr ->
+                  acc := { insn_index; insn_addr; is_store; addr } :: !acc);
+            ignore (product_transfer env ctx { pst = stmeet; poct = p.poct } nodes.(i));
+            ctx.record <- None;
+            List.rev !acc
+          | _ -> [])
+      base.accesses
+  in
   Metrics.incr m_oct_transfers solution.FP2.transfers;
   Metrics.incr m_escalated_funcs (List.length funcs);
   let esc_result =

@@ -70,8 +70,8 @@ val publish_access_metrics : access list array -> unit
 (** Which abstract domain the value analysis may use: [Interval] is the
     always-on baseline; [Auto] escalates to the interval x octagon product
     when some function's interval results left imprecise accesses or
-    input-dependent/aliased loop-bound causes. The escalation re-solves
-    the whole supergraph; the flagged functions choose its slots and
+    input-dependent/aliased loop-bound causes. The escalation solves only
+    the flagged functions' nodes, which also choose its slots and
     thresholds ({!escalate}). *)
 type domain = Interval | Auto
 
@@ -94,12 +94,17 @@ type escalation = {
           consumed by {!Loop_bounds.analyze} *)
 }
 
-(** [escalate ~funcs base loops] re-solves the supergraph under the
-    interval x octagon reduced product (relational constraints over the 16
-    registers plus the singleton access targets of [funcs]) and folds the
-    result back under [base]. The product's interval component repeats the
-    base transfer, so the refinement can only tighten; the octagon side
-    obeys the wraparound contract of {!Octagon}. *)
+(** [escalate ~funcs base loops] solves the nodes of [funcs], in every
+    context, under the interval x octagon reduced product (relational
+    constraints over the 16 registers plus the singleton access targets of
+    [funcs]) and folds the result back under [base]; every other node
+    keeps [base]'s states and accesses. The product starts wherever
+    control enters the region from outside other than by a return,
+    seeded with [base]'s in-state, and crosses a call into an unescalated
+    callee in one summary edge that resets every register and slot the
+    callee's context subtree may write. The product's interval component
+    repeats the base transfer, so the refinement can only tighten; the
+    octagon side obeys the wraparound contract of {!Octagon}. *)
 val escalate :
   ?assumes:(int * Aval.t) list ->
   ?cancel:(unit -> bool) ->

@@ -39,10 +39,18 @@
 
 let inf = max_int
 
+(* [strong]: every pair of vertices [i], [j] with finite unary cells
+   already satisfies the strengthening bound
+   [m(i, bar j) <= m(i, bar i) / 2 + m(j, bar j) / 2]. The closure below
+   then only revisits pairs whose unary cells it changed. [top] and every
+   closure establish it; forget, shift and negate-shift preserve it; a join
+   keeps it when both inputs have it (a max of cells under a max of
+   bounds); meet and widen drop it. *)
 type t = {
   dim : int;  (* octagon variables; matrix is 2*dim square *)
   m : int array option;  (* None = bottom *)
   thr : int array;  (* widening thresholds, sorted ascending *)
+  strong : bool;
 }
 
 type edit = {
@@ -50,6 +58,7 @@ type edit = {
   n : int;  (* 2 * dim *)
   cells : int array;  (* owned copy; meaningless once [bot] *)
   mutable bot : bool;
+  mutable strong_e : bool;  (* [t.strong] of the cells being edited *)
   mutable work : int array;  (* closure working sets, allocated on first use *)
 }
 
@@ -71,9 +80,9 @@ let top ?(thresholds = no_thresholds) dim =
   for i = 0 to n - 1 do
     m.((i * n) + i) <- 0
   done;
-  { dim; m = Some m; thr = thresholds }
+  { dim; m = Some m; thr = thresholds; strong = true }
 
-let bottom ?(thresholds = no_thresholds) dim = { dim; m = None; thr = thresholds }
+let bottom ?(thresholds = no_thresholds) dim = { dim; m = None; thr = thresholds; strong = true }
 let is_bot t = t.m = None
 let dim t = t.dim
 
@@ -83,9 +92,9 @@ let cells t =
 
 let edit t =
   let cells, bot = match t.m with Some m -> (Array.copy m, false) | None -> ([||], true) in
-  { base = t; n = 2 * t.dim; cells; bot; work = [||] }
+  { base = t; n = 2 * t.dim; cells; bot; strong_e = t.strong; work = [||] }
 
-let freeze e = { e.base with m = (if e.bot then None else Some e.cells) }
+let freeze e = { e.base with m = (if e.bot then None else Some e.cells); strong = e.strong_e }
 
 (* ---- consistency ---------------------------------------------------- *)
 
@@ -106,10 +115,19 @@ let normalize e = if (not e.bot) && not (consistent e.cells e.n) then e.bot <- t
 
 (* Working-set layout, [n] ints each: the snapshots of column [a], column
    [bar b], row [b] and row [bar a], then the row, column and unary
-   working sets. *)
+   working sets, the unary cells before the step and the vertices whose
+   unary cell it changed. *)
 let work e =
-  if Array.length e.work = 0 then e.work <- Array.make (7 * e.n) 0;
+  if Array.length e.work = 0 then e.work <- Array.make (9 * e.n) 0;
   e.work
+
+(* The strengthening candidate of the vertex pair (i, j'): cell
+   (i, bar j') is at most the sum of the two unary half-bounds. The pair
+   (j', i) writes the coherent mirror of that cell. *)
+let strengthen m n i j' =
+  let j = bar j' in
+  let v = (m.((i * n) + bar i) / 2) + (m.((j' * n) + j) / 2) in
+  if v < m.((i * n) + j) then m.((i * n) + j) <- v
 
 (* Tighten all paths through the new constraint [V_b - V_a <= c] (written
    at (a, b)) and its coherent mirror (bar b, bar a), then strengthen via
@@ -128,14 +146,22 @@ let work e =
    strengthening pass likewise pairs only vertices with a finite unary
    cell: it never rewrites a unary cell (the candidate for (i, bar i) is
    the cell itself), so that set is fixed before the pass. None of this
-   assumes a closed input, so it holds after widening too. *)
+   assumes a closed input, so it holds after widening too.
+
+   On a [strong] input the pass revisits only the pairs that touch a
+   vertex whose unary cell this step changed: a pair whose two unary cells
+   are unchanged met its strengthening bound before the step, and the step
+   only lowered its cell. The result is the full pass's, cell for cell. *)
 let close_after_add e a b c =
   let m = e.cells and n = e.n in
   if c < m.((a * n) + b) then begin
     let a' = bar a and b' = bar b in
     let s = work e in
     let col_a = 0 and col_b' = n and row_b = 2 * n and row_a' = 3 * n in
-    let rows = 4 * n and cols = 5 * n and unary = 6 * n in
+    let rows = 4 * n and cols = 5 * n and unary = 6 * n and before = 7 * n and changed = 8 * n in
+    for i = 0 to n - 1 do
+      s.(before + i) <- m.((i * n) + bar i)
+    done;
     Array.blit m (b * n) s row_b n;
     Array.blit m (a' * n) s row_a' n;
     let nr = ref 0 in
@@ -172,26 +198,37 @@ let close_after_add e a b c =
     done;
     (* Unary cells encode 2c: floor to even, then strengthen by combining
        the two unary half-bounds. *)
-    let nu = ref 0 in
+    let nu = ref 0 and nch = ref 0 in
     for i = 0 to n - 1 do
       let k = (i * n) + bar i in
       let u = floor_even m.(k) in
       m.(k) <- u;
       if u / 2 < inf / 4 then begin
         s.(unary + !nu) <- i;
-        incr nu
+        incr nu;
+        if u <> s.(before + i) then begin
+          s.(changed + !nch) <- i;
+          incr nch
+        end
       end
     done;
-    for x = 0 to !nu - 1 do
-      let i = s.(unary + x) in
-      let ui = m.((i * n) + bar i) / 2 and base = i * n in
-      for y = 0 to !nu - 1 do
-        let j' = s.(unary + y) in
-        let j = bar j' in
-        let v = ui + (m.((j' * n) + j) / 2) in
-        if v < m.(base + j) then m.(base + j) <- v
+    if e.strong_e then
+      for x = 0 to !nch - 1 do
+        let c = s.(changed + x) in
+        for y = 0 to !nu - 1 do
+          let o = s.(unary + y) in
+          strengthen m n c o;
+          strengthen m n o c
+        done
       done
-    done
+    else
+      for x = 0 to !nu - 1 do
+        let i = s.(unary + x) in
+        for y = 0 to !nu - 1 do
+          strengthen m n i s.(unary + y)
+        done
+      done;
+    e.strong_e <- true
   end
 
 (* ---- queries --------------------------------------------------------- *)
@@ -376,7 +413,7 @@ let join a b =
     for k = 0 to Array.length m - 1 do
       if mb.(k) > m.(k) then m.(k) <- mb.(k)
     done;
-    { a with m = Some m }
+    { a with m = Some m; strong = a.strong && b.strong }
 
 (* Cell-wise meet (no re-closure: precision-only). *)
 let meet a b =
@@ -388,7 +425,7 @@ let meet a b =
     for k = 0 to Array.length m - 1 do
       if mb.(k) < m.(k) then m.(k) <- mb.(k)
     done;
-    if consistent m (2 * a.dim) then { a with m = Some m } else { a with m = None }
+    { a with m = (if consistent m (2 * a.dim) then Some m else None); strong = false }
 
 (* Threshold widening: a cell that grew jumps to the smallest threshold
    that still covers it (infinity when none does); stable cells keep their
@@ -413,7 +450,7 @@ let widen a b =
       let y = mb.(k) in
       if y > m.(k) then m.(k) <- jump y
     done;
-    { a with m = Some m }
+    { a with m = Some m; strong = false }
 
 let pp ppf t =
   match t.m with
@@ -474,4 +511,4 @@ let close t =
           if uj < inf / 4 && ui + uj < m.((i * n) + j) then m.((i * n) + j) <- ui + uj
         done
     done;
-    if consistent m n then { t with m = Some m } else { t with m = None }
+    { t with m = (if consistent m n then Some m else None); strong = true }

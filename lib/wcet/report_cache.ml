@@ -55,8 +55,10 @@ module Trace = Wcet_obs.Trace
    or a key component changes meaning (5: the escalation record lost its
    requested-domain field; 6: backend runs record microseconds; 7: cache
    states are set-indexed; 8: the memory image holds only non-zero
-   words; 9: the report records the model checker's gate decision). *)
-let format_version = "9"
+   words; 9: the report records the model checker's gate decision; 10:
+   the escalation solves only the escalated functions, so its recorded
+   transfer count changed meaning). *)
+let format_version = "10"
 
 let m_hits gran =
   Metrics.counter ~labels:[ ("granularity", gran) ] ~name:"cache_store_hits"

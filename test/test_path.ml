@@ -336,7 +336,7 @@ let counter name =
   | _ -> 0
 
 let examples () =
-  let dir = "../examples" in
+  let dir = Examples_dir.dir in
   Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".mc")
   |> List.sort compare

@@ -290,7 +290,7 @@ let test_phase_times_reported () =
 (* --- an analysis leaves nothing live behind --- *)
 
 let test_no_retention () =
-  let source = In_channel.with_open_bin "../examples/quickstart.mc" In_channel.input_all in
+  let source = In_channel.with_open_bin (Examples_dir.file "quickstart.mc") In_channel.input_all in
   let program = Compile.compile source in
   let live_after runs =
     for _ = 1 to runs do
