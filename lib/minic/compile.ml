@@ -8,9 +8,14 @@ let frontend source =
   | Parser.Error (msg, loc) -> error "syntax error at %a: %s" Ast.pp_loc loc msg
   | Typecheck.Error (msg, loc) -> error "type error at %a: %s" Ast.pp_loc loc msg
 
+(* Compared in place: the scan runs once per runtime name over the whole
+   source, so it must not allocate per position. *)
 let contains_substring haystack needle =
   let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  let rec matches_at i k =
+    k = nl || (haystack.[i + k] = needle.[k] && matches_at i (k + 1))
+  in
+  let rec go i = i + nl <= hl && (matches_at i 0 || go (i + 1)) in
   go 0
 
 (* Decide which runtime clusters the program needs: clusters whose functions

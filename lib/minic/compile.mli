@@ -17,6 +17,12 @@ val compile :
     tests that inspect the assembly). *)
 val compile_to_unit : ?options:Codegen.options -> string -> Pred32_asm.Ast.unit_
 
+(** [contains_substring haystack needle]: [needle] occurs in [haystack]
+    (the empty needle occurs everywhere). The runtime-cluster scan matches
+    the source text with it, so a comment naming a runtime routine pulls
+    its cluster in too. *)
+val contains_substring : string -> string -> bool
+
 (** [frontend source] parses and typechecks without generating code. *)
 val frontend : string -> Tast.tprogram
 

@@ -383,9 +383,27 @@ let safe_range v =
   match Aval.range v with Some (_, hi) as r when hi < half -> r | _ -> None
 
 let nregs = 16
-let ovar r = Reg.to_int r
 
-type oct_env = { slot_var : (int, int) Hashtbl.t; slot_addrs : int array }
+(* The product's variables: the registers of the escalation's support in
+   ascending order ([reg_var] maps a register number to its variable, -1
+   outside the support), then the tracked slots ([slot_index] maps a slot
+   address to its index in [slot_addrs], whose variable is
+   [slot_base + index]). *)
+type oct_env = {
+  reg_var : int array;
+  slot_base : int;
+  slot_index : (int, int) Hashtbl.t;
+  slot_addrs : int array;
+}
+
+(* A register outside the support is never named by the region's code, so
+   reaching one is a broken invariant, not a precision loss. *)
+let ovar env r =
+  let v = env.reg_var.(Reg.to_int r) in
+  if v < 0 then invalid_arg ("octagon: register outside the support: " ^ Reg.name r);
+  v
+
+let slot_ovar env a = Option.map (fun i -> env.slot_base + i) (Hashtbl.find_opt env.slot_index a)
 
 let max_slots = 16
 
@@ -418,12 +436,12 @@ let oct_range bounds iv =
     let m = Aval.meet iv (Aval.interval olo ohi) in
     if Aval.is_bot m then iv else m
 
-let oct_read e st r = oct_range (E.var_bounds e (ovar r)) (State.get_reg st r)
+let oct_read env e st r = oct_range (E.var_bounds e (ovar env r)) (State.get_reg st r)
 
 (* [rd] gets a value the octagon cannot relate: forget it, keep its
    interval; returns [st'] unchanged. *)
-let oct_def_reg st' e rd =
-  if not (Reg.equal rd Reg.zero) then oct_set_var e (ovar rd) (State.get_reg st' rd);
+let oct_def_reg env st' e rd =
+  if not (Reg.equal rd Reg.zero) then oct_set_var e (ovar env rd) (State.get_reg st' rd);
   st'
 
 (* Octagon companion of [transfer_insn]. [st] is the interval state before
@@ -437,21 +455,21 @@ let oct_transfer_insn env st st' e (_addr, insn) =
     match insn with
     | Insn.Alui ((Insn.Add | Insn.Sub), rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
       let c = match insn with Insn.Alui (Insn.Sub, _, _, _) -> -imm | _ -> imm in
-      match safe_range (oct_read e st rs1) with
+      match safe_range (oct_read env e st rs1) with
       | Some (lo, hi) when lo + c >= 0 && hi + c < half ->
-        E.assign_var_plus e ~dst:(ovar rd) ~src:(ovar rs1) c;
-        oct_meet_unary e (ovar rd) (State.get_reg st' rd);
+        E.assign_var_plus e ~dst:(ovar env rd) ~src:(ovar env rs1) c;
+        oct_meet_unary e (ovar env rd) (State.get_reg st' rd);
         st'
-      | _ -> oct_def_reg st' e rd)
-    | Insn.Alui (_, rd, _, _) -> oct_def_reg st' e rd
+      | _ -> oct_def_reg env st' e rd)
+    | Insn.Alui (_, rd, _, _) -> oct_def_reg env st' e rd
     | Insn.Alu (Insn.Add, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read e st rs1 and v2 = oct_read e st rs2 in
+      let v1 = oct_read env e st rs1 and v2 = oct_read env e st rs2 in
       match (safe_range v1, safe_range v2) with
       | Some (lo1, hi1), Some (lo2, hi2) when hi1 + hi2 < half ->
-        let d = ovar rd in
+        let d = ovar env rd in
         (match (Aval.singleton v2, Aval.singleton v1) with
-        | Some c, _ -> E.assign_var_plus e ~dst:d ~src:(ovar rs1) c
-        | None, Some c -> E.assign_var_plus e ~dst:d ~src:(ovar rs2) c
+        | Some c, _ -> E.assign_var_plus e ~dst:d ~src:(ovar env rs1) c
+        | None, Some c -> E.assign_var_plus e ~dst:d ~src:(ovar env rs2) c
         | None, None ->
           (* x_rd - x_rs1 in [lo2, hi2] and symmetrically for rs2. *)
           E.forget e d;
@@ -461,17 +479,17 @@ let oct_transfer_insn env st st' e (_addr, insn) =
               E.add_diff e ~u:s ~v:d (-lo)
             end
           in
-          bound (ovar rs1) (lo2, hi2);
-          bound (ovar rs2) (lo1, hi1));
+          bound (ovar env rs1) (lo2, hi2);
+          bound (ovar env rs2) (lo1, hi1));
         oct_meet_unary e d (State.get_reg st' rd);
         st'
-      | _ -> oct_def_reg st' e rd)
+      | _ -> oct_def_reg env st' e rd)
     | Insn.Alu (Insn.Sub, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read e st rs1 and v2 = oct_read e st rs2 in
+      let v1 = oct_read env e st rs1 and v2 = oct_read env e st rs2 in
       match (safe_range v1, Aval.singleton v2) with
       | Some (lo1, hi1), Some c when lo1 - c >= 0 && hi1 - c < half ->
-        E.assign_var_plus e ~dst:(ovar rd) ~src:(ovar rs1) (-c);
-        oct_meet_unary e (ovar rd) (State.get_reg st' rd);
+        E.assign_var_plus e ~dst:(ovar env rd) ~src:(ovar env rs1) (-c);
+        oct_meet_unary e (ovar env rd) (State.get_reg st' rd);
         st'
       | _ -> (
         (* Project the relational difference: when the octagon proves
@@ -479,51 +497,51 @@ let oct_transfer_insn env st st' e (_addr, insn) =
            cannot borrow and equals the mathematical difference. This is the
            step that turns a relation into a tight interval for downstream
            address computations. *)
-        match E.diff_bounds e ~u:(ovar rs1) ~v:(ovar rs2) with
+        match E.diff_bounds e ~u:(ovar env rs1) ~v:(ovar env rs2) with
         | Some dlo, Some dhi when dlo >= 0 && dhi < half ->
           let refined = Aval.meet (State.get_reg st' rd) (Aval.interval dlo dhi) in
           let refined = if Aval.is_bot refined then State.get_reg st' rd else refined in
-          oct_set_var e (ovar rd) refined;
+          oct_set_var e (ovar env rd) refined;
           State.set_reg st' rd refined
-        | _ -> oct_def_reg st' e rd))
-    | Insn.Alu (_, rd, _, _) | Insn.Lui (rd, _) | Insn.Cmovnz (rd, _, _) -> oct_def_reg st' e rd
+        | _ -> oct_def_reg env st' e rd))
+    | Insn.Alu (_, rd, _, _) | Insn.Lui (rd, _) | Insn.Cmovnz (rd, _, _) -> oct_def_reg env st' e rd
     | Insn.Load (rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
       let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
       match Aval.singleton av with
       | Some a when a land 3 = 0 -> (
-        match Hashtbl.find_opt env.slot_var a with
+        match slot_ovar env a with
         | Some s ->
-          E.assign_var_plus e ~dst:(ovar rd) ~src:s 0;
+          E.assign_var_plus e ~dst:(ovar env rd) ~src:s 0;
           (* Project the slot's relational bounds back into the interval
              component: the loaded value inherits everything the octagon
              proved about the slot across widening. *)
-          let refined = oct_range (E.var_bounds e (ovar rd)) (State.get_reg st' rd) in
-          oct_meet_unary e (ovar rd) refined;
+          let refined = oct_range (E.var_bounds e (ovar env rd)) (State.get_reg st' rd) in
+          oct_meet_unary e (ovar env rd) refined;
           State.set_reg st' rd refined
-        | None -> oct_def_reg st' e rd)
-      | _ -> oct_def_reg st' e rd)
+        | None -> oct_def_reg env st' e rd)
+      | _ -> oct_def_reg env st' e rd)
     | Insn.Load _ -> st'
     | Insn.Store (rs2, rs1, imm) -> (
       let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
       match Aval.singleton av with
       | Some a when a land 3 = 0 ->
-        (match Hashtbl.find_opt env.slot_var a with
+        (match slot_ovar env a with
         | Some s ->
-          E.assign_var_plus e ~dst:s ~src:(ovar rs2) 0;
+          E.assign_var_plus e ~dst:s ~src:(ovar env rs2) 0;
           oct_meet_unary e s (State.get_reg st rs2)
         | None -> ());
         st'
       | Some _ -> st'
       | None ->
         let forget_slots pred =
-          Array.iteri (fun i a -> if pred a then E.forget e (nregs + i)) env.slot_addrs
+          Array.iteri (fun i a -> if pred a then E.forget e (env.slot_base + i)) env.slot_addrs
         in
         (match Aval.range av with
         | Some (lo, hi) when hi - lo <= weak_update_limit_bytes ->
           forget_slots (fun a -> a >= lo && a <= hi)
         | Some _ | None -> forget_slots (fun _ -> true));
         st')
-    | Insn.Call _ | Insn.Call_reg _ -> oct_def_reg st' e Reg.lr
+    | Insn.Call _ | Insn.Call_reg _ -> oct_def_reg env st' e Reg.lr
     | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ | Insn.Halt | Insn.Nop | Insn.Illegal _ -> st'
 
 type pstate = { pst : State.t; poct : Octagon.t }
@@ -550,7 +568,6 @@ let product_transfer env ctx p (node : Supergraph.node) =
   { pst = !st; poct = Octagon.freeze e }
 
 let product_refine_edge env ctx (node : Supergraph.node) kind p =
-  ignore env;
   match refine_edge ctx node kind p.pst with
   | None -> None
   | Some pst ->
@@ -559,10 +576,10 @@ let product_refine_edge env ctx (node : Supergraph.node) kind p =
       | Func_cfg.Term_branch { cond; rs1; rs2; _ }, (Supergraph.Etaken | Supergraph.Enottaken)
         when not (Octagon.is_bot p.poct) ->
         let holds = kind = Supergraph.Etaken in
-        let read r = oct_range (Octagon.var_bounds p.poct (ovar r)) (State.get_reg pst r) in
+        let read r = oct_range (Octagon.var_bounds p.poct (ovar env r)) (State.get_reg pst r) in
         if Option.is_some (safe_range (read rs1)) && Option.is_some (safe_range (read rs2))
         then begin
-          let u = ovar rs1 and v = ovar rs2 in
+          let u = ovar env rs1 and v = ovar env rs2 in
           let eff =
             if holds then cond
             else
@@ -601,6 +618,7 @@ type escalation = {
   esc_funcs : string list;
   esc_transfers : int;
   esc_slots : int list;
+  esc_regs : Reg.t list;
   esc_result : result;
   esc_rel : int -> counter:Reg.t -> other:Reg.t -> int option * int option;
 }
@@ -621,7 +639,15 @@ type escalation = {
    defines and every slot its stores may write to its interval in the base
    in-state of the return site, which is also the interval half. Both
    halves stay sound because the base states are, and a relation over
-   untouched variables survives any execution of the callee. *)
+   untouched variables survives any execution of the callee.
+
+   The product's registers are its support: those the region's
+   instructions name, those an entry's base state bounds in the safe range,
+   and those a summary edge resets to a safe range. Any other register
+   would stay all-infinite in every state (no entry bounds it, no transfer
+   or summary writes it), and an all-infinite variable changes no other
+   cell: closure only follows finite cells and strengthening only pairs
+   finite unary cells. Leaving it out is exact. *)
 let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info) =
   let graph = base.graph in
   let nodes = graph.Supergraph.nodes in
@@ -632,22 +658,21 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
   Array.iter
     (fun (l : Loops.loop) -> List.iter (fun i -> in_loop.(i) <- true) l.Loops.body)
     loops.Loops.loops;
-  let slot_var = Hashtbl.create 32 in
+  let slot_index = Hashtbl.create 32 in
   let rev_slots = ref [] in
   let consider i (a : access) =
     match Aval.singleton a.addr with
     | Some ad
       when ad land 3 = 0 && in_funcs.(i) && trackable ctx ad
-           && (not (Hashtbl.mem slot_var ad))
-           && Hashtbl.length slot_var < max_slots ->
-      Hashtbl.add slot_var ad (nregs + Hashtbl.length slot_var);
+           && (not (Hashtbl.mem slot_index ad))
+           && Hashtbl.length slot_index < max_slots ->
+      Hashtbl.add slot_index ad (Hashtbl.length slot_index);
       rev_slots := ad :: !rev_slots
     | _ -> ()
   in
   Array.iteri (fun i acc -> if in_loop.(i) then List.iter (consider i) acc) base.accesses;
   Array.iteri (fun i acc -> if not in_loop.(i) then List.iter (consider i) acc) base.accesses;
   let slot_addrs = Array.of_list (List.rev !rev_slots) in
-  let env = { slot_var; slot_addrs } in
   (* Widening thresholds: the program's own immediates (and the assume
      bounds) are where loop limits live; the doubled values cover the 2c
      encoding of unary cells. *)
@@ -672,21 +697,6 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
       (List.sort_uniq compare
          (List.concat_map (fun c -> [ c; 2 * c ]) (List.filter (fun c -> c > 0 && c < half) !thr)))
   in
-  let dim = nregs + Array.length slot_addrs in
-  (* The interval of octagon variable [v] in [st]. *)
-  let var_interval st v =
-    if v < nregs then State.get_reg st (Reg.of_int v)
-    else State.load ~program:ctx.program st slot_addrs.(v - nregs)
-  in
-  (* An entry's octagon: the unary bounds of its interval state. At the
-     program entry that is [r0 = 0] plus the assumed slot ranges. *)
-  let entry_oct st =
-    let e = Octagon.edit (Octagon.top ~thresholds dim) in
-    for v = 0 to dim - 1 do
-      oct_meet_unary e v (var_interval st v)
-    done;
-    Octagon.freeze e
-  in
   let entries =
     List.filter_map
       (fun (nd : Supergraph.node) ->
@@ -698,18 +708,19 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
                nd.Supergraph.preds
         in
         match base.node_in.(i) with
-        | Some st when in_funcs.(i) && from_outside -> Some (i, { pst = st; poct = entry_oct st })
+        | Some st when in_funcs.(i) && from_outside -> Some (i, st)
         | _ -> None)
       (Array.to_list nodes)
   in
   (* The call summaries. Contexts are numbered parent first, so one
      backward sweep folds each context's clobbers into its parent's. A
-     clobber is a bit set over octagon variables. *)
+     clobber is a bit set over register numbers and, from bit [nregs],
+     slot indices. *)
   let contexts = graph.Supergraph.contexts in
   let return_site = Array.make (Array.length contexts) (-1) in
   let clobber = Array.make (Array.length contexts) 0 in
   let bit v = 1 lsl v in
-  let all_slots = (bit dim - 1) lxor (bit nregs - 1) in
+  let all_slots = (bit (nregs + Array.length slot_addrs) - 1) lxor (bit nregs - 1) in
   let slots_in lo hi =
     Array.fold_left
       (fun (m, v) a -> ((if a >= lo && a <= hi then m lor bit v else m), v + 1))
@@ -724,7 +735,7 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
         nd.Supergraph.succs;
       Array.iter
         (fun (_, insn) ->
-          List.iter (fun r -> clobber.(k) <- clobber.(k) lor bit (ovar r)) (Insn.defs insn))
+          List.iter (fun r -> clobber.(k) <- clobber.(k) lor bit (Reg.to_int r)) (Insn.defs insn))
         nd.Supergraph.block.Func_cfg.insns;
       List.iter
         (fun (a : access) ->
@@ -732,7 +743,7 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
             let slots =
               match (Aval.singleton a.addr, Aval.range a.addr) with
               | Some ad, _ -> (
-                match Hashtbl.find_opt slot_var ad with Some v -> bit v | None -> 0)
+                match Hashtbl.find_opt slot_index ad with Some i -> bit (nregs + i) | None -> 0)
               | None, Some (lo, hi) when hi - lo <= weak_update_limit_bytes -> slots_in lo hi
               | None, _ -> all_slots
             in
@@ -744,13 +755,6 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
     | Some (p, _) -> clobber.(p) <- clobber.(p) lor clobber.(k)
     | None -> ()
   done;
-  let summarize k oct ret_st =
-    let e = Octagon.edit oct in
-    for v = 0 to dim - 1 do
-      if clobber.(k) land bit v <> 0 then oct_set_var e v (var_interval ret_st v)
-    done;
-    Octagon.freeze e
-  in
   (* Region edges: [`Within] keeps the edge, [`Summary k] replaces a call
      into the unescalated context [k] by its return site. *)
   let region_succs =
@@ -768,6 +772,62 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
                 else None)
             nd.Supergraph.succs)
       nodes
+  in
+  (* The support, as a bit set over register numbers. *)
+  let support = ref 0 in
+  let safe_regs mask st =
+    List.iter
+      (fun r ->
+        if mask land bit (Reg.to_int r) <> 0 && Option.is_some (safe_range (State.get_reg st r))
+        then support := !support lor bit (Reg.to_int r))
+      Reg.all
+  in
+  Array.iteri
+    (fun i (nd : Supergraph.node) ->
+      if in_funcs.(i) then
+        Array.iter
+          (fun (_, insn) ->
+            List.iter
+              (fun r -> support := !support lor bit (Reg.to_int r))
+              (Insn.uses insn @ Insn.defs insn))
+          nd.Supergraph.block.Func_cfg.insns)
+    nodes;
+  List.iter (fun (_, st) -> safe_regs (-1) st) entries;
+  Array.iter
+    (List.iter (fun (t, edge) ->
+         match (edge, base.node_in.(t)) with
+         | `Summary k, Some st -> safe_regs clobber.(k) st
+         | _ -> ()))
+    region_succs;
+  let regs = List.filter (fun r -> !support land bit (Reg.to_int r) <> 0) Reg.all in
+  let reg_var = Array.make nregs (-1) in
+  List.iteri (fun v r -> reg_var.(Reg.to_int r) <- v) regs;
+  let regs = Array.of_list regs in
+  let slot_base = Array.length regs in
+  let env = { reg_var; slot_base; slot_index; slot_addrs } in
+  let dim = slot_base + Array.length slot_addrs in
+  (* The interval of octagon variable [v] in [st], and [v]'s bit in a
+     clobber. *)
+  let var_interval st v =
+    if v < slot_base then State.get_reg st regs.(v)
+    else State.load ~program:ctx.program st slot_addrs.(v - slot_base)
+  in
+  let var_bit v = if v < slot_base then bit (Reg.to_int regs.(v)) else bit (nregs + v - slot_base) in
+  (* An entry's octagon: the unary bounds of its interval state. At the
+     program entry that is [r0 = 0] plus the assumed slot ranges. *)
+  let entry_oct st =
+    let e = Octagon.edit (Octagon.top ~thresholds dim) in
+    for v = 0 to dim - 1 do
+      oct_meet_unary e v (var_interval st v)
+    done;
+    Octagon.freeze e
+  in
+  let summarize k oct ret_st =
+    let e = Octagon.edit oct in
+    for v = 0 to dim - 1 do
+      if clobber.(k) land var_bit v <> 0 then oct_set_var e v (var_interval ret_st v)
+    done;
+    Octagon.freeze e
   in
   let widening_point = widening_points graph loops in
   let solution =
@@ -789,7 +849,7 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
         ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
         {
           FP2.num_nodes = n;
-          entries;
+          entries = List.map (fun (i, st) -> (i, { pst = st; poct = entry_oct st })) entries;
           succs = (fun i -> List.map fst region_succs.(i));
           transfer = (fun i p -> product_transfer env ctx p nodes.(i));
           widening_points = (fun i -> widening_point.(i));
@@ -840,12 +900,16 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
   let esc_rel nid ~counter ~other =
     match solution.FP2.out_state nid with
     | None -> (None, None)
-    | Some p -> Octagon.diff_bounds p.poct ~u:(ovar other) ~v:(ovar counter)
+    | Some p ->
+      (* A register outside the support is unconstrained. *)
+      let u = reg_var.(Reg.to_int other) and v = reg_var.(Reg.to_int counter) in
+      if u < 0 || v < 0 then (None, None) else Octagon.diff_bounds p.poct ~u ~v
   in
   {
     esc_funcs = funcs;
     esc_transfers = solution.FP2.transfers;
     esc_slots = Array.to_list slot_addrs;
+    esc_regs = Array.to_list regs;
     esc_result;
     esc_rel;
   }

@@ -85,6 +85,8 @@ type escalation = {
   esc_funcs : string list;  (** functions that triggered the escalation *)
   esc_transfers : int;  (** product-domain transfer count *)
   esc_slots : int list;  (** tracked stack/global word addresses *)
+  esc_regs : Pred32_isa.Reg.t list;
+      (** the registers the product tracks (its support), ascending *)
   esc_result : result;
       (** the interval result refined under the octagon re-solve; leq the
           base result by construction (a per-node meet) *)
@@ -95,16 +97,23 @@ type escalation = {
 }
 
 (** [escalate ~funcs base loops] solves the nodes of [funcs], in every
-    context, under the interval x octagon reduced product (relational
-    constraints over the 16 registers plus the singleton access targets of
-    [funcs]) and folds the result back under [base]; every other node
-    keeps [base]'s states and accesses. The product starts wherever
-    control enters the region from outside other than by a return,
-    seeded with [base]'s in-state, and crosses a call into an unescalated
-    callee in one summary edge that resets every register and slot the
-    callee's context subtree may write. The product's interval component
-    repeats the base transfer, so the refinement can only tighten; the
-    octagon side obeys the wraparound contract of {!Octagon}. *)
+    context, under the interval x octagon reduced product and folds the
+    result back under [base]; every other node keeps [base]'s states and
+    accesses. The product starts wherever control enters the region from
+    outside other than by a return, seeded with [base]'s in-state, and
+    crosses a call into an unescalated callee in one summary edge that
+    resets every register and slot the callee's context subtree may write.
+    The product's interval component repeats the base transfer, so the
+    refinement can only tighten; the octagon side obeys the wraparound
+    contract of {!Octagon}.
+
+    The octagon's variables are the singleton access targets of [funcs]
+    (the slots) and the registers of its support: every register an
+    instruction of [funcs] names, every register [base] bounds in
+    [\[0, 2^31)] at an entry of the product, and every register a summary
+    edge resets while [base] bounds it there. Any other register would
+    stay unconstrained in every state, so leaving it out changes no
+    result. *)
 val escalate :
   ?assumes:(int * Aval.t) list ->
   ?cancel:(unit -> bool) ->

@@ -4,9 +4,9 @@
    in Mine's encoding.
 
    Each octagon variable [v] contributes two DBM vertices: [2v] standing
-   for [+x_v] and [2v+1] for [-x_v]. The matrix is one flat row-major
-   array of [n*n] cells ([n = 2*dim]); cell (i, j), at index [i*n + j], is
-   an upper bound on [V_j - V_i] (max_int = unconstrained), so
+   for [+x_v] and [2v+1] for [-x_v]. Cell (i, j) of the [n*n] matrix
+   ([n = 2*dim]) is an upper bound on [V_j - V_i] (max_int =
+   unconstrained), so
 
      x_u - x_v <= c   lives at  (2v, 2u)
      x_u + x_v <= c   lives at  (2v+1, 2u)
@@ -15,7 +15,12 @@
         -x_v <= c     lives at  (2v, 2v+1)  as  2c
 
    with the coherence invariant [(i, j) = (bar j, bar i)] where [bar]
-   flips the low bit; every write goes to both cells.
+   flips the low bit. The matrix stores one cell of each coherent pair:
+   Mine's half-matrix layout ("The Octagon Abstract Domain", HOSC 2006).
+   Cell (i, j) is stored when [j <= i lor 1], at [j + (i+1)^2/2], in one
+   flat array of [n*(n+2)/2] cells; the 2x2 diagonal blocks, whose mirror
+   pairs both lie inside the block, are stored whole. Any other cell is
+   read through its mirror.
 
    Soundness under 32-bit wraparound: a variable participates in
    constraints only while its companion interval proves its concrete value
@@ -47,8 +52,8 @@ let inf = max_int
    keeps it when both inputs have it (a max of cells under a max of
    bounds); meet and widen drop it. *)
 type t = {
-  dim : int;  (* octagon variables; matrix is 2*dim square *)
-  m : int array option;  (* None = bottom *)
+  dim : int;  (* octagon variables; the matrix is 2*dim square *)
+  m : int array option;  (* stored half; None = bottom *)
   thr : int array;  (* widening thresholds, sorted ascending *)
   strong : bool;
 }
@@ -56,13 +61,22 @@ type t = {
 type edit = {
   base : t;  (* dimension and thresholds of the result *)
   n : int;  (* 2 * dim *)
-  cells : int array;  (* owned copy; meaningless once [bot] *)
+  cells : int array;  (* owned copy of the stored half; meaningless once [bot] *)
   mutable bot : bool;
   mutable strong_e : bool;  (* [t.strong] of the cells being edited *)
   mutable work : int array;  (* closure working sets, allocated on first use *)
 }
 
 let bar i = i lxor 1
+
+(* Index of the stored cell (i, j), [j <= i lor 1]. *)
+let[@inline] pos i j = j + ((i + 1) * (i + 1) / 2)
+
+(* Index of any cell: itself when stored, else its coherent mirror
+   (bar j, bar i), which then is. *)
+let[@inline] idx i j = if j <= i lor 1 then pos i j else pos (bar j) (bar i)
+
+let half_size n = n * (n + 2) / 2
 
 let imin (a : int) b = if a <= b then a else b
 
@@ -76,9 +90,9 @@ let no_thresholds = [||]
 
 let top ?(thresholds = no_thresholds) dim =
   let n = 2 * dim in
-  let m = Array.make (n * n) inf in
+  let m = Array.make (half_size n) inf in
   for i = 0 to n - 1 do
-    m.((i * n) + i) <- 0
+    m.(pos i i) <- 0
   done;
   { dim; m = Some m; thr = thresholds; strong = true }
 
@@ -88,7 +102,7 @@ let dim t = t.dim
 
 let cells t =
   let n = 2 * t.dim in
-  Option.map (fun m -> Array.init n (fun i -> Array.sub m (i * n) n)) t.m
+  Option.map (fun m -> Array.init n (fun i -> Array.init n (fun j -> m.(idx i j)))) t.m
 
 let edit t =
   let cells, bot = match t.m with Some m -> (Array.copy m, false) | None -> ([||], true) in
@@ -104,8 +118,8 @@ let freeze e = { e.base with m = (if e.bot then None else Some e.cells); strong 
 let consistent m n =
   let ok = ref true in
   for i = 0 to n - 1 do
-    if m.((i * n) + i) < 0 then ok := false;
-    if m.((i * n) + bar i) +! m.((bar i * n) + i) < 0 then ok := false
+    if m.(pos i i) < 0 then ok := false;
+    if m.(pos i (bar i)) +! m.(pos (bar i) i) < 0 then ok := false
   done;
   !ok
 
@@ -113,21 +127,25 @@ let normalize e = if (not e.bot) && not (consistent e.cells e.n) then e.bot <- t
 
 (* ---- incremental closure -------------------------------------------- *)
 
-(* Working-set layout, [n] ints each: the snapshots of column [a], column
-   [bar b], row [b] and row [bar a], then the row, column and unary
-   working sets, the unary cells before the step and the vertices whose
-   unary cell it changed. *)
+(* Working-set layout, [n] ints each: the snapshots of rows [b] and
+   [bar a], then the column, unary and changed-vertex working sets and the
+   unary cells before the step. *)
 let work e =
-  if Array.length e.work = 0 then e.work <- Array.make (9 * e.n) 0;
+  if Array.length e.work = 0 then e.work <- Array.make (7 * e.n) 0;
   e.work
 
-(* The strengthening candidate of the vertex pair (i, j'): cell
-   (i, bar j') is at most the sum of the two unary half-bounds. The pair
-   (j', i) writes the coherent mirror of that cell. *)
-let strengthen m n i j' =
-  let j = bar j' in
-  let v = (m.((i * n) + bar i) / 2) + (m.((j' * n) + j) / 2) in
-  if v < m.((i * n) + j) then m.((i * n) + j) <- v
+(* The strengthening candidate of the vertex pair {i, j'}: cell
+   (i, bar j') and its coherent mirror (j', bar i) are at most the sum of
+   the two unary half-bounds. Outside a diagonal block the two are one
+   stored cell; inside one, both are stored. *)
+let strengthen m i j' =
+  let v = (m.(pos i (bar i)) / 2) + (m.(pos j' (bar j')) / 2) in
+  let k = idx i (bar j') in
+  if v < m.(k) then m.(k) <- v;
+  if i lor 1 = j' lor 1 then begin
+    let k = pos j' (bar i) in
+    if v < m.(k) then m.(k) <- v
+  end
 
 (* Tighten all paths through the new constraint [V_b - V_a <= c] (written
    at (a, b)) and its coherent mirror (bar b, bar a), then strengthen via
@@ -140,13 +158,16 @@ let strengthen m n i j' =
    saturating, so each pair folds into one: a min of two per-row prefixes
    plus the row cell.
 
-   Only rows with a finite cell in column [a] or [bar b] and columns with
-   a finite cell in row [b] or [bar a] can get a finite candidate; every
-   other cell keeps its value, so the loops visit that product only. The
-   strengthening pass likewise pairs only vertices with a finite unary
-   cell: it never rewrites a unary cell (the candidate for (i, bar i) is
-   the cell itself), so that set is fixed before the pass. None of this
-   assumes a closed input, so it holds after widening too.
+   Only columns with a finite cell in row [b] or [bar a] can get a finite
+   candidate, and by coherence the rows that can are their mirrors: column
+   [a] is row [bar a] read backwards ([m(i, a) = m(bar a, bar i)]), and
+   column [bar b] is row [b] ([m(i, bar b) = m(b, bar i)]). So the two row
+   snapshots are the whole working set. Each stored cell of that product
+   is written once: the columns are visited in ascending order up to
+   [i lor 1]. The strengthening pass pairs only vertices with a finite
+   unary cell: it never rewrites a unary cell (the candidate for
+   (i, bar i) is the cell itself), so that set is fixed before the pass.
+   None of this assumes a closed input, so it holds after widening too.
 
    On a [strong] input the pass revisits only the pairs that touch a
    vertex whose unary cell this step changed: a pair whose two unary cells
@@ -154,25 +175,17 @@ let strengthen m n i j' =
    only lowered its cell. The result is the full pass's, cell for cell. *)
 let close_after_add e a b c =
   let m = e.cells and n = e.n in
-  if c < m.((a * n) + b) then begin
-    let a' = bar a and b' = bar b in
+  if c < m.(idx a b) then begin
+    let a' = bar a in
     let s = work e in
-    let col_a = 0 and col_b' = n and row_b = 2 * n and row_a' = 3 * n in
-    let rows = 4 * n and cols = 5 * n and unary = 6 * n and before = 7 * n and changed = 8 * n in
+    let row_b = 0 and row_a' = n and cols = 2 * n and unary = 3 * n in
+    let changed = 4 * n and before = 5 * n in
     for i = 0 to n - 1 do
-      s.(before + i) <- m.((i * n) + bar i)
+      s.(before + i) <- m.(pos i (bar i))
     done;
-    Array.blit m (b * n) s row_b n;
-    Array.blit m (a' * n) s row_a' n;
-    let nr = ref 0 in
-    for i = 0 to n - 1 do
-      let ia = m.((i * n) + a) and ib' = m.((i * n) + b') in
-      s.(col_a + i) <- ia;
-      s.(col_b' + i) <- ib';
-      if ia < inf || ib' < inf then begin
-        s.(rows + !nr) <- i;
-        incr nr
-      end
+    for j = 0 to n - 1 do
+      s.(row_b + j) <- m.(idx b j);
+      s.(row_a' + j) <- m.(idx a' j)
     done;
     let nc = ref 0 in
     for j = 0 to n - 1 do
@@ -181,26 +194,28 @@ let close_after_add e a b c =
         incr nc
       end
     done;
-    let w_bb' = s.(row_b + b') and w_a'a = s.(row_a' + a) in
-    for r = 0 to !nr - 1 do
-      let i = s.(rows + r) in
-      let ia = s.(col_a + i) and ib' = s.(col_b' + i) in
+    let w_bb' = s.(row_b + bar b) and w_a'a = s.(row_a' + a) in
+    for r = 0 to !nc - 1 do
+      let i = bar s.(cols + r) in
+      let ia = s.(row_a' + bar i) and ib' = s.(row_b + bar i) in
       (* i -> a -> b, or i -> bar b -> bar a ->* a -> b; then b -> j *)
       let via_b = imin (ia +! c) (ib' +! c +! w_a'a +! c) in
       (* i -> bar b -> bar a, or i -> a -> b ->* bar b -> bar a; then bar a -> j *)
       let via_a' = imin (ib' +! c) (ia +! c +! w_bb' +! c) in
-      let base = i * n in
-      for k = 0 to !nc - 1 do
-        let j = s.(cols + k) in
+      let base = pos i 0 and last = i lor 1 in
+      let k = ref 0 in
+      while !k < !nc && s.(cols + !k) <= last do
+        let j = s.(cols + !k) in
         let best = imin (via_b +! s.(row_b + j)) (via_a' +! s.(row_a' + j)) in
-        if best < m.(base + j) then m.(base + j) <- best
+        if best < m.(base + j) then m.(base + j) <- best;
+        incr k
       done
     done;
     (* Unary cells encode 2c: floor to even, then strengthen by combining
        the two unary half-bounds. *)
     let nu = ref 0 and nch = ref 0 in
     for i = 0 to n - 1 do
-      let k = (i * n) + bar i in
+      let k = pos i (bar i) in
       let u = floor_even m.(k) in
       m.(k) <- u;
       if u / 2 < inf / 4 then begin
@@ -213,19 +228,19 @@ let close_after_add e a b c =
       end
     done;
     if e.strong_e then
+      (* A pair of two changed vertices is visited from its smaller one. *)
       for x = 0 to !nch - 1 do
         let c = s.(changed + x) in
         for y = 0 to !nu - 1 do
           let o = s.(unary + y) in
-          strengthen m n c o;
-          strengthen m n o c
+          if o > c || m.(pos o (bar o)) = s.(before + o) then strengthen m c o
         done
       done
     else
       for x = 0 to !nu - 1 do
         let i = s.(unary + x) in
-        for y = 0 to !nu - 1 do
-          strengthen m n i s.(unary + y)
+        for y = x + 1 to !nu - 1 do
+          strengthen m i s.(unary + y)
         done
       done;
     e.strong_e <- true
@@ -238,15 +253,15 @@ let no_bounds = (Some 0, Some (-1))
 
 (* Bounds of x_v as (lo option, hi option); None = unconstrained on that
    side. *)
-let var_bounds_in m n v =
+let var_bounds_in m v =
   let p = 2 * v and q = (2 * v) + 1 in
-  let hi = m.((q * n) + p) and lo = m.((p * n) + q) in
+  let hi = m.(pos q p) and lo = m.(pos p q) in
   ( (if lo = inf then None else Some (-(floor_even lo / 2))),
     if hi = inf then None else Some (floor_even hi / 2) )
 
 (* Bounds of x_u - x_v: (lo option, hi option). *)
-let diff_bounds_in m n ~u ~v =
-  let ub = m.((2 * v * n) + (2 * u)) and nlb = m.((2 * u * n) + (2 * v)) in
+let diff_bounds_in m ~u ~v =
+  let ub = m.(idx (2 * v) (2 * u)) and nlb = m.(idx (2 * u) (2 * v)) in
   ( (if nlb = inf then None else Some (-nlb)),
     if ub = inf then None else Some ub )
 
@@ -278,19 +293,24 @@ module Edit = struct
   let add_ub e v c = add_sum_ub e ~u:v ~v (2 * c)
   let add_lb e v c = add_sum_lb e ~u:v ~v (-2 * c)
 
+  (* The stored cells that mention [v]'s vertices [p = 2v] and [q = p+1]
+     are rows [p] and [q] up to column [q] (adjacent in the layout) and
+     columns [p] and [q] below row [q]; the other cells of those rows and
+     columns are these cells' mirrors. *)
+
   (* Drop every constraint mentioning [v]. On a closed matrix the result
      is closed (removing a variable cannot invalidate closure elsewhere). *)
   let forget e v =
     if not e.bot then begin
       let m = e.cells and n = e.n in
       let p = 2 * v and q = (2 * v) + 1 in
-      Array.fill m (p * n) (2 * n) inf;
-      for i = 0 to n - 1 do
-        m.((i * n) + p) <- inf;
-        m.((i * n) + q) <- inf
+      Array.fill m (pos p 0) (2 * (q + 1)) inf;
+      for i = q + 1 to n - 1 do
+        m.(pos i p) <- inf;
+        m.(pos i q) <- inf
       done;
-      m.((p * n) + p) <- 0;
-      m.((q * n) + q) <- 0
+      m.(pos p p) <- 0;
+      m.(pos q q) <- 0
     end
 
   (* x_v := x_v + c: an exact shift of the two DBM vertices of [v]. The
@@ -299,18 +319,18 @@ module Edit = struct
     if not e.bot then begin
       let m = e.cells and n = e.n in
       let p = 2 * v and q = (2 * v) + 1 in
-      for i = 0 to n - 1 do
-        if i <> p && i <> q then begin
-          (* V_p grows by c: bounds on V_p - V_i grow, on V_i - V_p shrink. *)
-          m.((i * n) + p) <- m.((i * n) + p) +! c;
-          m.((p * n) + i) <- m.((p * n) + i) +! -c;
-          (* V_q = -x_v shrinks by c. *)
-          m.((i * n) + q) <- m.((i * n) + q) +! -c;
-          m.((q * n) + i) <- m.((q * n) + i) +! c
-        end
+      (* V_p grows by c: bounds on V_p - V_i grow, on V_i - V_p shrink;
+         V_q = -x_v shrinks by c. *)
+      for j = 0 to p - 1 do
+        m.(pos p j) <- m.(pos p j) +! -c;
+        m.(pos q j) <- m.(pos q j) +! c
       done;
-      m.((q * n) + p) <- m.((q * n) + p) +! (2 * c);
-      m.((p * n) + q) <- m.((p * n) + q) +! (-2 * c);
+      for i = q + 1 to n - 1 do
+        m.(pos i p) <- m.(pos i p) +! c;
+        m.(pos i q) <- m.(pos i q) +! -c
+      done;
+      m.(pos q p) <- m.(pos q p) +! (2 * c);
+      m.(pos p q) <- m.(pos p q) +! (-2 * c);
       normalize e
     end
 
@@ -320,16 +340,19 @@ module Edit = struct
     if not e.bot then begin
       let m = e.cells and n = e.n in
       let p = 2 * v and q = (2 * v) + 1 in
-      for i = 0 to n - 1 do
-        let tmp = m.((i * n) + p) in
-        m.((i * n) + p) <- m.((i * n) + q);
-        m.((i * n) + q) <- tmp
+      let swap k k' =
+        let tmp = m.(k) in
+        m.(k) <- m.(k');
+        m.(k') <- tmp
+      in
+      for j = 0 to p - 1 do
+        swap (pos p j) (pos q j)
       done;
-      for i = 0 to n - 1 do
-        let tmp = m.((p * n) + i) in
-        m.((p * n) + i) <- m.((q * n) + i);
-        m.((q * n) + i) <- tmp
+      for i = q + 1 to n - 1 do
+        swap (pos i p) (pos i q)
       done;
+      swap (pos p p) (pos q q);
+      swap (pos p q) (pos q p);
       normalize e;
       shift e v c
     end
@@ -357,8 +380,8 @@ module Edit = struct
     add_ub e dst hi;
     add_lb e dst lo
 
-  let var_bounds e v = if e.bot then no_bounds else var_bounds_in e.cells e.n v
-  let diff_bounds e ~u ~v = if e.bot then no_bounds else diff_bounds_in e.cells e.n ~u ~v
+  let var_bounds e v = if e.bot then no_bounds else var_bounds_in e.cells v
+  let diff_bounds e ~u ~v = if e.bot then no_bounds else diff_bounds_in e.cells ~u ~v
 end
 
 (* ---- pure operations ------------------------------------------------- *)
@@ -379,10 +402,8 @@ let assign_var_plus t ~dst ~src c = pure (fun e -> Edit.assign_var_plus e ~dst ~
 let assign_const_minus t ~dst ~src c = pure (fun e -> Edit.assign_const_minus e ~dst ~src c) t
 let assign_interval t v range = pure (fun e -> Edit.assign_interval e v range) t
 
-let var_bounds t v = match t.m with Some m -> var_bounds_in m (2 * t.dim) v | None -> no_bounds
-
-let diff_bounds t ~u ~v =
-  match t.m with Some m -> diff_bounds_in m (2 * t.dim) ~u ~v | None -> no_bounds
+let var_bounds t v = match t.m with Some m -> var_bounds_in m v | None -> no_bounds
+let diff_bounds t ~u ~v = match t.m with Some m -> diff_bounds_in m ~u ~v | None -> no_bounds
 
 (* ---- lattice --------------------------------------------------------- *)
 
@@ -456,7 +477,6 @@ let pp ppf t =
   match t.m with
   | None -> Format.fprintf ppf "bottom"
   | Some m ->
-    let n = 2 * t.dim in
     let printed = ref 0 in
     Format.fprintf ppf "@[<v>";
     for v = 0 to t.dim - 1 do
@@ -470,7 +490,7 @@ let pp ppf t =
     for u = 0 to t.dim - 1 do
       for v = 0 to t.dim - 1 do
         if u <> v then begin
-          let c = m.((2 * v * n) + (2 * u)) in
+          let c = m.(idx (2 * v) (2 * u)) in
           if c < inf then begin
             Format.fprintf ppf "x%d - x%d <= %d@," u v c;
             incr printed
@@ -481,15 +501,16 @@ let pp ppf t =
     if !printed = 0 then Format.fprintf ppf "top";
     Format.fprintf ppf "@]"
 
-(* Full strong closure (Floyd-Warshall + strengthening), exposed for the
-   property tests; the incremental operations above keep matrices closed
-   in normal operation. *)
+(* Full strong closure (Floyd-Warshall + strengthening) on the expanded
+   matrix, compressed back to its stored half; exposed for the property
+   tests, the incremental operations above keep matrices closed in normal
+   operation. *)
 let close t =
   match t.m with
   | None -> t
-  | Some m ->
-    let m = Array.copy m in
+  | Some h ->
     let n = 2 * t.dim in
+    let m = Array.init (n * n) (fun k -> h.(idx (k / n) (k mod n))) in
     for k = 0 to n - 1 do
       for i = 0 to n - 1 do
         let ik = m.((i * n) + k) in
@@ -511,4 +532,10 @@ let close t =
           if uj < inf / 4 && ui + uj < m.((i * n) + j) then m.((i * n) + j) <- ui + uj
         done
     done;
-    { t with m = (if consistent m n then Some m else None); strong = true }
+    let h = Array.make (half_size n) inf in
+    for i = 0 to n - 1 do
+      for j = 0 to i lor 1 do
+        h.(pos i j) <- m.((i * n) + j)
+      done
+    done;
+    { t with m = (if consistent h n then Some h else None); strong = true }

@@ -326,6 +326,90 @@ let test_errors () =
   expect_error "float f(float x) { return x; } int main() { return 0; }";
   expect_error "int main() { int x; return *x; }"
 
+(* --- runtime scan --- *)
+
+(* The in-place substring scan against the obvious [String.sub] one, on
+   seeded random strings over a small alphabet (so matches, near misses and
+   overlapping prefixes are common), plus the edge cases by name. *)
+let test_contains_substring () =
+  let reference haystack needle =
+    let nl = String.length needle and hl = String.length haystack in
+    let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+    go 0
+  in
+  let check haystack needle =
+    Alcotest.(check bool)
+      (Printf.sprintf "%S in %S" needle haystack)
+      (reference haystack needle)
+      (Compile.contains_substring haystack needle)
+  in
+  check "" "";
+  check "abc" "";
+  check "" "a";
+  check "__udiv32" "__udiv32";
+  check "x = __udiv32" "__udiv32";
+  check "x = __udiv3" "__udiv32";
+  check "aaab" "aab";
+  check "abababc" "ababc";
+  check "abab" "ababc";
+  let rng = Wcet_util.Pcg.create ~seed:20110318L () in
+  let random len = String.init len (fun _ -> "ab_".[Wcet_util.Pcg.next_int rng 3]) in
+  let found = ref 0 in
+  for _ = 1 to 2000 do
+    let haystack = random (Wcet_util.Pcg.next_int rng 24) in
+    let needle = random (Wcet_util.Pcg.next_int rng 5) in
+    if reference haystack needle then incr found;
+    check haystack needle
+  done;
+  Alcotest.(check bool) "both outcomes drawn" true (!found > 200 && !found < 1800)
+
+(* --- compiled images --- *)
+
+(* Every corpus scenario (both variants, with its codegen options) and every
+   examples/*.mc, compiled: one line per program naming it and the digest
+   of its entry point, its symbol table and its image contents. The golden
+   file pins the compiler's output, so a front-end change that should not
+   alter code shows it did not. *)
+let image_digests () =
+  let digest (p : Pred32_asm.Program.t) =
+    let b = Buffer.create 4096 in
+    Printf.bprintf b "entry %x\n" p.Pred32_asm.Program.entry;
+    List.iter
+      (fun (name, addr) -> Printf.bprintf b "sym %s %x\n" name addr)
+      (List.sort compare p.Pred32_asm.Program.symbols);
+    List.iter
+      (fun (addr, w) -> Printf.bprintf b "%x %x\n" addr w)
+      (Pred32_memory.Image.contents p.Pred32_asm.Program.image);
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let corpus =
+    List.concat_map
+      (fun (e : Wcet_corpus.Corpus.entry) ->
+        List.map
+          (fun (variant, (s : Wcet_corpus.Corpus.scenario)) ->
+            let p = Compile.compile ~options:s.Wcet_corpus.Corpus.options s.Wcet_corpus.Corpus.source in
+            Printf.sprintf "corpus/%s/%s %s" e.Wcet_corpus.Corpus.id variant (digest p))
+          [ ("conforming", e.Wcet_corpus.Corpus.conforming); ("violating", e.Wcet_corpus.Corpus.violating) ])
+      Wcet_corpus.Corpus.all
+  in
+  let examples =
+    Sys.readdir Examples_dir.dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mc")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let source = In_channel.with_open_bin (Examples_dir.file f) In_channel.input_all in
+           Printf.sprintf "examples/%s %s" f (digest (Compile.compile source)))
+  in
+  corpus @ examples
+
+let test_images_pinned () =
+  let golden =
+    In_channel.with_open_bin (Examples_dir.beside "compiled_images.golden") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "compiled images" golden (image_digests ())
+
 let () =
   Alcotest.run "minic"
     [
@@ -377,4 +461,9 @@ let () =
       ( "consistency",
         [ Alcotest.test_case "hw vs soft division" `Quick test_div_consistency ] );
       ("errors", [ Alcotest.test_case "rejected programs" `Quick test_errors ]);
+      ( "images",
+        [
+          Alcotest.test_case "runtime scan" `Quick test_contains_substring;
+          Alcotest.test_case "compiled images pinned" `Quick test_images_pinned;
+        ] );
     ]

@@ -129,13 +129,14 @@ let test_widening_termination () =
   done;
   Alcotest.(check bool) "widening chain stabilizes quickly" true (!steps < 64)
 
-(* ---- the flat sparse kernel against the dense reference -------------- *)
+(* ---- the half-matrix kernel against the dense reference -------------- *)
 
 (* The octagon as it was before the DBM went flat: an array-of-arrays
-   matrix, every operation copying it, and an incremental closure that
-   scans every cell with four separate path candidates. Kept as it was,
-   bar its comments and the operations the comparison does not drive, as
-   the oracle for [Octagon]. *)
+   matrix storing every cell (both halves of each coherent pair), every
+   operation copying it, and an incremental closure that scans every cell
+   with four separate path candidates. Kept as it was, bar its comments and
+   the operations the comparison does not drive, as the oracle for
+   [Octagon]. *)
 module Reference = struct
   let inf = max_int
 
@@ -347,9 +348,15 @@ let test_reference_oracle () =
     let thresholds =
       Array.of_list (List.sort_uniq compare (List.init (Pcg.next_int rng 6) (fun _ -> 1 + Pcg.next_int rng 200)))
     in
-    (* Most constraints fall on a few "live" variables so closure chains form. *)
-    let live = 1 + Pcg.next_int rng (min dim 5) in
-    let var () = if Pcg.next_int rng 4 = 0 then Pcg.next_int rng dim else Pcg.next_int rng live in
+    (* Most constraints fall on a few "live" variables so closure chains
+       form. They sit at random indices, so constraints between a low and a
+       high variable, which the kernel stores as their mirrors, are
+       frequent. *)
+    let live = Array.init (1 + Pcg.next_int rng (min dim 5)) (fun _ -> Pcg.next_int rng dim) in
+    let var () =
+      if Pcg.next_int rng 4 = 0 then Pcg.next_int rng dim
+      else live.(Pcg.next_int rng (Array.length live))
+    in
     let const () = Pcg.next_int rng 80 - 20 in
     let fresh () = (Reference.top ~thresholds dim, Octagon.top ~thresholds dim) in
     let st = [| fresh (); fresh () |] in
@@ -397,7 +404,7 @@ let test_reference_oracle () =
       in
       let r, o = next in
       if Octagon.cells o <> r.Reference.m || Octagon.is_bot o <> Reference.is_bot r then
-        Alcotest.failf "sequence %d (dim %d), step %d: flat kernel diverges from the reference"
+        Alcotest.failf "sequence %d (dim %d), step %d: half-matrix kernel diverges from the reference"
           seq dim step;
       if Octagon.is_bot o then incr bottoms
       else if not (Octagon.equal o (Octagon.close o)) then incr unclosed;
@@ -425,8 +432,11 @@ let test_reference_oracle_in_place () =
       Array.of_list
         (List.sort_uniq compare (List.init (Pcg.next_int rng 6) (fun _ -> 1 + Pcg.next_int rng 200)))
     in
-    let live = 1 + Pcg.next_int rng (min dim 5) in
-    let var () = if Pcg.next_int rng 4 = 0 then Pcg.next_int rng dim else Pcg.next_int rng live in
+    let live = Array.init (1 + Pcg.next_int rng (min dim 5)) (fun _ -> Pcg.next_int rng dim) in
+    let var () =
+      if Pcg.next_int rng 4 = 0 then Pcg.next_int rng dim
+      else live.(Pcg.next_int rng (Array.length live))
+    in
     let const () = Pcg.next_int rng 80 - 20 in
     let fresh () = (Reference.top ~thresholds dim, Octagon.top ~thresholds dim, `Block) in
     (* Three states: with two, a join right after a meet gives back the
@@ -728,6 +738,189 @@ int main() {
 }
 |}
 
+(* ---- the product's register support --------------------------------- *)
+
+module Reg = Pred32_isa.Reg
+module Insn = Pred32_isa.Insn
+
+(* The support rule of [Analysis.escalate], computed here from the graph
+   and the base result alone: the registers the escalated functions'
+   instructions name, those the base state bounds in [0, 2^31) at an entry
+   of the region, and those a summarized call clobbers that the base state
+   bounds in that range at the call's return site. *)
+let expected_support (graph : Supergraph.t) (base : Analysis.result) funcs =
+  let nodes = graph.Supergraph.nodes in
+  let inside i = List.mem nodes.(i).Supergraph.func funcs in
+  let safe st r =
+    match Aval.range (State.get_reg st r) with Some (_, hi) -> hi < 0x80000000 | None -> false
+  in
+  let bounded_in i pred =
+    match base.Analysis.node_in.(i) with
+    | Some st -> List.filter (fun r -> pred r && safe st r) Reg.all
+    | None -> []
+  in
+  let names (nd : Supergraph.node) =
+    Array.to_list nd.Supergraph.block.Wcet_cfg.Func_cfg.insns
+    |> List.concat_map (fun (_, insn) -> Insn.uses insn @ Insn.defs insn)
+  in
+  let defines (nd : Supergraph.node) r =
+    Array.exists
+      (fun (_, insn) -> List.exists (Reg.equal r) (Insn.defs insn))
+      nd.Supergraph.block.Wcet_cfg.Func_cfg.insns
+  in
+  let contexts = graph.Supergraph.contexts in
+  let rec within c k =
+    c = k || match contexts.(c).Supergraph.parent with Some (p, _) -> within p k | None -> false
+  in
+  let from_node i (nd : Supergraph.node) =
+    if not (inside i) then []
+    else
+      let entry =
+        i = graph.Supergraph.entry
+        || List.exists (fun (kind, p) -> kind <> Supergraph.Ereturn && not (inside p)) nd.Supergraph.preds
+      in
+      let summaries =
+        List.concat_map
+          (fun (kind, t) ->
+            if kind <> Supergraph.Ecall || inside t then []
+            else
+              let k = nodes.(t).Supergraph.ctx in
+              let return_site =
+                Array.to_list nodes
+                |> List.find_map (fun (nd' : Supergraph.node) ->
+                       if nd'.Supergraph.ctx <> k then None
+                       else
+                         List.find_map
+                           (fun (kind', t') -> if kind' = Supergraph.Ereturn then Some t' else None)
+                           nd'.Supergraph.succs)
+              in
+              let clobbered r =
+                Array.exists
+                  (fun (nd' : Supergraph.node) -> within nd'.Supergraph.ctx k && defines nd' r)
+                  nodes
+              in
+              match return_site with Some ret -> bounded_in ret clobbered | None -> [])
+          nd.Supergraph.succs
+      in
+      names nd @ (if entry then bounded_in i (fun _ -> true) else []) @ summaries
+  in
+  Array.to_list nodes |> List.mapi from_node |> List.concat |> List.sort_uniq Reg.compare
+
+let reg_list = Alcotest.(list (testable Reg.pp Reg.equal))
+
+(* The escalation the analyzer chose for [program], re-run on an interval
+   base; its support must be the rule's. *)
+let check_support ~what ?hw ~annot program =
+  let auto = Analyzer.analyze ?hw ~annot ~domain:Analysis.Auto program in
+  match auto.Analyzer.escalation with
+  | None -> None
+  | Some ei ->
+    let graph = auto.Analyzer.graph and loops = auto.Analyzer.loops in
+    let assumes =
+      List.filter_map
+        (fun (sym, lo, hi) ->
+          Option.map (fun a -> (a, Aval.interval lo hi)) (Pred32_asm.Program.symbol_opt program sym))
+        annot.Annot.assumes
+    in
+    let base = Analysis.run ~assumes graph loops in
+    let esc = Analysis.escalate ~assumes ~funcs:ei.Analyzer.ei_funcs base loops in
+    Alcotest.check reg_list (what ^ ": support")
+      (expected_support graph base ei.Analyzer.ei_funcs)
+      esc.Analysis.esc_regs;
+    Some (graph, esc)
+
+let test_support_corpus () =
+  let escalations = ref 0 in
+  List.iter
+    (fun (e : Corpus.entry) ->
+      List.iter
+        (fun (variant, (s : Corpus.scenario)) ->
+          let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
+          let annot = s.Corpus.annotations program in
+          let what = Printf.sprintf "%s/%s" e.Corpus.id variant in
+          match check_support ~what ~hw:s.Corpus.hw ~annot program with
+          | exception Analyzer.Analysis_failed _ -> ()
+          | Some (_, esc) ->
+            incr escalations;
+            Alcotest.(check bool) (what ^ ": fewer than 16 registers") true
+              (List.length esc.Analysis.esc_regs < List.length Reg.all)
+          | None -> ())
+        [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
+    Corpus.all;
+  Alcotest.(check bool) "corpus escalations checked" true (!escalations >= 8)
+
+(* One register per rule that the escalated [scan] could miss. [main]
+   leaves a bounded value in r7, which [scan] never names (the entry rule),
+   and an unbounded one in r4, which [scan] only reads (its [Insn.uses]);
+   the unescalated [bump] that [scan] calls sets r9, which [main] left
+   unbounded and [scan] never names (the summary rule). *)
+let test_support_fixture () =
+  let program =
+    Pred32_asm.Assembler.link
+      (Pred32_asm.Asm_parser.parse
+         {|
+.func bump
+  li r9, 5
+  ret
+.func scan
+  addi sp, sp, -4
+  sw lr, 0(sp)
+  call bump
+  lw lr, 0(sp)
+  addi sp, sp, 4
+  la r6, out
+  sw r4, 0(r6)
+  la r2, n
+  lw r3, 0(r2)
+  li r1, 0
+head:
+  beq r1, r3, done
+  addi r1, r1, 1
+  j head
+done:
+  ret
+.func main
+  la r2, m
+  lw r4, 0(r2)
+  lw r9, 0(r2)
+  li r7, 9
+  addi sp, sp, -4
+  sw lr, 0(sp)
+  call scan
+  lw lr, 0(sp)
+  addi sp, sp, 4
+  ret
+.data n ram
+  .word 0
+.data m ram
+  .word 0
+.data out ram
+  .word 0
+|})
+  in
+  let annot =
+    match Annot.parse "assume n in [ 0 16 ]" with Ok a -> a | Error m -> Alcotest.fail m
+  in
+  match check_support ~what:"fixture" ~annot program with
+  | None -> Alcotest.fail "scan did not escalate"
+  | Some (graph, esc) ->
+    Alcotest.(check (list string)) "escalated" [ "scan" ] esc.Analysis.esc_funcs;
+    let in_scan f =
+      Array.exists
+        (fun (nd : Supergraph.node) ->
+          nd.Supergraph.func = "scan"
+          && Array.exists (fun (_, insn) -> f insn) nd.Supergraph.block.Wcet_cfg.Func_cfg.insns)
+        graph.Supergraph.nodes
+    in
+    let mentions r l = List.exists (Reg.equal r) l in
+    List.iter
+      (fun (r, uses, defs) ->
+        let name = Reg.name r in
+        Alcotest.(check bool) (name ^ " read in scan") uses (in_scan (fun i -> mentions r (Insn.uses i)));
+        Alcotest.(check bool) (name ^ " written in scan") defs (in_scan (fun i -> mentions r (Insn.defs i)));
+        Alcotest.(check bool) (name ^ " tracked") true (mentions r esc.Analysis.esc_regs))
+      [ (Reg.of_int 7, false, false); (Reg.of_int 4, true, false); (Reg.of_int 9, false, false) ]
+
 (* ---- end-to-end discharge fixtures ---------------------------------- *)
 
 let relational_entry =
@@ -915,5 +1108,7 @@ let () =
           Alcotest.test_case "region longjmp entry" `Quick test_region_longjmp_entry;
           Alcotest.test_case "region call clobbers" `Quick test_region_call_clobber;
           Alcotest.test_case "region entry seed" `Quick test_region_entry_seed;
+          Alcotest.test_case "support on corpus" `Quick test_support_corpus;
+          Alcotest.test_case "support fixture" `Quick test_support_fixture;
         ] );
     ]
