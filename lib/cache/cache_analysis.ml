@@ -181,7 +181,7 @@ let fetch_info (cfg : Hw_config.t) map addr ic =
 (* Summary rows of the component-scheduled cache analysis, the access-set
    transformer analogue of Wcet_value.Summary. Validity additionally
    requires the value states the access sets were derived from to match:
-   the caller gates rows on that (Report_cache.cache_slice). *)
+   the caller gates rows on that. *)
 type summary_slice = int -> Cstate.t Wcet_util.Fixpoint.row option
 
 let equal_cstate = Cstate.equal

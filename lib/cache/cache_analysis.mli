@@ -23,8 +23,7 @@ type data_access = {
 }
 
 (** Abstract cache state: must/may pair per configured cache ([None] when
-    that cache is absent from the hardware configuration). Exposed so the
-    persistent result cache can checkpoint and reseed converged states. *)
+    that cache is absent from the hardware configuration). *)
 module Cstate : sig
   type t = { ic : Acache.t option; dc : Acache.t option }
 

@@ -133,7 +133,6 @@ let all_codes =
     ("E0806", "bound ledger: bound or precision regression between snapshots");
     ("W0501", "value analysis escalated to the octagon domain (relational pass)");
     ("E0503", "octagon escalation diverged from the interval result (--verify cross-check)");
-    ("W0613", "analysis cache entry from another value domain (evicted, recomputed)");
     ("E0301", "path analysis unbounded: a reachable cycle has no loop bound");
     ("E0302", "path analysis infeasible: contradictory flow facts");
     ("E0303", "path backends disagree beyond attributable slack (soundness bug)");

@@ -386,7 +386,7 @@ let store_trial ~dir rng i =
           | Ok s -> ignore (Store.clear s)
           | Error _ -> ());
           ignore (Report_cache.drain_diags ());
-          (* cold run populates report + slice entries *)
+          (* cold run populates the report entry *)
           let cold = Analyzer.analyze ~annot:Annot.empty program in
           let files = list_wcache_files dir in
           let n = List.length files in

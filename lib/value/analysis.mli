@@ -45,9 +45,9 @@ val run :
     single node, when every member has a row recorded under an external
     input equal ({!Summary.equal_state}) to the one delivered this run,
     and the slice's linkage words are replayed for every applied member.
-    A one-function edit re-solves only that function's components and the
-    components whose inputs actually changed. The summary accounting is
-    published through {!Summary.account}.
+    The analyzer passes no [slice] (the persistent store keeps
+    whole-program reports only); the benchmark's replay still does. The
+    summary accounting is published through {!Summary.account}.
 
     Returns the {!result} plus the {!Summary.info} needed to persist fresh
     rows (external inputs, linkage registrations). *)

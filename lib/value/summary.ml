@@ -1,15 +1,15 @@
 (* Summary slices and the one accounting path of the component-scheduled
    value and cache analyses.
 
-   A slice is what the persistent store replays: per node, the engine row
-   (the external input the node's component received when it was recorded
-   and the converged (in, out) states) and, for the value analysis, the
+   A slice holds recorded rows: per node, the engine row (the external
+   input the node's component received when it was recorded and the
+   converged (in, out) states) and, for the value analysis, the
    frame-linkage words the node registered while transferring.
    Fixpoint.Make.solve_plan applies a component from rows exactly when
    every member has one and the delivered external input semantically
-   equals the recorded one — the "honest key" contract: the store key
-   covers the code, the engine's input check covers the caller-supplied
-   dataflow the key cannot. *)
+   equals the recorded one. The analyzer offers no rows: the persistent
+   store keeps whole-program reports only, and the parameter stays for
+   the benchmark's replay. *)
 
 module Supergraph = Wcet_cfg.Supergraph
 module Fixpoint = Wcet_util.Fixpoint

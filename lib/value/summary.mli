@@ -11,7 +11,7 @@
     recorded one under the domain's semantic equality ({!equal_state} for
     the value analysis). *)
 
-(** The persistent rows a value-analysis run may apply. *)
+(** Recorded rows a value-analysis run may apply. *)
 type slice = {
   rows : int -> State.t Wcet_util.Fixpoint.row option;
       (** node-indexed row lookup, [None] when the node has no recorded

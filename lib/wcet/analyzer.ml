@@ -36,10 +36,9 @@ let m_scc_count =
     ~help:"Strongly connected components of the analyzed program's call graph" ()
 
 (* The fixpoint engine that drives the value and cache analyses: a
-   bottom-up component-scheduled solve over the call-graph condensation with
-   persistent per-function summaries (O(changed) re-analysis). The classic
-   whole-program solve survives only as [verify]'s reference. The name is a
-   report-cache key component. *)
+   bottom-up component-scheduled solve over the call-graph condensation.
+   The classic whole-program solve survives only as [verify]'s reference.
+   The name is a report-cache key component. *)
 type engine = Summary
 
 let engine_name Summary = "summary"
@@ -447,23 +446,15 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   let loops = Loops.analyze graph in
   if Wcet_obs.Obs.on () then
     Metrics.set m_scc_count (Wcet_cfg.Callgraph.function_scc_count graph);
-  (* Per-function summary rows from the persistent cache: components whose
-     members all carry rows recorded under the inputs delivered this run
-     are applied without re-transferring a node. *)
-  let slices = Report_cache.load_slices ~hw ~annot ~assumes graph in
   (* Under a relational domain the value_accesses precision counters are
      published once, from whichever result ends up final (escalated or
      not); under the interval domain the run publishes as before. *)
   let publish = domain = Analysis.Interval in
-  let value, vinfo, derived_bounds =
+  let value, derived_bounds =
     timed phases Loop_value (fun () ->
         match
-          let value, vinfo =
-            Analysis.run_scheduled ~assumes
-              ?slice:(Option.map Report_cache.value_slice slices)
-              ?cancel ~publish graph loops
-          in
-          (value, vinfo, Loop_bounds.analyze value loops)
+          let value, _ = Analysis.run_scheduled ~assumes ?cancel ~publish graph loops in
+          (value, Loop_bounds.analyze value loops)
         with
         | result -> result
         | exception Failure msg -> fatal c Diag.Loop_value ~code:"E0203" "%s" msg)
@@ -692,19 +683,12 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   in
   check_cancel ();
   let region_hints = region_hint_table c program annot graph in
-  let cache, cache_input =
-    (* Cache rows are gated on the value fixpoint: a row is only offered at
-       nodes whose value states converged to the ones recorded with it,
-       because the cache transfer replays this run's access sets
-       (Report_cache.cache_slice). *)
-    timed phases Cache (fun () ->
-        Cache_analysis.run_scheduled
-          ?slice:(Option.map (fun s -> Report_cache.cache_slice s value) slices)
-          ?cancel hw value ~region_hints)
+  let cache, _ =
+    timed phases Cache (fun () -> Cache_analysis.run_scheduled ?cancel hw value ~region_hints)
   in
   (* Summary cross-check: re-solve whole-program and require semantic state
-     equality at every node. Divergence means a summary was applied where
-     it should not have been — fail loudly rather than risk an unsound
+     equality at every node. Divergence means the component schedule lost
+     or reordered dataflow — fail loudly rather than risk an unsound
      bound. (Skipped under an escalation: the states downstream are
      refined, so a whole-program interval solve is no longer the baseline;
      the interval re-analysis of part 2 below runs this check instead.) *)
@@ -875,10 +859,6 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
         "octagon-escalated WCET bound %d exceeds the interval bound %d" solution.Ipet.wcet
         base_r.wcet
   end;
-  (* Summary slices persist interval-domain facts only: refined states must
-     never reach a warm interval run (see Report_cache). *)
-  if escalation = None then
-    Report_cache.save_slices ~hw ~annot ~assumes value vinfo cache cache_input;
   {
     program;
     hw;
@@ -914,8 +894,7 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
   in
   Trace.with_span ~cat:"analyzer" "analyze" (fun () ->
       (* A report hit would skip every cross-check, so [verify] always
-         recomputes (per-function slices still load: they are what the
-         summary cross-check examines). *)
+         recomputes, from scratch like every miss. *)
       let cached =
         if verify || not (Report_cache.enabled ()) then None
         else

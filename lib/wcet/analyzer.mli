@@ -127,11 +127,8 @@ type report = {
 
 (** Fixpoint engine for the value and cache analyses. [Summary] condenses
     the call graph into strongly connected components and solves them
-    bottom-up, one at a time; components covered by persisted summary rows recorded under the
-    same external inputs are applied without transferring — a one-function
-    edit re-analyzes only that function's components and the components
-    whose inputs actually changed. The classic whole-program solve is kept
-    only as [verify]'s reference. *)
+    bottom-up, one at a time, with the same transfers as the classic
+    whole-program solve, which is kept only as [verify]'s reference. *)
 type engine = Summary
 
 (** ["summary"]: the engine component of report-cache keys. *)

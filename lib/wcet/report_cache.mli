@@ -1,18 +1,13 @@
 (** Persistent content-addressed analysis cache (the tool's warm-rerun
     layer).
 
-    Two granularities over one {!Wcet_util.Store}: whole-program marshaled
-    reports (a hit skips every analysis phase and reproduces the cold run
-    bit for bit) and per-function summary rows for the component-scheduled
-    analyses (on a report miss, components whose rows match re-install
-    without transferring — incremental re-analysis in O(changed)). The
-    per-function key is honest: it covers the function's OWN code bytes,
-    its annotation slices and the constant ROM data it may read — not its
-    callees — because the summary apply rule re-checks the omitted
-    dataflow at apply time (external inputs must semantically equal the
-    recorded ones). Entry envelopes carry a version string; corrupt or
-    version-mismatched entries are evicted, reported as W0610/W0611
-    warnings and recomputed, never a crash.
+    One {!Wcet_util.Store} entry per whole-program report: a hit skips
+    every analysis phase and reproduces the cold run bit for bit; a miss
+    analyzes from scratch and writes one entry. A report is therefore a
+    function of its key alone, whatever the store held before. Entry
+    envelopes carry a version string; corrupt or version-mismatched
+    entries are evicted, reported as W0610/W0611 warnings and recomputed,
+    never a crash.
 
     Configuration is process-global and read-only for worker domains: the
     CLI calls {!set_dir} (or {!disable}) once before any analysis runs.
@@ -92,20 +87,17 @@ val save_report :
   string ->
   unit
 
-(** {1 Per-function summary slices}
+(** {1 Frozen slice stubs}
 
-    One store entry per function holds the summary rows of its nodes:
-    external inputs delivered when recorded, converged value and cache
-    states, and frame-linkage registrations. The scheduled analyses apply
-    a whole component from rows when every member's row matches the
-    dataflow delivered this run ({!Wcet_value.Analysis.run_scheduled}). *)
+    The store once kept per-function summary slices beside the reports.
+    It keeps none now: [slices] has no values, {!load_slices} always
+    returns [None], and the other three can never be called. They exist
+    only because the benchmark's replay ([perfbench/ocaml/bench.ml] and
+    [perfbench/ocaml/replay.ml]) calls them, and they go in the benchmark
+    change that also drops [run_scheduled ?slice]. *)
 
-type slices
+type slices = |
 
-(** [load_slices ~hw ~annot ~assumes graph] reads every matching
-    per-function entry; [None] when caching is off or nothing matched.
-    [assumes] must be the resolved assume set the value analysis will run
-    with. *)
 val load_slices :
   hw:Pred32_hw.Hw_config.t ->
   annot:Wcet_annot.Annot.t ->
@@ -113,35 +105,8 @@ val load_slices :
   Wcet_cfg.Supergraph.t ->
   slices option
 
-(** Functions restored from the store. *)
 val hit_functions : slices -> string list
-
-(** Node-indexed row view for the scheduled value analysis. *)
 val value_slice : slices -> Wcet_value.Summary.slice
 
-(** [cache_slice slices value] is the node-indexed row view for the
-    scheduled cache analysis, restricted to nodes whose value states in
-    the converged result [value] semantically equal the ones recorded
-    beside the cache states. The cache transfer replays the current run's
-    access sets (derived from value states), which the per-function key
-    does not cover; applying cache rows computed under different value
-    states could freeze stale must-cache contents and underestimate the
-    bound. *)
 val cache_slice :
   slices -> Wcet_value.Analysis.result -> Wcet_cache.Cache_analysis.summary_slice
-
-(** [save_slices ~hw ~annot ~assumes value vinfo cache cache_input] writes
-    one slice entry per analyzed function (skipping functions whose loads
-    may read the text segment); [cache_input] is the per-node external
-    input of the scheduled cache run. An existing entry under the same key is
-    overwritten: the key does not cover caller-supplied dataflow, so it
-    may hold rows from an older run. *)
-val save_slices :
-  hw:Pred32_hw.Hw_config.t ->
-  annot:Wcet_annot.Annot.t ->
-  assumes:(int * Wcet_value.Aval.t) list ->
-  Wcet_value.Analysis.result ->
-  Wcet_value.Summary.info ->
-  Wcet_cache.Cache_analysis.result ->
-  Wcet_cache.Cache_analysis.Cstate.t option array ->
-  unit

@@ -1,14 +1,12 @@
 (* Tests for the call-graph condensation (lib/cfg/callgraph) and the
    summary-based scheduled analyses built on it: the function-level SCC
-   count, slice bookkeeping, and the corpus-wide property that the summary
+   count and the corpus-wide property that the summary
    engine and the whole-program reference solve agree state by state. *)
 
 module Compile = Minic.Compile
 module Analyzer = Wcet_core.Analyzer
-module Report_cache = Wcet_core.Report_cache
 module Callgraph = Wcet_cfg.Callgraph
 module Annot = Wcet_annot.Annot
-module Store = Wcet_util.Store
 
 let annot_exn text =
   match Annot.parse text with
@@ -57,47 +55,6 @@ let test_unreachable_function_skipped () =
   in
   Alcotest.(check int) "two SCCs (used, main)" 2 (Callgraph.function_scc_count (graph_of source))
 
-(* --- slice bookkeeping: one store entry per function --- *)
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wcet_test_callgraph.%d.%d" (Unix.getpid ()) !counter)
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-let with_cache f =
-  let dir = fresh_dir () in
-  Fun.protect
-    ~finally:(fun () ->
-      Report_cache.disable ();
-      ignore (Report_cache.drain_diags ());
-      rm_rf dir)
-    (fun () ->
-      if not (Report_cache.set_dir dir) then Alcotest.fail "set_dir refused a fresh temp dir";
-      f dir)
-
-let test_diamond_writes_one_slice_per_function () =
-  (* The diamond's shared callee gets ONE slice entry, not one per caller
-     path: summaries are stored per function, contexts are rows inside. *)
-  with_cache (fun dir ->
-      ignore (Analyzer.analyze (Compile.compile diamond_source));
-      match Store.open_store dir with
-      | Error msg -> Alcotest.failf "open_store: %s" msg
-      | Ok s ->
-        let st = Store.stats s in
-        Alcotest.(check (option int)) "one func entry per function" (Some 4)
-          (List.assoc_opt "func" st.Store.by_kind))
-
 (* --- corpus-wide engine equivalence --- *)
 
 (* Under verify, the whole-program reference solve runs beside the summary
@@ -123,11 +80,6 @@ let () =
           Alcotest.test_case "diamond condensation" `Quick test_diamond_sccs;
           Alcotest.test_case "unreachable function skipped" `Quick
             test_unreachable_function_skipped;
-        ] );
-      ( "slices",
-        [
-          Alcotest.test_case "one slice entry per function" `Quick
-            test_diamond_writes_one_slice_per_function;
         ] );
       ( "engine equivalence",
         [ Alcotest.test_case "corpus bounds identical" `Slow test_corpus_engines_agree ] );

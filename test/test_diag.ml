@@ -59,21 +59,19 @@ let test_store_and_env_codes_registered () =
     (Diag.exit_for (Diag.make Diag.Warning Diag.Store ~code:"W0612" "x"));
   Alcotest.(check string) "store phase name" "cache-store" (Diag.phase_name Diag.Store)
 
-(* The octagon-escalation codes: the escalation notice, the --verify
-   cross-check failure, and the cache eviction for reports written under a
-   different value domain. *)
+(* The octagon-escalation codes: the escalation notice and the --verify
+   cross-check failure. W0613 evicted per-function slices recorded under
+   another value domain; the store keeps no slices, so it is retired. *)
 let test_octagon_codes_registered () =
   List.iter
     (fun code ->
       Alcotest.(check bool) (code ^ " documented") true (Diag.describe code <> None))
-    [ "W0501"; "E0503"; "W0613"; "A0512" ];
+    [ "W0501"; "E0503"; "A0512" ];
   (* E0503 is an analysis failure (the escalated solution diverged), not a
      usage problem: it must exit with the analysis code. *)
   Alcotest.(check int) "E0503 exits as analysis" 2
     (Diag.exit_for (Diag.make Diag.Error Diag.Path ~code:"E0503" "x"));
-  (* W0613 is a cache-store degradation like W0611/W0612. *)
-  Alcotest.(check int) "W0613 exits as usage" 1
-    (Diag.exit_for (Diag.make Diag.Warning Diag.Store ~code:"W0613" "x"))
+  Alcotest.(check bool) "W0613 retired" true (Diag.describe "W0613" = None)
 
 let test_pp_format () =
   let d =

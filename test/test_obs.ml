@@ -205,9 +205,7 @@ let pinned_names =
     "cache_store_bytes_read";
     "cache_store_bytes_written";
     "cache_store_evictions";
-    "cache_store_hits{granularity=function}";
     "cache_store_hits{granularity=program}";
-    "cache_store_misses{granularity=function}";
     "cache_store_misses{granularity=program}";
     "fixpoint_joins{analysis=cache}";
     "fixpoint_joins{analysis=value}";

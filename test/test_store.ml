@@ -1,5 +1,5 @@
 (* Tests for the persistent analysis cache: the content-addressed store
-   (lib/util/store), the report/function cache built on it
+   (lib/util/store), the whole-program report cache built on it
    (lib/wcet/report_cache), and the two input-hardening fixes that rode
    along in the same PR (hex literals in the MiniC lexer, the
    LDIVMOD_SAMPLES override in the experiment harness).
@@ -52,8 +52,6 @@ let with_store f =
 type cache_counts = {
   program_hits : int;
   program_misses : int;
-  function_hits : int;
-  function_misses : int;
   evictions : int;
 }
 
@@ -64,8 +62,6 @@ let cache_counts () =
   {
     program_hits = metric "cache_store_hits{granularity=program}";
     program_misses = metric "cache_store_misses{granularity=program}";
-    function_hits = metric "cache_store_hits{granularity=function}";
-    function_misses = metric "cache_store_misses{granularity=function}";
     evictions = metric "cache_store_evictions";
   }
 
@@ -206,18 +202,6 @@ let quickstart_like =
    }\n\
    int main() { acc = f(2) + g(3); return acc; }\n"
 
-(* g's loop body adds 9 instead of 7: one immediate changes, instruction
-   count and layout stay identical, so f's code (and every block address)
-   is byte-for-byte the same in both binaries. *)
-let quickstart_like_edited =
-  "rom int table[8] = {3, 1, 4, 1, 5, 9, 2, 6};\n\
-   int acc;\n\
-   int f(int x) { int i; int s; s = x; for (i = 0; i < 8; i = i + 1) { s = s + table[i]; } \
-   return s; }\n\
-   int g(int x) { int i; int s; s = x; for (i = 0; i < 6; i = i + 1) { s = s + 9; } return s; \
-   }\n\
-   int main() { acc = f(2) + g(3); return acc; }\n"
-
 let report_bytes r = Json.to_string (Analyzer.report_to_json r)
 
 let test_program_cold_then_warm () =
@@ -287,147 +271,104 @@ let test_annotation_change_misses () =
       Alcotest.(check int) "original still cached" 1
         (cache_counts ()).program_hits)
 
-(* --- per-function incremental re-analysis --- *)
+(* --- one entry per analysis: a report depends on its key alone --- *)
 
-let test_function_invalidation_on_edit () =
-  with_cache (fun _dir ->
-      let v1 = Compile.compile quickstart_like in
-      let v2 = Compile.compile quickstart_like_edited in
-      let cold = Analyzer.analyze v1 in
-      Metrics.reset ();
-      let seeded = Analyzer.analyze v2 in
-      let s = cache_counts () in
-      (* the program changed, so the report key misses... *)
-      Alcotest.(check int) "edited binary misses the report" 0 s.program_hits;
-      (* ...but f is untouched, so at least its slice is restored, while
-         g (edited) and main (calls g) re-analyze from scratch *)
-      Alcotest.(check bool) "unchanged function restored" true
-        (s.function_hits >= 1);
-      Alcotest.(check bool) "edited function re-analyzed" true
-        (s.function_misses >= 1);
-      (* seeding pays: fewer value transfers than the cold run of v1 *)
-      Alcotest.(check bool) "seeded run transfers fewer" true
-        (seeded.Analyzer.value.Wcet_value.Analysis.transfers
-        < cold.Analyzer.value.Wcet_value.Analysis.transfers);
-      (* and the seeded result matches a from-scratch analysis of v2 *)
-      Report_cache.disable ();
-      let scratch = Analyzer.analyze v2 in
-      Alcotest.(check int) "seeded bound = scratch bound" scratch.Analyzer.wcet
-        seeded.Analyzer.wcet)
+let read_example name = In_channel.with_open_bin (Examples_dir.file name) In_channel.input_all
 
-(* f's data-access addresses depend on its argument, and main supplies
-   that argument — caller dataflow the per-function key deliberately does
-   not cover. Editing only the constant in main leaves f's code (and the
-   whole layout) byte-identical, so f's slice still matches on the warm
-   run while its value (and therefore cache) states converge elsewhere:
-   at 16-byte lines table[1] and table[6] live in different cache lines,
-   and the trailing table[6] access hits exactly when the loop really
-   loaded table[6]'s line. *)
-let caller_passes_1 =
-  "rom int table[8] = {3, 1, 4, 1, 5, 9, 2, 6};\n\
-   int acc;\n\
-   int f(int x) { int i; int s; s = 0; for (i = 0; i < 3; i = i + 1) { s = s + table[x]; } \
-   s = s + table[6]; return s; }\n\
-   int main() { acc = f(1); return acc; }\n"
-
-let caller_passes_6 =
-  "rom int table[8] = {3, 1, 4, 1, 5, 9, 2, 6};\n\
-   int acc;\n\
-   int f(int x) { int i; int s; s = 0; for (i = 0; i < 3; i = i + 1) { s = s + table[x]; } \
-   s = s + table[6]; return s; }\n\
-   int main() { acc = f(6); return acc; }\n"
-
-(* A seeded run analyzes under states at least as wide as the scratch
-   run's, so it may only be LESS classified: a seeded Always_hit or
-   Always_miss where the scratch run concluded otherwise means a stale
-   cache state survived seeding. Compared only at nodes both runs
-   reached; graph construction is deterministic, so node ids align. *)
-let classification_optimism_violations (seeded : Analyzer.report) (scratch : Analyzer.report) =
-  let s = seeded.Analyzer.cache and c = scratch.Analyzer.cache in
-  let sound_wrt mine precise =
-    match mine with
-    | Cache_analysis.Always_hit -> precise = Cache_analysis.Always_hit
-    | Cache_analysis.Always_miss -> precise = Cache_analysis.Always_miss
-    | Cache_analysis.Not_classified | Cache_analysis.Bypass -> true
-  in
-  let viol = ref [] in
-  Array.iteri
-    (fun i s_fetch ->
-      match (s.Cache_analysis.node_in.(i), c.Cache_analysis.node_in.(i)) with
-      | Some _, Some _ ->
-        Array.iteri
-          (fun j sc ->
-            if not (sound_wrt sc c.Cache_analysis.fetch.(i).(j)) then
-              viol := Printf.sprintf "fetch at node %d insn %d" i j :: !viol)
-          s_fetch;
-        List.iter
-          (fun (da : Cache_analysis.data_access) ->
-            match
-              List.find_opt
-                (fun (db : Cache_analysis.data_access) ->
-                  db.Cache_analysis.insn_index = da.Cache_analysis.insn_index)
-                c.Cache_analysis.data.(i)
-            with
-            | None -> ()
-            | Some db ->
-              if not (sound_wrt da.Cache_analysis.kind db.Cache_analysis.kind) then
-                viol :=
-                  Printf.sprintf "data access at node %d insn %d" i
-                    da.Cache_analysis.insn_index
-                  :: !viol)
-          s.Cache_analysis.data.(i)
-      | _ -> ())
-    s.Cache_analysis.fetch;
-  List.rev !viol
-
-let seeded_then_scratch src_cold src_target =
-  with_cache (fun _dir ->
-      let a = Compile.compile src_cold in
-      let b = Compile.compile src_target in
-      ignore (Analyzer.analyze a);
-      Metrics.reset ();
-      let seeded = Analyzer.analyze b in
-      let s = cache_counts () in
-      Alcotest.(check bool) "f's slice was restored (the test exercises seeding)" true
-        (s.function_hits >= 1);
-      Report_cache.disable ();
-      let scratch = Analyzer.analyze b in
-      (seeded, scratch))
-
-let test_caller_dataflow_change_regates_cache_seeds () =
-  (* The cache transfer function replays the current run's access sets; a
-     cache seed recorded under different value states must not survive a
-     caller edit that changes them, or stale must/may-cache contents
-     would claim hits (and misses) the new dataflow no longer supports —
-     the f(6)-cold → f(1)-seeded direction steals an Always_hit for the
-     trailing table[6] access (a WCET underestimate), the reverse
-     direction a spurious Always_miss (a BCET overestimate).
-     Function-granularity seeding promises soundness, not bit-identity:
-     the seeded bound may be wider than scratch, never tighter. *)
-  List.iter
-    (fun (cold, target) ->
-      let seeded, scratch = seeded_then_scratch cold target in
-      Alcotest.(check bool) "seeded WCET bound is sound (>= scratch)" true
-        (seeded.Analyzer.wcet >= scratch.Analyzer.wcet);
-      Alcotest.(check bool) "seeded BCET bound is sound (<= scratch)" true
-        (seeded.Analyzer.bcet <= scratch.Analyzer.bcet);
-      Alcotest.(check (list string)) "no stale cache classification survived seeding" []
-        (classification_optimism_violations seeded scratch))
-    [ (caller_passes_1, caller_passes_6); (caller_passes_6, caller_passes_1) ]
-
-let test_function_entries_track_latest_convergence () =
-  (* save_function_results must overwrite a slice whose key survives a
-     caller edit: the stored states describe the OLD convergence, and
-     keeping them would make every later warm run redo the re-widening. *)
+let test_cold_analysis_writes_one_entry () =
   with_cache (fun dir ->
-      ignore (Analyzer.analyze (Compile.compile caller_passes_1));
-      let before = List.map (fun p -> (p, Digest.file p)) (files_under dir) in
-      ignore (Analyzer.analyze (Compile.compile caller_passes_6));
-      let rewritten =
-        List.exists (fun (p, d) -> Sys.file_exists p && Digest.file p <> d) before
-      in
-      Alcotest.(check bool) "a surviving slice was rewritten with the new states" true
-        rewritten)
+      ignore (Analyzer.analyze (Compile.compile (read_example "callgraph.mc")));
+      match Store.open_store dir with
+      | Error msg -> Alcotest.failf "open_store: %s" msg
+      | Ok s ->
+        Alcotest.(check (list (pair string int))) "by kind" [ ("report", 1) ]
+          (Store.stats s).Store.by_kind)
+
+(* The report JSON without its wall-clock fields, plus the value and cache
+   transfer counts, which the JSON does not carry. *)
+let comparable (r : Analyzer.report) =
+  let rec strip = function
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if List.mem k [ "phases"; "wall_us"; "seconds" ] then None else Some (k, strip v))
+           kvs)
+    | Json.List vs -> Json.List (List.map strip vs)
+    | v -> v
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("report", strip (Analyzer.report_to_json r));
+         ("value_transfers", Json.Int r.Analyzer.value.Wcet_value.Analysis.transfers);
+         ("cache_transfers", Json.Int r.Analyzer.cache.Cache_analysis.transfers);
+       ])
+
+(* One constant of the program changed: the last [= N;] becomes [= N+2;].
+   [None] when the source has no such assignment. *)
+let edit_one_constant source =
+  let is_digit c = c >= '0' && c <= '9' in
+  let len = String.length source in
+  (* [digits_end pos] is the end of the digit run starting at [pos]. *)
+  let rec digits_end pos = if pos < len && is_digit source.[pos] then digits_end (pos + 1) else pos in
+  let rec from pos =
+    if pos < 0 then None
+    else if source.[pos] = '=' && pos + 2 < len && source.[pos + 1] = ' ' && is_digit source.[pos + 2]
+    then
+      let stop = digits_end (pos + 2) in
+      if stop < len && source.[stop] = ';' then
+        let n = int_of_string (String.sub source (pos + 2) (stop - pos - 2)) in
+        Some
+          (String.sub source 0 (pos + 2)
+          ^ string_of_int (n + 2)
+          ^ String.sub source stop (len - stop))
+      else from (pos - 1)
+    else from (pos - 1)
+  in
+  from (len - 1)
+
+let test_warm_edit_equals_cold () =
+  let edited = ref [] in
+  Sys.readdir Examples_dir.dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f ".mc")
+  |> List.iter (fun f ->
+         let annot =
+           let path = Examples_dir.file (Filename.chop_suffix f ".mc" ^ ".annot") in
+           if Sys.file_exists path then
+             match Wcet_annot.Annot.parse (In_channel.with_open_bin path In_channel.input_all) with
+             | Ok a -> a
+             | Error msg -> Alcotest.failf "%s: %s" path msg
+           else Wcet_annot.Annot.empty
+         in
+         let source = read_example f in
+         match edit_one_constant source with
+         | None -> ()
+         | Some source' ->
+           List.iter
+             (fun domain ->
+               let where = Printf.sprintf "%s (%s)" f (Wcet_value.Analysis.domain_name domain) in
+               let analyze src = Analyzer.analyze ~annot ~domain (Compile.compile src) in
+               match
+                 with_cache (fun _dir ->
+                     ignore (analyze source);
+                     Metrics.reset ();
+                     let warm = analyze source' in
+                     Alcotest.(check int) (where ^ ": the edit misses the report") 1
+                       (cache_counts ()).program_misses;
+                     warm)
+               with
+               | exception Analyzer.Analysis_failed _ -> ()
+               | warm ->
+                 let cold = analyze source' in
+                 Alcotest.(check string) (where ^ ": warm edit = cold run") (comparable cold)
+                   (comparable warm);
+                 edited := where :: !edited)
+             [ Wcet_value.Analysis.Interval; Wcet_value.Analysis.Auto ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "examples edited: %s" (String.concat ", " (List.rev !edited)))
+    true
+    (List.length !edited >= 4)
 
 (* --- degradation: corruption and version drift --- *)
 
@@ -516,9 +457,9 @@ let test_version_bump_invalidates () =
 
 let test_verify_skips_report_hit () =
   (* A report hit would skip every cross-check, so a verified analysis never
-     reads one: the second run on a warm store still loads the summary
-     slices and runs the whole-program reference solve. It still writes
-     its report, which a plain run then hits. *)
+     reads one: the second run on a warm store analyzes from scratch again
+     and runs the whole-program reference solve. It still writes its
+     report, which a plain run then hits. *)
   with_cache (fun _dir ->
       let program = Compile.compile quickstart_like in
       let metric name =
@@ -528,16 +469,11 @@ let test_verify_skips_report_hit () =
       Fun.protect ~finally:Obs.disable (fun () ->
           let first = Analyzer.analyze ~verify:true program in
           let hits0 = metric "cache_store_hits{granularity=program}" in
-          let fn_hits0 = metric "cache_store_hits{granularity=function}" in
           let transfers0 = metric "fixpoint_transfers{analysis=value}" in
           let second = Analyzer.analyze ~verify:true program in
           Alcotest.(check int) "no report hit under verify" hits0
             (metric "cache_store_hits{granularity=program}");
-          Alcotest.(check bool) "summary slices still load" true
-            (metric "cache_store_hits{granularity=function}" > fn_hits0);
           let warm = second.Analyzer.value.Wcet_value.Analysis.transfers in
-          Alcotest.(check bool) "the summary run applied its slices" true
-            (warm < first.Analyzer.value.Wcet_value.Analysis.transfers);
           Alcotest.(check bool) "the reference solve still ran" true
             (metric "fixpoint_transfers{analysis=value}" - transfers0 > warm);
           Alcotest.(check int) "same bound" first.Analyzer.wcet second.Analyzer.wcet;
@@ -652,12 +588,9 @@ let () =
           Alcotest.test_case "initialized RAM array entry is small" `Quick
             test_initialized_ram_entry_is_small;
           Alcotest.test_case "annotation change misses" `Quick test_annotation_change_misses;
-          Alcotest.test_case "one-function edit invalidates one function" `Quick
-            test_function_invalidation_on_edit;
-          Alcotest.test_case "caller dataflow change re-gates cache seeds" `Quick
-            test_caller_dataflow_change_regates_cache_seeds;
-          Alcotest.test_case "function entries track the latest convergence" `Quick
-            test_function_entries_track_latest_convergence;
+          Alcotest.test_case "a cold analysis writes one entry" `Quick
+            test_cold_analysis_writes_one_entry;
+          Alcotest.test_case "a warm edit equals a cold one" `Quick test_warm_edit_equals_cold;
           Alcotest.test_case "corrupt entries degrade to recompute" `Quick
             test_corrupt_entries_degrade;
           Alcotest.test_case "undecodable report reclassifies the hit" `Quick
