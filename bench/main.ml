@@ -14,8 +14,8 @@
    the remaining tables are then fanned out across domains (each worker
    runs its table's corpus entries serially — the pool refuses to nest).
    Every run also writes machine-readable BENCH_results.json — table
-   wall-clock, histogram throughput, the summary engine's cold and warm
-   transfer counts, the E4/E5 blocks and every metric — so the performance
+   wall-clock, histogram throughput, the fixpoint engine's cold and
+   warm-edit transfer counts, the E4/E5 blocks and every metric — so the performance
    trajectory is trackable across PRs. *)
 
 module Harness = Wcet_experiments.Harness
@@ -60,9 +60,9 @@ let cache_comparison () =
     (cold, warm)
   end
 
-(* The summary engine on the quickstart program, cold (no report cache):
+(* The fixpoint engine on the quickstart program, cold (no report cache):
    transfer totals and wall time of one analysis. *)
-let scc_summary_cold () =
+let fixpoint_cold () =
   let program = Minic.Compile.compile Harness.quickstart_source in
   let (value, cache), secs =
     timed (fun () ->
@@ -92,7 +92,7 @@ let incremental_source edited =
 let incremental_check () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wcet_bench_scc.%d" (Unix.getpid ()))
+      (Printf.sprintf "wcet_bench_edit.%d" (Unix.getpid ()))
   in
   let transfers r =
     ( r.Analyzer.value.Wcet_value.Analysis.transfers,
@@ -233,7 +233,7 @@ let path_portfolio_json e5 =
     ]
 
 let write_json ~path ~domains ~samples ~tables ~samples_per_sec ~store:(store_cold, store_warm)
-    ~scc:(sm_value, sm_cache, sm_secs) ~incr ~e4 ~e5 =
+    ~fixpoint:(fp_value, fp_cache, fp_secs) ~incr ~e4 ~e5 =
   let transfers (v, c) =
     Json.Obj [ ("value", Json.Int v); ("cache", Json.Int c); ("total", Json.Int (v + c)) ]
   in
@@ -251,17 +251,17 @@ let write_json ~path ~domains ~samples ~tables ~samples_per_sec ~store:(store_co
                (fun (name, seconds) ->
                  Json.Obj [ ("name", Json.String name); ("seconds", Json.Float seconds) ])
                tables) );
-        ( "scc_summary",
+        ( "fixpoint",
           Json.Obj
             [
               ("program", Json.String "quickstart");
-              ( "summary",
+              ( "cold",
                 Json.Obj
                   [
-                    ("value", Json.Int sm_value);
-                    ("cache", Json.Int sm_cache);
-                    ("total", Json.Int (sm_value + sm_cache));
-                    ("seconds", Json.Float sm_secs);
+                    ("value", Json.Int fp_value);
+                    ("cache", Json.Int fp_cache);
+                    ("total", Json.Int (fp_value + fp_cache));
+                    ("seconds", Json.Float fp_secs);
                   ] );
               ( "incremental_edit",
                 Json.Obj
@@ -344,11 +344,11 @@ let () =
   let e5, e5_seconds = timed (fun () -> Harness.e5_rows ()) in
   print_string (render (fun ppf () -> Harness.pp_e5 ppf e5));
   print_newline ();
-  let ((sm_value, sm_cache, sm_secs) as scc) = scc_summary_cold () in
+  let ((fp_value, fp_cache, fp_secs) as fixpoint) = fixpoint_cold () in
   Format.printf
-    "== scc summary engine (quickstart program, cold) ==@.  summary: value %d + cache %d = %d \
+    "== fixpoint engine (quickstart program, cold) ==@.  whole program: value %d + cache %d = %d \
      transfers   %.4f s@.@."
-    sm_value sm_cache (sm_value + sm_cache) sm_secs;
+    fp_value fp_cache (fp_value + fp_cache) fp_secs;
   let ((incr_v, incr_c) as incr) = incremental_check () in
   Format.printf
     "== incremental one-function edit (warm store) ==@.  warm = cold: value %d + cache %d = %d \
@@ -366,7 +366,7 @@ let () =
     @ [ ("E4", e4_seconds); ("E5", e5_seconds) ]
   in
   write_json ~path:"BENCH_results.json" ~domains ~samples ~tables:table_times ~samples_per_sec
-    ~store:(store_cold, store_warm) ~scc ~incr ~e4 ~e5;
+    ~store:(store_cold, store_warm) ~fixpoint ~incr ~e4 ~e5;
   Format.printf "== timings (%d domains) ==@." domains;
   List.iter
     (fun (name, seconds) -> Format.printf "  %-6s %8.3f s@." name seconds)

@@ -220,12 +220,11 @@ let verify_arg =
     value & flag
     & info [ "verify" ]
         ~doc:
-          "Re-run the reference configuration and abort on any divergence: summary vs \
-           whole-program states (E0204), octagon-refined vs interval states and bound (E0503), \
-           and the path backends against certified witness paths with csolve as the \
-           structural witness and the simplex as the oracle of fact-free IPET (E0303), and \
-           the model checker on programs its gate kept IPET-only (an Info W0306 when it \
-           would have tightened the bound). Never reads a cached report")
+          "Re-run the reference configuration and abort on any divergence: octagon-refined vs \
+           interval states and bound (E0503), and the path backends against certified witness \
+           paths with csolve as the structural witness and the simplex as the oracle of \
+           fact-free IPET (E0303), and the model checker on programs its gate kept IPET-only \
+           (an Info W0306 when it would have tightened the bound). Never reads a cached report")
 
 let domain_arg =
   Arg.(

@@ -7,7 +7,6 @@ module Supergraph = Wcet_cfg.Supergraph
 module Func_cfg = Wcet_cfg.Func_cfg
 module Analysis = Wcet_value.Analysis
 module Aval = Wcet_value.Aval
-module Summary = Wcet_value.Summary
 
 module Metrics = Wcet_obs.Metrics
 
@@ -73,7 +72,6 @@ module Cstate = struct
     ok a.ic b.ic && ok a.dc b.dc
 
   let leq = for_both Acache.leq
-  let equal = for_both Acache.equal
 
   let join a b = { ic = map2 Acache.join a.ic b.ic; dc = map2 Acache.join a.dc b.dc }
   let widen = join
@@ -178,14 +176,6 @@ let fetch_info (cfg : Hw_config.t) map addr ic =
       (classification, Option.map (fun c -> Acache.access c line))
     | Some _ | None -> (Bypass, Fun.id))
 
-(* Summary rows of the component-scheduled cache analysis, the access-set
-   transformer analogue of Wcet_value.Summary. Validity additionally
-   requires the value states the access sets were derived from to match:
-   the caller gates rows on that. *)
-type summary_slice = int -> Cstate.t Wcet_util.Fixpoint.row option
-
-let equal_cstate = Cstate.equal
-
 (* Per-node transfer, optionally recording classifications. *)
 let make_transfer (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
   let nodes = value.Analysis.graph.Supergraph.nodes in
@@ -224,9 +214,8 @@ let make_transfer (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
   in
   transfer
 
-(* Shared tail of [run] / [run_scheduled]: a recording pass over the
-   converged states to classify every fetch and data access, plus the
-   fixpoint and classification metrics. *)
+(* A recording pass over the converged states to classify every fetch and
+   data access, plus the fixpoint and classification metrics. *)
 let finish ~transfer ~nodes (solution : FP.result) =
   let n = Array.length nodes in
   let fetch =
@@ -272,8 +261,7 @@ let finish ~transfer ~nodes (solution : FP.result) =
     transfers = solution.FP.transfers;
   }
 
-(* The reachability-filtered problem both solvers run, with its
-   recording transfer. *)
+(* The reachability-filtered problem, with its recording transfer. *)
 let problem (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
@@ -304,20 +292,11 @@ let run ?cancel cfg (value : Analysis.result) ~region_hints =
   let transfer, p = problem cfg value ~region_hints in
   finish ~transfer ~nodes:value.Analysis.graph.Supergraph.nodes (FP.solve ?cancel p)
 
-(* [run_scheduled] solves the same problem one component at a time (its
-   condensation can be finer than the value analysis': infeasible edges
-   drop out of the plan); the engine applies rows whose recorded external
-   cache state equals the delivered one. *)
-let run_scheduled ?slice ?cancel cfg (value : Analysis.result) ~region_hints =
-  let graph = value.Analysis.graph in
-  let transfer, p = problem cfg value ~region_hints in
-  let plan =
-    Wcet_cfg.Callgraph.condense ~num_nodes:p.FP.num_nodes ~entries:[ graph.Supergraph.entry ]
-      ~succs:p.FP.succs
-  in
-  let solution, pinfo = FP.solve_plan ?rows:slice ?cancel ~plan p in
-  Summary.account Summary.Cache graph plan pinfo;
-  (finish ~transfer ~nodes:graph.Supergraph.nodes solution, pinfo.Wcet_util.Fixpoint.ext_input)
+(* The frozen benchmark's entry point: the whole-program solve. *)
+type slice = |
+
+let run_scheduled ?slice:(_ : slice option) ?cancel cfg value ~region_hints =
+  (run ?cancel cfg value ~region_hints, ())
 
 let pp_classification ppf = function
   | Always_hit -> Format.pp_print_string ppf "AH"

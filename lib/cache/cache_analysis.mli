@@ -41,8 +41,8 @@ type result = {
 
 (** [run cfg value_result ~region_hints] — [region_hints] maps a
     function name to the regions its unresolved accesses may touch (from
-    annotations). The whole-program solve: the reference the analyzer's
-    [verify] compares {!run_scheduled} against. *)
+    annotations). One whole-program solve over the reachability-filtered
+    supergraph. *)
 val run :
   ?cancel:(unit -> bool) ->
   Pred32_hw.Hw_config.t ->
@@ -50,31 +50,16 @@ val run :
   region_hints:(string -> Pred32_memory.Region.t list option) ->
   result
 
-(** Per-node summary rows for {!run_scheduled}: the engine row holds the
-    external (cross-component) cache input the node's component received
-    when the row was recorded, and the converged (in, out) states. A row
-    is only valid when the value states its access sets were derived from
-    also match — the caller gates the slice on that. *)
-type summary_slice = int -> Cstate.t Wcet_util.Fixpoint.row option
+(** Frozen stub for the benchmark's replay, which still names it:
+    [slice] has no values and [run_scheduled] is {!run}. *)
+type slice = |
 
-(** Semantic state equality: [leq] both ways, decided in one pass by
-    {!Acache.equal}. *)
-val equal_cstate : Cstate.t -> Cstate.t -> bool
-
-(** [run_scheduled ?slice cfg value_result ~region_hints] solves the cache
-    problem one call-graph component at a time over the
-    reachability-filtered supergraph (see
-    {!Wcet_value.Analysis.run_scheduled}). The engine installs a component
-    from [slice] rows when every member has one recorded under an external
-    input equal ({!equal_cstate}) to the one delivered this run. Returns
-    the {!result} plus, per node, the external input received this run,
-    for persisting fresh rows. *)
 val run_scheduled :
-  ?slice:summary_slice ->
+  ?slice:slice ->
   ?cancel:(unit -> bool) ->
   Pred32_hw.Hw_config.t ->
   Wcet_value.Analysis.result ->
   region_hints:(string -> Pred32_memory.Region.t list option) ->
-  result * Cstate.t option array
+  result * unit
 
 val pp_classification : Format.formatter -> classification -> unit

@@ -1,20 +1,8 @@
-(* Call-graph condensation.
-
-   Two layers share one iterative Tarjan SCC pass:
-
-   - [condense]: generic, over any integer node graph — builds the
-     Fixpoint.plan that drives component-scheduled solving (components in
-     topological order, global RPO priority).
-
-   - [function_scc_count]: the function-level view, for the [scc_count]
-     metric — how many SCCs the resolved calls between expanded functions
-     form. The analyses schedule at supergraph-node granularity, where a
-     "component" is usually much smaller than a function (one basic block,
-     or one loop body possibly spanning the contexts of callees invoked
-     inside the loop). *)
+(* Call-graph condensation: [function_scc_count], for the [scc_count]
+   metric — how many SCCs the resolved calls between expanded functions
+   form, counted by one iterative Tarjan pass. *)
 
 module Supergraph = Supergraph
-module Fixpoint = Wcet_util.Fixpoint
 
 (* Iterative Tarjan. Emits SCCs in reverse topological order; [emit] is
    called once per component with its member list. *)
@@ -73,33 +61,6 @@ let tarjan ~num_nodes ~succs ~emit =
   for n = 0 to num_nodes - 1 do
     visit n
   done
-
-let condense ~num_nodes ~entries ~succs =
-  let comps_rev = ref [] in
-  let ncomps = ref 0 in
-  let comp_emission = Array.make (max 1 num_nodes) 0 in
-  tarjan ~num_nodes ~succs ~emit:(fun members ->
-      List.iter (fun m -> comp_emission.(m) <- !ncomps) members;
-      comps_rev := members :: !comps_rev;
-      incr ncomps);
-  let nc = !ncomps in
-  (* Tarjan emits sinks first; flip the numbering so components are
-     topological: comp(u) < comp(v) for every cross-component edge u->v. *)
-  let comp_of = Array.init num_nodes (fun i -> nc - 1 - comp_emission.(i)) in
-  let priority = Fixpoint.rpo_index ~num_nodes ~entries ~succs in
-  (* [comps_rev] lists the last-emitted component first: topological order. *)
-  let comps =
-    Array.of_list
-      (List.map
-         (fun members ->
-           let arr = Array.of_list members in
-           Array.sort (fun a b -> compare (priority.(a), a) (priority.(b), b)) arr;
-           arr)
-         !comps_rev)
-  in
-  { Fixpoint.plan_comp_of = comp_of; plan_comps = comps; plan_priority = priority }
-
-(* ---- Function-level view -------------------------------------------- *)
 
 let function_scc_count (graph : Supergraph.t) =
   let nodes = graph.Supergraph.nodes in

@@ -72,7 +72,6 @@ let all_codes =
     ("E0201", "decoding / CFG reconstruction failed");
     ("E0202", "recursive call without a recursion-depth annotation");
     ("E0203", "analysis iteration budget exceeded (did not converge)");
-    ("E0204", "summary engine diverged from the whole-program solve (--verify cross-check)");
     ("W0301", "unresolved indirect call: callee excluded from the bound");
     ("W0302", "unbounded loop: iterations beyond the first excluded");
     ("W0303", "irreducible region: bounded at one pass per block");

@@ -1,12 +1,11 @@
 (** Watch mode: a polling mtime/digest scanner with debounce.
 
     The daemon polls a directory for MiniC ([.mc]) and assembly ([.s])
-    sources. A file whose content digest changed is re-analyzed — through
-    the incremental summary path, so the warm store makes unchanged
-    functions free — once its content has been stable for the debounce
-    window (rapid editor save bursts coalesce into one analysis). Only the
-    {e delta} is streamed to subscribed clients: changed functions (by
-    code-byte digest), bound drift, and new/discharged findings.
+    sources. A file whose content digest changed is re-analyzed once its
+    content has been stable for the debounce window (rapid editor save
+    bursts coalesce into one analysis). Only the {e delta} is streamed to
+    subscribed clients: changed functions (by code-byte digest), bound
+    drift, and new/discharged findings.
 
     The module is deliberately passive: {!poll} does one scan and returns
     the events to publish; the server owns the thread and the cadence. *)

@@ -67,9 +67,7 @@ let eval_alu op a b =
   | Insn.Sltu -> Aval.sltu a b
 
 (* Frame-linkage bookkeeping: one chronological table per analysis, so a
-   store sees every registration transferred before it. [on_register] lets
-   the scheduled solve attribute registrations to the node that made them
-   (see run_scheduled). *)
+   store sees every registration transferred before it. *)
 type ctx = {
   program : Program.t;
   is_linkage : int -> bool;
@@ -77,15 +75,12 @@ type ctx = {
   mutable record : (int -> int -> bool -> Aval.t -> unit) option;
 }
 
-let chronological_ctx ?(on_register = ignore) program =
+let chronological_ctx program =
   let linkage : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   {
     program;
     is_linkage = Hashtbl.mem linkage;
-    register_linkage =
-      (fun a ->
-        Hashtbl.replace linkage a ();
-        on_register a);
+    register_linkage = (fun a -> Hashtbl.replace linkage a ());
     record = None;
   }
 
@@ -211,7 +206,6 @@ module FP = Wcet_util.Fixpoint.Make (struct
   type t = State.t
 
   let leq = State.leq
-  let equal = Summary.equal_state
   let join = State.join
   let widen = State.widen
 end)
@@ -247,7 +241,7 @@ let publish_access_metrics accesses =
            Metrics.incr m 1))
       accesses
 
-(* Shared tail of both solvers: access recording + fixpoint metrics.
+(* Access recording + fixpoint metrics.
    [publish] gates the per-access precision counters only (the engine
    statistics always reflect the work done): when a run may later be
    escalated to the octagon domain, the caller publishes the counters once,
@@ -276,26 +270,17 @@ let finish ?(publish = true) ctx (graph : Supergraph.t) node_in node_out (soluti
   if publish then publish_access_metrics accesses;
   { graph; node_in; node_out; accesses; transfers = solution.FP.transfers }
 
-(* The problem both solvers run. [on_transfer i] runs just before node
-   [i]'s transfer. *)
-let problem ?(on_transfer = ignore) ~assumes ctx (graph : Supergraph.t) (loops : Loops.info) =
+let problem ~assumes ctx (graph : Supergraph.t) (loops : Loops.info) =
   let nodes = graph.Supergraph.nodes in
   let widening_point = widening_points graph loops in
   {
     FP.num_nodes = Array.length nodes;
     entries = [ (graph.Supergraph.entry, State.entry_state ~assumes) ];
     succs = (fun i -> List.map snd nodes.(i).Supergraph.succs);
-    transfer =
-      (fun i st ->
-        on_transfer i;
-        transfer_block ctx st nodes.(i));
+    transfer = (fun i st -> transfer_block ctx st nodes.(i));
     widening_points = (fun i -> widening_point.(i));
     widening_delay = 2;
   }
-
-(* The transfer budget both solvers get. *)
-let budget (loops : Loops.info) (p : FP.problem) =
-  200 * p.FP.num_nodes * (1 + Array.length loops.Loops.loops)
 
 let run ?(assumes = []) ?cancel ?publish (graph : Supergraph.t) (loops : Loops.info) =
   let ctx = chronological_ctx graph.Supergraph.program in
@@ -303,61 +288,19 @@ let run ?(assumes = []) ?cancel ?publish (graph : Supergraph.t) (loops : Loops.i
   let solution =
     try
       FP.solve ~propagate:(propagate_of ctx graph) ?cancel ~force_widen_after:40
-        ~budget:(budget loops p) p
+        ~budget:(200 * p.FP.num_nodes * (1 + Array.length loops.Loops.loops))
+        p
     with Failure _ -> failwith "value analysis did not converge"
   in
   let node_in = Array.init p.FP.num_nodes solution.FP.in_state in
   let node_out = Array.init p.FP.num_nodes solution.FP.out_state in
   finish ?publish ctx graph node_in node_out solution
 
-(* ---- Component-scheduled solve -------------------------------------- *)
+(* The frozen benchmark's entry point: the whole-program solve. *)
+type slice = |
 
-let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
-    (loops : Loops.info) =
-  let n = Array.length graph.Supergraph.nodes in
-  (* Per-node registrations, for the summary rows: a solved node records the
-     ones its transfers make ([current_node] is the node being
-     transferred), an applied one takes them from its row. *)
-  let current_node = ref (-1) in
-  let node_linkage : int list array = Array.make n [] in
-  let ctx =
-    chronological_ctx graph.Supergraph.program ~on_register:(fun a ->
-        let nd = !current_node in
-        if nd >= 0 && not (List.mem a node_linkage.(nd)) then
-          node_linkage.(nd) <- a :: node_linkage.(nd))
-  in
-  let p = problem ~on_transfer:(fun i -> current_node := i) ~assumes ctx graph loops in
-  let plan =
-    Wcet_cfg.Callgraph.condense ~num_nodes:n ~entries:[ graph.Supergraph.entry ] ~succs:p.FP.succs
-  in
-  (* An applied node takes its registrations from its slice. They enter the
-     chronological table, attributed to no transferred node, before the
-     component's out-states propagate. *)
-  let on_apply (slice : Summary.slice) m =
-    current_node := -1;
-    node_linkage.(m) <- slice.Summary.linkage m;
-    List.iter ctx.register_linkage node_linkage.(m)
-  in
-  let solution, pinfo =
-    try
-      FP.solve_plan
-        ?rows:(Option.map (fun (s : Summary.slice) -> s.Summary.rows) slice)
-        ?on_apply:(Option.map on_apply slice)
-        ?cancel
-        ~propagate:(propagate_of ctx graph)
-        ~force_widen_after:40 ~budget:(budget loops p) ~plan p
-    with Failure _ -> failwith "value analysis did not converge"
-  in
-  let node_in = Array.init n solution.FP.in_state in
-  let node_out = Array.init n solution.FP.out_state in
-  (* The recording pass sees the complete linkage set; registrations were
-     already attributed (solved components during their transfers, applied
-     ones from their rows), so replay registers nothing. *)
-  let result =
-    finish ?publish { ctx with register_linkage = ignore } graph node_in node_out solution
-  in
-  Summary.account Summary.Value graph plan pinfo;
-  (result, { Summary.ext_input = pinfo.Wcet_util.Fixpoint.ext_input; node_linkage })
+let run_scheduled ?assumes ?slice:(_ : slice option) ?cancel ?publish graph loops =
+  (run ?assumes ?cancel ?publish graph loops, ())
 
 (* ---- Octagon escalation --------------------------------------------- *)
 
@@ -550,7 +493,6 @@ module FP2 = Wcet_util.Fixpoint.Make (struct
   type t = pstate
 
   let leq a b = State.leq a.pst b.pst && Octagon.leq a.poct b.poct
-  let equal a b = leq a b && leq b a
   let join a b = { pst = State.join a.pst b.pst; poct = Octagon.join a.poct b.poct }
   let widen a b = { pst = State.widen a.pst b.pst; poct = Octagon.widen a.poct b.poct }
 end)

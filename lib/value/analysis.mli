@@ -23,12 +23,10 @@ type result = {
 
 (** [run ?assumes graph loops] — [assumes] are trusted initial
     memory facts (address, interval) from annotations (the paper's
-    design-level information). The whole-program solve on the shared
-    fixpoint engine's reverse-postorder worklist, used to resolve indirect
-    control flow and as the reference the analyzer's [verify] compares
-    {!run_scheduled} against. [cancel] is the cooperative cancellation
-    token of the underlying solver: when it trips,
-    {!Wcet_util.Fixpoint.Cancelled} escapes. *)
+    design-level information). One whole-program solve on the shared
+    fixpoint engine's reverse-postorder worklist. [cancel] is the
+    cooperative cancellation token of the underlying solver: when it
+    trips, {!Wcet_util.Fixpoint.Cancelled} escapes. *)
 val run :
   ?assumes:(int * Aval.t) list ->
   ?cancel:(unit -> bool) ->
@@ -37,28 +35,18 @@ val run :
   Wcet_cfg.Loops.info ->
   result
 
-(** [run_scheduled ?assumes ?slice graph loops] solves the same problem one
-    strongly connected component at a time, bottom-up over the call-graph
-    condensation ({!Wcet_cfg.Callgraph.condense} +
-    {!Wcet_util.Fixpoint.Make.solve_plan}). [slice] offers recorded rows;
-    the engine applies a component from them, without transferring a
-    single node, when every member has a row recorded under an external
-    input equal ({!Summary.equal_state}) to the one delivered this run,
-    and the slice's linkage words are replayed for every applied member.
-    The analyzer passes no [slice] (the persistent store keeps
-    whole-program reports only); the benchmark's replay still does. The
-    summary accounting is published through {!Summary.account}.
+(** Frozen stub for the benchmark's replay, which still names it:
+    [slice] has no values and [run_scheduled] is {!run}. *)
+type slice = |
 
-    Returns the {!result} plus the {!Summary.info} needed to persist fresh
-    rows (external inputs, linkage registrations). *)
 val run_scheduled :
   ?assumes:(int * Aval.t) list ->
-  ?slice:Summary.slice ->
+  ?slice:slice ->
   ?cancel:(unit -> bool) ->
   ?publish:bool ->
   Wcet_cfg.Supergraph.t ->
   Wcet_cfg.Loops.info ->
-  result * Summary.info
+  result * unit
 
 (** When a run may later be escalated, pass [~publish:false] above and
     publish the [value_accesses] precision counters once, from whichever

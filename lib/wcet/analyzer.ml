@@ -35,10 +35,10 @@ let m_scc_count =
   Metrics.gauge ~name:"scc_count"
     ~help:"Strongly connected components of the analyzed program's call graph" ()
 
-(* The fixpoint engine that drives the value and cache analyses: a
-   bottom-up component-scheduled solve over the call-graph condensation.
-   The classic whole-program solve survives only as [verify]'s reference.
-   The name is a report-cache key component. *)
+(* The fixpoint engine that drives the value and cache analyses: one
+   whole-program solve each. The type has one constructor and its name
+   ("summary", after a component-scheduled engine since removed) stays
+   only as a report-cache key component. *)
 type engine = Summary
 
 let engine_name Summary = "summary"
@@ -388,11 +388,11 @@ let validate_loop_places c program (annot : Annot.t) =
       | Annot.At_addr _ -> ())
     annot.Annot.loop_bounds
 
-(* [verify] runs every reference cross-check (see analyzer.mli): summary
-   vs whole-program states (E0204), octagon-refined vs interval states and
-   bound (E0503), and the portfolio's certified-witness check with csolve
-   as the structural witness and, on a fact-free spec, the simplex as the
-   oracle of IPET's forest answer (E0303). *)
+(* [verify] runs every reference cross-check (see analyzer.mli):
+   octagon-refined vs interval states and bound (E0503), and the
+   portfolio's certified-witness check with csolve as the structural
+   witness and, on a fact-free spec, the simplex as the oracle of IPET's
+   forest answer (E0303). *)
 let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   (* The token reaches the value/cache fixpoints (polled per transfer); the
      remaining phases poll it at their boundary so a deadline that expires
@@ -453,7 +453,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   let value, derived_bounds =
     timed phases Loop_value (fun () ->
         match
-          let value, _ = Analysis.run_scheduled ~assumes ?cancel ~publish graph loops in
+          let value = Analysis.run ~assumes ?cancel ~publish graph loops in
           (value, Loop_bounds.analyze value loops)
         with
         | result -> result
@@ -683,52 +683,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
   in
   check_cancel ();
   let region_hints = region_hint_table c program annot graph in
-  let cache, _ =
-    timed phases Cache (fun () -> Cache_analysis.run_scheduled ?cancel hw value ~region_hints)
-  in
-  (* Summary cross-check: re-solve whole-program and require semantic state
-     equality at every node. Divergence means the component schedule lost
-     or reordered dataflow — fail loudly rather than risk an unsound
-     bound. (Skipped under an escalation: the states downstream are
-     refined, so a whole-program interval solve is no longer the baseline;
-     the interval re-analysis of part 2 below runs this check instead.) *)
-  if verify && escalation = None then begin
-    let eq_opt eq a b =
-      match (a, b) with
-      | None, None -> true
-      | Some a, Some b -> eq a b
-      | None, Some _ | Some _, None -> false
-    in
-    let wp_value = Analysis.run ~assumes ~publish:false graph loops in
-    let n = Array.length graph.Supergraph.nodes in
-    for i = 0 to n - 1 do
-      if
-        (not
-           (eq_opt Wcet_value.Summary.equal_state value.Analysis.node_in.(i)
-              wp_value.Analysis.node_in.(i)))
-        || not
-             (eq_opt Wcet_value.Summary.equal_state value.Analysis.node_out.(i)
-                wp_value.Analysis.node_out.(i))
-      then
-        fatal c Diag.Loop_value ~code:"E0204"
-          ~loc:(Diag.in_func graph.Supergraph.nodes.(i).Supergraph.func)
-          "summary-engine value state diverges from the whole-program solve at node %d" i
-    done;
-    let wp_cache = Cache_analysis.run hw wp_value ~region_hints in
-    for i = 0 to n - 1 do
-      if
-        (not
-           (eq_opt Cache_analysis.equal_cstate cache.Cache_analysis.node_in.(i)
-              wp_cache.Cache_analysis.node_in.(i)))
-        || not
-             (eq_opt Cache_analysis.equal_cstate cache.Cache_analysis.node_out.(i)
-                wp_cache.Cache_analysis.node_out.(i))
-      then
-        fatal c Diag.Cache ~code:"E0204"
-          ~loc:(Diag.in_func graph.Supergraph.nodes.(i).Supergraph.func)
-          "summary-engine cache state diverges from the whole-program solve at node %d" i
-    done
-  end;
+  let cache = timed phases Cache (fun () -> Cache_analysis.run ?cancel hw value ~region_hints) in
   check_cancel ();
   let persistence =
     timed ~span:"persistence" phases Cache (fun () ->

@@ -125,10 +125,9 @@ type report = {
   phase_seconds : (phase * float) list;
 }
 
-(** Fixpoint engine for the value and cache analyses. [Summary] condenses
-    the call graph into strongly connected components and solves them
-    bottom-up, one at a time, with the same transfers as the classic
-    whole-program solve, which is kept only as [verify]'s reference. *)
+(** Fixpoint engine for the value and cache analyses: one whole-program
+    solve each ({!Wcet_util.Fixpoint.Make.solve}). The single constructor
+    keeps its historical name only as a report-cache key component. *)
 type engine = Summary
 
 (** ["summary"]: the engine component of report-cache keys. *)
@@ -160,8 +159,6 @@ val engine_name : engine -> string
     [verify] (default [false]) re-runs the reference configuration and
     compares, aborting on any divergence; bound, verdict and transfer
     counts are unchanged. It checks:
-    - summary-engine value and cache states against a whole-program solve
-      at every node (E0204);
     - an octagon escalation's refined states against the interval states
       at every node, and its bound against a full interval re-analysis
       (E0503);

@@ -94,7 +94,8 @@ val save_report :
     returns [None], and the other three can never be called. They exist
     only because the benchmark's replay ([perfbench/ocaml/bench.ml] and
     [perfbench/ocaml/replay.ml]) calls them, and they go in the benchmark
-    change that also drops [run_scheduled ?slice]. *)
+    change that also drops the [run_scheduled ?slice] stubs of
+    {!Wcet_value.Analysis} and {!Wcet_cache.Cache_analysis}. *)
 
 type slices = |
 
@@ -106,7 +107,5 @@ val load_slices :
   slices option
 
 val hit_functions : slices -> string list
-val value_slice : slices -> Wcet_value.Summary.slice
-
-val cache_slice :
-  slices -> Wcet_value.Analysis.result -> Wcet_cache.Cache_analysis.summary_slice
+val value_slice : slices -> Wcet_value.Analysis.slice
+val cache_slice : slices -> Wcet_value.Analysis.result -> Wcet_cache.Cache_analysis.slice

@@ -439,46 +439,6 @@ let test_marshal_round_trip () =
         pool);
   Alcotest.(check bool) "states compared" true (!compared > 1000)
 
-(* [equal_cstate] decides [leq] both ways in one pass, on random pairs of
-   instruction/data cache states: walk states, their joins (equal to one
-   side when the other is below it) and their unknown-access successors
-   (equal when they differed only in may lines). *)
-let test_equal_cstate () =
-  let module Cstate = Wcet_cache.Cache_analysis.Cstate in
-  let rng = Pcg.create ~seed:3301L () in
-  let cfg = Cache_config.make ~sets:4 ~assoc:2 ~line_bytes:16 in
-  let states = ref [ Acache.empty cfg ] in
-  for _ = 1 to 300 do
-    let s = List.nth !states (Pcg.next_int rng (List.length !states)) in
-    let s =
-      match Pcg.next_int rng 6 with
-      | 0 -> Acache.access_unknown s
-      | 1 -> Acache.join s (List.nth !states (Pcg.next_int rng (List.length !states)))
-      | _ -> Acache.access s (Pcg.next_int rng 12)
-    in
-    states := s :: !states
-  done;
-  let states = Array.of_list !states in
-  let pick () = states.(Pcg.next_int rng (Array.length states)) in
-  let equal = ref 0 and unequal = ref 0 in
-  for _ = 1 to 5000 do
-    let ic = pick () and dc = pick () in
-    let ic', dc' =
-      match Pcg.next_int rng 3 with
-      | 0 -> (pick (), pick ())
-      | 1 -> (Acache.join ic (pick ()), dc)
-      | _ -> (Acache.access_unknown ic, Acache.access_unknown dc)
-    in
-    let ic, dc = if Pcg.next_bool rng then (Acache.access_unknown ic, dc) else (ic, dc) in
-    let a = { Cstate.ic = Some ic; dc = Some dc } and b = { Cstate.ic = Some ic'; dc = Some dc' } in
-    let expected = Cstate.leq a b && Cstate.leq b a in
-    if Wcet_cache.Cache_analysis.equal_cstate a b <> expected then
-      Alcotest.failf "equal_cstate %b on %a, %a vs %a, %a" (not expected) Acache.pp ic Acache.pp dc
-        Acache.pp ic' Acache.pp dc';
-    incr (if expected then equal else unequal)
-  done;
-  Alcotest.(check bool) "both outcomes" true (!equal > 200 && !unequal > 200)
-
 (* --- cache config --- *)
 
 let test_config_lines () =
@@ -508,7 +468,6 @@ let () =
           Alcotest.test_case "no-op access vs full rebuild" `Quick test_fast_path_vs_rebuild;
           Alcotest.test_case "set-indexed vs map reference" `Quick test_set_indexed_vs_reference;
           Alcotest.test_case "marshal round trip" `Quick test_marshal_round_trip;
-          Alcotest.test_case "equal_cstate is leq both ways" `Quick test_equal_cstate;
         ] );
       ("config", [ Alcotest.test_case "geometry" `Quick test_config_lines ]);
     ]

@@ -1,7 +1,5 @@
-(* Tests for the call-graph condensation (lib/cfg/callgraph) and the
-   summary-based scheduled analyses built on it: the function-level SCC
-   count and the corpus-wide property that the summary
-   engine and the whole-program reference solve agree state by state. *)
+(* Tests for the call-graph condensation (lib/cfg/callgraph): the
+   function-level SCC count behind the [scc_count] metric. *)
 
 module Compile = Minic.Compile
 module Analyzer = Wcet_core.Analyzer
@@ -55,21 +53,6 @@ let test_unreachable_function_skipped () =
   in
   Alcotest.(check int) "two SCCs (used, main)" 2 (Callgraph.function_scc_count (graph_of source))
 
-(* --- corpus-wide engine equivalence --- *)
-
-(* Under verify, the whole-program reference solve runs beside the summary
-   engine and every node's state is compared (E0204); the interval domain
-   never escalates, so every analyzed scenario reaches the comparison, and
-   verifying changes no bound. *)
-let test_corpus_engines_agree () =
-  let compared = ref 0 in
-  Verify_sweep.sweep ~domain:Wcet_value.Analysis.Interval (fun o ->
-      Alcotest.(check bool)
-        (o.Verify_sweep.where ^ ": the whole-program reference solve ran")
-        true o.Verify_sweep.reference_ran;
-      incr compared);
-  Alcotest.(check bool) "summary states compared (E0204)" true (!compared > 0)
-
 let () =
   Alcotest.run "callgraph"
     [
@@ -81,6 +64,4 @@ let () =
           Alcotest.test_case "unreachable function skipped" `Quick
             test_unreachable_function_skipped;
         ] );
-      ( "engine equivalence",
-        [ Alcotest.test_case "corpus bounds identical" `Slow test_corpus_engines_agree ] );
     ]

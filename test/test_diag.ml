@@ -44,9 +44,12 @@ let test_codes_unique () =
     (List.length codes)
     (List.length (List.sort_uniq compare codes))
 
+(* E0204 compared a component-scheduled solve with the whole-program one;
+   the analyzer runs only the whole-program solve, so it is retired. *)
 let test_describe () =
   Alcotest.(check bool) "W0301 documented" true (Diag.describe "W0301" <> None);
-  Alcotest.(check (option string)) "unknown code" None (Diag.describe "E9999")
+  Alcotest.(check (option string)) "unknown code" None (Diag.describe "E9999");
+  Alcotest.(check bool) "E0204 retired" true (Diag.describe "E0204" = None)
 
 (* The codes this PR introduced: environment-variable validation and the
    persistent analysis cache's degradation warnings. *)

@@ -1,8 +1,8 @@
 (* Tests for the shared fixpoint engine (RPO priority worklist) and the
    domain pool: worklist determinism, widening-delay behavior, the
-   whole-program solve's pinned work counts, the component schedule against
-   the one-component plan, and parallel-vs-serial equality of the sharded
-   histogram and the E1/E2 corpus tables. *)
+   whole-program solve's pinned work counts, its budget and cancellation,
+   and parallel-vs-serial equality of the sharded histogram and the E1/E2
+   corpus tables. *)
 
 module Fixpoint = Wcet_util.Fixpoint
 module Parallel = Wcet_util.Parallel
@@ -15,7 +15,6 @@ module Bits = struct
   type t = int
 
   let leq a b = a land b = a
-  let equal = Int.equal
   let join = ( lor )
   let widen = ( lor )
 end
@@ -128,7 +127,6 @@ module Counter = struct
 
   let top = 1_000_000
   let leq a b = a <= b
-  let equal = Int.equal
   let join = max
   let widen a b = if b > a then top else a
 end
@@ -167,7 +165,7 @@ let test_widening_delay () =
     (fast.FPC.transfers <= slow.FPC.transfers)
 
 (* Two sibling counter loops below one entry: 0 -> {1, 3}, 1 <-> 2 and
-   3 <-> 4, each loop its own component. *)
+   3 <-> 4. *)
 let sibling_loops_problem () =
   let succs = function
     | 0 -> [ 1; 3 ]
@@ -186,9 +184,8 @@ let sibling_loops_problem () =
     widening_delay = 4;
   }
 
-(* The whole-program solve's work on the ladder and counter problems, as
-   recorded from the engine before [solve] became the one-component plan of
-   [solve_plan]: (transfers, widenings, joins, max_pending). *)
+(* The whole-program solve's work on the ladder and counter problems:
+   (transfers, widenings, joins, max_pending). *)
 let check_counts what (t, w, j, mp) (transfers, widenings, joins, max_pending) =
   Alcotest.(check (list int))
     (what ^ ": transfers, widenings, joins, max_pending")
@@ -225,135 +222,52 @@ let test_budget () =
   let exhausted = Failure "fixpoint did not converge within budget" in
   Alcotest.check_raises "budget exhausted" exhausted (fun () ->
       ignore (FPC.solve ~budget:3 (counter_problem ~widening_delay:1000)));
-  (* The budget caps the transfers of the whole solve, so the scheduled
-     solve must not let each sibling component spend it on its own. *)
+  (* The budget caps the transfers of the whole solve, both loops included:
+     one transfer short fails, the exact count suffices. *)
   let p = sibling_loops_problem () in
-  let plan = Wcet_cfg.Callgraph.condense ~num_nodes:5 ~entries:[ 0 ] ~succs:p.FPC.succs in
   let needed = (FPC.solve p).FPC.transfers in
   Alcotest.check_raises "solve: one transfer short" exhausted (fun () ->
       ignore (FPC.solve ~budget:(needed - 1) p));
-  Alcotest.check_raises "solve_plan: one transfer short" exhausted (fun () ->
-      ignore (FPC.solve_plan ~budget:(needed - 1) ~plan p));
-  Alcotest.(check int) "same transfers at the exact budget"
+  Alcotest.(check int) "the exact budget suffices" needed
     (FPC.solve ~budget:needed p).FPC.transfers
-    (fst (FPC.solve_plan ~budget:needed ~plan p)).FPC.transfers
 
-(* --- component-scheduled solve (solve_plan) --- *)
-
-let ladder_plan () =
-  let p = ladder_problem () in
-  let plan =
-    Wcet_cfg.Callgraph.condense ~num_nodes:p.FP.num_nodes ~entries:[ 0 ] ~succs:p.FP.succs
-  in
-  (p, plan)
-
-let test_plan_shape () =
-  let p, plan = ladder_plan () in
-  (* the loop 10-12 is one component; topological ids along every edge *)
-  Alcotest.(check bool) "loop collapses to one component" true
-    (plan.Fixpoint.plan_comp_of.(10) = plan.Fixpoint.plan_comp_of.(11)
-    && plan.Fixpoint.plan_comp_of.(11) = plan.Fixpoint.plan_comp_of.(12));
-  for u = 0 to 12 do
-    List.iter
-      (fun v ->
-        if plan.Fixpoint.plan_comp_of.(u) <> plan.Fixpoint.plan_comp_of.(v) then
-          Alcotest.(check bool)
-            (Printf.sprintf "edge %d -> %d crosses upward" u v)
-            true
-            (plan.Fixpoint.plan_comp_of.(u) < plan.Fixpoint.plan_comp_of.(v)))
-      (p.FP.succs u)
+(* A token that trips on its k-th poll stops the solve after at most k
+   transfers; one that never trips in time changes nothing. The daemon's
+   per-request deadlines rest on this. *)
+let test_cancel () =
+  let whole = FP.solve (ladder_problem ()) in
+  for k = 1 to whole.FP.transfers + 1 do
+    let polls = ref 0 and transferred = ref 0 in
+    let cancel () =
+      incr polls;
+      !polls >= k
+    in
+    let p = ladder_problem () in
+    let p =
+      {
+        p with
+        FP.transfer =
+          (fun n s ->
+            incr transferred;
+            p.FP.transfer n s);
+      }
+    in
+    match FP.solve ~cancel p with
+    | exception Fixpoint.Cancelled ->
+      Alcotest.(check bool)
+        (Printf.sprintf "trip on poll %d: %d transfers" k !transferred)
+        true (!transferred <= k)
+    | r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "poll %d is past the last transfer" k)
+        true (k > whole.FP.transfers);
+      Alcotest.(check int) "uncancelled transfer count" whole.FP.transfers r.FP.transfers;
+      for n = 0 to 12 do
+        Alcotest.(check (option int))
+          (Printf.sprintf "uncancelled state at %d" n)
+          (whole.FP.in_state n) (r.FP.in_state n)
+      done
   done
-
-let test_solve_plan_matches_solve () =
-  (* [solve] is the one-component plan; the condensed plan splits the
-     ladder into its diamonds' nodes and the loop *)
-  let p, plan = ladder_plan () in
-  let whole = FP.solve p in
-  let sched, info = FP.solve_plan ~plan p in
-  Alcotest.(check bool) "condensed plan has several components" true
-    (Array.length plan.Fixpoint.plan_comps > 1);
-  for n = 0 to 12 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "same in-state at %d" n)
-      (whole.FP.in_state n) (sched.FP.in_state n);
-    Alcotest.(check (option int))
-      (Printf.sprintf "same out-state at %d" n)
-      (whole.FP.out_state n) (sched.FP.out_state n)
-  done;
-  (* cold bit-identity: the component schedule replays the one-component
-     plan's pop order, so the work counts agree exactly *)
-  Alcotest.(check int) "same transfer count" whole.FP.transfers sched.FP.transfers;
-  Alcotest.(check int) "same widening count" whole.FP.widenings sched.FP.widenings;
-  Alcotest.(check int) "same join count" whole.FP.joins sched.FP.joins;
-  Alcotest.(check bool) "nothing applied without a summary" true
-    (Array.for_all not info.Fixpoint.applied)
-
-(* Rows recorded by a cold run: every node's converged (in, out) states
-   under the inbox it received, as the persistent store replays them. *)
-let recorded_rows (cold : FP.result) (info : int Fixpoint.plan_info) m =
-  Some
-    {
-      Fixpoint.input = info.Fixpoint.ext_input.(m);
-      states =
-        (match (cold.FP.in_state m, cold.FP.out_state m) with
-        | Some i, Some o -> Some (i, o)
-        | _ -> None);
-    }
-
-let test_solve_plan_applies_summary () =
-  let p, plan = ladder_plan () in
-  let first, info0 = FP.solve_plan ~plan p in
-  (* offer every component the rows recorded under this run's external
-     inputs — the warm-run case of the scheduled analyses *)
-  let second, info = FP.solve_plan ~rows:(recorded_rows first info0) ~plan p in
-  Alcotest.(check int) "warm run transfers nothing" 0 second.FP.transfers;
-  for n = 0 to 12 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "state %d restored" n)
-      (first.FP.in_state n) (second.FP.in_state n)
-  done;
-  Array.iteri
-    (fun cid applied ->
-      let active =
-        Array.exists (fun m -> first.FP.in_state m <> None) plan.Fixpoint.plan_comps.(cid)
-      in
-      if active then
-        Alcotest.(check bool) (Printf.sprintf "component %d applied" cid) true applied)
-    info.Fixpoint.applied
-
-(* The engine owns the summary rule: rows recorded under another inbox, or
-   missing for one member, leave the component to be solved — with exactly
-   the cold solve's transfers — while every other component is applied. *)
-let test_solve_plan_rejects_rows () =
-  let p, plan = ladder_plan () in
-  let cold, info0 = FP.solve_plan ~plan p in
-  let loop = plan.Fixpoint.plan_comp_of.(10) in
-  let check_rejected what rows =
-    let warm, info = FP.solve_plan ~rows ~plan p in
-    Alcotest.(check bool) (what ^ ": loop component solved") false info.Fixpoint.applied.(loop);
-    Alcotest.(check int) (what ^ ": cold transfer count")
-      info0.Fixpoint.per_comp_transfers.(loop) info.Fixpoint.per_comp_transfers.(loop);
-    Alcotest.(check int) (what ^ ": only the loop transfers")
-      info0.Fixpoint.per_comp_transfers.(loop) warm.FP.transfers;
-    for n = 0 to 12 do
-      Alcotest.(check (option int))
-        (Printf.sprintf "%s: state %d" what n)
-        (cold.FP.in_state n) (warm.FP.in_state n)
-    done;
-    Array.iteri
-      (fun cid applied ->
-        if cid <> loop then
-          Alcotest.(check bool) (Printf.sprintf "%s: component %d applied" what cid) true applied)
-      info.Fixpoint.applied
-  in
-  let rows = recorded_rows cold info0 in
-  (* node 10 is the loop's entry: the only member with an inbox *)
-  check_rejected "other inbox" (fun m ->
-      if m = 10 then
-        Option.map (fun r -> { r with Fixpoint.input = Some 0x100 }) (rows m)
-      else rows m);
-  (* node 11 only sees intra-component dataflow: its row is still required *)
-  check_rejected "missing row" (fun m -> if m = 11 then None else rows m)
 
 (* --- domain pool --- *)
 
@@ -416,15 +330,7 @@ let () =
           Alcotest.test_case "widening delay" `Quick test_widening_delay;
           Alcotest.test_case "solve counts pinned" `Quick test_solve_counts_pinned;
           Alcotest.test_case "budget" `Quick test_budget;
-        ] );
-      ( "scheduled",
-        [
-          Alcotest.test_case "plan shape" `Quick test_plan_shape;
-          Alcotest.test_case "solve_plan = solve (cold bit-identity)" `Quick
-            test_solve_plan_matches_solve;
-          Alcotest.test_case "summary application" `Quick test_solve_plan_applies_summary;
-          Alcotest.test_case "rows under another input are solved" `Quick
-            test_solve_plan_rejects_rows;
+          Alcotest.test_case "cancel stops within k transfers" `Quick test_cancel;
         ] );
       ( "pool",
         [

@@ -256,12 +256,6 @@ let pinned_names =
     "sim_instructions";
     "sim_stall_cycles";
     "simplex_pivots";
-    "summary_computes{analysis=cache}";
-    "summary_computes{analysis=value}";
-    "summary_hits{analysis=cache}";
-    "summary_hits{analysis=value}";
-    "summary_scc_transfers{analysis=cache}";
-    "summary_scc_transfers{analysis=value}";
     "trace_events_dropped";
     "value_accesses{precision=exact}";
     "value_accesses{precision=interval}";

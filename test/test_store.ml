@@ -457,9 +457,9 @@ let test_version_bump_invalidates () =
 
 let test_verify_skips_report_hit () =
   (* A report hit would skip every cross-check, so a verified analysis never
-     reads one: the second run on a warm store analyzes from scratch again
-     and runs the whole-program reference solve. It still writes its
-     report, which a plain run then hits. *)
+     reads one: the second run on a warm store analyzes from scratch again,
+     with the transfers of the first. It still writes its report, which a
+     plain run then hits. *)
   with_cache (fun _dir ->
       let program = Compile.compile quickstart_like in
       let metric name =
@@ -473,9 +473,9 @@ let test_verify_skips_report_hit () =
           let second = Analyzer.analyze ~verify:true program in
           Alcotest.(check int) "no report hit under verify" hits0
             (metric "cache_store_hits{granularity=program}");
-          let warm = second.Analyzer.value.Wcet_value.Analysis.transfers in
-          Alcotest.(check bool) "the reference solve still ran" true
-            (metric "fixpoint_transfers{analysis=value}" - transfers0 > warm);
+          Alcotest.(check int) "the second run solved from scratch"
+            first.Analyzer.value.Wcet_value.Analysis.transfers
+            (metric "fixpoint_transfers{analysis=value}" - transfers0);
           Alcotest.(check int) "same bound" first.Analyzer.wcet second.Analyzer.wcet;
           ignore (Analyzer.analyze program);
           Alcotest.(check int) "a plain run hits the verified report" (hits0 + 1)

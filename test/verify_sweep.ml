@@ -1,6 +1,5 @@
-(* The analyzer's [verify] mode over the whole corpus, shared by three
-   tests that each assert one of its cross-checks: summary vs whole-program
-   states (E0204, test_callgraph), octagon vs interval (E0503,
+(* The analyzer's [verify] mode over the whole corpus, shared by the tests
+   that each assert one of its cross-checks: octagon vs interval (E0503,
    test_octagon) and the path witness with the portfolio never worse than
    IPET (E0303, test_path). Every scenario is analyzed once plain and once
    verified; verifying must pass and change nothing a user observes. *)
@@ -12,13 +11,7 @@ module Analysis = Wcet_value.Analysis
 module Cache_analysis = Wcet_cache.Cache_analysis
 module Corpus = Wcet_corpus.Corpus
 module Diag = Wcet_diag.Diag
-module Metrics = Wcet_obs.Metrics
 module Obs = Wcet_obs.Obs
-
-let value_transfers () =
-  match Metrics.find "fixpoint_transfers{analysis=value}" with
-  | Some (Metrics.Counter_value n) -> n
-  | _ -> 0
 
 let codes ds = List.map (fun (d : Diag.t) -> d.Diag.code) ds
 
@@ -37,10 +30,8 @@ let observable = function
           r.Analyzer.backend_runs,
         codes r.Analyzer.diagnostics )
 
-(* One verified scenario that analyzed successfully. [reference_ran] says
-   the whole-program reference solve ran beside the summary engine, i.e.
-   the E0204 state comparison took place. *)
-type outcome = { where : string; report : Analyzer.report; reference_ran : bool }
+(* One verified scenario that analyzed successfully. *)
+type outcome = { where : string; report : Analyzer.report }
 
 let check_one ~where ~hw ~annot ~domain program =
   let run verify =
@@ -49,7 +40,6 @@ let check_one ~where ~hw ~annot ~domain program =
     | exception Analyzer.Analysis_failed ds -> Error ds
   in
   let plain = run false in
-  let t0 = value_transfers () in
   let verified = run true in
   if observable plain <> observable verified then
     Alcotest.failf "%s: verify changed the result%s" where
@@ -58,13 +48,12 @@ let check_one ~where ~hw ~annot ~domain program =
       | Ok _ -> "");
   match verified with
   | Error _ -> None
-  | Ok r ->
-    let reference_ran = value_transfers () - t0 > r.Analyzer.value.Analysis.transfers in
-    Some { where; report = r; reference_ran }
+  | Ok r -> Some { where; report = r }
 
 (* Both variants of every entry, with automatic and assisted annotations,
    under [domain]; [f] sees every scenario that analyzed. Runs uncached so
-   the summary engine actually solves. *)
+   every analysis actually solves, with observability on so [f] can read
+   the metrics. *)
 let sweep ~domain f =
   Report_cache.disable ();
   Obs.enable ();
