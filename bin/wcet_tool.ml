@@ -237,25 +237,10 @@ let domain_arg =
            functions whose interval results left imprecise accesses or input-dependent loop \
            bounds)")
 
-let path_backend_arg =
-  Arg.(
-    value
-    & opt (enum Wcet_path.Path_analysis.all_choices) Wcet_path.Path_analysis.Portfolio
-    & info [ "path-backend" ]
-        ~doc:
-          "Path-analysis backend: $(b,ipet) (implicit path enumeration as an ILP) or \
-           $(b,portfolio) (the default: where the value analysis shows a mode guard, race IPET \
-           against slicing plus bounded model checking, which is path-sensitive and prunes \
-           mode-infeasible paths, take the tightest sound bound, and cross-check the results \
-           as a soundness oracle — disagreement beyond attributable slack is the E0303 fatal; \
-           without a mode guard IPET runs alone)")
-
-(* The one place the CLI passes its --domain, --path-backend and --verify
-   values to the analysis commands (analyze, explain, audit). *)
+(* The one place the CLI passes its --domain and --verify values to the
+   analysis commands (analyze, explain, audit). *)
 let config_term =
-  Term.(
-    const (fun domain path_backend verify -> { Handlers.domain; path_backend; verify })
-    $ domain_arg $ path_backend_arg $ verify_arg)
+  Term.(const (fun domain verify -> { Handlers.domain; verify }) $ domain_arg $ verify_arg)
 
 (* The bound-drift ledger: `analyze --ledger` and `check --ledger` append
    one snapshot per run; `ledger report`/`ledger diff` read the series
@@ -517,13 +502,7 @@ let suggest_cmd =
     handle_errors (fun () ->
         cache_setup ~cache_dir ~no_cache;
         (* suggest takes no analysis flags: it runs the library defaults. *)
-        let config =
-          {
-            Handlers.domain = Wcet_value.Analysis.Interval;
-            path_backend = Wcet_path.Path_analysis.Portfolio;
-            verify = false;
-          }
-        in
+        let config = { Handlers.domain = Wcet_value.Analysis.Interval; verify = false } in
         match Handlers.analyze { Handlers.source; annot = None; hw; soft_div; config } with
         | Ok report -> (
           match report.Analyzer.verdict with
@@ -705,8 +684,8 @@ let check_cmd =
          "Cross-validate analyzer soundness over the corpus (simulated cycles vs bounds) and \
           run the fault-injection robustness campaigns (toolchain inputs, on-disk cache store, \
           and the analysis daemon's wire protocol). With $(b,--verify), every complete \
-          scenario is also re-analyzed IPET-only (the portfolio bound may never exceed it, \
-          E0303) and the per-backend bounds join the $(b,--ledger) metrics")
+          scenario's portfolio bound is checked against its own IPET run (it may never \
+          exceed it, E0303) and the per-backend bounds join the $(b,--ledger) metrics")
     Term.(const run $ seed_arg $ random_arg $ faults_arg $ store_faults_arg $ daemon_faults_arg
           $ format_arg $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg $ verify_arg
           $ ledger_arg)

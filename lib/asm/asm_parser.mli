@@ -1,8 +1,7 @@
 (** Textual PRED32 assembly parser.
 
-    Accepts the same surface syntax {!Ast.pp_unit} prints, so hand-written
-    or dumped assembly can be fed back to the assembler (and to the WCET
-    tool on [.s] files):
+    Accepts the surface syntax below, so hand-written assembly can be fed
+    to the assembler (and to the WCET tool on [.s] files):
 
     {v
     .func main

@@ -17,37 +17,3 @@ type placement = In_ram | In_scratch | In_rom
 type chunk = Func of string * item list | Data of string * placement * datum list
 
 type unit_ = chunk list
-
-let pp_item ppf = function
-  | Label l -> Format.fprintf ppf "%s:" l
-  | Raw i -> Format.fprintf ppf "  %a" Pred32_isa.Insn.pp i
-  | Li (r, n) -> Format.fprintf ppf "  li %a, %d" Pred32_isa.Reg.pp r n
-  | La (r, s) -> Format.fprintf ppf "  la %a, %s" Pred32_isa.Reg.pp r s
-  | Bc (c, r1, r2, l) ->
-    Format.fprintf ppf "  %a %a, %a, %s" Pred32_isa.Insn.pp_cond c Pred32_isa.Reg.pp r1
-      Pred32_isa.Reg.pp r2 l
-  | J l -> Format.fprintf ppf "  j %s" l
-  | Call_sym s -> Format.fprintf ppf "  call %s" s
-  | Comment s -> Format.fprintf ppf "  ; %s" s
-
-let pp_datum ppf = function
-  | Word n -> Format.fprintf ppf "  .word %d" n
-  | Zeros n -> Format.fprintf ppf "  .zeros %d" n
-  | Addr_of s -> Format.fprintf ppf "  .addr %s" s
-
-let placement_name = function
-  | In_ram -> "ram"
-  | In_scratch -> "scratch"
-  | In_rom -> "rom"
-
-let pp_chunk ppf = function
-  | Func (name, items) ->
-    Format.fprintf ppf "@[<v>.func %s@,%a@]" name (Format.pp_print_list pp_item) items
-  | Data (name, placement, data) ->
-    Format.fprintf ppf "@[<v>.data %s (%s)@,%a@]" name (placement_name placement)
-      (Format.pp_print_list pp_datum) data
-
-let pp_unit ppf u =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@,@,") pp_chunk)
-    u

@@ -36,7 +36,3 @@ type chunk =
 (** A compilation unit: chunks in layout order. The entry function is chosen
     at link time. *)
 type unit_ = chunk list
-
-val pp_item : Format.formatter -> item -> unit
-val pp_chunk : Format.formatter -> chunk -> unit
-val pp_unit : Format.formatter -> unit_ -> unit

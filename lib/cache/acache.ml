@@ -131,18 +131,6 @@ let leq a b =
          sa == sb || (covers sa.must sb.must && (b.may_universal || covers sb.may sa.may)))
        a.sets b.sets
 
-let rec equal_lines a b =
-  match (a, b) with
-  | Nil, Nil -> true
-  | Cons x, Cons y -> x.line = y.line && x.age = y.age && equal_lines x.rest y.rest
-  | Nil, Cons _ | Cons _, Nil -> false
-
-let equal a b =
-  a.may_universal = b.may_universal
-  && Array.for_all2
-       (fun sa sb -> sa == sb || (equal_lines sa.must sb.must && equal_lines sa.may sb.may))
-       a.sets b.sets
-
 let set t i = t.sets.(i)
 let may_universal t = t.may_universal
 

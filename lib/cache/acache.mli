@@ -30,7 +30,8 @@ val access : t -> int -> t
 (** [access_unknown t] models an access to an unknown line: every set
     may age, and may-contents become unknown (classifications after it can
     no longer prove always-miss, and all must-ages grow). The may parts are
-    dropped then, so that {!equal} agrees with {!leq} both ways. *)
+    dropped then, so that states {!leq} orders both ways are also
+    structurally equal. *)
 val access_unknown : t -> t
 
 val must_contains : t -> int -> bool
@@ -40,11 +41,6 @@ val may_excludes : t -> int -> bool
 
 val join : t -> t -> t
 val leq : t -> t -> bool
-
-(** [equal a b] holds exactly when [leq a b && leq b a]. Physically equal
-    sets are skipped, but the comparison is structural: states read back
-    with [Marshal] share nothing with the states they were written from. *)
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 

@@ -297,9 +297,3 @@ type slice = |
 
 let run_scheduled ?slice:(_ : slice option) ?cancel cfg value ~region_hints =
   (run ?cancel cfg value ~region_hints, ())
-
-let pp_classification ppf = function
-  | Always_hit -> Format.pp_print_string ppf "AH"
-  | Always_miss -> Format.pp_print_string ppf "AM"
-  | Not_classified -> Format.pp_print_string ppf "NC"
-  | Bypass -> Format.pp_print_string ppf "BP"

@@ -61,5 +61,3 @@ val run_scheduled :
   Wcet_value.Analysis.result ->
   region_hints:(string -> Pred32_memory.Region.t list option) ->
   result * unit
-
-val pp_classification : Format.formatter -> classification -> unit

@@ -97,18 +97,3 @@ let build ?(extra_leaders = []) program (func : Program.func_info) =
     i := !j + 1
   done;
   List.rev !blocks
-
-let pp_term ppf = function
-  | Term_fall a -> Format.fprintf ppf "fall -> 0x%x" a
-  | Term_branch { taken; fall; _ } -> Format.fprintf ppf "branch -> 0x%x / 0x%x" taken fall
-  | Term_jump a -> Format.fprintf ppf "jump -> 0x%x" a
-  | Term_call { target; return_to } -> Format.fprintf ppf "call 0x%x, returns 0x%x" target return_to
-  | Term_call_indirect { site; return_to; _ } ->
-    Format.fprintf ppf "indirect call at 0x%x, returns 0x%x" site return_to
-  | Term_return -> Format.pp_print_string ppf "return"
-  | Term_jump_indirect { site; _ } -> Format.fprintf ppf "indirect jump at 0x%x" site
-  | Term_halt -> Format.pp_print_string ppf "halt"
-
-let pp_block ppf b =
-  Format.fprintf ppf "@[<v>block 0x%x (%d insns) %a@]" b.entry (Array.length b.insns) pp_term
-    b.term

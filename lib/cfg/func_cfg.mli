@@ -35,5 +35,3 @@ type block = {
     undecodable words). *)
 val build :
   ?extra_leaders:int list -> Pred32_asm.Program.t -> Pred32_asm.Program.func_info -> block list
-
-val pp_block : Format.formatter -> block -> unit

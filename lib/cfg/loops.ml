@@ -231,13 +231,3 @@ let innermost_loop info node =
         | Some j -> if List.length l.body < List.length info.loops.(j).body then best := Some i)
     info.loops;
   !best
-
-let pp_summary g ppf info =
-  Format.fprintf ppf "@[<v>%d loops, %d irreducible regions@," (Array.length info.loops)
-    (List.length info.irreducible);
-  Array.iter
-    (fun l ->
-      let hn = g.Supergraph.nodes.(l.header) in
-      Format.fprintf ppf "  loop @ 0x%x in %s (depth %d, %d blocks)@,"
-        hn.Supergraph.block.Func_cfg.entry hn.Supergraph.func l.depth (List.length l.body))
-    info.loops

@@ -31,5 +31,3 @@ val dominates : info -> int -> int -> bool
 
 (** [loop_of info node] is the innermost loop containing [node]. *)
 val innermost_loop : info -> int -> int option
-
-val pp_summary : Supergraph.t -> Format.formatter -> info -> unit

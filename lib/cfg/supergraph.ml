@@ -293,11 +293,3 @@ let call_string g (n : node) =
     | None -> acc
   in
   go n.ctx []
-
-let pp_node g ppf (n : node) =
-  Format.fprintf ppf "n%d[%s @ 0x%x ctx=%s]" n.id n.func n.block.Func_cfg.entry
-    (String.concat ">" (call_string g n))
-
-let pp_stats ppf g =
-  Format.fprintf ppf "%d nodes, %d contexts, entry n%d" (Array.length g.nodes)
-    (Array.length g.contexts) g.entry

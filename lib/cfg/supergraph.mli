@@ -72,6 +72,3 @@ val exits : t -> int list
 (** [call_string g node] is the chain of function names from the entry
     context to the node's context, for reporting. *)
 val call_string : t -> node -> string list
-
-val pp_node : t -> Format.formatter -> node -> unit
-val pp_stats : Format.formatter -> t -> unit

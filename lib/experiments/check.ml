@@ -82,39 +82,31 @@ let backend_metrics (report : Analyzer.report) =
     report.Analyzer.backend_runs
 
 (* The standing portfolio acceptance property: the portfolio includes IPET,
-   so its tightest-of-backends bound can never exceed the IPET-only bound.
-   A violation is the E0303 soundness bug surfaced as a check violation. *)
-let check_portfolio ~domain ~id ~variant (s : Corpus.scenario) ~annot program
-    (report : Analyzer.report) acc =
-  match
-    Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain ~path_backend:Wcet_path.Path_analysis.Ipet
-      ~verify:true program
-  with
-  | exception Analyzer.Analysis_failed _ -> acc
-  | ipet_only ->
-    if ipet_only.Analyzer.verdict = Analyzer.Complete then
-      if report.Analyzer.wcet > ipet_only.Analyzer.wcet then
-        let d =
-          Diag.make Diag.Error Diag.Check ~code:"E0303"
-            (Printf.sprintf
-               "%s/%s: portfolio bound %d exceeds the IPET-only bound %d — the tightest-bound \
-                selection is broken"
-               id variant report.Analyzer.wcet ipet_only.Analyzer.wcet)
-        in
-        { acc with violations = d :: acc.violations }
-      else if report.Analyzer.wcet < ipet_only.Analyzer.wcet then
-        { acc with portfolio_wins = acc.portfolio_wins + 1 }
-      else acc
+   so its tightest-of-backends bound can never exceed the bound of its own
+   IPET run. A violation is the E0303 soundness bug surfaced as a check
+   violation. *)
+let check_portfolio ~id ~variant (report : Analyzer.report) acc =
+  match List.find_opt (fun b -> b.Analyzer.br_name = "ipet") report.Analyzer.backend_runs with
+  | Some { Analyzer.br_bound = Some ipet; _ } ->
+    if report.Analyzer.wcet > ipet then
+      let d =
+        Diag.make Diag.Error Diag.Check ~code:"E0303"
+          (Printf.sprintf
+             "%s/%s: portfolio bound %d exceeds the IPET bound %d — the tightest-bound \
+              selection is broken"
+             id variant report.Analyzer.wcet ipet)
+      in
+      { acc with violations = d :: acc.violations }
+    else if report.Analyzer.wcet < ipet then { acc with portfolio_wins = acc.portfolio_wins + 1 }
     else acc
+  | Some { Analyzer.br_bound = None; _ } | None -> acc
 
 let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
     (s : Corpus.scenario) acc =
   let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
   let annot = s.Corpus.annotations program in
   let outcome =
-    Handlers.run
-      { Handlers.domain; path_backend = Wcet_path.Path_analysis.Portfolio; verify }
-      ~hw:s.Corpus.hw ~annot program
+    Handlers.run { Handlers.domain; verify } ~hw:s.Corpus.hw ~annot program
   in
   (* One ledger snapshot per analyzed scenario; [observed] is the worst
      halting cycle count seen across this run's input sets (None when
@@ -213,7 +205,7 @@ let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
           Ledger.metrics = (entry.Ledger.metrics @ if verify then backend_metrics report else []);
         };
       let acc = check_attribution ~id ~variant s report !acc in
-      if verify then check_portfolio ~domain ~id ~variant s ~annot program report acc
+      if verify then check_portfolio ~id ~variant report acc
       else acc)
 
 let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(verify = false)

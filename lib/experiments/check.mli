@@ -28,8 +28,8 @@ type stats = {
   simulations : int;  (** simulated runs compared against a bound *)
   attributed : int;  (** scenarios whose slack attribution summed exactly *)
   portfolio_wins : int;
-      (** scenarios where the portfolio bound was strictly below IPET-only
-          (zero unless [verify] was requested) *)
+      (** scenarios where the portfolio bound was strictly below its own
+          IPET run's (zero unless [verify] was requested) *)
   violations : Wcet_diag.Diag.t list;  (** E0601/E0804/E0303 violations *)
   diagnostics : Wcet_diag.Diag.t list;  (** W0602 inconclusive runs *)
 }
@@ -45,10 +45,10 @@ type stats = {
 
     [verify] (default off) runs every analysis under
     {!Wcet_core.Analyzer.analyze}'s reference cross-checks, and
-    additionally re-analyzes every complete scenario IPET-only and asserts
-    the portfolio bound never exceeds it (a violation surfaces under the
-    E0303 code); per-backend bounds then ride along in the ledger metrics
-    as [path_bound_<backend>]. *)
+    additionally asserts that no complete scenario's portfolio bound
+    exceeds the bound of the report's own [ipet] run (a violation surfaces
+    under the E0303 code); per-backend bounds then ride along in the
+    ledger metrics as [path_bound_<backend>]. *)
 val run :
   ?seed:int64 ->
   ?domain:Wcet_value.Analysis.domain ->

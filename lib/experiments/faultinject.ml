@@ -490,22 +490,49 @@ let send_one_frame_and_read socket_path text =
         | Error msg -> Crashed ("no reply to an injected frame: " ^ msg)
         | Ok r -> reply_outcome r))
 
+(* The seeded mutator works on a frame that names this fixed-length
+   placeholder instead of the campaign's scratch source, whose name changes
+   from run to run: so the same seed edits the same bytes on every run. The
+   real path goes in only where the placeholder survived intact; a damaged
+   one names no file, the same way on every run. *)
+let source_placeholder = "wcet-daemon-campaign-source.mc"
+
+let with_source ~src frame =
+  let n = String.length frame and m = String.length source_placeholder in
+  let rec find i =
+    if i + m > n then None
+    else if String.sub frame i m = source_placeholder then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> frame
+  | Some i ->
+    let quoted = Json.to_string (Json.String src) in
+    String.sub frame 0 i
+    ^ String.sub quoted 1 (String.length quoted - 2)
+    ^ String.sub frame (i + m) (n - i - m)
+
 let daemon_trial ~socket_path ~src rng i =
   let analyze_params = Json.Obj [ ("source", Json.String src) ] in
   let well_formed =
     strip_newlines
-      (String.trim (Proto.encode_request ~id:(Json.Int i) ~meth:"analyze" analyze_params))
+      (String.trim
+         (Proto.encode_request ~id:(Json.Int i) ~meth:"analyze"
+            (Json.Obj [ ("source", Json.String source_placeholder) ])))
   in
   match i mod 8 with
   | 0 ->
     (* mutated frame: may decode (and then run, fail, or be unknown) or be
        rejected as D0701/D0702 — all typed either way *)
-    ("malformed", send_one_frame_and_read socket_path
-                    (strip_newlines (mutate_text_n rng well_formed) ^ "\n"))
+    ( "malformed",
+      send_one_frame_and_read socket_path
+        (with_source ~src (strip_newlines (mutate_text_n rng well_formed)) ^ "\n") )
   | 1 ->
     (* truncated JSON *)
     let cut = Pcg.next_int rng (String.length well_formed) in
-    ("truncated", send_one_frame_and_read socket_path (String.sub well_formed 0 cut ^ "\n"))
+    ( "truncated",
+      send_one_frame_and_read socket_path (with_source ~src (String.sub well_formed 0 cut) ^ "\n")
+    )
   | 2 ->
     let garbage = String.init (1 + Pcg.next_int rng 64) (fun _ -> random_char rng) in
     ("not-json", send_one_frame_and_read socket_path (strip_newlines garbage ^ "\n"))

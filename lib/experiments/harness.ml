@@ -318,7 +318,7 @@ let e5_entry_row (e : Corpus.entry) =
         (match List.find_opt (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs with
         | Some b -> b.Analyzer.br_name
         | None -> "-");
-      e5_mc_gate = r.Analyzer.mc_gate;
+      e5_mc_gate = Some r.Analyzer.mc_gate;
     }
 
 let e5_rows ?domains () = Wcet_util.Parallel.map_list ?domains e5_entry_row Corpus.all

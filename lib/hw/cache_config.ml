@@ -8,7 +8,6 @@ let make ~sets ~assoc ~line_bytes =
 
 let line_of_addr t addr = addr / t.line_bytes
 let set_of_line t line = line land (t.sets - 1)
-let base_of_line t line = line * t.line_bytes
 
 let lines_of_range t ~addr ~size =
   assert (size > 0);

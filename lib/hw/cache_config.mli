@@ -14,8 +14,6 @@ val line_of_addr : t -> int -> int
 (** [set_of_line t line] is the set index the line maps to. *)
 val set_of_line : t -> int -> int
 
-val base_of_line : t -> int -> int
-
 (** [lines_of_range t ~addr ~size] enumerates the line ids an access
     [\[addr, addr+size)] touches. *)
 val lines_of_range : t -> addr:int -> size:int -> int list

@@ -20,6 +20,5 @@ let probe t line =
   let s = Cache_config.set_of_line t.cfg line in
   List.mem line t.sets.(s)
 
-let invalidate_all t = Array.fill t.sets 0 (Array.length t.sets) []
 let copy t = { cfg = t.cfg; sets = Array.copy t.sets }
 let contents t set = t.sets.(set)

@@ -16,7 +16,6 @@ val access : t -> int -> bool
 (** [probe t line] tests for presence without touching recency. *)
 val probe : t -> int -> bool
 
-val invalidate_all : t -> unit
 val copy : t -> t
 
 (** [contents t set] is the set's lines from most- to least-recently used. *)

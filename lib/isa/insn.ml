@@ -44,12 +44,6 @@ let is_block_terminator i =
   | Fallthrough -> false
   | Branch_to _ | Jump_to _ | Call_to _ | Indirect_jump | Indirect_call | Stop -> true
 
-let reads_memory = function
-  | Load _ -> true
-  | Alu _ | Alui _ | Lui _ | Store _ | Branch _ | Jump _ | Call _ | Jump_reg _ | Call_reg _
-  | Cmovnz _ | Halt | Nop | Illegal _ ->
-    false
-
 let writes_memory = function
   | Store _ -> true
   | Alu _ | Alui _ | Lui _ | Load _ | Branch _ | Jump _ | Call _ | Jump_reg _ | Call_reg _
@@ -98,7 +92,6 @@ let cond_name = function
   | Bltu -> "bltu"
   | Bgeu -> "bgeu"
 
-let pp_alu_op ppf op = Format.pp_print_string ppf (alu_op_name op)
 let pp_cond ppf c = Format.pp_print_string ppf (cond_name c)
 
 let pp ppf = function

@@ -68,7 +68,6 @@ val control_flow : t -> control_flow
     builder still splits there to attach callee timing. *)
 val is_block_terminator : t -> bool
 
-val reads_memory : t -> bool
 val writes_memory : t -> bool
 
 (** Registers read / written (architectural; [Reg.zero] writes excluded). *)
@@ -76,6 +75,5 @@ val uses : t -> Reg.t list
 
 val defs : t -> Reg.t list
 
-val pp_alu_op : Format.formatter -> alu_op -> unit
 val pp_cond : Format.formatter -> branch_cond -> unit
 val pp : Format.formatter -> t -> unit

@@ -14,10 +14,6 @@ let sp = 13
 let lr = 14
 let all = List.init 16 (fun i -> i)
 
-let temporaries =
-  let reserved = [ zero; fp; sp; lr ] in
-  List.filter (fun r -> not (List.mem r reserved)) all
-
 let name r =
   match r with
   | 12 -> "fp"

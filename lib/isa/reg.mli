@@ -27,9 +27,5 @@ val rv : t  (** [r1], return value / first scratch *)
 (** All sixteen registers in index order. *)
 val all : t list
 
-(** Registers available to the code generator as scratch/temporaries
-    (excludes [r0], [fp], [sp], [lr]). *)
-val temporaries : t list
-
 val pp : Format.formatter -> t -> unit
 val name : t -> string

@@ -34,14 +34,6 @@ let rec equal a b =
     && List.for_all2 equal a.params b.params
   | (Tint | Tunsigned | Tfloat | Tvoid | Tptr _ | Tarray _ | Tfun _), _ -> false
 
-let compatible a b =
-  match (decay a, decay b) with
-  | (Tint | Tunsigned), (Tint | Tunsigned) -> true
-  | Tfloat, Tfloat -> true
-  | Tptr _, (Tptr _ | Tint | Tunsigned) -> true
-  | (Tint | Tunsigned), Tptr _ -> true
-  | a, b -> equal a b
-
 let rec pp ppf = function
   | Tint -> Format.pp_print_string ppf "int"
   | Tunsigned -> Format.pp_print_string ppf "unsigned"

@@ -26,10 +26,5 @@ val decay : t -> t
 
 val is_arith : t -> bool
 
-(** [compatible a b] is loose C-style compatibility used for assignments and
-    argument passing: identical types, int/unsigned mixing, pointer with
-    pointer or integer. Floats only match floats. *)
-val compatible : t -> t -> bool
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -28,9 +28,6 @@ end
 type choice = Ipet | Portfolio
 
 let choice_name = function Ipet -> "ipet" | Portfolio -> "portfolio"
-let all_choices = List.map (fun c -> (choice_name c, c)) [ Ipet; Portfolio ]
-
-let choice_of_string s = List.assoc_opt s all_choices
 
 let check_identity (sol : solution) (times : int array) =
   let total = ref 0 in

@@ -56,16 +56,16 @@ module type BACKEND = sig
   val solve : spec -> Wcet_cfg.Loops.info -> (solution, error) result
 end
 
-(** Which backend(s) an analysis run uses: [Ipet] alone, or [Portfolio],
-    which races IPET and the model checker ([Mc]) where the value result
-    shows a mode guard, and runs IPET alone elsewhere. The structural
-    constraint solver ([Csolve]) never supplies a bound; [verify] runs it
-    as a witness oracle. *)
+(** A retired configuration axis, kept only because the frozen benchmark
+    driver still names it: {!Wcet_core.Analyzer.analyze} accepts
+    [Portfolio] alone. The portfolio is the only path analysis: it races
+    IPET and the model checker ([Mc]) where the value result shows a mode
+    guard, and runs IPET alone elsewhere. The structural constraint solver
+    ([Csolve]) never supplies a bound; [verify] runs it as a witness
+    oracle. *)
 type choice = Ipet | Portfolio
 
 val choice_name : choice -> string
-val choice_of_string : string -> choice option
-val all_choices : (string * choice) list
 
 (** [check_identity sol times] verifies sum(count*time) = wcet — the
     invariant [explain]'s slack attribution (E0804) rests on. Returns the

@@ -10,11 +10,7 @@ module Sim = Pred32_sim.Simulator
 
 exception Bad_params of string
 
-type config = {
-  domain : Wcet_value.Analysis.domain;
-  path_backend : Wcet_path.Path_analysis.choice;
-  verify : bool;
-}
+type config = { domain : Wcet_value.Analysis.domain; verify : bool }
 
 type request = {
   source : string;
@@ -49,8 +45,7 @@ let load_annot = function
 
 let run ?cancel c ~hw ~annot program =
   match
-    Analyzer.analyze ~hw ~annot ~domain:c.domain ~path_backend:c.path_backend ~verify:c.verify
-      ?cancel program
+    Analyzer.analyze ~hw ~annot ~domain:c.domain ~verify:c.verify ?cancel program
   with
   | report -> Ok report
   | exception Analyzer.Analysis_failed ds -> Error ds
@@ -143,14 +138,8 @@ let request_of params =
       | Some hw -> hw
       | None -> raise (Bad_params ("unknown hw profile " ^ name)))
   in
-  let path_backend =
-    match str_param params "path_backend" with
-    | None -> Wcet_path.Path_analysis.Portfolio
-    | Some name -> (
-      match Wcet_path.Path_analysis.choice_of_string name with
-      | Some c -> c
-      | None -> raise (Bad_params ("unknown path backend " ^ name)))
-  in
+  if Json.member "path_backend" params <> None then
+    raise (Bad_params "path_backend is retired: the portfolio is the only path analysis");
   {
     source;
     annot = str_param params "annot";
@@ -159,7 +148,7 @@ let request_of params =
     (* The daemon (and watch mode) run the interval domain, the library
        default, while the CLI defaults to auto; ROADMAP item 2 gives every
        front end one default, and this is the line it changes. *)
-    config = { domain = Wcet_value.Analysis.Interval; path_backend; verify = false };
+    config = { domain = Wcet_value.Analysis.Interval; verify = false };
   }
 
 let analyze_source path = analyze (request_of (Json.Obj [ ("source", Json.String path) ]))

@@ -8,7 +8,7 @@
     | method      | params                                              | result |
     |-------------|-----------------------------------------------------|--------|
     | [ping]      | —                                                   | [{"pong": true}] |
-    | [analyze]   | [source], [annot]?, [hw]?, [soft_div]?, [path_backend]? | the [analyze --format=json] report |
+    | [analyze]   | [source], [annot]?, [hw]?, [soft_div]?              | the [analyze --format=json] report |
     | [explain]   | like [analyze]                                      | the [explain --format=json] object |
     | [audit]     | like [analyze]                                      | the [audit --format=json] object |
     | [metrics]   | [format]? ([json] or [prometheus])                  | the metrics snapshot |
@@ -28,8 +28,9 @@
     error replies.
 
     [source] paths are resolved by the daemon process ([.mc] MiniC or [.s]
-    assembly), [hw] accepts [default]/[uncached]/[no-hw-div] and
-    [path_backend] accepts [ipet]/[portfolio]. *)
+    assembly) and [hw] accepts [default]/[uncached]/[no-hw-div]. The path
+    analysis is always the portfolio: a request that still names the
+    retired [path_backend] param is a D0702 reply, whatever its value. *)
 
 module Json := Wcet_diag.Json
 
@@ -38,11 +39,7 @@ module Json := Wcet_diag.Json
 exception Bad_params of string
 
 (** The analyzer configuration a front end runs every analysis under. *)
-type config = {
-  domain : Wcet_value.Analysis.domain;
-  path_backend : Wcet_path.Path_analysis.choice;
-  verify : bool;
-}
+type config = { domain : Wcet_value.Analysis.domain; verify : bool }
 
 (** One analysis request on a source file. [annot] is an annotation-file
     path. *)

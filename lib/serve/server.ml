@@ -399,13 +399,18 @@ let conn_loop t conn =
     | exception _ -> ()
   in
   (try loop () with _ -> ());
-  conn.alive <- false;
   Mutex.lock t.conns_m;
   t.conns <- List.filter (fun c -> c != conn) t.conns;
   t.subscribers <- List.filter (fun c -> c != conn) t.subscribers;
   Metrics.set m_subscribers (List.length t.subscribers);
   Mutex.unlock t.conns_m;
-  try Unix.close conn.fd with _ -> ()
+  (* Under the write lock: a worker still holding this connection's job
+     must not write after the close, when the descriptor's number may
+     already name another connection. *)
+  Mutex.lock conn.wmutex;
+  conn.alive <- false;
+  (try Unix.close conn.fd with _ -> ());
+  Mutex.unlock conn.wmutex
 
 (* ---- watch thread ----------------------------------------------------- *)
 

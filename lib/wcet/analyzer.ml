@@ -31,10 +31,6 @@ let m_runs_partial =
 let m_failures =
   Metrics.counter ~name:"analyzer_failures" ~help:"Analyses aborted by a fatal diagnostic" ()
 
-let m_scc_count =
-  Metrics.gauge ~name:"scc_count"
-    ~help:"Strongly connected components of the analyzed program's call graph" ()
-
 (* The fixpoint engine that drives the value and cache analyses: one
    whole-program solve each. The type has one constructor and its name
    ("summary", after a component-scheduled engine since removed) stays
@@ -129,9 +125,8 @@ type report = {
   cache : Cache_analysis.result;
   timing : Block_timing.t;
   solution : Ipet.solution;
-  path_backend : string;  (* requested backend configuration *)
   backend_runs : backend_run list;
-  mc_gate : mc_gate option;  (* None: the portfolio was not requested *)
+  mc_gate : mc_gate;
   wcet : int;
   bcet : int;
   verdict : confidence;
@@ -393,7 +388,7 @@ let validate_loop_places c program (annot : Annot.t) =
    portfolio's certified-witness check with csolve as the structural
    witness and, on a fact-free spec, the simplex as the oracle of IPET's
    forest answer (E0303). *)
-let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
+let rec analyze_inner ~hw ~annot ~domain ~verify ?cancel program =
   (* The token reaches the value/cache fixpoints (polled per transfer); the
      remaining phases poll it at their boundary so a deadline that expires
      between fixpoints still cancels before the next phase starts. *)
@@ -444,8 +439,6 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
         "indirect jump cannot be resolved; execution beyond it is excluded from the bound")
     graph.Supergraph.unresolved_jumps;
   let loops = Loops.analyze graph in
-  if Wcet_obs.Obs.on () then
-    Metrics.set m_scc_count (Wcet_cfg.Callgraph.function_scc_count graph);
   (* Under a relational domain the value_accesses precision counters are
      published once, from whichever result ends up final (escalated or
      not); under the interval domain the run publishes as before. *)
@@ -704,17 +697,14 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
           }
         in
         let mc_gate =
-          match path_backend with
-          | Path_analysis.Ipet -> None
-          | Path_analysis.Portfolio -> (
-            match Modes.guards program loops value with
-            | [] -> Some Mc_gated
-            | guards -> Some (Mc_raced guards))
+          match Modes.guards program loops value with
+          | [] -> Mc_gated
+          | guards -> Mc_raced guards
         in
         let mc = (module Wcet_path.Mc : Path_analysis.BACKEND) in
         let backends =
           (module Ipet : Path_analysis.BACKEND)
-          :: (match mc_gate with Some (Mc_raced _) -> [ mc ] | _ -> [])
+          :: (match mc_gate with Mc_raced _ -> [ mc ] | Mc_gated -> [])
         in
         (* [verify] also runs a gated-off model checker, to police the gate. *)
         let oracles =
@@ -722,20 +712,18 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
             [
               [ (module Wcet_path.Csolve : Path_analysis.BACKEND) ];
               (if spec.facts = [] then [ (module Ipet.Simplex : Path_analysis.BACKEND) ] else []);
-              (if mc_gate = Some Mc_gated then [ mc ] else []);
+              (if mc_gate = Mc_gated then [ mc ] else []);
             ]
         in
         let res =
           Portfolio.run ?oracles:(if verify then Some oracles else None) ~backends spec loops
         in
-        (* In portfolio mode a budget-exhausted model checker is excluded
-           with a warning; a single requested backend failing is fatal. *)
-        if path_backend = Path_analysis.Portfolio then
-          List.iter
-            (fun b ->
-              warn c Diag.Path ~code:"W0305"
-                "path backend %s is intractable here; the portfolio continues without it" b)
-            res.Portfolio.p_intractable;
+        (* A budget-exhausted model checker is excluded with a warning. *)
+        List.iter
+          (fun b ->
+            warn c Diag.Path ~code:"W0305"
+              "path backend %s is intractable here; the portfolio continues without it" b)
+          res.Portfolio.p_intractable;
         (match res.Portfolio.p_disagreements with
         | [] -> ()
         | ds ->
@@ -807,7 +795,7 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
      legitimately smaller. *)
   if verify && escalation <> None then begin
     let base_r =
-      analyze_inner ~hw ~annot ~domain:Analysis.Interval ~path_backend ~verify ?cancel program
+      analyze_inner ~hw ~annot ~domain:Analysis.Interval ~verify ?cancel program
     in
     if base_r.verdict = Complete && solution.Ipet.wcet > base_r.wcet then
       fatal c Diag.Path ~code:"E0503"
@@ -827,7 +815,6 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
     cache;
     timing;
     solution;
-    path_backend = Path_analysis.choice_name path_backend;
     backend_runs;
     mc_gate;
     wcet = solution.Ipet.wcet;
@@ -840,12 +827,14 @@ let rec analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program =
 
 let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis.Interval)
     ?(path_backend = Path_analysis.Portfolio) ?(verify = false) ?cancel program =
+  if path_backend <> Path_analysis.Portfolio then
+    invalid_arg "Analyzer.analyze: the portfolio is the only path analysis";
   (* Derived at most once per analysis, and only when a store is set. *)
   let key =
     lazy
       (Report_cache.report_key ~hw ~annot ~strategy:Wcet_util.Fixpoint.Rpo
          ~engine:(engine_name Summary) ~domain:(Analysis.domain_name domain)
-         ~path:(Path_analysis.choice_name path_backend) program)
+         ~path:(Path_analysis.choice_name Path_analysis.Portfolio) program)
   in
   Trace.with_span ~cat:"analyzer" "analyze" (fun () ->
       (* A report hit would skip every cross-check, so [verify] always
@@ -872,7 +861,7 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
         match cached with
         | Some r -> r
         | None ->
-          let r = analyze_inner ~hw ~annot ~domain ~path_backend ~verify ?cancel program in
+          let r = analyze_inner ~hw ~annot ~domain ~verify ?cancel program in
           if Report_cache.enabled () then
             Trace.with_span ~cat:"store" "store.write" (fun () ->
                 Report_cache.save ~key:(Lazy.force key) (Marshal.to_string r []));
@@ -931,9 +920,7 @@ let pp_report ppf r =
           Format.fprintf ppf "path backend %s: failed (%s), %.3f ms@," b.br_name code
             (float_of_int b.br_wall_us /. 1000.))
       runs);
-  Option.iter
-    (fun g -> Format.fprintf ppf "mc gate: %s (%s)@," (mc_gate_decision g) (mc_gate_reason g))
-    r.mc_gate;
+  Format.fprintf ppf "mc gate: %s (%s)@," (mc_gate_decision r.mc_gate) (mc_gate_reason r.mc_gate);
   List.iter (fun h -> Format.fprintf ppf "hole: %a@," pp_hole h) r.holes;
   List.iter
     (fun (li, b) ->
@@ -1039,7 +1026,6 @@ let report_to_json r =
                      e.ei_tightened_accesses) );
             ] );
       ("diagnostics", List (List.map Diag.to_json r.diagnostics));
-      ("path_backend", String r.path_backend);
       ( "path_backends",
         List
           (List.map
@@ -1057,7 +1043,7 @@ let report_to_json r =
                    ("winner", Bool b.br_winner);
                  ])
              r.backend_runs) );
-      ("mc_gate", match r.mc_gate with None -> Null | Some g -> mc_gate_to_json g);
+      ("mc_gate", mc_gate_to_json r.mc_gate);
       ( "loops",
         List
           (List.map

@@ -112,11 +112,10 @@ type report = {
   cache : Wcet_cache.Cache_analysis.result;
   timing : Wcet_pipeline.Block_timing.t;
   solution : Wcet_ipet.Ipet.solution;
-  path_backend : string;  (** requested backend configuration (a {!Wcet_path.Path_analysis.choice} name) *)
   backend_runs : backend_run list;
       (** per-backend bounds/verdicts/wall times; a singleton unless the
           portfolio raced the model checker *)
-  mc_gate : mc_gate option;  (** [None]: the portfolio was not requested *)
+  mc_gate : mc_gate;
   wcet : int;  (** cycles, from program entry to halt; partial if [verdict = Partial] *)
   bcet : int;  (** best-case lower bound (shortest feasible walk) *)
   verdict : confidence;
@@ -133,7 +132,7 @@ type engine = Summary
 (** ["summary"]: the engine component of report-cache keys. *)
 val engine_name : engine -> string
 
-(** [analyze ?hw ?annot ?domain ?path_backend ?verify program] raises
+(** [analyze ?hw ?annot ?domain ?verify program] raises
     {!Analysis_failed} only on global failures (see above); local problems
     degrade to [holes] with a [Partial] verdict.
 
@@ -147,14 +146,17 @@ val engine_name : engine -> string
     every downstream phase, so escalation can tighten memory-region
     classification, cache access sets and loop bounds — never loosen them.
 
-    [path_backend] selects the path-analysis backend
-    ({!Wcet_path.Path_analysis.choice}, default [Portfolio]): [Ipet] is the
-    ILP encoding alone; [Portfolio] races it against the slicing +
-    bounded-model-checking backend ({!Wcet_path.Mc}) when the value result
-    shows a mode guard ([mc_gate]), takes the tightest sound bound and
-    cross-checks the results as a soundness oracle — a disagreement beyond
-    attributable slack aborts with E0303. Without a mode guard IPET runs
-    alone.
+    The path analysis is the portfolio: IPET ({!Wcet_ipet.Ipet}) races
+    the slicing + bounded-model-checking backend ({!Wcet_path.Mc}) when
+    the value result shows a mode guard ([mc_gate]); the report takes the
+    tightest sound bound and cross-checks the results as a soundness
+    oracle — a disagreement beyond attributable slack aborts with E0303.
+    Without a mode guard IPET runs alone. Either way [backend_runs]
+    carries IPET's own bound. A model checker that exhausts its budget is
+    dropped with a W0305 warning.
+
+    [path_backend] is a frozen stub for the benchmark driver: it accepts
+    only [Portfolio] (the default); [Ipet] raises [Invalid_argument].
 
     [verify] (default [false]) re-runs the reference configuration and
     compares, aborting on any divergence; bound, verdict and transfer
@@ -166,7 +168,7 @@ val engine_name : engine -> string
       structural constraint solver ({!Wcet_path.Csolve}) added as the
       structural witness, and, on a fact-free spec, IPET's loop-forest
       bound against the simplex ({!Wcet_ipet.Ipet.Simplex}) (E0303);
-    - the mc gate: a portfolio run the gate kept IPET-only also runs the
+    - the mc gate: a run the gate kept IPET-only also runs the
       model checker as an oracle, and an Info W0306 records a tighter
       bound the gate missed (a precision oracle: the bound stays IPET's).
     A report-cache hit would skip these checks, so a verified analysis

@@ -34,7 +34,7 @@ type t = {
   backends : Analyzer.backend_run list;
       (** per-backend portfolio outcomes from the report; printed after the
           decomposition when more than one backend raced *)
-  mc_gate : Analyzer.mc_gate option;
+  mc_gate : Analyzer.mc_gate;
       (** whether the model checker raced and why; printed after the
           backends *)
 }

@@ -35,8 +35,9 @@ module Trace = Wcet_obs.Trace
    per-function slices any more, so recorded transfer counts no longer
    depend on what the store held; 12: the value and cache analyses run
    one whole-program solve, which transfers a few more nodes than the
-   component schedule on some programs). *)
-let format_version = "12"
+   component schedule on some programs; 13: the report no longer records
+   a requested path backend, and its mc gate decision is always set). *)
+let format_version = "13"
 
 let m_hits_program =
   Metrics.counter ~labels:[ ("granularity", "program") ] ~name:"cache_store_hits"

@@ -43,7 +43,10 @@ val drain_diags : unit -> Diag.t list
     type itself (this module cannot name it without a dependency cycle). *)
 
 (** The store key of a whole-program report: a digest of the analysis
-    configuration and the program. Opens a [store.key] trace span. *)
+    configuration and the program. Opens a [store.key] trace span. [path]
+    is a frozen component: the analyzer always passes ["portfolio"], so
+    keys are those of the two-backend era, and the benchmark driver still
+    names it. *)
 val report_key :
   hw:Pred32_hw.Hw_config.t ->
   annot:Wcet_annot.Annot.t ->

@@ -141,7 +141,8 @@ let test_must_monotone_leq () =
     let j = Acache.join a b in
     Alcotest.(check bool) "a leq join" true (Acache.leq a j);
     Alcotest.(check bool) "b leq join" true (Acache.leq b j);
-    Alcotest.(check bool) "join idempotent" true (Acache.equal j (Acache.join j j))
+    let jj = Acache.join j j in
+    Alcotest.(check bool) "join idempotent" true (Acache.leq j jj && Acache.leq jj j)
   done
 
 (* --- the set-indexed state against the map-based one it replaced --- *)
@@ -254,11 +255,6 @@ module Reference = struct
               | None -> false)
             a.may)
 
-  let equal a b =
-    Line_map.equal Int.equal a.must b.must
-    && Line_map.equal Int.equal a.may b.may
-    && a.may_universal = b.may_universal
-
   let pp ppf t =
     Format.fprintf ppf "must:{";
     Line_map.iter (fun l a -> Format.fprintf ppf " %d@%d" l a) t.must;
@@ -328,10 +324,8 @@ let show (a, r) = Format.asprintf "%a / %a" Acache.pp a Reference.pp r
 
 (* The set-indexed state and the reference state say the same: the same
    classification of every line, the same must bindings, the same may
-   bindings while may is not universal, and [leq]/[equal] against [other]
-   as the reference orders them. [equal] is [leq] both ways: it ignores
-   the may lines when both sides are may-universal, where the reference's
-   structural [equal] does not. *)
+   bindings while may is not universal, and [leq] both ways against
+   [others] as the reference orders them. *)
 let agree ~cfg ~lines (a, r) others =
   let fail what = Alcotest.failf "%a: %s differs on %s" Cache_config.pp cfg what (show (a, r)) in
   for line = 0 to lines - 1 do
@@ -345,13 +339,7 @@ let agree ~cfg ~lines (a, r) others =
   List.iter
     (fun (a', r') ->
       if Acache.leq a a' <> Reference.leq r r' then fail ("leq against " ^ show (a', r'));
-      if Acache.leq a' a <> Reference.leq r' r then fail ("geq against " ^ show (a', r'));
-      if Acache.equal a a' <> (Reference.leq r r' && Reference.leq r' r) then
-        fail ("equal against " ^ show (a', r'));
-      if
-        (not (r.may_universal && r'.may_universal))
-        && Acache.equal a a' <> Reference.equal r r'
-      then fail ("structural equal against " ^ show (a', r')))
+      if Acache.leq a' a <> Reference.leq r' r then fail ("geq against " ^ show (a', r')))
     others
 
 let set_sizes cfg bindings =
@@ -417,13 +405,13 @@ let test_fast_path_vs_rebuild () =
   Alcotest.(check bool) "both paths exercised" true (!noops > 500 && !rebuilds > 500)
 
 (* States read back with [Marshal] share nothing with the states they were
-   written from, so [equal] and [leq] must hold structurally, not just by
-   the physical-equality shortcut, and every line classifies the same. *)
+   written from, so [leq] must hold structurally, not just by the
+   physical-equality shortcut, and every line classifies the same. *)
 let test_marshal_round_trip () =
   let compared = ref 0 in
   walk ~seed:2203L ~walks:10 ~steps:40 (fun ~cfg ~lines pool _before _op (a, _) ->
       let copy : Acache.t = Marshal.from_string (Marshal.to_string a []) 0 in
-      if not (Acache.equal a copy && Acache.equal copy a && Acache.leq a copy && Acache.leq copy a)
+      if not (Acache.leq a copy && Acache.leq copy a)
       then Alcotest.failf "%a: marshaled copy differs from %a" Cache_config.pp cfg Acache.pp a;
       for line = 0 to lines - 1 do
         if
@@ -433,7 +421,7 @@ let test_marshal_round_trip () =
       done;
       List.iter
         (fun (b, _) ->
-          if Acache.equal a b <> Acache.equal copy b || Acache.leq b a <> Acache.leq b copy then
+          if Acache.leq a b <> Acache.leq copy b || Acache.leq b a <> Acache.leq b copy then
             Alcotest.failf "%a: marshaled copy compares differently" Cache_config.pp cfg;
           incr compared)
         pool);

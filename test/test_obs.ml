@@ -234,7 +234,6 @@ let pinned_names =
     "path_solves{backend=simplex}";
     "pipeline_block_wcet_cycles";
     "pipeline_blocks";
-    "scc_count";
     "serve_connections";
     "serve_inflight";
     "serve_queue_depth";
@@ -357,7 +356,10 @@ let goto_cycle =
 let test_facts_reach_the_simplex () =
   let program = Minic.Compile.compile goto_cycle in
   with_obs (fun () ->
-      ignore (Analyzer.analyze ~path_backend:Wcet_path.Path_analysis.Ipet program);
+      let r = Analyzer.analyze program in
+      (* No mode guard, so the IPET run is the report's only path run. *)
+      Alcotest.(check (list string)) "ipet runs alone" [ "ipet" ]
+        (List.map (fun b -> b.Analyzer.br_name) r.Analyzer.backend_runs);
       Alcotest.(check bool) "simplex pivoted" true (counter_value "simplex_pivots" > 0);
       Alcotest.(check int) "one ipet solve" 1 (counter_value "ipet_solves");
       Alcotest.(check int) "one ipet path solve" 1 (counter_value "path_solves{backend=ipet}");
@@ -408,23 +410,6 @@ let test_store_spans () =
           check_spans "warm"
             [ ("analyze", true); ("store.key", true); ("store.read", true); ("store.decode", true);
               ("store.write", false); ("value", false) ]))
-
-(* The corpus audit runs the path backend it is given: IPET alone never
-   starts the model checker. *)
-let test_audit_corpus_path_backend () =
-  with_obs (fun () ->
-      ignore
-        (Wcet_experiments.Audit_corpus.run
-           ~config:
-             {
-               Wcet_serve.Handlers.domain = Wcet_value.Analysis.Interval;
-               path_backend = Wcet_path.Path_analysis.Ipet;
-               verify = false;
-             }
-           ());
-      Alcotest.(check bool) "ipet path solves recorded" true
-        (counter_value "path_solves{backend=ipet}" > 0);
-      Alcotest.(check int) "no mc path solve" 0 (counter_value "path_solves{backend=mc}"))
 
 (* --- Prometheus exposition --- *)
 
@@ -639,8 +624,6 @@ let () =
           Alcotest.test_case "registry pinned" `Quick test_registry_pinned;
           Alcotest.test_case "analysis populates metrics" `Quick test_analysis_populates_metrics;
           Alcotest.test_case "facts reach the simplex" `Quick test_facts_reach_the_simplex;
-          Alcotest.test_case "audit corpus honours the path backend" `Quick
-            test_audit_corpus_path_backend;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "name round-trip" `Quick test_prometheus_escaping;
         ] );

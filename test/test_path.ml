@@ -16,8 +16,7 @@ module Ipet = Wcet_ipet.Ipet
 module Corpus = Wcet_corpus.Corpus
 module Block_timing = Wcet_pipeline.Block_timing
 
-let report ?(annot = Annot.empty) ?path_backend source =
-  Analyzer.analyze ~annot ?path_backend (Compile.compile source)
+let report ?(annot = Annot.empty) source = Analyzer.analyze ~annot (Compile.compile source)
 
 let observed ?(pokes = []) program =
   let sim = Sim.create Hw_config.default program in
@@ -64,7 +63,7 @@ let derived_modal =
    int main() { int m; int r; m = mode + 1; r = 0; if (m == 1) { r = r + rd(); } \
    if (m == 2) { r = r + wr(); } return r; }"
 
-let gated (r : Analyzer.report) = r.Analyzer.mc_gate = Some Analyzer.Mc_gated
+let gated (r : Analyzer.report) = r.Analyzer.mc_gate = Analyzer.Mc_gated
 
 (* A backend's bound on the spec, solved directly. *)
 let solve_bound (module B : Path_analysis.BACKEND) (spec, loops) =
@@ -83,7 +82,6 @@ let test_backends_agree () =
   List.iter
     (fun source ->
       let r = report source in
-      Alcotest.(check string) "portfolio requested" "portfolio" r.Analyzer.path_backend;
       (* No mode guard: the gate keeps IPET alone, so one run is recorded
          and none of it is mc. *)
       Alcotest.(check bool) "mc gated: no mode guard" true (gated r);
@@ -115,7 +113,7 @@ let test_backends_agree () =
 (* --- every backend's solution satisfies the count/time identity --- *)
 
 let test_identity_per_backend () =
-  let r = report ~path_backend:Path_analysis.Ipet nested in
+  let r = report nested in
   let spec, loops = spec_of_report r in
   List.iter
     (fun ((module B : Path_analysis.BACKEND) as _b) ->
@@ -151,7 +149,7 @@ module Buggy : Path_analysis.BACKEND = struct
 end
 
 let test_injected_bug_detected () =
-  let r = report ~path_backend:Path_analysis.Ipet loopy in
+  let r = report loopy in
   let spec, loops = spec_of_report r in
   let sound =
     Portfolio.run
@@ -174,18 +172,17 @@ let test_injected_bug_detected () =
 (* --- mode-guarded programs: the model checker is strictly tighter --- *)
 
 let test_mc_strictly_tighter_on_modes () =
-  let r_ipet = report ~path_backend:Path_analysis.Ipet modal in
   let r = report modal in
   (match r.Analyzer.mc_gate with
-  | Some (Analyzer.Mc_raced [ { Wcet_value.Modes.symbol = "mode"; sites } ]) ->
+  | Analyzer.Mc_raced [ { Wcet_value.Modes.symbol = "mode"; sites } ] ->
     Alcotest.(check int) "two guard sites" 2 (List.length sites)
   | _ -> Alcotest.fail "the mode guard must admit the model checker");
   Alcotest.(check (list string)) "mc races" [ "ipet"; "mc" ]
     (List.map (fun b -> b.Analyzer.br_name) r.Analyzer.backend_runs);
+  let ipet = bound_of "ipet" r in
   Alcotest.(check bool)
-    (Printf.sprintf "portfolio < ipet (%d < %d)" r.Analyzer.wcet r_ipet.Analyzer.wcet)
-    true
-    (r.Analyzer.wcet < r_ipet.Analyzer.wcet);
+    (Printf.sprintf "portfolio < ipet (%d < %d)" r.Analyzer.wcet ipet)
+    true (r.Analyzer.wcet < ipet);
   let winner = List.find (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs in
   Alcotest.(check string) "the model checker wins" "mc" winner.Analyzer.br_name;
   List.iter
@@ -245,7 +242,7 @@ let test_gate_miss_reported () =
     (List.map (fun b -> b.Analyzer.br_name) rv.Analyzer.backend_runs)
 
 let test_irreducible_single_backend_fatal () =
-  let spec, loops = spec_of_report (report ~path_backend:Path_analysis.Ipet goto_cycle) in
+  let spec, loops = spec_of_report (report goto_cycle) in
   match Wcet_path.Mc.solve spec loops with
   | Ok _ -> Alcotest.fail "the model checker must reject an irreducible program"
   | Error e -> Alcotest.(check string) "fails with E0305" "E0305" e.Path_analysis.err_code
@@ -403,19 +400,17 @@ let test_forest_equals_simplex () =
 
 (* --- plumbing --- *)
 
+(* [Path_analysis.choice] survives only as the benchmark driver's frozen
+   stub: the analyzer runs the portfolio and refuses the retired [Ipet]. *)
 let test_choice_parsing () =
-  List.iter
-    (fun (name, c) ->
-      Alcotest.(check string) "name roundtrip" name (Path_analysis.choice_name c);
-      match Path_analysis.choice_of_string name with
-      | Some c' when c' = c -> ()
-      | _ -> Alcotest.failf "choice %s does not parse back" name)
-    Path_analysis.all_choices;
-  Alcotest.(check int) "two choices" 2 (List.length Path_analysis.all_choices);
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " rejected") true (Path_analysis.choice_of_string name = None))
-    [ "mc"; "csolve"; "simplex" ]
+  Alcotest.(check (list string)) "stub names" [ "ipet"; "portfolio" ]
+    (List.map Path_analysis.choice_name [ Path_analysis.Ipet; Portfolio ]);
+  let program = Compile.compile loopy in
+  Alcotest.(check int) "portfolio is the default" (Analyzer.analyze program).Analyzer.wcet
+    (Analyzer.analyze ~path_backend:Path_analysis.Portfolio program).Analyzer.wcet;
+  match Analyzer.analyze ~path_backend:Path_analysis.Ipet program with
+  | _ -> Alcotest.fail "the analyzer must refuse the retired IPET-only configuration"
+  | exception Invalid_argument _ -> ()
 
 let test_codes_registered () =
   List.iter

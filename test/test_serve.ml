@@ -424,8 +424,9 @@ let test_server_basics () =
   Sys.remove src
 
 (* Parameters the daemon shares with the CLI's enums: values outside the
-   shared tables (a retired path backend, an unknown hardware profile) are
-   typed D0702 replies, and a listed profile still analyzes. *)
+   shared tables (an unknown hardware profile) are typed D0702 replies, a
+   listed profile still analyzes, and the retired [path_backend] param is
+   a D0702 whatever it names. *)
 let test_server_rejects_unknown_params () =
   let src = Filename.temp_file "wcet-serve-params" ".mc" in
   write_file src (loop_src 4);
@@ -436,11 +437,9 @@ let test_server_rejects_unknown_params () =
               (Json.Obj (("source", Json.String src) :: params))
           in
           expect_code "D0702" (analyze 1 [ ("path_backend", Json.String "mc") ]);
-          expect_code "D0702" (analyze 2 [ ("hw", Json.String "bogus") ]);
-          let report =
-            ok_result
-              (analyze 3 [ ("hw", Json.String "uncached"); ("path_backend", Json.String "ipet") ])
-          in
+          expect_code "D0702" (analyze 2 [ ("path_backend", Json.String "ipet") ]);
+          expect_code "D0702" (analyze 3 [ ("hw", Json.String "bogus") ]);
+          let report = ok_result (analyze 4 [ ("hw", Json.String "uncached") ]) in
           Alcotest.(check (option string)) "listed values still analyze" (Some "complete")
             (Option.bind (Json.member "verdict" report) Json.to_string_opt)));
   Sys.remove src
@@ -731,21 +730,6 @@ let test_analyze_reply_is_pure () =
       Alcotest.check json_testable "replies agree" (drop_timing first) (drop_timing second));
   Sys.remove src
 
-let counter_value name =
-  match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0
-
-(* [audit] runs the path backend its params name, like [analyze]. *)
-let test_audit_path_backend () =
-  let src = Filename.temp_file "wcet-serve-audit" ".mc" in
-  write_file src (loop_src 8);
-  with_obs (fun () ->
-      ignore
-        (standard "audit" [ ("source", Json.String src); ("path_backend", Json.String "ipet") ]);
-      Alcotest.(check bool) "ipet path solves recorded" true
-        (counter_value "path_solves{backend=ipet}" > 0);
-      Alcotest.(check int) "no mc path solve" 0 (counter_value "path_solves{backend=mc}"));
-  Sys.remove src
-
 let test_server_request_log () =
   let logged = ref [] in
   let log_m = Mutex.create () in
@@ -841,6 +825,40 @@ let test_daemon_campaign_smoke () =
       Alcotest.(check bool) (code ^ " is registered") true (Diag.describe code <> None))
     (Faultinject.rejection_histogram c)
 
+(* The daemon campaign is reproducible from its seed: its frames do not
+   depend on the name of the campaign's scratch source (the second run
+   makes it in a deeper scratch directory), and a reply to a connection
+   that closed is never written to a later connection that got the same
+   descriptor number (the campaign's client and server share one process,
+   so the overload family would read it). *)
+let test_daemon_campaign_reproducible () =
+  let outcomes () =
+    List.map
+      (fun (t : Faultinject.trial) ->
+        ( t.Faultinject.family,
+          t.Faultinject.index,
+          match t.Faultinject.outcome with
+          | Faultinject.Ran_complete -> "complete"
+          | Faultinject.Ran_partial -> "partial"
+          | Faultinject.Rejected d -> d.Diag.code
+          | Faultinject.Crashed msg -> "crashed: " ^ msg ))
+      (Faultinject.run_daemon ~trials:96 ()).Faultinject.trials
+  in
+  let first = outcomes () in
+  let tmp = Filename.get_temp_dir_name () in
+  let deeper = Filename.concat tmp (Printf.sprintf "wcet-campaign-%d" (Unix.getpid ())) in
+  Sys.mkdir deeper 0o700;
+  let second =
+    Fun.protect
+      ~finally:(fun () ->
+        Filename.set_temp_dir_name tmp;
+        Sys.rmdir deeper)
+      (fun () ->
+        Filename.set_temp_dir_name deeper;
+        outcomes ())
+  in
+  Alcotest.(check (list (triple string int string))) "same per-trial outcomes" first second
+
 let () =
   Alcotest.run "serve"
     [
@@ -886,11 +904,12 @@ let () =
           Alcotest.test_case "per-request log lines" `Quick test_server_request_log;
           Alcotest.test_case "watch loop feeds the ledger" `Quick test_server_watch_ledger;
           Alcotest.test_case "analyze reply is pure" `Quick test_analyze_reply_is_pure;
-          Alcotest.test_case "audit honours path_backend" `Quick test_audit_path_backend;
         ] );
       ( "campaigns",
         [
           Alcotest.test_case "store corruption" `Quick test_store_campaign_smoke;
           Alcotest.test_case "daemon barrage" `Quick test_daemon_campaign_smoke;
+          Alcotest.test_case "daemon barrage reproducible" `Quick
+            test_daemon_campaign_reproducible;
         ] );
     ]

@@ -19,8 +19,15 @@ let observed ?(cfg = Hw_config.default) ?(pokes = []) program =
   List.iter (fun (sym, idx, v) -> Sim.poke_symbol sim sym idx v) pokes;
   Sim.halted_cycles (Sim.run sim)
 
-let bound ?(cfg = Hw_config.default) ?(annot = Annot.empty) ?path_backend program =
-  (Analyzer.analyze ~hw:cfg ~annot ?path_backend program).Analyzer.wcet
+let bound ?(cfg = Hw_config.default) ?(annot = Annot.empty) program =
+  (Analyzer.analyze ~hw:cfg ~annot program).Analyzer.wcet
+
+(* The bound of the report's own IPET run, whichever backend won. *)
+let ipet_bound ?(annot = Annot.empty) program =
+  let r = Analyzer.analyze ~annot program in
+  match List.find_opt (fun b -> b.Analyzer.br_name = "ipet") r.Analyzer.backend_runs with
+  | Some { Analyzer.br_bound = Some b; _ } -> b
+  | _ -> Alcotest.fail "the report has no IPET bound"
 
 let check_sound ?cfg ?annot ?(poke_sets = [ [] ]) name source =
   let program = Compile.compile source in
@@ -202,15 +209,12 @@ let test_exclusive_paths_fact () =
      int main() { int r; r = 0; if (phase == 0) { r = r + read_msg(); } if (phase == 1) { r = r + write_msg(); } return r; }"
   in
   let program = Compile.compile source in
-  (* The fact comparison runs IPET-only: the model-checking backend proves
-     the phase tests mutually exclusive semantically, so the portfolio
-     bound is already tight without the annotation (checked last). *)
-  let b_plain = bound ~path_backend:Wcet_path.Path_analysis.Ipet program in
-  let b_fact =
-    bound ~path_backend:Wcet_path.Path_analysis.Ipet
-      ~annot:(annot_exn "exclusive read_msg, write_msg")
-      program
-  in
+  (* The fact comparison reads the IPET run: the model-checking backend
+     proves the phase tests mutually exclusive semantically, so the
+     portfolio bound is already tight without the annotation (checked
+     last). *)
+  let b_plain = ipet_bound program in
+  let b_fact = ipet_bound ~annot:(annot_exn "exclusive read_msg, write_msg") program in
   List.iter
     (fun phase ->
       let o = observed ~pokes:[ ("phase", 0, phase) ] program in
@@ -294,9 +298,7 @@ let test_no_retention () =
   let program = Compile.compile source in
   let live_after runs =
     for _ = 1 to runs do
-      ignore
-        (Analyzer.analyze ~domain:Wcet_value.Analysis.Interval
-           ~path_backend:Wcet_path.Path_analysis.Ipet program)
+      ignore (Analyzer.analyze ~domain:Wcet_value.Analysis.Interval program)
     done;
     Gc.compact ();
     (Gc.stat ()).Gc.live_words
