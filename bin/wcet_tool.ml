@@ -223,8 +223,10 @@ let verify_arg =
           "Re-run the reference configuration and abort on any divergence: octagon-refined vs \
            interval states and bound (E0503), and the path backends against certified witness \
            paths with csolve as the structural witness and the simplex as the oracle of \
-           fact-free IPET (E0303), and the model checker on programs its gate kept IPET-only \
-           (an Info W0306 when it would have tightened the bound). Never reads a cached report")
+           fact-free IPET (E0303), the model checker on programs its gate kept IPET-only \
+           (an Info W0306 when it would have tightened the bound), and, under $(b,auto), the \
+           octagon on functions its trigger skipped (an Info W0502 when it would have \
+           tightened an access or loop bound). Never reads a cached report")
 
 let domain_arg =
   Arg.(
@@ -234,8 +236,8 @@ let domain_arg =
         ~doc:
           "Value-analysis abstract domain: $(b,interval) (non-relational baseline) or \
            $(b,auto) (the default: interval first, then an octagon escalation of exactly the \
-           functions whose interval results left imprecise accesses or input-dependent loop \
-           bounds)")
+           functions whose interval results left an access that may touch two or more memory \
+           regions, or a loop unbounded for an input-dependent or aliased counter)")
 
 (* The one place the CLI passes its --domain and --verify values to the
    analysis commands (analyze, explain, audit). *)

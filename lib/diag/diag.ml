@@ -139,6 +139,9 @@ let all_codes =
     ("E0305", "requested path backend cannot analyse this program");
     ("W0305", "model-checking path backend intractable here (excluded from portfolio)");
     ("W0306", "mc gated off where it would have tightened the bound (--verify precision oracle)");
+    ( "W0502",
+      "octagon escalation gated off where it would have tightened an access or loop bound \
+       (--verify precision oracle)" );
   ]
 
 let describe code = List.assoc_opt code all_codes

@@ -128,15 +128,16 @@ let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
     { acc with scenarios = acc.scenarios + 1; failed = acc.failed + 1;
       diagnostics = d :: acc.diagnostics }
   | Ok report -> (
-    (* Under verify the analyzer polices the model checker's gate (W0306,
-       a precision oracle): surface each miss in the check's diagnostics. *)
+    (* Under verify the analyzer polices the model checker's gate (W0306)
+       and the octagon escalation's trigger (W0502), both precision
+       oracles: surface each miss in the check's diagnostics. *)
     let misses =
       List.filter_map
         (fun (d : Diag.t) ->
-          if d.Diag.code <> "W0306" then None
+          if d.Diag.code <> "W0306" && d.Diag.code <> "W0502" then None
           else
             Some
-              (Diag.makef Diag.Info Diag.Check ~code:"W0306" "%s/%s: %s" id variant
+              (Diag.makef Diag.Info Diag.Check ~code:d.Diag.code "%s/%s: %s" id variant
                  d.Diag.message))
         report.Analyzer.diagnostics
     in

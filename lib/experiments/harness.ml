@@ -258,8 +258,8 @@ let pp_e4 ppf rows =
     "@,totals: %d function(s) escalated, %d octagon transfer(s), %d loop(s) discharged, %d \
      access(es) tightened@,\
      non-exact value accesses: %d -> %d; unclassified cache accesses: %d -> %d@,\
-     (the driver escalates only functions whose interval pass reported imprecise accesses or \
-     input-dependent/aliased loop causes;@,\
+     (the driver escalates only functions whose interval pass left an access that may touch two \
+     or more memory regions, or an input-dependent/aliased loop hole;@,\
      every other entry runs the interval pass alone and its bound is bit-identical by \
      construction)@]@."
     (sum (fun r -> r.e4_escalated))

@@ -360,25 +360,15 @@ let audit_memory (r : Analyzer.report) (annot : Annot.t) =
   let v = r.Analyzer.value in
   let program = r.Analyzer.program in
   let map = program.Program.map in
-  let data_regions =
-    List.filter (fun (rg : Region.t) -> rg.Region.kind <> Region.Rom) (Memory_map.regions map)
-  in
-  let regions_hit = function
-    | Aval.Top -> data_regions
-    | Aval.Bot -> []
-    | Aval.I (lo, hi) ->
-      List.filter
-        (fun (rg : Region.t) -> rg.Region.base <= hi && lo < Region.limit rg)
-        (Memory_map.regions map)
-  in
   let seen = Hashtbl.create 8 in
   Array.iter
     (fun accs ->
       List.iter
         (fun (acc : Analysis.access) ->
           if not (Hashtbl.mem seen acc.Analysis.insn_addr) then
-            let hit = regions_hit acc.Analysis.addr in
-            if List.length hit >= 2 then begin
+            match Analysis.regions_spanned map acc.Analysis.addr with
+            | None -> ()
+            | Some hit ->
               let func =
                 match Program.function_at program acc.Analysis.insn_addr with
                 | Some f -> f.Program.name
@@ -386,8 +376,7 @@ let audit_memory (r : Analyzer.report) (annot : Annot.t) =
               in
               if not (is_runtime_func func) then
                 Hashtbl.replace seen acc.Analysis.insn_addr
-                  (func, acc.Analysis.is_store, acc.Analysis.addr, hit)
-            end)
+                  (func, acc.Analysis.is_store, acc.Analysis.addr, hit))
         accs)
     v.Analysis.accesses;
   Hashtbl.fold

@@ -858,6 +858,19 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
 
 let reachable r i = Option.is_some r.node_in.(i)
 
+(* The regions an access at [addr] may touch: [Top] any data (non-ROM)
+   region, an interval the regions it overlaps. *)
+let access_regions map = function
+  | Aval.Bot -> []
+  | Aval.Top -> List.filter (fun (r : Region.t) -> r.Region.kind <> Region.Rom) (Memory_map.regions map)
+  | Aval.I (lo, hi) ->
+    List.filter (fun (r : Region.t) -> r.Region.base <= hi && lo < Region.limit r) (Memory_map.regions map)
+
+(* A singleton falls in at most one region: decided without a scan. *)
+let regions_spanned map addr =
+  if Aval.singleton addr <> None then None
+  else match access_regions map addr with _ :: _ :: _ as hit -> Some hit | _ -> None
+
 (* Successor edges that survive branch refinement: an edge whose refined
    state is empty (e.g. a mode excluded by an assume) is infeasible and must
    not contribute paths to IPET. *)

@@ -57,10 +57,11 @@ val publish_access_metrics : access list array -> unit
 
 (** Which abstract domain the value analysis may use: [Interval] is the
     always-on baseline; [Auto] escalates to the interval x octagon product
-    when some function's interval results left imprecise accesses or
-    input-dependent/aliased loop-bound causes. The escalation solves only
-    the flagged functions' nodes, which also choose its slots and
-    thresholds ({!escalate}). *)
+    when some function's interval results left an access that may touch
+    two or more memory regions ({!regions_spanned}) or an
+    input-dependent/aliased loop-bound cause (the trigger is the
+    analyzer's). The escalation solves only the flagged functions' nodes,
+    which also choose its slots and thresholds ({!escalate}). *)
 type domain = Interval | Auto
 
 val domain_name : domain -> string
@@ -113,6 +114,20 @@ val escalate :
 (** [reachable result node] is false for nodes the analysis proved
     unreachable (infeasible paths, excluded modes). *)
 val reachable : result -> int -> bool
+
+(** [access_regions map addr] is the regions of [map] an access at [addr]
+    may touch: every data (non-ROM) region for [Top], the regions an
+    interval overlaps, none for [Bot]. *)
+val access_regions : Pred32_memory.Memory_map.t -> Aval.t -> Pred32_memory.Region.t list
+
+(** [regions_spanned map addr] is [Some regions] when an access at [addr]
+    may touch two or more regions of [map] ([Top] spans every data, i.e.
+    non-ROM, region), and [None] otherwise. A singleton address is [None]
+    without a scan of the map. The auditor's A0509 and the [Auto] domain's
+    escalation trigger share this predicate: such an access is charged the
+    slowest candidate region (paper Section 4.3). *)
+val regions_spanned :
+  Pred32_memory.Memory_map.t -> Aval.t -> Pred32_memory.Region.t list option
 
 (** [feasible_successors result node] is the node's successor list with
     refinement-infeasible branch edges removed. *)

@@ -1,6 +1,7 @@
 module Program = Pred32_asm.Program
 module Hw_config = Pred32_hw.Hw_config
 module Memory_map = Pred32_memory.Memory_map
+module Region = Pred32_memory.Region
 module Supergraph = Wcet_cfg.Supergraph
 module Func_cfg = Wcet_cfg.Func_cfg
 module Loops = Wcet_cfg.Loops
@@ -82,6 +83,41 @@ type esc_info = {
          address interval strictly tightened under the octagon *)
 }
 
+(* Why the [Auto] domain did or did not escalate a candidate function: one
+   whose interval results left an imprecise access or a loop hole. Only
+   imprecision that prices into the bound escalates — an access that may
+   touch two or more memory regions, or a loop the interval pass could not
+   bound for a reason a relation can discharge. *)
+type esc_trigger =
+  | Multi_region_access of { insn : int; addr : Aval.t; regions : string list }
+  | Loop_hole of { header : int; cause : Loop_bounds.cause }
+
+type esc_decision =
+  | Esc_escalated of esc_trigger list
+  | Esc_skipped of string list  (* the regions its imprecise accesses stay inside *)
+
+let esc_decision_name = function Esc_escalated _ -> "escalate" | Esc_skipped _ -> "skip"
+
+let aval_hex v =
+  match Aval.range v with
+  | Some (lo, hi) -> Printf.sprintf "[0x%x, 0x%x]" lo hi
+  | None -> if Aval.is_bot v then "\u{22a5}" else "\u{22a4}"
+
+let esc_trigger_reason = function
+  | Multi_region_access { insn; addr; regions } ->
+    Printf.sprintf "access at 0x%x: %s spans %d regions (%s)" insn (aval_hex addr)
+      (List.length regions) (String.concat ", " regions)
+  | Loop_hole { header; cause } ->
+    Printf.sprintf "loop 0x%x %s" header (Loop_bounds.cause_name cause)
+
+let esc_decision_reason = function
+  | Esc_escalated triggers -> String.concat "; " (List.map esc_trigger_reason triggers)
+  | Esc_skipped [ r ] -> Printf.sprintf "skipped: imprecise accesses confined to region `%s`" r
+  | Esc_skipped [] -> "skipped: imprecise accesses touch no mapped region"
+  | Esc_skipped rs ->
+    Printf.sprintf "skipped: each imprecise access confined to one region (%s)"
+      (String.concat ", " (List.map (Printf.sprintf "`%s`") rs))
+
 (* One path backend's contribution to this run, kept in the report for
    explain, the daemon and the E5 bench table. *)
 type backend_run = {
@@ -119,6 +155,7 @@ type report = {
   loops : Loops.info;
   value : Analysis.result;
   escalation : esc_info option;
+  esc_gate : (string * esc_decision) list;
   derived_bounds : Loop_bounds.t;
   effective_bounds : (int * int) list;
   unbounded_loops : (int * string) list;
@@ -453,40 +490,91 @@ let rec analyze_inner ~hw ~annot ~domain ~verify ?cancel program =
         | exception Failure msg -> fatal c Diag.Loop_value ~code:"E0203" "%s" msg)
   in
   (* ---- Octagon escalation --------------------------------------------
-     The interval pass above ran everywhere. Under [Auto], the
-     functions whose interval results left imprecise accesses or
-     input-dependent/aliased loop-bound causes are re-solved under the
-     interval x octagon reduced product, and the refined result replaces
-     the base one for every downstream phase (cache, pipeline, IPET). The
-     refinement is a per-node meet with the base states, so it can only
-     tighten — asserted under [verify] below. *)
+     The interval pass above ran everywhere. Under [Auto], a function
+     escalates when its interval results left an access that may touch two
+     or more memory regions (the auditor's A0509, priced at the slowest
+     candidate) or a loop unbounded for an input-dependent or aliased
+     counter. Those functions are re-solved under the interval x octagon
+     reduced product, and the refined result replaces the base one for
+     every downstream phase (cache, pipeline, IPET). A function whose
+     imprecise accesses each stay inside one region is a candidate that
+     is skipped: its [esc_gate] entry says so, and [verify] polices the
+     skip (W0502). The refinement is a per-node meet with the base states,
+     so it can only tighten — asserted under [verify] below. *)
   let base_value = value and base_bounds = derived_bounds in
-  let funcs_to_escalate () =
-    let tbl : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-    (match domain with
-    | Analysis.Interval -> ()
+  let esc_gate =
+    match domain with
+    | Analysis.Interval -> []
     | Analysis.Auto ->
+      let map = program.Program.map in
+      (* per candidate function: its triggers, and the regions its
+         single-region imprecise accesses touch *)
+      let tbl : (string, esc_trigger list ref * string list ref) Hashtbl.t = Hashtbl.create 8 in
+      let entry f =
+        match Hashtbl.find_opt tbl f with
+        | Some e -> e
+        | None ->
+          let e = (ref [], ref []) in
+          Hashtbl.add tbl f e;
+          e
+      in
+      (* an instruction triggers once, from the first context it spans in *)
+      let triggered = Hashtbl.create 8 in
       Array.iteri
         (fun nid accs ->
-          if
-            List.exists
-              (fun (a : Analysis.access) -> Aval.singleton a.Analysis.addr = None)
-              accs
-          then Hashtbl.replace tbl graph.Supergraph.nodes.(nid).Supergraph.func ())
+          List.iter
+            (fun (a : Analysis.access) ->
+              if Aval.singleton a.Analysis.addr = None then begin
+                let triggers, confined = entry graph.Supergraph.nodes.(nid).Supergraph.func in
+                match Analysis.regions_spanned map a.Analysis.addr with
+                | Some hit ->
+                  if not (Hashtbl.mem triggered a.Analysis.insn_addr) then begin
+                    Hashtbl.add triggered a.Analysis.insn_addr ();
+                    triggers :=
+                      Multi_region_access
+                        {
+                          insn = a.Analysis.insn_addr;
+                          addr = a.Analysis.addr;
+                          regions = List.map (fun (r : Region.t) -> r.Region.name) hit;
+                        }
+                      :: !triggers
+                  end
+                | None ->
+                  List.iter
+                    (fun (r : Region.t) ->
+                      if not (List.mem r.Region.name !confined) then
+                        confined := r.Region.name :: !confined)
+                    (Analysis.access_regions map a.Analysis.addr)
+              end)
+            accs)
         value.Analysis.accesses;
       Array.iteri
         (fun li verdict ->
           match verdict with
           | Loop_bounds.Unbounded
-              ((Loop_bounds.Input_dependent | Loop_bounds.Aliased_counter), _) ->
+              (((Loop_bounds.Input_dependent | Loop_bounds.Aliased_counter) as cause), _) ->
             let hn = graph.Supergraph.nodes.(loops.Loops.loops.(li).Loops.header) in
-            Hashtbl.replace tbl hn.Supergraph.func ()
+            let triggers, _ = entry hn.Supergraph.func in
+            triggers := Loop_hole { header = hn.Supergraph.block.Func_cfg.entry; cause } :: !triggers
           | _ -> ())
-        derived_bounds.Loop_bounds.per_loop);
-    List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) tbl [])
+        derived_bounds.Loop_bounds.per_loop;
+      Hashtbl.fold
+        (fun f (triggers, confined) acc ->
+          ( f,
+            match !triggers with
+            | [] -> Esc_skipped (List.sort compare !confined)
+            | ts -> Esc_escalated (List.rev ts) )
+          :: acc)
+        tbl []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let escalated, skipped =
+    List.partition_map
+      (fun (f, d) -> match d with Esc_escalated _ -> Either.Left f | Esc_skipped _ -> Either.Right f)
+      esc_gate
   in
   let escalation, value, derived_bounds =
-    match funcs_to_escalate () with
+    match escalated with
     | [] ->
       if not publish then Analysis.publish_access_metrics value.Analysis.accesses;
       (None, value, derived_bounds)
@@ -569,6 +657,63 @@ let rec analyze_inner ~hw ~annot ~domain ~verify ?cancel program =
         Analysis.publish_access_metrics refined_value.Analysis.accesses;
         (Some info, refined_value, { Loop_bounds.per_loop }))
   in
+  (* The trigger's precision oracle: under [verify], escalate every
+     candidate, as a trigger that fired on any imprecise access would, and
+     record (Info W0502) each skipped function where that would have
+     tightened an access address or a loop bound. The bound stays the
+     gated analysis's. *)
+  if verify && skipped <> [] then begin
+    match
+      let esc = Analysis.escalate ~assumes ?cancel ~funcs:(List.map fst esc_gate) base_value loops in
+      (esc, Loop_bounds.analyze ~rel:esc.Analysis.esc_rel esc.Analysis.esc_result loops)
+    with
+    | exception Failure _ -> ()
+    | esc, esc_bounds ->
+      let gains : (string, string list) Hashtbl.t = Hashtbl.create 4 in
+      let gain f what =
+        if List.mem f skipped then
+          Hashtbl.replace gains f (what :: Option.value ~default:[] (Hashtbl.find_opt gains f))
+      in
+      Array.iteri
+        (fun nid accs ->
+          let refined = esc.Analysis.esc_result.Analysis.accesses.(nid) in
+          List.iter
+            (fun (a : Analysis.access) ->
+              match
+                List.find_opt
+                  (fun (e : Analysis.access) -> e.Analysis.insn_index = a.Analysis.insn_index)
+                  refined
+              with
+              | Some e when not (Aval.equal a.Analysis.addr e.Analysis.addr) ->
+                gain graph.Supergraph.nodes.(nid).Supergraph.func
+                  (Printf.sprintf "access at 0x%x %s -> %s" a.Analysis.insn_addr
+                     (aval_hex a.Analysis.addr) (aval_hex e.Analysis.addr))
+              | _ -> ())
+            accs)
+        value.Analysis.accesses;
+      Array.iteri
+        (fun li verdict ->
+          let hn = graph.Supergraph.nodes.(loops.Loops.loops.(li).Loops.header) in
+          let loop = Printf.sprintf "loop 0x%x" hn.Supergraph.block.Func_cfg.entry in
+          match (verdict, esc_bounds.Loop_bounds.per_loop.(li)) with
+          | Loop_bounds.Bounded a, Loop_bounds.Bounded b when b < a ->
+            gain hn.Supergraph.func (Printf.sprintf "%s bound %d -> %d" loop a b)
+          | Loop_bounds.Unbounded _, Loop_bounds.Bounded b ->
+            gain hn.Supergraph.func (Printf.sprintf "%s unbounded -> %d" loop b)
+          | _ -> ())
+        derived_bounds.Loop_bounds.per_loop;
+      List.iter
+        (fun f ->
+          match Hashtbl.find_opt gains f with
+          | None -> ()
+          | Some whats ->
+            Diag.add c
+              (Diag.makef Diag.Info Diag.Loop_value ~code:"W0502" ~loc:(Diag.in_func f)
+                 "escalation gated off (%s) where the octagon tightens %s"
+                 (esc_decision_reason (List.assoc f esc_gate))
+                 (String.concat "; " (List.rev whats))))
+        skipped
+  end;
   (* Escalation cross-check, part 1: the refined states must be leq the
      interval states at every node (the meet guarantees it by
      construction — this asserts the guarantee held). *)
@@ -809,6 +954,7 @@ let rec analyze_inner ~hw ~annot ~domain ~verify ?cancel program =
     loops;
     value;
     escalation;
+    esc_gate;
     derived_bounds;
     effective_bounds = !effective_bounds;
     unbounded_loops = !unbounded_loops;
@@ -884,6 +1030,24 @@ let pp_hole ppf = function
   | Hole_irreducible { blocks; func } ->
     Format.fprintf ppf "irreducible region of %d blocks in %s" (List.length blocks) func
 
+let pp_esc_gate ppf gate =
+  List.iter
+    (fun (f, d) -> Format.fprintf ppf "escalation gate: %s: %s@," f (esc_decision_reason d))
+    gate
+
+let esc_gate_to_json gate =
+  let open Wcet_diag.Json in
+  List
+    (List.map
+       (fun (f, d) ->
+         Obj
+           [
+             ("func", String f);
+             ("decision", String (esc_decision_name d));
+             ("reason", String (esc_decision_reason d));
+           ])
+       gate)
+
 let pp_report ppf r =
   (match r.verdict with
   | Complete -> Format.fprintf ppf "@[<v>WCET bound: %d cycles (best-case bound: %d)@," r.wcet r.bcet
@@ -921,6 +1085,7 @@ let pp_report ppf r =
             (float_of_int b.br_wall_us /. 1000.))
       runs);
   Format.fprintf ppf "mc gate: %s (%s)@," (mc_gate_decision r.mc_gate) (mc_gate_reason r.mc_gate);
+  pp_esc_gate ppf r.esc_gate;
   List.iter (fun h -> Format.fprintf ppf "hole: %a@," pp_hole h) r.holes;
   List.iter
     (fun (li, b) ->
@@ -990,9 +1155,10 @@ let report_to_json r =
       ("contexts", Int (Array.length r.graph.Supergraph.contexts));
       ("holes", List (List.map hole_to_json r.holes));
       ( "escalation",
-        match r.escalation with
-        | None -> Null
-        | Some e ->
+        match (r.escalation, r.esc_gate) with
+        | None, [] -> Null
+        | None, gate -> Obj [ ("gate", esc_gate_to_json gate) ]
+        | Some e, gate ->
           let aval_json v =
             match Aval.range v with
             | Some (lo, hi) -> Obj [ ("lo", Int lo); ("hi", Int hi) ]
@@ -1000,6 +1166,7 @@ let report_to_json r =
           in
           Obj
             [
+              ("gate", esc_gate_to_json gate);
               ("functions", List (List.map (fun f -> String f) e.ei_funcs));
               ("transfers", Int e.ei_transfers);
               ("slots", List (List.map (fun s -> Int s) e.ei_slots));

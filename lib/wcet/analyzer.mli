@@ -68,6 +68,37 @@ type esc_info = {
           address interval strictly tightened under the octagon *)
 }
 
+(** What made the [Auto] domain escalate a function: an access the
+    interval pass left able to touch two or more memory regions
+    ({!Wcet_value.Analysis.regions_spanned}, the auditor's A0509), or a
+    loop it left unbounded for an input-dependent or aliased counter. *)
+type esc_trigger =
+  | Multi_region_access of { insn : int; addr : Wcet_value.Aval.t; regions : string list }
+      (** instruction address, interval-pass address, region names *)
+  | Loop_hole of { header : int; cause : Wcet_value.Loop_bounds.cause }
+
+(** The escalation decision for one candidate function: one whose
+    interval results left an imprecise access or a loop hole. *)
+type esc_decision =
+  | Esc_escalated of esc_trigger list  (** its triggers, never empty *)
+  | Esc_skipped of string list
+      (** every imprecise access stays inside one region; the regions, by
+          name *)
+
+(** ["escalate"] or ["skip"]. *)
+val esc_decision_name : esc_decision -> string
+
+(** The decision's reason, e.g. ["access at 0x4ac: ⊤ spans 3 regions
+    (ram, scratch, io)"], ["loop 0x78 input-dependent"] or ["skipped:
+    imprecise accesses confined to region `ram`"]. *)
+val esc_decision_reason : esc_decision -> string
+
+(** One ["escalation gate: <func>: <reason>"] line per candidate. *)
+val pp_esc_gate : Format.formatter -> (string * esc_decision) list -> unit
+
+(** [[{"func": ..., "decision": "escalate"|"skip", "reason": ...}, ...]]. *)
+val esc_gate_to_json : (string * esc_decision) list -> Wcet_diag.Json.t
+
 (** One path-analysis backend's outcome inside a portfolio run (also
     recorded, as a singleton list, when a single backend is forced). *)
 type backend_run = {
@@ -106,6 +137,9 @@ type report = {
       (** [Some] iff a relational (octagon) escalation ran and refined
           [value]/[derived_bounds]; [None] under [--domain interval] and
           when [auto] found nothing to escalate *)
+  esc_gate : (string * esc_decision) list;
+      (** [Auto]'s decision for each candidate function, by name; [[]]
+          under [Interval] *)
   derived_bounds : Wcet_value.Loop_bounds.t;
   effective_bounds : (int * int) list;  (** (loop index, bound) after annotations *)
   unbounded_loops : (int * string) list;  (** loops degraded to holes, with reasons *)
@@ -138,11 +172,14 @@ val engine_name : engine -> string
 
     [domain] selects the value domain ({!Wcet_value.Analysis.domain},
     default [Interval] — bit-identical to the pre-octagon analyzer).
-    [Auto] re-solves the whole program under the interval x octagon
-    reduced product when some function's interval results left imprecise
-    data accesses or input-dependent/aliased loop-bound causes; those
-    functions choose the tracked slots and widening thresholds, and each
-    product state is met with the interval one. The refined result feeds
+    [Auto] re-solves, under the interval x octagon reduced product, the
+    functions whose interval results left a data access that may touch
+    two or more memory regions or an input-dependent/aliased loop-bound
+    cause; those functions choose the tracked slots and widening
+    thresholds, and each product state is met with the interval one.
+    [esc_gate] records each candidate's decision (an imprecise access
+    confined to one region is skipped: it costs that region's latency
+    whatever its address). The refined result feeds
     every downstream phase, so escalation can tighten memory-region
     classification, cache access sets and loop bounds — never loosen them.
 
@@ -170,7 +207,11 @@ val engine_name : engine -> string
       bound against the simplex ({!Wcet_ipet.Ipet.Simplex}) (E0303);
     - the mc gate: a run the gate kept IPET-only also runs the
       model checker as an oracle, and an Info W0306 records a tighter
-      bound the gate missed (a precision oracle: the bound stays IPET's).
+      bound the gate missed (a precision oracle: the bound stays IPET's);
+    - the escalation trigger: under [Auto], every candidate is escalated
+      as an oracle, and an Info W0502 records each skipped function where
+      an access address or loop bound would have tightened (the result
+      stays the gated one's).
     A report-cache hit would skip these checks, so a verified analysis
     never reads a cached report; it still writes one. The reference solves
     add to the fixpoint-transfer and path-solve metrics.
@@ -198,8 +239,11 @@ val pp_report : Format.formatter -> report -> unit
 val verdict_name : confidence -> string
 
 (** Machine-readable report: wcet, bcet, verdict, holes, diagnostics,
-    per-loop effective bounds, per-phase times. A function of the report
-    alone: the one-shot CLI appends the run's metrics and trace itself. *)
+    per-loop effective bounds, per-phase times, and the [escalation]
+    block: null without a candidate, else its [gate]
+    ({!esc_gate_to_json}) plus, when a function escalated, what the
+    octagon changed. A function of the report alone: the one-shot CLI
+    appends the run's metrics and trace itself. *)
 val report_to_json : report -> Wcet_diag.Json.t
 
 (** JSON object for a failed analysis ([Analysis_failed] payload):

@@ -43,6 +43,8 @@ type t = {
   covered : int;  (* sum of block totals; equals [wcet] *)
   backends : Analyzer.backend_run list;  (* per-backend portfolio outcomes *)
   mc_gate : Analyzer.mc_gate;  (* why the model checker did or did not race *)
+  esc_gate : (string * Analyzer.esc_decision) list;
+      (* why each candidate function did or did not escalate *)
 }
 
 let share_of wcet total = if wcet = 0 then 0. else float_of_int total /. float_of_int wcet
@@ -105,6 +107,7 @@ let of_report (r : Analyzer.report) =
     covered = !covered;
     backends = r.Analyzer.backend_runs;
     mc_gate = r.Analyzer.mc_gate;
+    esc_gate = r.Analyzer.esc_gate;
   }
 
 let pp_loop_row ppf row =
@@ -164,6 +167,7 @@ let pp ?(top = 10) ppf t =
       t.backends;
   Format.fprintf ppf "mc gate: %s (%s)@," (Analyzer.mc_gate_decision t.mc_gate)
     (Analyzer.mc_gate_reason t.mc_gate);
+  Analyzer.pp_esc_gate ppf t.esc_gate;
   Format.fprintf ppf "@]"
 
 let block_row_json row =
@@ -213,6 +217,7 @@ let to_json t =
                  ])
              t.backends) );
       ("mc_gate", Analyzer.mc_gate_to_json t.mc_gate);
+      ("escalation_gate", Analyzer.esc_gate_to_json t.esc_gate);
     ]
 
 (* DOT view: the whole supergraph, with worst-case-path nodes filled —

@@ -37,6 +37,9 @@ type t = {
   mc_gate : Analyzer.mc_gate;
       (** whether the model checker raced and why; printed after the
           backends *)
+  esc_gate : (string * Analyzer.esc_decision) list;
+      (** why each candidate function did or did not escalate to the
+          octagon; printed after the mc gate *)
 }
 
 val of_report : Analyzer.report -> t

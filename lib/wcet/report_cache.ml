@@ -36,8 +36,10 @@ module Trace = Wcet_obs.Trace
    depend on what the store held; 12: the value and cache analyses run
    one whole-program solve, which transfers a few more nodes than the
    component schedule on some programs; 13: the report no longer records
-   a requested path backend, and its mc gate decision is always set). *)
-let format_version = "13"
+   a requested path backend, and its mc gate decision is always set; 14:
+   the report records the octagon escalation's gate decision, and [auto]
+   no longer escalates imprecision confined to one memory region). *)
+let format_version = "14"
 
 let m_hits_program =
   Metrics.counter ~labels:[ ("granularity", "program") ] ~name:"cache_store_hits"

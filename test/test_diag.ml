@@ -62,14 +62,14 @@ let test_store_and_env_codes_registered () =
     (Diag.exit_for (Diag.make Diag.Warning Diag.Store ~code:"W0612" "x"));
   Alcotest.(check string) "store phase name" "cache-store" (Diag.phase_name Diag.Store)
 
-(* The octagon-escalation codes: the escalation notice and the --verify
-   cross-check failure. W0613 evicted per-function slices recorded under
+(* The octagon-escalation codes: the escalation notice, the --verify
+   cross-check failure and the trigger's --verify precision oracle. W0613 evicted per-function slices recorded under
    another value domain; the store keeps no slices, so it is retired. *)
 let test_octagon_codes_registered () =
   List.iter
     (fun code ->
       Alcotest.(check bool) (code ^ " documented") true (Diag.describe code <> None))
-    [ "W0501"; "E0503"; "A0512" ];
+    [ "W0501"; "W0502"; "E0503"; "A0512" ];
   (* E0503 is an analysis failure (the escalated solution diverged), not a
      usage problem: it must exit with the analysis code. *)
   Alcotest.(check int) "E0503 exits as analysis" 2
