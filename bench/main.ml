@@ -37,30 +37,72 @@ let render table =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-(* Cold-vs-warm wall clock of the persistent analysis cache on the
-   quickstart program: the warm run must hit the whole-program entry and
-   skip every analysis phase. Uses a throwaway store so the benchmark never
-   touches (or is skewed by) a user's _wcet_cache. *)
-let cache_comparison () =
-  let program = Minic.Compile.compile Harness.quickstart_source in
+module Handlers = Wcet_serve.Handlers
+module Metrics = Wcet_obs.Metrics
+
+(* [f path] with [source] written to a throwaway file at [path]. *)
+let with_source source f =
+  let path = Filename.temp_file "wcet_bench" ".mc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc source);
+      f path)
+
+(* The store-backed request path: a daemon [analyze] of the file at
+   [path], under the library defaults (interval domain). *)
+let handlers_analyze path =
+  match Handlers.analyze (Handlers.bare_request path) with
+  | Ok a -> a
+  | Error _ -> failwith "bench: a store-backed analysis failed"
+
+(* The (value, cache) fixpoint transfers [f] performs, read from the metric
+   registry: a store hit returns an answer, which carries no state to count
+   them from. The registry counts while observability is on, as it is for
+   everything after T1. *)
+let transfers_during f =
+  let counter name = match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0 in
+  let count () =
+    (counter "fixpoint_transfers{analysis=value}", counter "fixpoint_transfers{analysis=cache}")
+  in
+  let v0, c0 = count () in
+  let result = f () in
+  let v1, c1 = count () in
+  (result, (v1 - v0, c1 - c0))
+
+(* Run [f] with the persistent store at a throwaway directory, so the
+   benchmark never touches (or is skewed by) a user's _wcet_cache. *)
+let with_store name f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wcet_bench_cache.%d" (Unix.getpid ()))
+      (Printf.sprintf "wcet_bench_%s.%d" name (Unix.getpid ()))
   in
-  if not (Wcet_core.Report_cache.set_dir dir) then (0., 0.)
-  else begin
-    let r_cold, cold = timed (fun () -> Analyzer.analyze program) in
-    let r_warm, warm = timed (fun () -> Analyzer.analyze program) in
-    Wcet_core.Report_cache.disable ();
-    (match Wcet_util.Store.open_store dir with
-    | Ok s -> ignore (Wcet_util.Store.clear s)
-    | Error _ -> ());
-    if r_cold.Analyzer.wcet <> r_warm.Analyzer.wcet then
-      failwith "cache benchmark: warm bound differs from cold bound";
-    (cold, warm)
-  end
+  if not (Wcet_core.Report_cache.set_dir dir) then failwith ("cannot open a store at " ^ dir);
+  Fun.protect
+    ~finally:(fun () ->
+      Wcet_core.Report_cache.disable ();
+      match Wcet_util.Store.open_store dir with
+      | Ok s -> ignore (Wcet_util.Store.clear s)
+      | Error _ -> ())
+    f
 
-(* The fixpoint engine on the quickstart program, cold (no report cache):
+(* Cold-vs-warm wall clock of the persistent analysis cache on the
+   quickstart program, through the request path: the warm request must hit
+   the answer before compiling and transfer nothing. *)
+let cache_comparison () =
+  with_source Harness.quickstart_source (fun path ->
+      with_store "cache" (fun () ->
+          let a_cold, cold = timed (fun () -> handlers_analyze path) in
+          let (a_warm, warm), warm_transfers =
+            transfers_during (fun () -> timed (fun () -> handlers_analyze path))
+          in
+          if a_cold.Analyzer.an_wcet <> a_warm.Analyzer.an_wcet then
+            failwith "cache benchmark: warm bound differs from cold bound";
+          if warm_transfers <> (0, 0) then
+            failwith "cache benchmark: the warm request transferred";
+          (cold, warm)))
+
+(* The fixpoint engine on the quickstart program, cold (no store):
    transfer totals and wall time of one analysis. *)
 let fixpoint_cold () =
   let program = Minic.Compile.compile Harness.quickstart_source in
@@ -83,30 +125,20 @@ let incremental_source edited =
      int main() { return mid_a(3) + mid_b(4); }\n"
     (if edited then 2 else 1)
 
-(* One-function edit under a warm store: cold-analyze the base program,
-   then analyze a variant whose only change is leaf_a's constant. The store
-   holds whole-program reports only, so the edit must transfer exactly as
-   much as a store-less run of the edited source; anything else means a
-   report depends on what the store held, and the bench fails. Returns the
-   edited program's (value, cache) transfers. *)
+(* One-function edit under a warm store, through the request path:
+   analyze the base program, then a variant whose only change is leaf_a's
+   constant. The store keys answers by source bytes, so the edit must miss
+   and transfer exactly as much as a store-less run of the edited source;
+   anything else means an answer depends on what the store held, and the
+   bench fails. Returns the edited program's (value, cache) transfers. *)
 let incremental_check () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "wcet_bench_edit.%d" (Unix.getpid ()))
+  let analyze edited = with_source (incremental_source edited) handlers_analyze in
+  let _, warm =
+    with_store "edit" (fun () ->
+        ignore (analyze false);
+        transfers_during (fun () -> analyze true))
   in
-  let transfers r =
-    ( r.Analyzer.value.Wcet_value.Analysis.transfers,
-      r.Analyzer.cache.Wcet_cache.Cache_analysis.transfers )
-  in
-  let analyze edited = Analyzer.analyze (Minic.Compile.compile (incremental_source edited)) in
-  if not (Wcet_core.Report_cache.set_dir dir) then failwith ("cannot open a store at " ^ dir);
-  ignore (analyze false);
-  let warm = transfers (analyze true) in
-  Wcet_core.Report_cache.disable ();
-  (match Wcet_util.Store.open_store dir with
-  | Ok s -> ignore (Wcet_util.Store.clear s)
-  | Error _ -> ());
-  let cold = transfers (analyze true) in
+  let _, cold = transfers_during (fun () -> analyze true) in
   if warm <> cold then begin
     Format.eprintf
       "incremental edit: warm transfers (value %d, cache %d) differ from a cold run (value %d, \
@@ -130,7 +162,7 @@ let iso_date = Ledger.iso_date
 let ledger_snapshot ~program source =
   Wcet_serve.Handlers.ledger_entry ~program
     ~digest:(Digest.to_hex (Digest.string source))
-    (Ok (Analyzer.analyze (Minic.Compile.compile source)))
+    (Ok (Analyzer.answer (Analyzer.analyze (Minic.Compile.compile source))))
 
 let write_ledger ~path =
   let entries =

@@ -22,11 +22,12 @@
      wcet_tool metrics
      wcet_tool codes
 
-   The analysis commands (analyze, explain, audit, suggest, check) keep a
-   persistent result cache in _wcet_cache/ (override with --cache-dir or
-   WCET_CACHE_DIR, disable with --no-cache); warm reruns of an unchanged
-   program reproduce the cold report bit for bit without re-running the
-   analysis phases.
+   analyze and suggest answer through a persistent store in _wcet_cache/
+   (override with --cache-dir or WCET_CACHE_DIR, disable with --no-cache):
+   a rerun on unchanged source and annotation bytes reproduces the cold
+   answer bit for bit without compiling or re-running the analysis phases.
+   explain, audit and check read analysis states, so they always
+   re-analyze (explain and audit take no store options).
 
    Programs are MiniC translation units; annotations use the textual syntax
    of Wcet_annot.Annot.
@@ -169,11 +170,14 @@ let soft_div_arg =
   Arg.(value & flag & info [ "soft-div" ] ~doc:"Lower division to the software lDivMod routine")
 
 (* The persistent analysis cache. Resolution order: --cache-dir, then
-   WCET_CACHE_DIR, then ./_wcet_cache. Opening is best-effort — an
-   unusable directory queues W0612 and the run proceeds uncached. Store
-   warnings are drained at exit so they reach stderr on every path
-   (including the cached-report path, whose output must stay bit-identical
-   to the cold run's). *)
+   WCET_CACHE_DIR, then ./_wcet_cache. Only commands whose analyses go
+   through Handlers.analyze take these options (analyze, suggest, check
+   for its daemon campaign, serve): explain and audit read analysis states
+   and never touch the store. Opening is best-effort — an unusable
+   directory queues W0612 and the run proceeds uncached. Store warnings
+   are drained at exit so they reach stderr on every path (including the
+   cached-answer path, whose output must stay bit-identical to the cold
+   run's). *)
 let cache_dir_arg =
   Arg.(
     value
@@ -226,7 +230,7 @@ let verify_arg =
            fact-free IPET (E0303), the model checker on programs its gate kept IPET-only \
            (an Info W0306 when it would have tightened the bound), and, under $(b,auto), the \
            octagon on functions its trigger skipped (an Info W0502 when it would have \
-           tightened an access or loop bound). Never reads a cached report")
+           tightened an access or loop bound). Never reads or writes the answer store")
 
 let domain_arg =
   Arg.(
@@ -254,12 +258,12 @@ let ledger_arg =
     & info [ "ledger" ] ~docv:"FILE"
         ~doc:"Append a bound-drift snapshot for this run to FILE (NDJSON, append-only)")
 
-let ledger_append ~ledger ~source report =
+let ledger_append ~ledger ~source answer =
   match ledger with
   | None -> ()
   | Some path -> (
     let entry =
-      Handlers.ledger_entry ~program:source ~digest:(Handlers.file_digest source) (Ok report)
+      Handlers.ledger_entry ~program:source ~digest:(Handlers.file_digest source) (Ok answer)
     in
     match Ledger.append ~path [ entry ] with
     | Ok () -> ()
@@ -302,27 +306,27 @@ let analyze_cmd =
         obs_setup ~profile ~trace;
         cache_setup ~cache_dir ~no_cache;
         match Handlers.analyze { Handlers.source; annot; hw; soft_div; config } with
-        | Ok report -> (
-          ledger_append ~ledger ~source report;
+        | Ok answer -> (
+          ledger_append ~ledger ~source answer;
           (match format with
           | Json_format ->
-            print_endline (Json.to_string (with_obs_fields (Analyzer.report_to_json report)))
+            print_endline (Json.to_string (with_obs_fields (Analyzer.report_to_json answer)))
           | Text ->
-            if verbose then Format.printf "%a@." Analyzer.pp_report report
+            if verbose then Format.printf "%a@." Analyzer.pp_report answer
             else begin
-              (match report.Analyzer.verdict with
+              (match answer.Analyzer.an_verdict with
               | Analyzer.Complete ->
-                Format.printf "WCET bound: %d cycles@." report.Analyzer.wcet
+                Format.printf "WCET bound: %d cycles@." answer.Analyzer.an_wcet
               | Analyzer.Partial ->
                 Format.printf
                   "WCET bound: %d cycles — PARTIAL: conditional on %d analysis hole(s)@."
-                  report.Analyzer.wcet
-                  (List.length report.Analyzer.holes));
-              if report.Analyzer.diagnostics <> [] then
-                Format.eprintf "@[<v>%a@]@." Diag.pp_list report.Analyzer.diagnostics
+                  answer.Analyzer.an_wcet
+                  (List.length answer.Analyzer.an_holes));
+              if answer.Analyzer.an_diagnostics <> [] then
+                Format.eprintf "@[<v>%a@]@." Diag.pp_list answer.Analyzer.an_diagnostics
             end);
           obs_finish ~profile ~trace;
-          match report.Analyzer.verdict with
+          match answer.Analyzer.an_verdict with
           | Analyzer.Complete -> ()
           | Analyzer.Partial -> exit Diag.Exit.partial)
         | Error ds ->
@@ -432,9 +436,8 @@ let audit_cmd =
           ~doc:"With $(b,--corpus): selects each scenario's nominal coverage input set \
                 (deterministic)")
   in
-  let run source annot hw soft_div format dot corpus grades seed cache_dir no_cache config =
+  let run source annot hw soft_div format dot corpus grades seed config =
     handle_errors (fun () ->
-        cache_setup ~cache_dir ~no_cache;
         if corpus then begin
           let rows = Wcet_experiments.Audit_corpus.run ~config ~seed () in
           (if grades then
@@ -468,7 +471,7 @@ let audit_cmd =
           its predictability")
     Term.(
       const run $ source_opt_arg $ annot_arg $ hw_arg $ soft_div_arg $ format_arg $ dot_arg
-      $ corpus_arg $ grades_arg $ seed_arg $ cache_dir_arg $ no_cache_arg $ config_term)
+      $ corpus_arg $ grades_arg $ seed_arg $ config_term)
 
 let disasm_cmd =
   let run source soft_div =
@@ -506,22 +509,22 @@ let suggest_cmd =
         (* suggest takes no analysis flags: it runs the library defaults. *)
         let config = { Handlers.domain = Wcet_value.Analysis.Interval; verify = false } in
         match Handlers.analyze { Handlers.source; annot = None; hw; soft_div; config } with
-        | Ok report -> (
-          match report.Analyzer.verdict with
+        | Ok answer -> (
+          match answer.Analyzer.an_verdict with
           | Analyzer.Complete ->
             Format.printf
               "analysis succeeds without annotations (bound %d cycles); nothing to suggest@."
-              report.Analyzer.wcet
+              answer.Analyzer.an_wcet
           | Analyzer.Partial ->
             Format.printf
               "# partial analysis (bound %d cycles is conditional); annotation templates:@."
-              report.Analyzer.wcet;
+              answer.Analyzer.an_wcet;
             List.iter
               (fun d ->
                 match d.Diag.hint with
                 | Some hint -> Format.printf "%s   # [%s] %s@." hint d.Diag.code d.Diag.message
                 | None -> ())
-              report.Analyzer.diagnostics)
+              answer.Analyzer.an_diagnostics)
         | Error ds ->
           Format.printf "# analysis failed; diagnostics and templates:@.";
           List.iter
@@ -564,10 +567,9 @@ let explain_cmd =
       & info [ "poke" ]
           ~doc:"With $(b,--attribute): set a global before the observed simulation run")
   in
-  let run source annot hw soft_div top dot format attribute pokes cache_dir no_cache config =
+  let run source annot hw soft_div top dot format attribute pokes config =
     handle_errors (fun () ->
-        cache_setup ~cache_dir ~no_cache;
-        match Handlers.analyze { Handlers.source; annot; hw; soft_div; config } with
+        match Handlers.full_report { Handlers.source; annot; hw; soft_div; config } with
         | Ok report when attribute -> (
           match
             Attribution.of_report ~pokes:(List.map (fun (sym, v) -> (sym, 0, v)) pokes) report
@@ -595,7 +597,7 @@ let explain_cmd =
           into typed pessimism sources")
     Term.(
       const run $ source_arg $ annot_arg $ hw_arg $ soft_div_arg $ top_arg $ dot_arg $ format_arg
-      $ attribute_flag $ pokes_arg $ cache_dir_arg $ no_cache_arg $ config_term)
+      $ attribute_flag $ pokes_arg $ config_term)
 
 let check_cmd =
   let seed_arg =

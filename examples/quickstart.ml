@@ -35,7 +35,7 @@ let () =
 
   (* 2. Static analysis: all the phases of the paper's Figure 1. *)
   let report = Wcet_core.Analyzer.analyze program in
-  Format.printf "@.%a@." Wcet_core.Analyzer.pp_report report;
+  Format.printf "@.%a@." Wcet_core.Analyzer.pp_report (Wcet_core.Analyzer.answer report);
 
   (* 3. Simulate a few input vectors and compare. *)
   let observe inputs =

@@ -115,7 +115,7 @@ let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
   let ledger_entry ?observed () =
     Handlers.ledger_entry ~program:(id ^ "/" ^ variant)
       ~digest:(Digest.to_hex (Digest.string s.Corpus.source))
-      ?observed outcome
+      ?observed (Result.map Analyzer.answer outcome)
   in
   match outcome with
   | Error ds ->

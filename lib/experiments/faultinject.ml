@@ -310,6 +310,7 @@ let rejection_histogram c =
 
 module Store = Wcet_util.Store
 module Report_cache = Wcet_core.Report_cache
+module Handlers = Wcet_serve.Handlers
 
 let write_whole_file path s =
   let oc = open_out_bin path in
@@ -334,7 +335,7 @@ let list_wcache_files root =
 (* On-disk envelope mutations: the store must degrade every one of these to
    Miss/Corrupt on read, never raise. *)
 let corrupt_file rng path kind =
-  match Wcet_serve.Handlers.read_file path with
+  match Handlers.read_file path with
   | exception Sys_error _ -> ()
   | s ->
     let n = String.length s in
@@ -376,51 +377,77 @@ let with_cache_dir dir f =
         Crashed (Printf.sprintf "cannot open fault-injection store at %s" dir)
       else f ())
 
+(* Re-stamp an entry with another tool version: checksum and payload stay
+   valid, so the next lookup must evict it as stale (W0611). *)
+let bump_version dir path =
+  let key = Filename.chop_suffix (Filename.basename path) ".wcache" in
+  match Store.open_store dir with
+  | Error _ -> ()
+  | Ok s -> (
+    match Store.read s ~key with
+    | Store.Hit { kind; version; payload } ->
+      ignore (Store.write s ~key ~kind ~version:(version ^ "+older") payload)
+    | Store.Miss | Store.Corrupt _ -> ())
+
+(* Each trial analyzes through the request path ([Handlers.analyze]), the
+   only reader and writer of the store: its source file sits at the store's
+   root, where the store never looks. *)
 let store_trial ~dir rng i =
+  let source = Filename.concat dir "store-trial.mc" in
+  let analyze () =
+    match Handlers.analyze (Handlers.bare_request source) with
+    | Ok a -> a
+    | Error ds -> raise (Analyzer.Analysis_failed ds)
+  in
   guard (fun () ->
       with_cache_dir dir (fun () ->
-          let program =
-            Compile.compile (List.nth minic_seeds (i mod List.length minic_seeds))
-          in
-          (match Store.open_store dir with
-          | Ok s -> ignore (Store.clear s)
-          | Error _ -> ());
-          ignore (Report_cache.drain_diags ());
-          (* cold run populates the report entry *)
-          let cold = Analyzer.analyze ~annot:Annot.empty program in
-          let files = list_wcache_files dir in
-          let n = List.length files in
-          if n > 0 then
-            for _ = 0 to Pcg.next_int rng 3 do
-              corrupt_file rng (List.nth files (Pcg.next_int rng n)) (Pcg.next_int rng 5)
-            done;
-          (* direct probe: a raw store read of any mutated entry must come
-             back as a value (Hit/Miss/Corrupt), never an exception *)
-          (match Store.open_store dir with
-          | Ok s ->
-            List.iter
-              (fun p ->
-                let key = Filename.chop_suffix (Filename.basename p) ".wcache" in
-                ignore (Store.read s ~key))
-              files
-          | Error _ -> ());
-          (* warm run must heal: evict the damage (W0610/W0611), recompute,
-             and land on the cold bound bit for bit *)
-          let warm = Analyzer.analyze ~annot:Annot.empty program in
-          let heals = Report_cache.drain_diags () in
-          match
-            List.find_opt (fun (d : Diag.t) -> Diag.describe d.Diag.code = None) heals
-          with
-          | Some d -> Crashed (Printf.sprintf "unregistered heal code %s" d.Diag.code)
-          | None ->
-            if warm.Analyzer.wcet <> cold.Analyzer.wcet then
-              Crashed
-                (Printf.sprintf "bound drift after store corruption: cold %d, warm %d"
-                   cold.Analyzer.wcet warm.Analyzer.wcet)
-            else (
-              match warm.Analyzer.verdict with
-              | Analyzer.Complete -> Ran_complete
-              | Analyzer.Partial -> Ran_partial)))
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove source with Sys_error _ -> ())
+            (fun () ->
+              write_whole_file source (List.nth minic_seeds (i mod List.length minic_seeds));
+              (match Store.open_store dir with
+              | Ok s -> ignore (Store.clear s)
+              | Error _ -> ());
+              ignore (Report_cache.drain_diags ());
+              (* cold run populates the answer entry *)
+              let cold = analyze () in
+              let files = list_wcache_files dir in
+              let n = List.length files in
+              if n > 0 then
+                for _ = 0 to Pcg.next_int rng 3 do
+                  let file = List.nth files (Pcg.next_int rng n) in
+                  match Pcg.next_int rng 6 with
+                  | 5 -> bump_version dir file
+                  | kind -> corrupt_file rng file kind
+                done;
+              (* direct probe: a raw store read of any mutated entry must
+                 come back as a value (Hit/Miss/Corrupt), never an
+                 exception *)
+              (match Store.open_store dir with
+              | Ok s ->
+                List.iter
+                  (fun p ->
+                    let key = Filename.chop_suffix (Filename.basename p) ".wcache" in
+                    ignore (Store.read s ~key))
+                  files
+              | Error _ -> ());
+              (* warm run must heal: evict the damage (W0610/W0611),
+                 recompute, and land on the cold bound bit for bit *)
+              let warm = analyze () in
+              let heals = Report_cache.drain_diags () in
+              match
+                List.find_opt (fun (d : Diag.t) -> Diag.describe d.Diag.code = None) heals
+              with
+              | Some d -> Crashed (Printf.sprintf "unregistered heal code %s" d.Diag.code)
+              | None ->
+                if warm.Analyzer.an_wcet <> cold.Analyzer.an_wcet then
+                  Crashed
+                    (Printf.sprintf "bound drift after store corruption: cold %d, warm %d"
+                       cold.Analyzer.an_wcet warm.Analyzer.an_wcet)
+                else (
+                  match warm.Analyzer.an_verdict with
+                  | Analyzer.Complete -> Ran_complete
+                  | Analyzer.Partial -> Ran_partial))))
 
 let summarize trials =
   let count p = List.length (List.filter p trials) in

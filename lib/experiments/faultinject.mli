@@ -60,13 +60,15 @@ val run :
   campaign
 
 (** [store_campaign ?seed ?trials ?dir ()] attacks the persistent analysis
-    cache: each trial cold-analyzes a seed program into a store at [dir] (a
-    scratch directory by default, removed afterwards), then bit-flips,
-    truncates, header-smashes, empties or pads [.wcache] entry files on
-    disk and re-analyzes warm. Graceful means: raw {!Wcet_util.Store.read}
-    of every damaged entry returns a value (Hit/Miss/Corrupt), the warm run
-    heals with registered diagnostics (W0610/W0611) and reproduces the cold
-    bound bit for bit. Bound drift or an unregistered heal counts as
+    cache: each trial writes a seed program to a source file at the root of
+    a store at [dir] (a scratch directory by default, removed afterwards),
+    cold-analyzes it through {!Wcet_serve.Handlers.analyze} (the store's one
+    reader and writer), then bit-flips, truncates, header-smashes, empties
+    or pads [.wcache] answer entries on disk, or re-stamps them with an
+    older tool version, and re-analyzes warm. Graceful means: raw
+    {!Wcet_util.Store.read} of every damaged entry returns a value
+    (Hit/Miss/Corrupt), the warm run heals with registered diagnostics
+    (W0610/W0611) and reproduces the cold bound bit for bit. Bound drift or an unregistered heal counts as
     [Crashed]. The process-global cache configuration is saved and
     restored. Default 48 trials. *)
 val store_campaign : ?seed:int64 -> ?trials:int -> ?dir:string -> unit -> campaign

@@ -203,7 +203,7 @@ let e4_entry_row (e : Corpus.entry) =
   let nonexact = function
     | None -> (0, 0)
     | Some r ->
-      let counts = Wcet_core.Attribution.precision_counts r in
+      let counts = (Analyzer.answer r).Analyzer.an_precision in
       let get k = Option.value (List.assoc_opt k counts) ~default:0 in
       ( get "value_interval" + get "value_unknown",
         get "fetch_not_classified" + get "data_not_classified" )

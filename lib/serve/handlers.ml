@@ -21,6 +21,7 @@ type request = {
 }
 
 type outcome = (Analyzer.report, Diag.t list) result
+type answer = (Analyzer.answer, Diag.t list) result
 
 let read_file path =
   let ic = open_in_bin path in
@@ -28,17 +29,20 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let compile_file ~soft_div path =
-  if Filename.check_suffix path ".s" then
-    Pred32_asm.Assembler.link (Pred32_asm.Asm_parser.parse (read_file path))
+let is_assembly path = Filename.check_suffix path ".s"
+
+let compile_text ~soft_div ~path text =
+  if is_assembly path then Pred32_asm.Assembler.link (Pred32_asm.Asm_parser.parse text)
   else
     let options = { Minic.Codegen.default_options with Minic.Codegen.soft_div } in
-    Minic.Compile.compile ~options (read_file path)
+    Minic.Compile.compile ~options text
 
-let load_annot = function
+let compile_file ~soft_div path = compile_text ~soft_div ~path (read_file path)
+
+let parse_annot = function
   | None -> Annot.empty
-  | Some path -> (
-    match Annot.parse (read_file path) with
+  | Some text -> (
+    match Annot.parse text with
     | Ok a -> a
     | Error msg ->
       raise (Analyzer.Analysis_failed [ Diag.make Diag.Error Diag.Annot ~code:"E0404" msg ]))
@@ -50,10 +54,36 @@ let run ?cancel c ~hw ~annot program =
   | report -> Ok report
   | exception Analyzer.Analysis_failed ds -> Error ds
 
-let analyze ?cancel r =
+let full_report ?cancel r =
   let program = compile_file ~soft_div:r.soft_div r.source in
-  let annot = load_annot r.annot in
+  let annot = parse_annot (Option.map read_file r.annot) in
   run ?cancel r.config ~hw:r.hw ~annot program
+
+let analyze_text ?cancel r ~source ~annot =
+  (* A hit would skip --verify's cross-checks, so a verified request
+     neither reads nor writes the store. *)
+  let key =
+    if r.config.verify || not (Report_cache.enabled ()) then None
+    else
+      Some
+        (Report_cache.answer_key ~source ~annot
+           ~front_end:(if is_assembly r.source then "asm" else "minic")
+           ~soft_div:r.soft_div ~hw:r.hw ~domain:r.config.domain)
+  in
+  match Option.bind key (fun key -> Report_cache.find_answer ~key) with
+  | Some a -> Ok a
+  | None -> (
+    let program = compile_text ~soft_div:r.soft_div ~path:r.source source in
+    match run ?cancel r.config ~hw:r.hw ~annot:(parse_annot annot) program with
+    | Ok report ->
+      let a = Analyzer.answer report in
+      Option.iter (fun key -> Report_cache.save_answer ~key a) key;
+      Ok a
+    | Error ds -> Error ds)
+
+let analyze ?cancel r =
+  let source = read_file r.source in
+  analyze_text ?cancel r ~source ~annot:(Option.map read_file r.annot)
 
 let audit_program ?cancel c ~hw ~annot ~misra ?coverage program =
   let outcome = run ?cancel c ~hw ~annot program in
@@ -64,9 +94,9 @@ let audit_program ?cancel c ~hw ~annot ~misra ?coverage program =
 
 let audit ?cancel r =
   let program = compile_file ~soft_div:r.soft_div r.source in
-  let annot = load_annot r.annot in
+  let annot = parse_annot (Option.map read_file r.annot) in
   let misra =
-    if Filename.check_suffix r.source ".s" then []
+    if is_assembly r.source then []
     else Misra.Checker.check_user (Minic.Compile.frontend_with_runtime (read_file r.source))
   in
   (* Nominal coverage: one zero-input simulator run (inputs left at their
@@ -99,13 +129,11 @@ let cache_stats () =
 
 let file_digest path = try Digest.to_hex (Digest.file path) with _ -> ""
 
-let ledger_entry ~program ~digest ?observed outcome =
+let ledger_entry ~program ~digest ?observed answer =
   let verdict, bound, metrics =
-    match outcome with
-    | Ok (r : Analyzer.report) ->
-      ( Analyzer.verdict_name r.Analyzer.verdict,
-        Some r.Analyzer.wcet,
-        Wcet_core.Attribution.precision_counts r )
+    match answer with
+    | Ok (a : Analyzer.answer) ->
+      (Analyzer.verdict_name a.Analyzer.an_verdict, Some a.Analyzer.an_wcet, a.Analyzer.an_precision)
     | Error _ -> ("failed", None, [])
   in
   {
@@ -151,10 +179,11 @@ let request_of params =
     config = { domain = Wcet_value.Analysis.Interval; verify = false };
   }
 
-let analyze_source path = analyze (request_of (Json.Obj [ ("source", Json.String path) ]))
+let bare_request path = request_of (Json.Obj [ ("source", Json.String path) ])
+let analyze_source path = full_report (bare_request path)
 
 let outcome_json render = function
-  | Ok report -> render report
+  | Ok x -> render x
   | Error ds -> Analyzer.failure_to_json ds
 
 let standard ~cancel ~meth ~params =
@@ -165,7 +194,7 @@ let standard ~cancel ~meth ~params =
     Some
       (outcome_json
          (fun r -> Explain.to_json (Explain.of_report r))
-         (analyze ~cancel (request_of params)))
+         (full_report ~cancel (request_of params)))
   | "audit" -> Some (Misra.Audit.to_json (snd (audit ~cancel (request_of params))))
   | "metrics" -> (
     match str_param params "format" with

@@ -18,7 +18,9 @@
     The analysis methods run the interval domain without [--verify] (the
     daemon's one {!config}, chosen where the params are decoded), so they
     answer what [wcet_tool <method> --format json --domain interval]
-    prints, timing keys aside.
+    prints, timing keys aside. [analyze] answers through the persistent
+    store ({!analyze}); [explain] and [audit] read analysis states, so they
+    re-analyze.
 
     A failed analysis ([Analysis_failed]) is NOT an exception at the wire
     level: the result is the [{"verdict": "failed", ...}] object the CLI
@@ -54,6 +56,9 @@ type request = {
 (** A report, or the fatal diagnostics of a failed analysis. *)
 type outcome = (Wcet_core.Analyzer.report, Wcet_diag.Diag.t list) result
 
+(** An answer, or the fatal diagnostics of a failed analysis. *)
+type answer = (Wcet_core.Analyzer.answer, Wcet_diag.Diag.t list) result
+
 val read_file : string -> string
 
 (** [compile_file ~soft_div path]: a [.s] file goes straight to the
@@ -74,10 +79,29 @@ val run :
   Pred32_asm.Program.t ->
   outcome
 
-(** Compile, load annotations (a syntax error raises [Analysis_failed]
-    with one E0404 diagnostic, which escapes like a compile error), then
-    {!run}. *)
-val analyze : ?cancel:(unit -> bool) -> request -> outcome
+(** The answer of a request, through the persistent store when one is
+    set ({!Wcet_core.Report_cache}). Reads the source and annotation
+    files once and looks their {!Wcet_core.Report_cache.answer_key} up
+    before compiling: a hit returns the stored answer. A miss compiles the
+    bytes it hashed, loads the annotations (a syntax error raises
+    [Analysis_failed] with one E0404 diagnostic, which escapes like a
+    compile error), {!run}s, and stores the answer. A [verify] request
+    neither reads nor writes the store, and a failed analysis is never
+    stored. *)
+val analyze : ?cancel:(unit -> bool) -> request -> answer
+
+(** {!analyze} on bytes already read: [source] stands for the file
+    [request.source] names (its suffix picks the front end) and [annot]
+    for the annotation file's bytes. Exported only so that a test can hand
+    the miss path bytes the file does not hold and check that the stored
+    answer is theirs; front ends call {!analyze} or {!full_report}. *)
+val analyze_text :
+  ?cancel:(unit -> bool) -> request -> source:string -> annot:string option -> answer
+
+(** Compile, load annotations, then {!run}: the report with every analysis
+    state, for the commands that read states ([explain], [--attribute],
+    watch mode). Never reads or writes the store. *)
+val full_report : ?cancel:(unit -> bool) -> request -> outcome
 
 (** {!run}, then grade the outcome ({!Misra.Audit.of_report} or
     {!Misra.Audit.of_failure}). *)
@@ -93,7 +117,7 @@ val audit_program :
 
 (** The audit pipeline on a source file: compile, load annotations, MiniC
     rule check (skipped for [.s]), one zero-input simulator run for
-    coverage, then {!audit_program}. *)
+    coverage, then {!audit_program}. Never reads or writes the store. *)
 val audit : ?cancel:(unit -> bool) -> request -> outcome * Misra.Audit.t
 
 (** [root], [version], [entries], [bytes] and [by_kind] of an open store. *)
@@ -102,16 +126,23 @@ val store_stats_fields : Wcet_util.Store.t -> (string * Json.t) list
 (** Hex digest of a file's bytes; [""] when it cannot be read. *)
 val file_digest : string -> string
 
-(** The bound-drift snapshot of one outcome: its verdict ([failed] on
-    [Error]), bound and {!Wcet_core.Attribution.precision_counts}. [digest]
-    identifies the program text, [observed] the worst simulated run. *)
+(** The bound-drift snapshot of one answer: its verdict ([failed] on
+    [Error]), bound and precision counters. [digest] identifies the program
+    text, [observed] the worst simulated run. *)
 val ledger_entry :
-  program:string -> digest:string -> ?observed:int -> outcome -> Wcet_obs.Ledger.entry
+  program:string -> digest:string -> ?observed:int -> answer -> Wcet_obs.Ledger.entry
 
 (** [standard ~cancel ~meth ~params] runs one method; [None] for an
     unknown method. *)
 val standard : cancel:(unit -> bool) -> meth:string -> params:Json.t -> Json.t option
 
-(** Watch mode's analysis of one source file: a bare [analyze] request for
-    it. Frontend/input exceptions escape to the caller's classifier. *)
+(** The daemon's request for a bare source path: no annotations, the
+    default hardware, no [soft_div], the interval domain without
+    [verify]. *)
+val bare_request : string -> request
+
+(** Watch mode's analysis of one source file: the {!full_report} of its
+    {!bare_request} (watch events read function digests of
+    the compiled program). Frontend/input exceptions escape to the
+    caller's classifier. *)
 val analyze_source : string -> outcome

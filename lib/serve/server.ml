@@ -423,7 +423,8 @@ let ledger_record t path report =
   | None -> ()
   | Some ledger_path ->
     let entry =
-      Handlers.ledger_entry ~program:path ~digest:(Handlers.file_digest path) (Ok report)
+      Handlers.ledger_entry ~program:path ~digest:(Handlers.file_digest path)
+        (Ok (Wcet_core.Analyzer.answer report))
     in
     ignore (Ledger.append ~path:ledger_path [ entry ])
 

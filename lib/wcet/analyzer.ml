@@ -172,6 +172,82 @@ type report = {
   phase_seconds : (phase * float) list;
 }
 
+(* What the renderers, the ledger and the store read of a report: no
+   supergraph, no per-node states. Small enough that a store entry costs
+   about a kilobyte where the whole report cost sixty. *)
+type answer = {
+  an_wcet : int;
+  an_bcet : int;
+  an_verdict : confidence;
+  an_nodes : int;
+  an_contexts : int;
+  an_loops : int;
+  an_holes : hole list;
+  an_diagnostics : Diag.t list;
+  an_escalation : esc_info option;
+  an_esc_gate : (string * esc_decision) list;
+  an_backend_runs : backend_run list;
+  an_mc_gate : mc_gate;
+  an_loop_bounds : (int * string * int) list;  (* (header addr, func, bound) *)
+  an_phase_seconds : (phase * float) list;
+  an_precision : (string * int) list;
+}
+
+(* Higher-is-worse precision counters for the bound-drift ledger: any
+   increase between two snapshots of the same program is a precision
+   regression (Ledger.diff's convention). *)
+let precision_counts (r : report) =
+  let interval = ref 0 and unknown = ref 0 in
+  Array.iter
+    (List.iter (fun (a : Analysis.access) ->
+         match Aval.singleton a.Analysis.addr with
+         | Some _ -> ()
+         | None -> (
+           match Aval.range a.Analysis.addr with
+           | Some _ -> incr interval
+           | None -> incr unknown)))
+    r.value.Analysis.accesses;
+  let fetch_nc = ref 0 in
+  Array.iter
+    (Array.iter (fun c -> if c = Cache_analysis.Not_classified then incr fetch_nc))
+    r.cache.Cache_analysis.fetch;
+  let data_nc = ref 0 in
+  Array.iter
+    (List.iter (fun (d : Cache_analysis.data_access) ->
+         if d.Cache_analysis.kind = Cache_analysis.Not_classified then incr data_nc))
+    r.cache.Cache_analysis.data;
+  [
+    ("value_interval", !interval);
+    ("value_unknown", !unknown);
+    ("fetch_not_classified", !fetch_nc);
+    ("data_not_classified", !data_nc);
+    ("holes", List.length r.holes);
+  ]
+
+let answer (r : report) =
+  {
+    an_wcet = r.wcet;
+    an_bcet = r.bcet;
+    an_verdict = r.verdict;
+    an_nodes = Array.length r.graph.Supergraph.nodes;
+    an_contexts = Array.length r.graph.Supergraph.contexts;
+    an_loops = Array.length r.loops.Loops.loops;
+    an_holes = r.holes;
+    an_diagnostics = r.diagnostics;
+    an_escalation = r.escalation;
+    an_esc_gate = r.esc_gate;
+    an_backend_runs = r.backend_runs;
+    an_mc_gate = r.mc_gate;
+    an_loop_bounds =
+      List.map
+        (fun (li, b) ->
+          let hn = r.graph.Supergraph.nodes.(r.loops.Loops.loops.(li).Loops.header) in
+          (hn.Supergraph.block.Func_cfg.entry, hn.Supergraph.func, b))
+        r.effective_bounds;
+    an_phase_seconds = r.phase_seconds;
+    an_precision = precision_counts r;
+  }
+
 let span_name = function
   | Decode -> "decode"
   | Loop_value -> "value"
@@ -975,44 +1051,8 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(domain = Analysis
     ?(path_backend = Path_analysis.Portfolio) ?(verify = false) ?cancel program =
   if path_backend <> Path_analysis.Portfolio then
     invalid_arg "Analyzer.analyze: the portfolio is the only path analysis";
-  (* Derived at most once per analysis, and only when a store is set. *)
-  let key =
-    lazy
-      (Report_cache.report_key ~hw ~annot ~strategy:Wcet_util.Fixpoint.Rpo
-         ~engine:(engine_name Summary) ~domain:(Analysis.domain_name domain)
-         ~path:(Path_analysis.choice_name Path_analysis.Portfolio) program)
-  in
   Trace.with_span ~cat:"analyzer" "analyze" (fun () ->
-      (* A report hit would skip every cross-check, so [verify] always
-         recomputes, from scratch like every miss. *)
-      let cached =
-        if verify || not (Report_cache.enabled ()) then None
-        else
-          match Report_cache.find ~key:(Lazy.force key) with
-          | None -> None
-          | Some payload -> (
-            (* The envelope checksum and version already passed; a decode
-               failure here means marshal-layout drift — degrade to a
-               recompute, reclassifying the hit as a miss. *)
-            match
-              Trace.with_span ~cat:"store" "store.decode" (fun () ->
-                  (Marshal.from_string payload 0 : report))
-            with
-            | r -> Some r
-            | exception _ ->
-              Report_cache.invalidate ~key:(Lazy.force key);
-              None)
-      in
-      let r =
-        match cached with
-        | Some r -> r
-        | None ->
-          let r = analyze_inner ~hw ~annot ~domain ~verify ?cancel program in
-          if Report_cache.enabled () then
-            Trace.with_span ~cat:"store" "store.write" (fun () ->
-                Report_cache.save ~key:(Lazy.force key) (Marshal.to_string r []));
-          r
-      in
+      let r = analyze_inner ~hw ~annot ~domain ~verify ?cancel program in
       Trace.add_attr "nodes" (Trace.Int (Array.length r.graph.Supergraph.nodes));
       Trace.add_attr "loops" (Trace.Int (Array.length r.loops.Loops.loops));
       Trace.add_attr "wcet" (Trace.Int r.wcet);
@@ -1048,19 +1088,18 @@ let esc_gate_to_json gate =
            ])
        gate)
 
-let pp_report ppf r =
-  (match r.verdict with
-  | Complete -> Format.fprintf ppf "@[<v>WCET bound: %d cycles (best-case bound: %d)@," r.wcet r.bcet
+let pp_report ppf a =
+  (match a.an_verdict with
+  | Complete ->
+    Format.fprintf ppf "@[<v>WCET bound: %d cycles (best-case bound: %d)@," a.an_wcet a.an_bcet
   | Partial ->
     Format.fprintf ppf
       "@[<v>WCET bound: %d cycles — PARTIAL: conditional on %d analysis hole(s) (best-case \
        bound: %d)@,"
-      r.wcet (List.length r.holes) r.bcet);
-  Format.fprintf ppf "graph: %d nodes, %d contexts, %d loops@,"
-    (Array.length r.graph.Supergraph.nodes)
-    (Array.length r.graph.Supergraph.contexts)
-    (Array.length r.loops.Loops.loops);
-  (match r.escalation with
+      a.an_wcet (List.length a.an_holes) a.an_bcet);
+  Format.fprintf ppf "graph: %d nodes, %d contexts, %d loops@," a.an_nodes a.an_contexts
+    a.an_loops;
+  (match a.an_escalation with
   | None -> ()
   | Some e ->
     Format.fprintf ppf
@@ -1069,7 +1108,7 @@ let pp_report ppf r =
       (List.length e.ei_funcs) e.ei_transfers (List.length e.ei_slots)
       (List.length e.ei_discharged_loops)
       (List.length e.ei_tightened_accesses));
-  (match r.backend_runs with
+  (match a.an_backend_runs with
   | [] | [ _ ] -> ()
   | runs ->
     List.iter
@@ -1084,19 +1123,17 @@ let pp_report ppf r =
           Format.fprintf ppf "path backend %s: failed (%s), %.3f ms@," b.br_name code
             (float_of_int b.br_wall_us /. 1000.))
       runs);
-  Format.fprintf ppf "mc gate: %s (%s)@," (mc_gate_decision r.mc_gate) (mc_gate_reason r.mc_gate);
-  pp_esc_gate ppf r.esc_gate;
-  List.iter (fun h -> Format.fprintf ppf "hole: %a@," pp_hole h) r.holes;
+  Format.fprintf ppf "mc gate: %s (%s)@," (mc_gate_decision a.an_mc_gate)
+    (mc_gate_reason a.an_mc_gate);
+  pp_esc_gate ppf a.an_esc_gate;
+  List.iter (fun h -> Format.fprintf ppf "hole: %a@," pp_hole h) a.an_holes;
   List.iter
-    (fun (li, b) ->
-      let hn = r.graph.Supergraph.nodes.(r.loops.Loops.loops.(li).Loops.header) in
-      Format.fprintf ppf "loop at 0x%x in %s: bound %d@," hn.Supergraph.block.Func_cfg.entry
-        hn.Supergraph.func b)
-    r.effective_bounds;
-  if r.diagnostics <> [] then Format.fprintf ppf "%a@," Diag.pp_list r.diagnostics;
+    (fun (header, func, b) -> Format.fprintf ppf "loop at 0x%x in %s: bound %d@," header func b)
+    a.an_loop_bounds;
+  if a.an_diagnostics <> [] then Format.fprintf ppf "%a@," Diag.pp_list a.an_diagnostics;
   List.iter
     (fun (phase, dt) -> Format.fprintf ppf "%s: %.1f ms@," (phase_name phase) (dt *. 1000.))
-    r.phase_seconds;
+    a.an_phase_seconds;
   Format.fprintf ppf "@]"
 
 let hole_to_json = function
@@ -1144,18 +1181,18 @@ let mc_gate_to_json g =
              (match g with Mc_raced guards -> guards | Mc_gated -> [])) );
     ]
 
-let report_to_json r =
+let report_to_json a =
   let open Wcet_diag.Json in
   Obj
     [
-      ("wcet", Int r.wcet);
-      ("bcet", Int r.bcet);
-      ("verdict", String (verdict_name r.verdict));
-      ("nodes", Int (Array.length r.graph.Supergraph.nodes));
-      ("contexts", Int (Array.length r.graph.Supergraph.contexts));
-      ("holes", List (List.map hole_to_json r.holes));
+      ("wcet", Int a.an_wcet);
+      ("bcet", Int a.an_bcet);
+      ("verdict", String (verdict_name a.an_verdict));
+      ("nodes", Int a.an_nodes);
+      ("contexts", Int a.an_contexts);
+      ("holes", List (List.map hole_to_json a.an_holes));
       ( "escalation",
-        match (r.escalation, r.esc_gate) with
+        match (a.an_escalation, a.an_esc_gate) with
         | None, [] -> Null
         | None, gate -> Obj [ ("gate", esc_gate_to_json gate) ]
         | Some e, gate ->
@@ -1192,7 +1229,7 @@ let report_to_json r =
                          ])
                      e.ei_tightened_accesses) );
             ] );
-      ("diagnostics", List (List.map Diag.to_json r.diagnostics));
+      ("diagnostics", List (List.map Diag.to_json a.an_diagnostics));
       ( "path_backends",
         List
           (List.map
@@ -1209,26 +1246,20 @@ let report_to_json r =
                    ("wall_us", Int b.br_wall_us);
                    ("winner", Bool b.br_winner);
                  ])
-             r.backend_runs) );
-      ("mc_gate", mc_gate_to_json r.mc_gate);
+             a.an_backend_runs) );
+      ("mc_gate", mc_gate_to_json a.an_mc_gate);
       ( "loops",
         List
           (List.map
-             (fun (li, b) ->
-               let hn = r.graph.Supergraph.nodes.(r.loops.Loops.loops.(li).Loops.header) in
-               Obj
-                 [
-                   ("header", Int hn.Supergraph.block.Func_cfg.entry);
-                   ("func", String hn.Supergraph.func);
-                   ("bound", Int b);
-                 ])
-             r.effective_bounds) );
+             (fun (header, func, b) ->
+               Obj [ ("header", Int header); ("func", String func); ("bound", Int b) ])
+             a.an_loop_bounds) );
       ( "phases",
         List
           (List.map
              (fun (phase, dt) ->
                Obj [ ("name", String (phase_name phase)); ("seconds", Float dt) ])
-             r.phase_seconds) );
+             a.an_phase_seconds) );
     ]
 
 let failure_to_json ds =

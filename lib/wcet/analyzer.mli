@@ -158,6 +158,35 @@ type report = {
   phase_seconds : (phase * float) list;
 }
 
+(** What {!report_to_json}, {!pp_report}, the CLI's short text, [suggest]
+    and the bound-drift ledger read of a report: the bounds, verdict and
+    findings without the supergraph or any per-node state. It is what the
+    persistent store keeps (about a kilobyte per program). *)
+type answer = {
+  an_wcet : int;
+  an_bcet : int;
+  an_verdict : confidence;
+  an_nodes : int;  (** supergraph nodes *)
+  an_contexts : int;  (** call contexts *)
+  an_loops : int;  (** natural loops *)
+  an_holes : hole list;
+  an_diagnostics : Wcet_diag.Diag.t list;
+  an_escalation : esc_info option;
+  an_esc_gate : (string * esc_decision) list;
+  an_backend_runs : backend_run list;
+  an_mc_gate : mc_gate;
+  an_loop_bounds : (int * string * int) list;
+      (** effective loop bounds as (header address, func, bound) *)
+  an_phase_seconds : (phase * float) list;
+  an_precision : (string * int) list;
+      (** higher-is-worse precision counters (imprecise value accesses,
+          not-classified cache accesses, analysis holes): the metric map of
+          a {!Wcet_obs.Ledger.entry} *)
+}
+
+(** The answer of a report; computes its precision counters once. *)
+val answer : report -> answer
+
 (** Fixpoint engine for the value and cache analyses: one whole-program
     solve each ({!Wcet_util.Fixpoint.Make.solve}). The single constructor
     keeps its historical name only as a report-cache key component. *)
@@ -212,9 +241,12 @@ val engine_name : engine -> string
       as an oracle, and an Info W0502 records each skipped function where
       an access address or loop bound would have tightened (the result
       stays the gated one's).
-    A report-cache hit would skip these checks, so a verified analysis
-    never reads a cached report; it still writes one. The reference solves
-    add to the fixpoint-transfer and path-solve metrics.
+    The reference solves add to the fixpoint-transfer and path-solve
+    metrics.
+
+    [analyze] always runs every phase: the persistent store keeps
+    {!answer}s, keyed by source bytes, and only
+    [Wcet_serve.Handlers.analyze] reads or writes it.
 
     [cancel] is a cooperative cancellation token (the daemon's per-request
     deadline): it is polled by the value/cache fixpoints before every
@@ -232,7 +264,7 @@ val analyze :
 
 val phase_name : phase -> string
 val pp_hole : Format.formatter -> hole -> unit
-val pp_report : Format.formatter -> report -> unit
+val pp_report : Format.formatter -> answer -> unit
 
 (** ["complete"] or ["partial"]: the verdict as the report JSON, the
     ledger and watch-mode events name it. *)
@@ -242,9 +274,9 @@ val verdict_name : confidence -> string
     per-loop effective bounds, per-phase times, and the [escalation]
     block: null without a candidate, else its [gate]
     ({!esc_gate_to_json}) plus, when a function escalated, what the
-    octagon changed. A function of the report alone: the one-shot CLI
+    octagon changed. A function of the answer alone: the one-shot CLI
     appends the run's metrics and trace itself. *)
-val report_to_json : report -> Wcet_diag.Json.t
+val report_to_json : answer -> Wcet_diag.Json.t
 
 (** JSON object for a failed analysis ([Analysis_failed] payload):
     [{"wcet": null, "verdict": "failed", "diagnostics": [...]}]. *)

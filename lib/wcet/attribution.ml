@@ -33,9 +33,7 @@ module Func_cfg = Wcet_cfg.Func_cfg
 module Loops = Wcet_cfg.Loops
 module Block_timing = Wcet_pipeline.Block_timing
 module Persistence = Wcet_cache.Persistence
-module CA = Wcet_cache.Cache_analysis
 module Analysis = Wcet_value.Analysis
-module Aval = Wcet_value.Aval
 module Ipet = Wcet_ipet.Ipet
 module Sim = Pred32_sim.Simulator
 module Diag = Wcet_diag.Diag
@@ -241,37 +239,6 @@ let of_report ?(pokes = []) ?(fuel = 2_000_000) (r : Analyzer.report) : (t, Diag
             a_uncovered = uncovered;
           }
       end)
-
-(* Higher-is-worse precision counters for the bound-drift ledger: any
-   increase between two snapshots of the same program is a precision
-   regression (Ledger.diff's convention). *)
-let precision_counts (r : Analyzer.report) =
-  let exact = ref 0 and interval = ref 0 and unknown = ref 0 in
-  Array.iter
-    (List.iter (fun (a : Analysis.access) ->
-         match Aval.singleton a.Analysis.addr with
-         | Some _ -> incr exact
-         | None -> (
-           match Aval.range a.Analysis.addr with
-           | Some _ -> incr interval
-           | None -> incr unknown)))
-    r.Analyzer.value.Analysis.accesses;
-  let fetch_nc = ref 0 in
-  Array.iter
-    (Array.iter (fun c -> if c = CA.Not_classified then incr fetch_nc))
-    r.Analyzer.cache.CA.fetch;
-  let data_nc = ref 0 in
-  Array.iter
-    (List.iter (fun (d : CA.data_access) -> if d.CA.kind = CA.Not_classified then incr data_nc))
-    r.Analyzer.cache.CA.data;
-  ignore !exact;
-  [
-    ("value_interval", !interval);
-    ("value_unknown", !unknown);
-    ("fetch_not_classified", !fetch_nc);
-    ("data_not_classified", !data_nc);
-    ("holes", List.length r.Analyzer.holes);
-  ]
 
 (* --- rendering --- *)
 

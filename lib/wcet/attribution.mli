@@ -66,10 +66,5 @@ val of_report :
   Analyzer.report ->
   (t, Wcet_diag.Diag.t) result
 
-(** Higher-is-worse precision counters of a report (imprecise value
-    accesses, not-classified cache accesses, analysis holes) — the metric
-    map of a {!Wcet_obs.Ledger.entry}. *)
-val precision_counts : Analyzer.report -> (string * int) list
-
 val pp : ?top:int -> Format.formatter -> t -> unit
 val to_json : t -> Wcet_diag.Json.t

@@ -1,16 +1,24 @@
 (* Persistent content-addressed analysis cache.
 
-   One granularity over one Wcet_util.Store: the whole marshaled analyzer
-   report, keyed by everything the analysis depends on (binary image,
-   memory map, annotations, hardware configuration, value domain, path
-   backend). A hit skips every phase and is bit-identical to the run that
-   wrote it; a miss analyzes from scratch and writes one entry, so a
-   report is a function of its key alone.
+   One granularity over one Wcet_util.Store: the analyzer's answer
+   (Analyzer.answer: bounds, verdict, findings, no per-node state), keyed
+   by the bytes the front end compiles (source and annotation file), the
+   front end, and the configuration (soft_div, hardware, value domain). The
+   caller looks the answer up before compiling, so a hit skips the
+   compiler and every analysis phase and is bit-identical to the run that
+   wrote it; a miss compiles the hashed bytes, analyzes from scratch and
+   writes one entry of about a kilobyte, so an answer is a function of its
+   key alone.
 
    Keys are md5 content hashes; entry envelopes carry a version string
-   (format + salt), so a format bump invalidates by version mismatch
-   rather than by key. Corrupt or mismatched entries are evicted, counted,
-   reported as W0610/W0611 warnings and recomputed — never a crash. *)
+   (format + salt, the salt being the executable's digest in the CLI), so a
+   rebuild or a format bump invalidates by version mismatch rather than by
+   key. Corrupt or mismatched entries are evicted, counted, reported as
+   W0610/W0611 warnings and recomputed — never a crash.
+
+   Whole marshaled reports under the program key ([report_key],
+   [find_report], [save_report]) remain only as frozen stubs for the
+   benchmark's replay, which keeps its own store of them. *)
 
 module Program = Pred32_asm.Program
 module Image = Pred32_memory.Image
@@ -25,8 +33,8 @@ module Diag = Wcet_diag.Diag
 module Metrics = Wcet_obs.Metrics
 module Trace = Wcet_obs.Trace
 
-(* Bump when the marshaled report layout changes or a key component
-   changes meaning (5: the escalation record lost its
+(* Bump when the marshaled answer (or replay report) layout changes or a
+   key component changes meaning (5: the escalation record lost its
    requested-domain field; 6: backend runs record microseconds; 7: cache
    states are set-indexed; 8: the memory image holds only non-zero
    words; 9: the report records the model checker's gate decision; 10:
@@ -38,8 +46,10 @@ module Trace = Wcet_obs.Trace
    component schedule on some programs; 13: the report no longer records
    a requested path backend, and its mc gate decision is always set; 14:
    the report records the octagon escalation's gate decision, and [auto]
-   no longer escalates imprecision confined to one memory region). *)
-let format_version = "14"
+   no longer escalates imprecision confined to one memory region; 15: the
+   store keeps answers, not reports, under a key of the source bytes, and
+   reports go only to the replay's own store). *)
+let format_version = "15"
 
 let m_hits_program =
   Metrics.counter ~labels:[ ("granularity", "program") ] ~name:"cache_store_hits"
@@ -70,7 +80,7 @@ let version () = format_version ^ Atomic.get salt_ref
 let set_version_salt s = Atomic.set salt_ref s
 
 (* Store-layer warnings accumulate here (the analyzer's collector is not in
-   scope at lookup time, and appending them to a cached report would break
+   scope at lookup time, and appending them to a cached answer would break
    bit-identity); the CLI drains and prints them after the run. *)
 let diags_mutex = Mutex.create ()
 let diags_rev : Diag.t list ref = ref []
@@ -116,12 +126,35 @@ let program_parts (p : Program.t) =
     marshal (Image.contents p.Program.image);
   ]
 
-(* [engine] and [strategy] are fixed by the analyzer ("summary", rpo); they
-   stay key components so keys computed by external replay tools remain
-   stable. [domain] is the
-   value-domain name ("interval" / "auto"): an escalated run carries
-   refined states and extra escalation accounting, so its report must
-   never be served to (or overwrite) an interval-only run. *)
+(* Each part length-prefixed, so no byte a source may hold can shift one
+   part into the next. *)
+let digest_bytes parts =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "" (List.map (fun p -> string_of_int (String.length p) ^ ":" ^ p) parts)))
+
+(* Compiling is a deterministic function of the bytes, the front end and
+   [soft_div], and of the executable, whose digest salts every envelope's
+   version; so the answer of the bytes is the answer of the program they
+   compile to. [domain] keeps an escalated answer from ever being served
+   to an interval-only request. *)
+let answer_key ~source ~annot ~front_end ~soft_div ~hw ~domain =
+  Trace.with_span ~cat:"store" "store.key" (fun () ->
+      digest_bytes
+        [
+          "answer";
+          front_end;
+          (if soft_div then "soft_div" else "hw_div");
+          marshal (hw : Hw_config.t);
+          Analysis.domain_name domain;
+          (match annot with None -> "no annotations" | Some _ -> "annotations");
+          Option.value annot ~default:"";
+          source;
+        ])
+
+(* The program key of a whole marshaled report: a frozen stub that only
+   the benchmark's replay derives. [engine], [strategy] and [path] are
+   constants there ("summary", rpo, "portfolio"). *)
 let report_key ~hw ~annot ~strategy ~engine ~domain ~path program =
   Trace.with_span ~cat:"store" "store.key" (fun () ->
       digest_parts
@@ -139,12 +172,9 @@ let evict store key ~code ~why =
   add_diag
     (Diag.makef Diag.Warning Diag.Store ~code "%s; entry evicted and the result recomputed" why)
 
-(* The store's one entry kind. *)
-let kind = "report"
-
-(* Read a report entry; handles corruption/version eviction. Returns the
-   payload on a clean hit. *)
-let read_entry store ~key =
+(* Read an entry of [kind]; handles corruption/version eviction. Returns
+   the payload on a clean hit. *)
+let read_entry store ~kind ~key =
   match Store.read store ~key with
   | Store.Miss -> None
   | Store.Corrupt reason ->
@@ -168,14 +198,12 @@ let read_entry store ~key =
       Some payload
     end
 
-(* ---- Whole-program reports ------------------------------------------ *)
-
-let find ~key =
+let find ~kind ~key =
   match Atomic.get store_ref with
   | None -> None
   | Some store -> (
     match
-      Trace.with_span ~cat:"store" "store.read" (fun () -> read_entry store ~key)
+      Trace.with_span ~cat:"store" "store.read" (fun () -> read_entry store ~kind ~key)
     with
     | Some payload ->
       Metrics.incr m_hits_program 1;
@@ -184,7 +212,7 @@ let find ~key =
       Metrics.incr m_misses_program 1;
       None)
 
-let save ~key payload =
+let save ~kind ~key payload =
   match Atomic.get store_ref with
   | None -> ()
   | Some store -> (
@@ -192,28 +220,51 @@ let save ~key payload =
     | Ok n -> Metrics.incr m_bytes_written n
     | Error _ -> ()  (* a failed write only costs a future miss *))
 
-(* The caller could not decode a payload [find] returned (marshal layout
-   drift not covered by the version string): reclassify the hit as a miss
-   and evict the entry. *)
-let invalidate ~key =
-  (match Atomic.get store_ref with
-  | None -> ()
-  | Some store -> evict store key ~code:"W0610" ~why:"cached report failed to deserialize");
-  Metrics.decr m_hits_program 1;
-  Metrics.incr m_misses_program 1
+(* ---- Answers ---------------------------------------------------------- *)
+
+let answer_kind = "answer"
+
+let find_answer ~key =
+  match find ~kind:answer_kind ~key with
+  | None -> None
+  | Some payload -> (
+    (* The envelope checksum and version already passed; a decode failure
+       here means marshal-layout drift: evict, reclassify the hit as a miss
+       and let the caller recompute. *)
+    match
+      Trace.with_span ~cat:"store" "store.decode" (fun () ->
+          (Marshal.from_string payload 0 : Analyzer.answer))
+    with
+    | a -> Some a
+    | exception _ ->
+      (match Atomic.get store_ref with
+      | None -> ()
+      | Some store -> evict store key ~code:"W0610" ~why:"cached answer failed to deserialize");
+      Metrics.decr m_hits_program 1;
+      Metrics.incr m_misses_program 1;
+      None)
+
+let save_answer ~key (a : Analyzer.answer) =
+  if enabled () then
+    Trace.with_span ~cat:"store" "store.write" (fun () ->
+        save ~kind:answer_kind ~key (marshal a))
+
+(* ---- Frozen report stubs --------------------------------------------- *)
 
 let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
-  if enabled () then find ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
+  if enabled () then
+    find ~kind:"report" ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
   else None
 
 let save_report ~hw ~annot ~strategy ~engine ~domain ~path program payload =
   if enabled () then
-    save ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program) payload
+    save ~kind:"report" ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
+      payload
 
 (* ---- Frozen slice stubs -------------------------------------------- *)
 
-(* No value of [slices] exists: the store keeps whole-program reports
-   only. These names stay for the benchmark's replay (see the .mli). *)
+(* No value of [slices] exists: the store keeps answers only. These
+   names stay for the benchmark's replay (see the .mli). *)
 type slices = |
 
 let load_slices ~hw:_ ~annot:_ ~assumes:_ (_ : Supergraph.t) : slices option = None

@@ -144,7 +144,7 @@ int main() {
   | Error d -> Alcotest.(check string) "typed refusal" "E0805" d.Diag.code
 
 let test_precision_counts () =
-  let counts = Attribution.precision_counts (quickstart_report ()) in
+  let counts = (Analyzer.answer (quickstart_report ())).Analyzer.an_precision in
   List.iter
     (fun key ->
       match List.assoc_opt key counts with

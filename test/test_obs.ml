@@ -365,11 +365,11 @@ let test_facts_reach_the_simplex () =
       Alcotest.(check int) "one ipet path solve" 1 (counter_value "path_solves{backend=ipet}");
       Alcotest.(check (list string)) "the simplex answered" [ "simplex" ] (ipet_solvers ()))
 
-(* With a store, the store work inside analyze shows in the profile: a
-   cold run derives the key once, reads (a miss) and writes the report; a warm
-   run reads and decodes it and runs no phase. *)
+(* With a store, the store work of an analyze request shows in the
+   profile: a cold request derives the key once, reads (a miss) and writes
+   the answer; a warm one reads and decodes it and runs neither the
+   compiler nor the analyzer. *)
 let test_store_spans () =
-  let program = Minic.Compile.compile Harness.quickstart_source in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "wcet_test_obs.%d" (Unix.getpid ()))
@@ -398,17 +398,23 @@ let test_store_spans () =
           rm_rf dir)
         (fun () ->
           if not (Report_cache.set_dir dir) then Alcotest.fail "set_dir refused a fresh temp dir";
-          ignore (Analyzer.analyze program);
+          let source = Filename.concat dir "quickstart.mc" in
+          Out_channel.with_open_bin source (fun oc ->
+              Out_channel.output_string oc Harness.quickstart_source);
+          let analyze () =
+            ignore (Wcet_serve.Handlers.analyze (Wcet_serve.Handlers.bare_request source))
+          in
+          analyze ();
           check_spans "cold"
             [ ("analyze", true); ("store.key", true); ("store.read", true); ("store.write", true);
               ("store.decode", false); ("value", true) ];
-          (* the report key is derived once, for the read and the write *)
+          (* the answer key is derived once, for the read and the write *)
           Alcotest.(check int) "cold: one store.key span" 1
             (List.length (List.filter (String.equal "store.key") (spans ())));
           Trace.reset ();
-          ignore (Analyzer.analyze program);
+          analyze ();
           check_spans "warm"
-            [ ("analyze", true); ("store.key", true); ("store.read", true); ("store.decode", true);
+            [ ("analyze", false); ("store.key", true); ("store.read", true); ("store.decode", true);
               ("store.write", false); ("value", false) ]))
 
 (* --- Prometheus exposition --- *)

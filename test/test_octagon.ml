@@ -1191,7 +1191,7 @@ let test_trigger_confined () =
   Alcotest.(check string) "reason" reason (Analyzer.esc_decision_reason d);
   (* the analyze text, explain and the report JSON's escalation block *)
   let has what text affix = Alcotest.(check bool) what true (Astring.String.is_infix ~affix text) in
-  has "analyze text" (Format.asprintf "%a" Analyzer.pp_report r) ("escalation gate: main: " ^ reason);
+  has "analyze text" (Format.asprintf "%a" Analyzer.pp_report (Analyzer.answer r)) ("escalation gate: main: " ^ reason);
   let ex = Wcet_core.Explain.of_report r in
   has "explain text" (Format.asprintf "%a" (Wcet_core.Explain.pp ?top:None) ex)
     ("escalation gate: main: " ^ reason);
@@ -1200,7 +1200,7 @@ let test_trigger_confined () =
   in
   has "explain JSON" (Wcet_diag.Json.to_string (Wcet_core.Explain.to_json ex))
     ({|"escalation_gate":|} ^ gate_json);
-  has "report JSON" (Wcet_diag.Json.to_string (Analyzer.report_to_json r))
+  has "report JSON" (Wcet_diag.Json.to_string (Analyzer.report_to_json (Analyzer.answer r)))
     ({|"escalation":{"gate":|} ^ gate_json ^ "}");
   Alcotest.(check int) "no W0502 without verify" 0 (List.length (w0502 r));
   let v, _ = main_gate ~verify:true confined_source in

@@ -730,6 +730,43 @@ let test_analyze_reply_is_pure () =
       Alcotest.check json_testable "replies agree" (drop_timing first) (drop_timing second));
   Sys.remove src
 
+(* The store keeps answers, not states: an [explain] after an [analyze] of
+   the same file re-analyzes and returns the whole explain view, the one a
+   daemon without a store returns. *)
+let test_server_explain_after_analyze () =
+  let cache_dir = temp_dir "wcet-serve-explain" in
+  let src = Filename.temp_file "wcet-serve-explain" ".mc" in
+  write_file src (loop_src 12);
+  let params = Json.Obj [ ("source", Json.String src) ] in
+  let prev_enabled = Report_cache.enabled () in
+  let prev_dir = Report_cache.dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Report_cache.drain_diags ());
+      (match (prev_enabled, prev_dir) with
+      | true, Some d -> ignore (Report_cache.set_dir d)
+      | _ -> Report_cache.disable ());
+      Sys.remove src)
+    (fun () ->
+      Report_cache.disable ();
+      let expected =
+        match Handlers.standard ~cancel:(fun () -> false) ~meth:"explain" ~params with
+        | Some j -> j
+        | None -> Alcotest.fail "no explain method"
+      in
+      Alcotest.(check bool) "cache dir opens" true (Report_cache.set_dir cache_dir);
+      with_server (fun path ->
+          with_client path (fun c ->
+              ignore (ok_result (Client.request c ~id:(Json.Int 1) ~meth:"analyze" params));
+              ignore (ok_result (Client.request c ~id:(Json.Int 2) ~meth:"analyze" params));
+              let explain = ok_result (Client.request c ~id:(Json.Int 3) ~meth:"explain" params) in
+              (match Json.member "blocks" explain with
+              | Some (Json.List (_ :: _)) -> ()
+              | _ -> Alcotest.fail "explain after analyze lost its block rows");
+              Alcotest.(check string) "the explain view a storeless daemon returns"
+                (Json.to_string (drop_timing expected))
+                (Json.to_string (drop_timing explain)))))
+
 let test_server_request_log () =
   let logged = ref [] in
   let log_m = Mutex.create () in
@@ -895,6 +932,8 @@ let () =
           Alcotest.test_case "retry helper" `Quick test_server_retry_helper;
           Alcotest.test_case "subscribe + shutdown event" `Quick test_server_subscribe_shutdown;
           Alcotest.test_case "watch events over the wire" `Quick test_server_watch_events;
+          Alcotest.test_case "explain after a warm analyze" `Quick
+            test_server_explain_after_analyze;
           Alcotest.test_case "warm restart bit identity" `Quick
             test_server_warm_restart_bit_identity;
         ] );

@@ -1,6 +1,6 @@
 (* Tests for the persistent analysis cache: the content-addressed store
-   (lib/util/store), the whole-program report cache built on it
-   (lib/wcet/report_cache), and the two input-hardening fixes that rode
+   (lib/util/store), the answer cache built on it (lib/wcet/report_cache)
+   and read through the request path (lib/serve/handlers), and the two input-hardening fixes that rode
    along in the same PR (hex literals in the MiniC lexer, the
    LDIVMOD_SAMPLES override in the experiment harness).
 
@@ -12,8 +12,6 @@
 module Store = Wcet_util.Store
 module Report_cache = Wcet_core.Report_cache
 module Analyzer = Wcet_core.Analyzer
-module Cache_analysis = Wcet_cache.Cache_analysis
-module Block_timing = Wcet_pipeline.Block_timing
 module Compile = Minic.Compile
 module Lexer = Minic.Lexer
 module Diag = Wcet_diag.Diag
@@ -191,7 +189,9 @@ let test_store_concurrent_writers () =
       in
       Alcotest.(check (list string)) "no temp leftovers" [] leftovers)
 
-(* --- whole-program report caching --- *)
+(* --- answers through the request path --- *)
+
+module Handlers = Wcet_serve.Handlers
 
 let quickstart_like =
   "rom int table[8] = {3, 1, 4, 1, 5, 9, 2, 6};\n\
@@ -202,91 +202,26 @@ let quickstart_like =
    }\n\
    int main() { acc = f(2) + g(3); return acc; }\n"
 
-let report_bytes r = Json.to_string (Analyzer.report_to_json r)
+let write_file path text = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
 
-let test_program_cold_then_warm () =
-  with_cache (fun _dir ->
-      let program = Compile.compile quickstart_like in
-      let cold = Analyzer.analyze program in
-      let after_cold = cache_counts () in
-      Alcotest.(check int) "cold run misses" 1 after_cold.program_misses;
-      Alcotest.(check int) "no hit yet" 0 after_cold.program_hits;
-      let warm = Analyzer.analyze program in
-      let after_warm = cache_counts () in
-      Alcotest.(check int) "warm run hits" 1 after_warm.program_hits;
-      Alcotest.(check int) "still one miss" 1 after_warm.program_misses;
-      (* the warm report reproduces the cold one bit for bit *)
-      Alcotest.(check string) "byte-identical report" (report_bytes cold) (report_bytes warm);
-      Alcotest.(check int) "same bound" cold.Analyzer.wcet warm.Analyzer.wcet)
+(* A source (and annotation) file under the test's store directory, at its
+   root, where the store never looks. *)
+let source_file ?(name = "prog.mc") dir text =
+  let path = Filename.concat dir name in
+  write_file path text;
+  path
 
-(* An initialized RAM global: the report entry carries the words the
-   program wrote, not the address space they live in. *)
-let initialized_ram_array =
-  "int table[4] = {1, 2, 3, 4};\n\
-   int main() { int i; int s; s = 0; for (i = 0; i < 4; i = i + 1) { s = s + table[i]; } \
-   return s; }\n"
+let request ?annot ?(hw = Pred32_hw.Hw_config.default) ?(soft_div = false)
+    ?(domain = Wcet_value.Analysis.Interval) ?(verify = false) source =
+  { Handlers.source; annot; hw; soft_div; config = { Handlers.domain; verify } }
 
-let test_initialized_ram_entry_is_small () =
-  with_cache (fun dir ->
-      let program = Compile.compile initialized_ram_array in
-      let cold = Analyzer.analyze program in
-      let report_entry_sizes =
-        match Store.open_store dir with
-        | Error msg -> Alcotest.failf "open_store: %s" msg
-        | Ok s ->
-          List.filter_map
-            (fun path ->
-              let key = Filename.remove_extension (Filename.basename path) in
-              match Store.read s ~key with
-              | Store.Hit { kind = "report"; _ } -> Some (Unix.stat path).Unix.st_size
-              | _ -> None)
-            (files_under dir)
-      in
-      (match report_entry_sizes with
-      | [ n ] ->
-        Alcotest.(check bool)
-          (Printf.sprintf "report entry (%d bytes) under 64 KB" n)
-          true (n < 65536)
-      | sizes -> Alcotest.failf "expected one report entry, found %d" (List.length sizes));
-      let warm = Analyzer.analyze program in
-      Alcotest.(check int) "warm run hits" 1 (cache_counts ()).program_hits;
-      Alcotest.(check string) "byte-identical report" (report_bytes cold) (report_bytes warm))
+let answer_of req =
+  match Handlers.analyze req with
+  | Ok a -> a
+  | Error ds -> Alcotest.failf "analysis failed: %a" Diag.pp_list ds
 
-let test_annotation_change_misses () =
-  with_cache (fun _dir ->
-      let program = Compile.compile quickstart_like in
-      ignore (Analyzer.analyze program);
-      let annot =
-        match Wcet_annot.Annot.parse "maxcount f <= 10" with
-        | Ok a -> a
-        | Error msg -> Alcotest.failf "annot: %s" msg
-      in
-      Metrics.reset ();
-      ignore (Analyzer.analyze ~annot program);
-      let s = cache_counts () in
-      Alcotest.(check int) "different annotations do not hit" 0 s.program_hits;
-      (* and the original key still hits afterwards *)
-      Metrics.reset ();
-      ignore (Analyzer.analyze program);
-      Alcotest.(check int) "original still cached" 1
-        (cache_counts ()).program_hits)
-
-(* --- one entry per analysis: a report depends on its key alone --- *)
-
-let read_example name = In_channel.with_open_bin (Examples_dir.file name) In_channel.input_all
-
-let test_cold_analysis_writes_one_entry () =
-  with_cache (fun dir ->
-      ignore (Analyzer.analyze (Compile.compile (read_example "callgraph.mc")));
-      match Store.open_store dir with
-      | Error msg -> Alcotest.failf "open_store: %s" msg
-      | Ok s ->
-        Alcotest.(check (list (pair string int))) "by kind" [ ("report", 1) ]
-          (Store.stats s).Store.by_kind)
-
-(* The report JSON without its wall-clock fields, plus the value and cache
-   transfer counts, which the JSON does not carry. *)
-let comparable (r : Analyzer.report) =
+(* The answer JSON without its wall-clock fields. *)
+let strip_timing json =
   let rec strip = function
     | Json.Obj kvs ->
       Json.Obj
@@ -297,13 +232,106 @@ let comparable (r : Analyzer.report) =
     | Json.List vs -> Json.List (List.map strip vs)
     | v -> v
   in
-  Json.to_string
-    (Json.Obj
-       [
-         ("report", strip (Analyzer.report_to_json r));
-         ("value_transfers", Json.Int r.Analyzer.value.Wcet_value.Analysis.transfers);
-         ("cache_transfers", Json.Int r.Analyzer.cache.Cache_analysis.transfers);
-       ])
+  Json.to_string (strip json)
+
+let answer_json = function
+  | Ok a -> Analyzer.report_to_json a
+  | Error ds -> Analyzer.failure_to_json ds
+
+let answer_bytes a = Json.to_string (Analyzer.report_to_json a)
+
+let store_kinds dir =
+  match Store.open_store dir with
+  | Error msg -> Alcotest.failf "open_store: %s" msg
+  | Ok s -> (Store.stats s).Store.by_kind
+
+(* The value, octagon and cache fixpoint transfers [f] performs, from the
+   metric registry (an answer carries no states to count them from); the
+   observability layer must be on. *)
+let transfers_during f =
+  let counter name = match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0 in
+  let count () =
+    List.map
+      (fun a -> counter (Printf.sprintf "fixpoint_transfers{analysis=%s}" a))
+      [ "value"; "octagon"; "cache" ]
+  in
+  let before = count () in
+  let result = f () in
+  (result, List.map2 ( - ) (count ()) before)
+
+let test_program_cold_then_warm () =
+  with_cache (fun dir ->
+      let req = request (source_file dir quickstart_like) in
+      let cold = answer_of req in
+      let after_cold = cache_counts () in
+      Alcotest.(check int) "cold run misses" 1 after_cold.program_misses;
+      Alcotest.(check int) "no hit yet" 0 after_cold.program_hits;
+      let warm, warm_transfers = transfers_during (fun () -> answer_of req) in
+      let after_warm = cache_counts () in
+      Alcotest.(check int) "warm run hits" 1 after_warm.program_hits;
+      Alcotest.(check int) "still one miss" 1 after_warm.program_misses;
+      Alcotest.(check (list int)) "the hit transfers nothing" [ 0; 0; 0 ] warm_transfers;
+      (* the warm answer reproduces the cold one bit for bit *)
+      Alcotest.(check string) "byte-identical report" (answer_bytes cold) (answer_bytes warm);
+      Alcotest.(check int) "same bound" cold.Analyzer.an_wcet warm.Analyzer.an_wcet)
+
+(* An initialized RAM global: the entry carries the answer, not the
+   program's memory image or any per-node state. *)
+let initialized_ram_array =
+  "int table[4] = {1, 2, 3, 4};\n\
+   int main() { int i; int s; s = 0; for (i = 0; i < 4; i = i + 1) { s = s + table[i]; } \
+   return s; }\n"
+
+let test_initialized_ram_entry_is_small () =
+  with_cache (fun dir ->
+      let req = request (source_file dir initialized_ram_array) in
+      let cold = answer_of req in
+      let entry_sizes =
+        match Store.open_store dir with
+        | Error msg -> Alcotest.failf "open_store: %s" msg
+        | Ok s ->
+          List.filter_map
+            (fun path ->
+              let key = Filename.remove_extension (Filename.basename path) in
+              match Store.read s ~key with
+              | Store.Hit { kind = "answer"; _ } -> Some (Unix.stat path).Unix.st_size
+              | _ -> None)
+            (List.filter (fun p -> Filename.check_suffix p ".wcache") (files_under dir))
+      in
+      (match entry_sizes with
+      | [ n ] ->
+        Alcotest.(check bool) (Printf.sprintf "answer entry (%d bytes) under 4 KB" n) true (n < 4096)
+      | sizes -> Alcotest.failf "expected one answer entry, found %d" (List.length sizes));
+      let warm = answer_of req in
+      Alcotest.(check int) "warm run hits" 1 (cache_counts ()).program_hits;
+      Alcotest.(check string) "byte-identical report" (answer_bytes cold) (answer_bytes warm))
+
+let test_annotation_change_misses () =
+  with_cache (fun dir ->
+      let source = source_file dir quickstart_like in
+      let annot = source_file ~name:"prog.annot" dir "maxcount f <= 10" in
+      ignore (answer_of (request source));
+      Metrics.reset ();
+      ignore (answer_of (request ~annot source));
+      Alcotest.(check int) "different annotations do not hit" 0 (cache_counts ()).program_hits;
+      (* the annotation file's bytes are the key, not its path *)
+      write_file annot "maxcount f <= 12";
+      Metrics.reset ();
+      ignore (answer_of (request ~annot source));
+      Alcotest.(check int) "rewritten annotations do not hit" 0 (cache_counts ()).program_hits;
+      (* and the original key still hits afterwards *)
+      Metrics.reset ();
+      ignore (answer_of (request source));
+      Alcotest.(check int) "original still cached" 1 (cache_counts ()).program_hits)
+
+(* --- one entry per analysis: an answer depends on its key alone --- *)
+
+let read_example name = In_channel.with_open_bin (Examples_dir.file name) In_channel.input_all
+
+let test_cold_analysis_writes_one_entry () =
+  with_cache (fun dir ->
+      ignore (answer_of (request (source_file dir (read_example "callgraph.mc"))));
+      Alcotest.(check (list (pair string int))) "by kind" [ ("answer", 1) ] (store_kinds dir))
 
 (* One constant of the program changed: the last [= N;] becomes [= N+2;].
    [None] when the source has no such assignment. *)
@@ -328,43 +356,51 @@ let edit_one_constant source =
   in
   from (len - 1)
 
-let test_warm_edit_equals_cold () =
-  let edited = ref [] in
+(* The annotation file of example [f], if it has one. *)
+let example_annot f =
+  let path = Examples_dir.file (Filename.chop_suffix f ".mc" ^ ".annot") in
+  if Sys.file_exists path then Some path else None
+
+let examples () =
   Sys.readdir Examples_dir.dir |> Array.to_list |> List.sort compare
   |> List.filter (fun f -> Filename.check_suffix f ".mc")
-  |> List.iter (fun f ->
-         let annot =
-           let path = Examples_dir.file (Filename.chop_suffix f ".mc" ^ ".annot") in
-           if Sys.file_exists path then
-             match Wcet_annot.Annot.parse (In_channel.with_open_bin path In_channel.input_all) with
-             | Ok a -> a
-             | Error msg -> Alcotest.failf "%s: %s" path msg
-           else Wcet_annot.Annot.empty
-         in
-         let source = read_example f in
-         match edit_one_constant source with
-         | None -> ()
-         | Some source' ->
-           List.iter
-             (fun domain ->
-               let where = Printf.sprintf "%s (%s)" f (Wcet_value.Analysis.domain_name domain) in
-               let analyze src = Analyzer.analyze ~annot ~domain (Compile.compile src) in
-               match
-                 with_cache (fun _dir ->
-                     ignore (analyze source);
-                     Metrics.reset ();
-                     let warm = analyze source' in
-                     Alcotest.(check int) (where ^ ": the edit misses the report") 1
-                       (cache_counts ()).program_misses;
-                     warm)
-               with
-               | exception Analyzer.Analysis_failed _ -> ()
-               | warm ->
-                 let cold = analyze source' in
-                 Alcotest.(check string) (where ^ ": warm edit = cold run") (comparable cold)
-                   (comparable warm);
-                 edited := where :: !edited)
-             [ Wcet_value.Analysis.Interval; Wcet_value.Analysis.Auto ]);
+
+(* The edited program, rewritten in place of the base one, misses, and its
+   answer and transfers equal a store-less run's. *)
+let test_warm_edit_equals_cold () =
+  let edited = ref [] in
+  List.iter
+    (fun f ->
+      match edit_one_constant (read_example f) with
+      | None -> ()
+      | Some source' ->
+        List.iter
+          (fun domain ->
+            let where = Printf.sprintf "%s (%s)" f (Wcet_value.Analysis.domain_name domain) in
+            let comparable (outcome, transfers) =
+              (strip_timing (answer_json outcome), transfers)
+            in
+            let warm, cold =
+              with_cache (fun dir ->
+                  let path = source_file dir (read_example f) in
+                  let req = request ?annot:(example_annot f) ~domain path in
+                  ignore (Handlers.analyze req);
+                  write_file path source';
+                  Metrics.reset ();
+                  let warm = transfers_during (fun () -> Handlers.analyze req) in
+                  Alcotest.(check int) (where ^ ": the edit misses the answer") 1
+                    (cache_counts ()).program_misses;
+                  Report_cache.disable ();
+                  (warm, transfers_during (fun () -> Handlers.analyze req)))
+            in
+            match fst cold with
+            | Error _ -> ()
+            | Ok _ ->
+              Alcotest.(check (pair string (list int))) (where ^ ": warm edit = cold run")
+                (comparable cold) (comparable warm);
+              edited := where :: !edited)
+          [ Wcet_value.Analysis.Interval; Wcet_value.Analysis.Auto ])
+    (examples ());
   Alcotest.(check bool)
     (Printf.sprintf "examples edited: %s" (String.concat ", " (List.rev !edited)))
     true
@@ -385,16 +421,16 @@ let corrupt_every_entry dir =
 
 let test_corrupt_entries_degrade () =
   with_cache (fun dir ->
-      let program = Compile.compile quickstart_like in
-      let cold = Analyzer.analyze program in
+      let req = request (source_file dir quickstart_like) in
+      let cold = answer_of req in
       corrupt_every_entry dir;
       Metrics.reset ();
       ignore (Report_cache.drain_diags ());
-      let recomputed = Analyzer.analyze program in
-      Alcotest.(check int) "recomputed bound matches" cold.Analyzer.wcet
-        recomputed.Analyzer.wcet;
+      let recomputed = answer_of req in
+      Alcotest.(check int) "recomputed bound matches" cold.Analyzer.an_wcet
+        recomputed.Analyzer.an_wcet;
       let s = cache_counts () in
-      Alcotest.(check int) "corrupt report is a miss" 0 s.program_hits;
+      Alcotest.(check int) "corrupt answer is a miss" 0 s.program_hits;
       Alcotest.(check bool) "corrupt entries evicted" true (s.evictions >= 1);
       let codes = List.map (fun d -> d.Diag.code) (Report_cache.drain_diags ()) in
       Alcotest.(check bool) "W0610 reported" true (List.mem "W0610" codes);
@@ -402,25 +438,29 @@ let test_corrupt_entries_degrade () =
         (codes <> []);
       (* the evicted keys were rewritten by the recompute: warm again *)
       Metrics.reset ();
-      ignore (Analyzer.analyze program);
+      ignore (answer_of req);
       Alcotest.(check int) "cache healed" 1
         (cache_counts ()).program_hits)
 
 let test_undecodable_report_reclassifies_hit () =
-  (* A valid envelope (checksum and version pass) whose payload is not a
-     marshaled report: the analyzer's decode fails, the entry is evicted
-     and the lookup must end up counted as a miss in the metrics registry,
-     not as a hit plus a miss. *)
-  with_cache (fun _dir ->
-      let program = Compile.compile quickstart_like in
-      let hw = Pred32_hw.Hw_config.default in
-      let annot = Wcet_annot.Annot.empty in
-      let strategy = Wcet_util.Fixpoint.Rpo in
-      Report_cache.save_report ~hw ~annot ~strategy
-        ~engine:(Analyzer.engine_name Analyzer.Summary)
-        ~domain:"interval" ~path:"portfolio" program "not a marshaled report";
-      let r = Analyzer.analyze program in
-      Alcotest.(check bool) "recomputed a real bound" true (r.Analyzer.wcet > 0);
+  (* A valid answer envelope (checksum and version pass) whose payload is
+     not a marshaled answer: the decode fails, the entry is evicted and the
+     lookup must end up counted as a miss in the metrics registry, not as a
+     hit plus a miss. *)
+  with_cache (fun dir ->
+      let req = request (source_file dir quickstart_like) in
+      let key =
+        Report_cache.answer_key ~source:quickstart_like ~annot:None ~front_end:"minic"
+          ~soft_div:false ~hw:Pred32_hw.Hw_config.default ~domain:Wcet_value.Analysis.Interval
+      in
+      (match Store.open_store dir with
+      | Ok s ->
+        ignore
+          (Store.write s ~key ~kind:"answer" ~version:(Report_cache.version ())
+             "not a marshaled answer")
+      | Error msg -> Alcotest.failf "open_store: %s" msg);
+      let a = answer_of req in
+      Alcotest.(check bool) "recomputed a real bound" true (a.Analyzer.an_wcet > 0);
       let s = cache_counts () in
       Alcotest.(check int) "no net hit" 0 s.program_hits;
       Alcotest.(check int) "one miss" 1 s.program_misses;
@@ -429,57 +469,178 @@ let test_undecodable_report_reclassifies_hit () =
       Alcotest.(check bool) "W0610 reported" true (List.mem "W0610" codes);
       (* the recompute rewrote the entry: warm again *)
       Metrics.reset ();
-      ignore (Analyzer.analyze program);
+      ignore (answer_of req);
       Alcotest.(check int) "cache healed" 1
         (cache_counts ()).program_hits)
 
 let test_version_bump_invalidates () =
-  with_cache (fun _dir ->
-      let program = Compile.compile quickstart_like in
-      let cold = Analyzer.analyze program in
+  with_cache (fun dir ->
+      let req = request (source_file dir quickstart_like) in
+      let cold = answer_of req in
       (* same keys, new tool version: entries are stale, not corrupt *)
       Report_cache.set_version_salt "+next";
       Metrics.reset ();
       ignore (Report_cache.drain_diags ());
-      let recomputed = Analyzer.analyze program in
-      Alcotest.(check int) "recomputed bound matches" cold.Analyzer.wcet
-        recomputed.Analyzer.wcet;
+      let recomputed = answer_of req in
+      Alcotest.(check int) "recomputed bound matches" cold.Analyzer.an_wcet
+        recomputed.Analyzer.an_wcet;
       let s = cache_counts () in
-      Alcotest.(check int) "stale report is a miss" 0 s.program_hits;
+      Alcotest.(check int) "stale answer is a miss" 0 s.program_hits;
       Alcotest.(check bool) "stale entries evicted" true (s.evictions >= 1);
       let codes = List.map (fun d -> d.Diag.code) (Report_cache.drain_diags ()) in
       Alcotest.(check bool) "W0611 reported" true (List.mem "W0611" codes);
       (* under the new version the rewritten entries hit again *)
       Metrics.reset ();
-      ignore (Analyzer.analyze program);
+      ignore (answer_of req);
       Alcotest.(check int) "warm under new version" 1
         (cache_counts ()).program_hits)
 
 let test_verify_skips_report_hit () =
-  (* A report hit would skip every cross-check, so a verified analysis never
-     reads one: the second run on a warm store analyzes from scratch again,
-     with the transfers of the first. It still writes its report, which a
-     plain run then hits. *)
-  with_cache (fun _dir ->
-      let program = Compile.compile quickstart_like in
-      let metric name =
-        match Metrics.find name with Some (Metrics.Counter_value n) -> n | _ -> 0
+  (* A hit would skip every cross-check, so a verified request neither
+     reads nor writes the store: the second verified run on the same bytes
+     solves from scratch with the transfers of the first, and leaves the
+     store empty for a plain run, which misses. *)
+  with_cache (fun dir ->
+      let source = source_file dir quickstart_like in
+      let first, transfers0 = transfers_during (fun () -> answer_of (request ~verify:true source)) in
+      let second, transfers1 = transfers_during (fun () -> answer_of (request ~verify:true source)) in
+      Alcotest.(check int) "no answer hit under verify" 0 (cache_counts ()).program_hits;
+      Alcotest.(check (list int)) "the second run solved from scratch" transfers0 transfers1;
+      Alcotest.(check int) "same bound" first.Analyzer.an_wcet second.Analyzer.an_wcet;
+      Alcotest.(check (list (pair string int))) "verify wrote nothing" [] (store_kinds dir);
+      ignore (answer_of (request source));
+      Alcotest.(check int) "a plain run misses" 0 (cache_counts ()).program_hits;
+      Alcotest.(check (list (pair string int))) "and writes its answer" [ ("answer", 1) ]
+        (store_kinds dir))
+
+(* --- the source key --- *)
+
+(* Every component of the key, flipped alone, misses; the unflipped
+   request still hits afterwards. *)
+let test_each_key_component_misses () =
+  with_cache (fun dir ->
+      let source = source_file dir quickstart_like in
+      let annot = source_file ~name:"prog.annot" dir "maxcount f <= 10" in
+      let base = request ~annot source in
+      let asm =
+        (* the same bytes under a [.s] name would not assemble: an [.s]
+           source of its own, whose [.mc] twin must miss the [.s] entry *)
+        let text = ".func main\n  li r1, 7\n  ret\n" in
+        (request (source_file ~name:"tiny.s" dir text), request (source_file ~name:"tiny.mc" dir text))
       in
-      Obs.enable ();
-      Fun.protect ~finally:Obs.disable (fun () ->
-          let first = Analyzer.analyze ~verify:true program in
-          let hits0 = metric "cache_store_hits{granularity=program}" in
-          let transfers0 = metric "fixpoint_transfers{analysis=value}" in
-          let second = Analyzer.analyze ~verify:true program in
-          Alcotest.(check int) "no report hit under verify" hits0
-            (metric "cache_store_hits{granularity=program}");
-          Alcotest.(check int) "the second run solved from scratch"
-            first.Analyzer.value.Wcet_value.Analysis.transfers
-            (metric "fixpoint_transfers{analysis=value}" - transfers0);
-          Alcotest.(check int) "same bound" first.Analyzer.wcet second.Analyzer.wcet;
-          ignore (Analyzer.analyze program);
-          Alcotest.(check int) "a plain run hits the verified report" (hits0 + 1)
-            (metric "cache_store_hits{granularity=program}")))
+      let misses what req =
+        Metrics.reset ();
+        ignore (Handlers.analyze req);
+        Alcotest.(check int) (what ^ " misses") 0 (cache_counts ()).program_hits
+      in
+      let hits what req =
+        Metrics.reset ();
+        ignore (Handlers.analyze req);
+        Alcotest.(check int) (what ^ " hits") 1 (cache_counts ()).program_hits
+      in
+      ignore (answer_of base);
+      hits "the same request" base;
+      (* one source byte: the last newline becomes a space *)
+      let flipped = String.sub quickstart_like 0 (String.length quickstart_like - 1) ^ " " in
+      misses "one source byte"
+        (request ~annot (source_file ~name:"flipped.mc" dir flipped));
+      write_file annot "maxcount f <= 11";
+      misses "the annotation bytes" base;
+      write_file annot "maxcount f <= 10";
+      hits "the original annotation bytes" base;
+      misses "soft_div" { base with Handlers.soft_div = true };
+      misses "the hw profile" { base with Handlers.hw = List.assoc "uncached" Pred32_hw.Hw_config.profiles };
+      misses "the domain"
+        { base with Handlers.config = { Handlers.domain = Wcet_value.Analysis.Auto; verify = false } };
+      let asm_req, mc_req = asm in
+      ignore (Handlers.analyze asm_req);
+      hits "the .s source" asm_req;
+      (* served the [.s] answer, the [.mc] request would not raise *)
+      Metrics.reset ();
+      (match Handlers.analyze mc_req with
+      | _ -> Alcotest.fail "the .s text must not compile as MiniC"
+      | exception Minic.Compile.Error _ -> ());
+      Alcotest.(check int) ".mc under the .s bytes misses" 0 (cache_counts ()).program_hits;
+      hits "the unflipped request, at the end" base)
+
+(* Recursion without an annotation is a fatal analysis failure. *)
+let failing_source = "int f(int x) { return f(x); }\nint main() { return f(1); }\n"
+
+let test_failed_analysis_not_stored () =
+  with_cache (fun dir ->
+      let req = request (source_file dir failing_source) in
+      (match Handlers.analyze req with
+      | Ok _ -> Alcotest.fail "recursion without annotation must fail"
+      | Error _ -> ());
+      Alcotest.(check (list (pair string int))) "nothing stored" [] (store_kinds dir);
+      ignore (Handlers.analyze req);
+      Alcotest.(check int) "and nothing hit" 0 (cache_counts ()).program_hits)
+
+let test_rewritten_file_answers_new_bytes () =
+  with_cache (fun dir ->
+      let no_cache req =
+        Report_cache.disable ();
+        let a = Handlers.analyze req in
+        ignore (Report_cache.set_dir dir);
+        a
+      in
+      let path = source_file dir quickstart_like in
+      let req = request path in
+      ignore (answer_of req);
+      write_file path initialized_ram_array;
+      Alcotest.(check string) "a rewritten file answers its new bytes"
+        (strip_timing (answer_json (no_cache req)))
+        (strip_timing (answer_json (Handlers.analyze req)));
+      (* the miss compiles the bytes it hashed: hand it bytes the file does
+         not hold, and the stored answer is theirs *)
+      write_file path quickstart_like;
+      let edited = Option.get (edit_one_constant quickstart_like) in
+      let from_text = Handlers.analyze_text req ~source:edited ~annot:None in
+      write_file path edited;
+      Alcotest.(check string) "the answer of the hashed bytes" (strip_timing (answer_json (no_cache req)))
+        (strip_timing (answer_json from_text));
+      Metrics.reset ();
+      ignore (Handlers.analyze req);
+      Alcotest.(check int) "stored under their key" 1 (cache_counts ()).program_hits)
+
+(* The ledger reads the answer: a warm hit's snapshot equals the cold
+   run's, precision counters included. *)
+let test_warm_ledger_entry_equals_cold () =
+  with_cache (fun dir ->
+      let source = source_file dir (read_example "relational.mc") in
+      let req = request ~annot:(Examples_dir.file "relational.annot") source in
+      let entry () =
+        let e =
+          Handlers.ledger_entry ~program:"relational" ~digest:(Handlers.file_digest source)
+            (Handlers.analyze req)
+        in
+        Wcet_obs.Ledger.entry_to_json { e with Wcet_obs.Ledger.date = "" }
+      in
+      let cold = entry () in
+      let warm = entry () in
+      Alcotest.(check int) "the second snapshot is a hit" 1 (cache_counts ()).program_hits;
+      Alcotest.(check string) "warm ledger entry = cold" (Json.to_string cold) (Json.to_string warm))
+
+(* The CLI's [analyze --format json] for every example, cold, warm and
+   without a store (phase times aside): one answer. *)
+let test_examples_cold_warm_no_cache () =
+  List.iter
+    (fun f ->
+      let req = request ?annot:(example_annot f) ~domain:Wcet_value.Analysis.Auto (Examples_dir.file f) in
+      let json () = strip_timing (answer_json (Handlers.analyze req)) in
+      let cold, warm =
+        with_cache (fun _dir ->
+            let cold = json () in
+            let warm = json () in
+            (match Handlers.analyze req with
+            | Ok _ -> Alcotest.(check int) (f ^ ": the warm run hits") 2 (cache_counts ()).program_hits
+            | Error _ -> ());
+            (cold, warm))
+      in
+      let no_cache = json () in
+      Alcotest.(check string) (f ^ ": cold = warm") cold warm;
+      Alcotest.(check string) (f ^ ": cold = --no-cache") cold no_cache)
+    (examples ())
 
 let test_unusable_dir_disables () =
   (* a path that cannot be a directory: caching stays off, W0612 queued,
@@ -599,6 +760,18 @@ let () =
           Alcotest.test_case "unusable directory disables caching" `Quick
             test_unusable_dir_disables;
           Alcotest.test_case "verify skips the report hit" `Quick test_verify_skips_report_hit;
+        ] );
+      ( "source key",
+        [
+          Alcotest.test_case "each component misses alone" `Quick test_each_key_component_misses;
+          Alcotest.test_case "a failed analysis is not stored" `Quick
+            test_failed_analysis_not_stored;
+          Alcotest.test_case "a rewritten file answers its new bytes" `Quick
+            test_rewritten_file_answers_new_bytes;
+          Alcotest.test_case "examples agree cold, warm and uncached" `Quick
+            test_examples_cold_warm_no_cache;
+          Alcotest.test_case "a warm ledger entry equals the cold one" `Quick
+            test_warm_ledger_entry_equals_cold;
         ] );
       ( "lexer hardening",
         [
