@@ -81,37 +81,57 @@ let must_contains t line = mem line t.sets.(Cache_config.set_of_line t.cfg line)
 let may_excludes t line =
   (not t.may_universal) && not (mem line t.sets.(Cache_config.set_of_line t.cfg line).may)
 
-(* The lines of both, each at the older of its two ages. *)
+(* The lines of both, each at the older of its two ages. [a] itself, or
+   its suffix, when the result equals it. *)
 let rec meet_must a b =
   match (a, b) with
-  | Nil, _ | _, Nil -> Nil
+  | Nil, _ -> a
+  | _, Nil -> Nil
   | Cons x, Cons y ->
     if x.line < y.line then meet_must x.rest b
     else if x.line > y.line then meet_must a y.rest
-    else Cons { line = x.line; age = max x.age y.age; rest = meet_must x.rest y.rest }
+    else
+      let rest = meet_must x.rest y.rest in
+      if rest == x.rest && x.age >= y.age then a
+      else Cons { line = x.line; age = (if x.age >= y.age then x.age else y.age); rest }
 
-(* The lines of either, each at the younger of its ages. *)
+(* The lines of either, each at the younger of its ages. Shares [a], [b]
+   or a suffix of either wherever the result equals it. *)
 let rec union_may a b =
   match (a, b) with
   | Nil, l | l, Nil -> l
   | Cons x, Cons y ->
-    if x.line < y.line then Cons { x with rest = union_may x.rest b }
-    else if x.line > y.line then Cons { y with rest = union_may a y.rest }
-    else Cons { line = x.line; age = min x.age y.age; rest = union_may x.rest y.rest }
+    if x.line < y.line then
+      let rest = union_may x.rest b in
+      if rest == x.rest then a else Cons { x with rest }
+    else if x.line > y.line then
+      let rest = union_may a y.rest in
+      if rest == y.rest then b else Cons { y with rest }
+    else
+      let rest = union_may x.rest y.rest in
+      if rest == x.rest && x.age <= y.age then a
+      else Cons { line = x.line; age = (if x.age <= y.age then x.age else y.age); rest }
 
+(* Only the sets whose join differs from [a]'s are new, and the result is
+   [a] itself when it equals [a], which is exactly when [leq b a]. *)
 let join a b =
   if a == b then a
   else
     let may_universal = a.may_universal || b.may_universal in
-    let join_set sa sb =
-      if sa == sb then sa
-      else
-        {
-          must = meet_must sa.must sb.must;
-          may = (if may_universal then Nil else union_may sa.may sb.may);
-        }
-    in
-    { cfg = a.cfg; sets = Array.map2 join_set a.sets b.sets; may_universal }
+    let sets = ref a.sets in
+    for i = 0 to Array.length a.sets - 1 do
+      let sa = a.sets.(i) and sb = b.sets.(i) in
+      if sa != sb then begin
+        let must = meet_must sa.must sb.must in
+        let may = if may_universal then Nil else union_may sa.may sb.may in
+        if must != sa.must || may != sa.may then begin
+          if !sets == a.sets then sets := Array.copy a.sets;
+          !sets.(i) <- { must; may }
+        end
+      end
+    done;
+    if !sets == a.sets && may_universal = a.may_universal then a
+    else { cfg = a.cfg; sets = !sets; may_universal }
 
 (* Every line of [b] is in [a], at most as old. *)
 let rec covers a b =
@@ -125,11 +145,12 @@ let rec covers a b =
 (* a is at least as precise as b: a's must covers b's, and b's may covers
    a's unless b is may-universal. *)
 let leq a b =
-  (b.may_universal || not a.may_universal)
+  a == b
+  || ((b.may_universal || not a.may_universal)
   && Array.for_all2
        (fun sa sb ->
          sa == sb || (covers sa.must sb.must && (b.may_universal || covers sb.may sa.may)))
-       a.sets b.sets
+       a.sets b.sets)
 
 let set t i = t.sets.(i)
 let may_universal t = t.may_universal

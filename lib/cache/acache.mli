@@ -39,7 +39,10 @@ val must_contains : t -> int -> bool
 (** [may_excludes t line] — the line is provably not cached. *)
 val may_excludes : t -> int -> bool
 
+(** [join a b] is [a] itself when [leq b a]; otherwise every set whose
+    join equals [a]'s set is that set, physically. *)
 val join : t -> t -> t
+
 val leq : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -1,4 +1,3 @@
-module Insn = Pred32_isa.Insn
 module Region = Pred32_memory.Region
 module Memory_map = Pred32_memory.Memory_map
 module Cache_config = Pred32_hw.Cache_config
@@ -46,12 +45,15 @@ let m_data_bp = m_data_class "bypass"
 
 type classification = Always_hit | Always_miss | Not_classified | Bypass
 
-type data_access = {
-  insn_index : int;
-  is_store : bool;
-  kind : classification;
+type data_step = Data_bypass | Data_line of int | Data_lines of int list | Data_unknown
+
+type planned_access = {
+  access : Analysis.access;
+  step : data_step;
   regions : Region.t list;
 }
+
+type node_plan = { fetch_lines : int array; accesses : planned_access array }
 
 (* Abstract state: a pair of optional caches. *)
 module Cstate = struct
@@ -71,15 +73,16 @@ module Cstate = struct
     in
     ok a.ic b.ic && ok a.dc b.dc
 
-  let leq = for_both Acache.leq
+  let leq a b = a == b || for_both Acache.leq a b
 
   let join a b = { ic = map2 Acache.join a.ic b.ic; dc = map2 Acache.join a.dc b.dc }
   let widen = join
 end
 
 type result = {
+  plan : node_plan array;
   fetch : classification array array;
-  data : data_access list array;
+  data : classification array array;
   node_in : Cstate.t option array;
   node_out : Cstate.t option array;
   transfers : int;
@@ -113,126 +116,119 @@ let candidate_regions map av hint =
         if inter = [] then hinted else inter
       | _ -> regions))
 
-(* Lines an access may touch, or None when too imprecise to enumerate. *)
-let candidate_lines dcache_cfg av =
-  match Aval.range av with
-  | None -> None
-  | Some (lo, hi) ->
-    if hi - lo > 8 * dcache_cfg.Cache_config.line_bytes then None
-    else Some (Cache_config.lines_of_range dcache_cfg ~addr:lo ~size:(hi - lo + 1))
-
-type access_info = {
-  classification : classification;
-  regions : Region.t list;
-  update : Acache.t option -> Acache.t option;
-}
-
-(* Analyze one data access against the current data-cache state. *)
-let data_access_info (cfg : Hw_config.t) hint av ~is_store dc =
-  let regions = candidate_regions cfg.Hw_config.map av hint in
-  let all_uncacheable = List.for_all (fun (r : Region.t) -> not r.Region.cacheable) regions in
-  if is_store then
-    (* write-around: no cache effect *)
-    { classification = Bypass; regions; update = Fun.id }
-  else
-    match (dc, cfg.Hw_config.dcache) with
-    | None, _ | _, None -> { classification = Bypass; regions; update = Fun.id }
-    | Some dcache, Some dcache_cfg ->
-      if all_uncacheable then { classification = Bypass; regions; update = Fun.id }
+(* The data-cache step of one access. A store is write-around and an
+   access whose candidates are all uncacheable bypasses the cache; a range
+   wider than eight lines is too imprecise to enumerate. *)
+let data_step (cfg : Hw_config.t) (a : Analysis.access) regions =
+  match cfg.Hw_config.dcache with
+  | None -> Data_bypass
+  | Some _ when a.Analysis.is_store -> Data_bypass
+  | Some _ when List.for_all (fun (r : Region.t) -> not r.Region.cacheable) regions -> Data_bypass
+  | Some dcache_cfg -> (
+    match Aval.range a.Analysis.addr with
+    | None -> Data_unknown
+    | Some (lo, hi) ->
+      if hi - lo > 8 * dcache_cfg.Cache_config.line_bytes then Data_unknown
       else (
-        match candidate_lines dcache_cfg av with
-        | Some [ line ] ->
-          let classification =
-            if Acache.must_contains dcache line then Always_hit
-            else if Acache.may_excludes dcache line then Always_miss
-            else Not_classified
-          in
-          { classification; regions; update = Option.map (fun c -> Acache.access c line) }
-        | Some lines ->
-          (* one of a few lines: join of the possible outcomes *)
-          let update =
-            Option.map (fun c ->
-                match List.map (Acache.access c) lines with
-                | [] -> c
-                | first :: rest -> List.fold_left Acache.join first rest)
-          in
-          { classification = Not_classified; regions; update }
-        | None ->
-          (* imprecise access: the paper's cache-damage case *)
-          { classification = Not_classified; regions; update = Option.map Acache.access_unknown })
+        match Cache_config.lines_of_range dcache_cfg ~addr:lo ~size:(hi - lo + 1) with
+        | [ line ] -> Data_line line
+        | lines -> Data_lines lines))
 
-let fetch_info (cfg : Hw_config.t) map addr ic =
-  match (ic, cfg.Hw_config.icache) with
-  | None, _ | _, None -> (Bypass, Fun.id)
-  | Some icache, Some icache_cfg -> (
-    match Memory_map.find map addr with
-    | Some r when r.Region.cacheable ->
-      let line = Cache_config.line_of_addr icache_cfg addr in
-      let classification =
-        if Acache.must_contains icache line then Always_hit
-        else if Acache.may_excludes icache line then Always_miss
-        else Not_classified
-      in
-      (classification, Option.map (fun c -> Acache.access c line))
-    | Some _ | None -> (Bypass, Fun.id))
+let empty_plan = { fetch_lines = [||]; accesses = [||] }
 
-(* Per-node transfer, optionally recording classifications. *)
-let make_transfer (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
-  let nodes = value.Analysis.graph.Supergraph.nodes in
-  let transfer record i (st : Cstate.t) =
-    let node = nodes.(i) in
-    let hint = region_hints node.Supergraph.func in
-    let accesses = value.Analysis.accesses.(i) in
-    let st = ref st in
-    Array.iteri
-      (fun idx (addr, insn) ->
-        let fetch_class, ic_update = fetch_info cfg cfg.Hw_config.map addr !st.Cstate.ic in
-        (match record with
-        | Some (fetch_rec, _) -> fetch_rec.(idx) <- fetch_class
-        | None -> ());
-        st := { !st with Cstate.ic = ic_update !st.Cstate.ic };
-        match insn with
-        | Insn.Load _ | Insn.Store _ -> (
-          let is_store = Insn.writes_memory insn in
-          let access =
-            List.find_opt (fun (a : Analysis.access) -> a.Analysis.insn_index = idx) accesses
-          in
-          match access with
-          | None -> ()
-          | Some a ->
-            let info = data_access_info cfg hint a.Analysis.addr ~is_store !st.Cstate.dc in
-            (match record with
-            | Some (_, data_rec) ->
-              data_rec :=
-                { insn_index = idx; is_store; kind = info.classification; regions = info.regions }
-                :: !data_rec
-            | None -> ());
-            st := { !st with Cstate.dc = info.update !st.Cstate.dc })
-        | _ -> ())
-      node.Supergraph.block.Func_cfg.insns;
-    !st
+(* Everything a transfer needs that does not depend on the cache state,
+   per reachable node: the I-cache line of every fetch (-1 for a fetch
+   that bypasses the cache) and the data step of every access. *)
+let build_plan (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
+  let map = cfg.Hw_config.map in
+  let fetch_line addr =
+    match cfg.Hw_config.icache with
+    | None -> -1
+    | Some icache_cfg -> (
+      match Memory_map.find map addr with
+      | Some r when r.Region.cacheable -> Cache_config.line_of_addr icache_cfg addr
+      | Some _ | None -> -1)
   in
-  transfer
+  Array.mapi
+    (fun i (node : Supergraph.node) ->
+      if not (Analysis.reachable value i) then empty_plan
+      else
+        let hint = region_hints node.Supergraph.func in
+        {
+          fetch_lines = Array.map (fun (addr, _) -> fetch_line addr) node.Supergraph.block.Func_cfg.insns;
+          accesses =
+            Array.of_list
+              (List.map
+                 (fun (a : Analysis.access) ->
+                   let regions = candidate_regions map a.Analysis.addr hint in
+                   { access = a; step = data_step cfg a regions; regions })
+                 value.Analysis.accesses.(i));
+        })
+    value.Analysis.graph.Supergraph.nodes
 
-(* A recording pass over the converged states to classify every fetch and
-   data access, plus the fixpoint and classification metrics. *)
-let finish ~transfer ~nodes (solution : FP.result) =
-  let n = Array.length nodes in
-  let fetch =
-    Array.map
-      (fun node -> Array.make (Array.length node.Supergraph.block.Func_cfg.insns) Not_classified)
-      nodes
+let classify c line =
+  if Acache.must_contains c line then Always_hit
+  else if Acache.may_excludes c line then Always_miss
+  else Not_classified
+
+(* Per-node transfer. It writes the classifications of the node's fetches
+   and data accesses into [fetch] and [data] on every application, so
+   each node's last one stands; [Fixpoint.solve] re-transfers a node
+   whenever its in-state changes, so that last application saw the final
+   in-state. Returns [st] itself when neither cache changed. *)
+let make_transfer plan ~fetch ~data i (st : Cstate.t) =
+  let p = plan.(i) in
+  let ic =
+    match st.Cstate.ic with
+    | None ->
+      Array.fill fetch.(i) 0 (Array.length fetch.(i)) Bypass;
+      st.Cstate.ic
+    | Some c0 ->
+      let classes = fetch.(i) in
+      let c = ref c0 in
+      Array.iteri
+        (fun idx line ->
+          if line < 0 then classes.(idx) <- Bypass
+          else begin
+            classes.(idx) <- classify !c line;
+            c := Acache.access !c line
+          end)
+        p.fetch_lines;
+      if !c == c0 then st.Cstate.ic else Some !c
   in
-  let data = Array.make n [] in
-  Array.iteri
-    (fun i _ ->
-      match solution.FP.in_state i with
-      | None -> ()
-      | Some st ->
-        let data_rec = ref [] in
-        ignore (transfer (Some (fetch.(i), data_rec)) i st);
-        data.(i) <- List.rev !data_rec)
-    nodes;
+  let dc =
+    match st.Cstate.dc with
+    | None ->
+      Array.fill data.(i) 0 (Array.length data.(i)) Bypass;
+      st.Cstate.dc
+    | Some c0 ->
+      let kinds = data.(i) in
+      let c = ref c0 in
+      Array.iteri
+        (fun k a ->
+          match a.step with
+          | Data_bypass -> kinds.(k) <- Bypass
+          | Data_line line ->
+            kinds.(k) <- classify !c line;
+            c := Acache.access !c line
+          | Data_lines lines ->
+            (* one of a few lines: join of the possible outcomes *)
+            kinds.(k) <- Not_classified;
+            (match List.map (Acache.access !c) lines with
+            | [] -> ()
+            | first :: rest -> c := List.fold_left Acache.join first rest)
+          | Data_unknown ->
+            (* imprecise access: the paper's cache-damage case *)
+            kinds.(k) <- Not_classified;
+            c := Acache.access_unknown !c)
+        p.accesses;
+      if !c == c0 then st.Cstate.dc else Some !c
+  in
+  if ic == st.Cstate.ic && dc == st.Cstate.dc then st else { Cstate.ic; dc }
+
+(* The fixpoint and classification metrics, and the result. *)
+let finish ~plan ~fetch ~data (solution : FP.result) =
+  let n = Array.length plan in
   Metrics.incr m_transfers solution.FP.transfers;
   Metrics.incr m_widenings solution.FP.widenings;
   Metrics.incr m_joins solution.FP.joins;
@@ -251,9 +247,10 @@ let finish ~transfer ~nodes (solution : FP.result) =
       | Bypass -> m_data_bp
     in
     Array.iter (Array.iter (fun c -> Metrics.incr (fetch_metric c) 1)) fetch;
-    Array.iter (List.iter (fun a -> Metrics.incr (data_metric a.kind) 1)) data
+    Array.iter (Array.iter (fun c -> Metrics.incr (data_metric c) 1)) data
   end;
   {
+    plan;
     fetch;
     data;
     node_in = Array.init n solution.FP.in_state;
@@ -261,36 +258,53 @@ let finish ~transfer ~nodes (solution : FP.result) =
     transfers = solution.FP.transfers;
   }
 
-(* The reachability-filtered problem, with its recording transfer. *)
-let problem (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
+(* One solve over the reachability-filtered supergraph. A fetch of a node
+   the solve never reaches stays not-classified. *)
+let run ?cancel (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
+  let plan = build_plan cfg value ~region_hints in
+  let fetch =
+    Array.map
+      (fun node -> Array.make (Array.length node.Supergraph.block.Func_cfg.insns) Not_classified)
+      nodes
+  in
+  let data = Array.map (fun p -> Array.make (Array.length p.accesses) Not_classified) plan in
   let initial =
     {
       Cstate.ic = Option.map Acache.empty cfg.Hw_config.icache;
       dc = Option.map Acache.empty cfg.Hw_config.dcache;
     }
   in
-  let transfer = make_transfer cfg value ~region_hints in
-  ( transfer,
-    {
-      FP.num_nodes = Array.length nodes;
-      entries = [ (graph.Supergraph.entry, initial) ];
-      succs =
-        (fun i ->
-          if Analysis.reachable value i then
-            List.filter_map
-              (fun (_, t) -> if Analysis.reachable value t then Some t else None)
-              nodes.(i).Supergraph.succs
-          else []);
-      transfer = (fun i st -> transfer None i st);
-      widening_points = (fun _ -> false);
-      widening_delay = max_int;
-    } )
-
-let run ?cancel cfg (value : Analysis.result) ~region_hints =
-  let transfer, p = problem cfg value ~region_hints in
-  finish ~transfer ~nodes:value.Analysis.graph.Supergraph.nodes (FP.solve ?cancel p)
+  let solution =
+    FP.solve ?cancel
+      {
+        FP.num_nodes = Array.length nodes;
+        entries = [ (graph.Supergraph.entry, initial) ];
+        succs =
+          (fun i ->
+            if Analysis.reachable value i then
+              List.filter_map
+                (fun (_, t) -> if Analysis.reachable value t then Some t else None)
+                nodes.(i).Supergraph.succs
+            else []);
+        transfer = make_transfer plan ~fetch ~data;
+        widening_points = (fun _ -> false);
+        widening_delay = max_int;
+      }
+  in
+  (* The value analysis can reach a node that the solve does not: an
+     escalation can cut the only way in. Such a node has no classified
+     data access, as it had none when the classifications were replayed
+     from the converged states. *)
+  Array.iteri
+    (fun i p ->
+      if Array.length p.accesses > 0 && solution.FP.in_state i = None then begin
+        plan.(i) <- { p with accesses = [||] };
+        data.(i) <- [||]
+      end)
+    plan;
+  finish ~plan ~fetch ~data solution
 
 (* The frozen benchmark's entry point: the whole-program solve. *)
 type slice = |

@@ -15,11 +15,27 @@ type classification =
   | Not_classified
   | Bypass  (** uncacheable access (or cache disabled) *)
 
-type data_access = {
-  insn_index : int;
-  is_store : bool;
-  kind : classification;
+(** How an access meets the data cache: [Data_bypass] for a store
+    (write-around), for an access whose candidate regions are all
+    uncacheable, and when there is no data cache; otherwise the one line
+    its address interval lies in, the few lines it may touch (at most
+    eight lines' worth of bytes), or an unknown line. *)
+type data_step = Data_bypass | Data_line of int | Data_lines of int list | Data_unknown
+
+type planned_access = {
+  access : Wcet_value.Analysis.access;  (** the value analysis's record *)
+  step : data_step;
   regions : Pred32_memory.Region.t list;  (** candidate target regions *)
+}
+
+(** What the transfer of one node needs that no cache state changes,
+    derived once from the value result and the region hints. Plain data:
+    a result marshals. *)
+type node_plan = {
+  fetch_lines : int array;
+      (** per instruction: its I-cache line, or -1 when the fetch bypasses
+          the cache (uncacheable region, or no I-cache) *)
+  accesses : planned_access array;  (** the node's data accesses, in instruction order *)
 }
 
 (** Abstract cache state: must/may pair per configured cache ([None] when
@@ -32,8 +48,11 @@ module Cstate : sig
 end
 
 type result = {
+  plan : node_plan array;
+      (** per node; empty for a node the value analysis does not reach,
+          and without accesses for one the cache solve does not reach *)
   fetch : classification array array;  (** per node, per instruction *)
-  data : data_access list array;  (** per node *)
+  data : classification array array;  (** per node, per access of its [plan] *)
   node_in : Cstate.t option array;  (** converged per-node states ([None] = unreachable) *)
   node_out : Cstate.t option array;
   transfers : int;  (** fixpoint transfer count (worklist efficiency metric) *)
@@ -42,7 +61,8 @@ type result = {
 (** [run cfg value_result ~region_hints] — [region_hints] maps a
     function name to the regions its unresolved accesses may touch (from
     annotations). One whole-program solve over the reachability-filtered
-    supergraph. *)
+    supergraph, which records every classification as it goes: a node's
+    last transfer sees its final in-state. *)
 val run :
   ?cancel:(unit -> bool) ->
   Pred32_hw.Hw_config.t ->

@@ -20,17 +20,31 @@ let m_promotions_fetch = m_promotions "fetch"
 let m_promotions_data = m_promotions "data"
 
 type t = {
-  persistent_fetch : (int * int, unit) Hashtbl.t;
-  persistent_data : (int * int, unit) Hashtbl.t;
+  persistent_fetch : bool array array;
+  persistent_data : bool array array;
   entry_extra : int array;
 }
 
 let none ~num_nodes =
   {
-    persistent_fetch = Hashtbl.create 1;
-    persistent_data = Hashtbl.create 1;
+    persistent_fetch = Array.make num_nodes [||];
+    persistent_data = Array.make num_nodes [||];
     entry_extra = Array.make num_nodes 0;
   }
+
+let marked marks i k =
+  let m = marks.(i) in
+  Array.length m > 0 && m.(k)
+
+let fetch_persistent t i idx = marked t.persistent_fetch i idx
+let data_persistent t i k = marked t.persistent_data i k
+
+let mark marks i k ~len =
+  if Array.length marks.(i) = 0 then marks.(i) <- Array.make len false;
+  marks.(i).(k) <- true
+
+let count_marked = Array.fold_left (Array.fold_left (fun n b -> if b then n + 1 else n)) 0
+let promotions t = (count_marked t.persistent_fetch, count_marked t.persistent_data)
 
 (* The single cacheable line of a load's address interval, if that precise. *)
 let data_line (cfg : Hw_config.t) dcache_cfg av =
@@ -46,17 +60,51 @@ let data_line (cfg : Hw_config.t) dcache_cfg av =
     | _ :: _ :: _ -> `Several
     | [] -> `Uncached)
 
+let uncached = -1
+let imprecise = -2
+
+(* [fits lines ccfg line]: the distinct [lines] that map to [line]'s set
+   fit in its associativity. *)
+let set_fits lines ccfg =
+  let per_set = Array.make ccfg.Cache_config.sets 0 in
+  List.iter
+    (fun line ->
+      let s = Cache_config.set_of_line ccfg line in
+      per_set.(s) <- per_set.(s) + 1)
+    (List.sort_uniq Int.compare lines);
+  fun line -> per_set.(Cache_config.set_of_line ccfg line) <= ccfg.Cache_config.assoc
+
 let compute (cfg : Hw_config.t) (value : Analysis.result) (loops : Loops.info)
     (cache : Cache_analysis.result) =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
   let n = Array.length nodes in
-  let result =
-    {
-      persistent_fetch = Hashtbl.create 64;
-      persistent_data = Hashtbl.create 64;
-      entry_extra = Array.make n 0;
-    }
+  let plan = cache.Cache_analysis.plan in
+  let result = none ~num_nodes:n in
+  (* Per node, once: its data accesses, and the line of each, or
+     [uncached] (a store too) or [imprecise]. The accesses are the value
+     analysis's, which the plan's follow where the cache solve reached the
+     node. *)
+  let loads =
+    let memo = Array.make n None in
+    fun dcfg nid ->
+      match memo.(nid) with
+      | Some l -> l
+      | None ->
+        let accesses = Array.of_list value.Analysis.accesses.(nid) in
+        let lines =
+          Array.map
+            (fun (a : Analysis.access) ->
+              if a.Analysis.is_store then uncached
+              else
+                match data_line cfg dcfg a.Analysis.addr with
+                | `Line line -> line
+                | `Uncached -> uncached
+                | `Several | `Unknown -> imprecise)
+            accesses
+        in
+        memo.(nid) <- Some (accesses, lines);
+        (accesses, lines)
   in
   (* Outermost loops first, so each line is charged in its widest persistent
      scope. *)
@@ -70,104 +118,77 @@ let compute (cfg : Hw_config.t) (value : Analysis.result) (loops : Loops.info)
       let loop = loops.Loops.loops.(li) in
       let body = List.filter (Analysis.reachable value) loop.Loops.body in
       if body <> [] then begin
-        (* Gather every line touched inside the loop, per cache. *)
-        let fetch_lines : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-        let data_lines : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-        let data_imprecise = ref false in
-        let fetch_accesses = ref [] in
-        let data_accesses = ref [] in
-        List.iter
-          (fun nid ->
-            let node = nodes.(nid) in
-            (match cfg.Hw_config.icache with
-            | None -> ()
-            | Some icfg ->
-              Array.iteri
-                (fun idx (addr, _) ->
-                  match Memory_map.find cfg.Hw_config.map addr with
-                  | Some r when r.Region.cacheable ->
-                    let line = Cache_config.line_of_addr icfg addr in
-                    Hashtbl.replace fetch_lines line ();
-                    fetch_accesses := (nid, idx, addr, line) :: !fetch_accesses
-                  | Some _ | None -> ())
-                node.Supergraph.block.Func_cfg.insns);
-            match cfg.Hw_config.dcache with
-            | None -> ()
-            | Some dcfg ->
-              List.iter
-                (fun (a : Analysis.access) ->
-                  if not a.Analysis.is_store then
-                    match data_line cfg dcfg a.Analysis.addr with
-                    | `Line line ->
-                      Hashtbl.replace data_lines line ();
-                      data_accesses := (nid, a.Analysis.insn_index, a.Analysis.addr, line) :: !data_accesses
-                    | `Uncached -> ()
-                    | `Several | `Unknown -> data_imprecise := true)
-                value.Analysis.accesses.(nid))
-          body;
-        (* Per-set conflict counting. *)
-        let set_fits lines_tbl ccfg =
-          let per_set = Hashtbl.create 16 in
-          Hashtbl.iter
-            (fun line () ->
-              let s = Cache_config.set_of_line ccfg line in
-              Hashtbl.replace per_set s (1 + Option.value ~default:0 (Hashtbl.find_opt per_set s)))
-            lines_tbl;
-          fun line ->
-            let s = Cache_config.set_of_line ccfg line in
-            Option.value ~default:0 (Hashtbl.find_opt per_set s) <= ccfg.Cache_config.assoc
-        in
-        let charged_lines = Hashtbl.create 16 in
+        (* Accesses are promoted and charged in reverse body order. *)
+        let rev_body = List.rev body in
         let extra = ref 0 in
         (match cfg.Hw_config.icache with
         | None -> ()
         | Some icfg ->
-          let fits = set_fits fetch_lines icfg in
+          let fits =
+            set_fits
+              (List.concat_map
+                 (fun nid ->
+                   List.filter (fun l -> l >= 0) (Array.to_list plan.(nid).Cache_analysis.fetch_lines))
+                 body)
+              icfg
+          in
+          let charged = Hashtbl.create 16 in
           List.iter
-            (fun (nid, idx, addr, line) ->
-              if
-                fits line
-                && cache.Cache_analysis.fetch.(nid).(idx) = Cache_analysis.Not_classified
-                && not (Hashtbl.mem result.persistent_fetch (nid, idx))
-              then begin
-                Hashtbl.replace result.persistent_fetch (nid, idx) ();
-                if not (Hashtbl.mem charged_lines (`I line)) then begin
-                  Hashtbl.replace charged_lines (`I line) ();
-                  extra := !extra + Timing.icache_miss_cycles cfg ~addr
+            (fun nid ->
+              let lines = plan.(nid).Cache_analysis.fetch_lines in
+              let fetch = cache.Cache_analysis.fetch.(nid) in
+              for idx = Array.length lines - 1 downto 0 do
+                let line = lines.(idx) in
+                if
+                  line >= 0 && fits line
+                  && fetch.(idx) = Cache_analysis.Not_classified
+                  && not (marked result.persistent_fetch nid idx)
+                then begin
+                  mark result.persistent_fetch nid idx ~len:(Array.length lines);
+                  if not (Hashtbl.mem charged line) then begin
+                    Hashtbl.replace charged line ();
+                    let addr = fst nodes.(nid).Supergraph.block.Func_cfg.insns.(idx) in
+                    extra := !extra + Timing.icache_miss_cycles cfg ~addr
+                  end
                 end
-              end)
-            !fetch_accesses);
+              done)
+            rev_body);
         (match cfg.Hw_config.dcache with
         | None -> ()
         | Some dcfg ->
-          if not !data_imprecise then begin
-            let fits = set_fits data_lines dcfg in
+          let lines = List.concat_map (fun nid -> Array.to_list (snd (loads dcfg nid))) body in
+          (* An imprecise load may evict anything. *)
+          if not (List.mem imprecise lines) then begin
+            let fits = set_fits (List.filter (fun l -> l >= 0) lines) dcfg in
+            let charged = Hashtbl.create 16 in
             List.iter
-              (fun (nid, idx, av, line) ->
-                let classif =
-                  List.find_opt
-                    (fun (d : Cache_analysis.data_access) -> d.Cache_analysis.insn_index = idx)
-                    cache.Cache_analysis.data.(nid)
-                in
-                match classif with
-                | Some d
-                  when d.Cache_analysis.kind = Cache_analysis.Not_classified
-                       && fits line
-                       && not (Hashtbl.mem result.persistent_data (nid, idx)) ->
-                  Hashtbl.replace result.persistent_data (nid, idx) ();
-                  if not (Hashtbl.mem charged_lines (`D line)) then begin
-                    Hashtbl.replace charged_lines (`D line) ();
-                    let region =
-                      match Aval.range av with
-                      | Some (lo, _) -> Memory_map.find cfg.Hw_config.map lo
-                      | None -> None
-                    in
-                    match region with
-                    | Some r -> extra := !extra + Timing.dcache_miss_cycles cfg ~region:r
-                    | None -> ()
+              (fun nid ->
+                let accesses, lines = loads dcfg nid in
+                let data = cache.Cache_analysis.data.(nid) in
+                for k = Array.length lines - 1 downto 0 do
+                  let line = lines.(k) in
+                  if
+                    line >= 0
+                    && k < Array.length data
+                    && data.(k) = Cache_analysis.Not_classified
+                    && fits line
+                    && not (marked result.persistent_data nid k)
+                  then begin
+                    mark result.persistent_data nid k ~len:(Array.length lines);
+                    if not (Hashtbl.mem charged line) then begin
+                      Hashtbl.replace charged line ();
+                      let region =
+                        match Aval.range accesses.(k).Analysis.addr with
+                        | Some (lo, _) -> Memory_map.find cfg.Hw_config.map lo
+                        | None -> None
+                      in
+                      match region with
+                      | Some r -> extra := !extra + Timing.dcache_miss_cycles cfg ~region:r
+                      | None -> ()
+                    end
                   end
-                | _ -> ())
-              !data_accesses
+                done)
+              rev_body
           end);
         if !extra > 0 then begin
           (* One-time charges: once per loop entry, at every entry source. *)
@@ -176,6 +197,7 @@ let compute (cfg : Hw_config.t) (value : Analysis.result) (loops : Loops.info)
         end
       end)
     order;
-  Metrics.incr m_promotions_fetch (Hashtbl.length result.persistent_fetch);
-  Metrics.incr m_promotions_data (Hashtbl.length result.persistent_data);
+  let fetch_promoted, data_promoted = promotions result in
+  Metrics.incr m_promotions_fetch fetch_promoted;
+  Metrics.incr m_promotions_data data_promoted;
   result

@@ -16,10 +16,21 @@
     COLA project studied. *)
 
 type t = {
-  persistent_fetch : (int * int, unit) Hashtbl.t;  (** (node, insn index) *)
-  persistent_data : (int * int, unit) Hashtbl.t;
+  persistent_fetch : bool array array;
+      (** per node, per instruction; [[||]] for a node with none *)
+  persistent_data : bool array array;
+      (** per node, per data access of the cache plan; [[||]] for a node
+          with none *)
   entry_extra : int array;  (** per node: one-time miss cycles charged *)
 }
+
+(** [fetch_persistent t node idx]: the fetch of instruction [idx] is
+    loop-persistent. *)
+val fetch_persistent : t -> int -> int -> bool
+
+(** [data_persistent t node k]: the node's [k]th data access (in the
+    order of {!Cache_analysis.node_plan}'s [accesses]) is loop-persistent. *)
+val data_persistent : t -> int -> int -> bool
 
 val compute :
   Pred32_hw.Hw_config.t ->
@@ -27,6 +38,9 @@ val compute :
   Wcet_cfg.Loops.info ->
   Cache_analysis.result ->
   t
+
+(** [(fetches, data accesses)] promoted to loop-persistent. *)
+val promotions : t -> int * int
 
 (** Empty result (persistence disabled). *)
 val none : num_nodes:int -> t

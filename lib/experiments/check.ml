@@ -101,13 +101,23 @@ let check_portfolio ~id ~variant (report : Analyzer.report) acc =
     else acc
   | Some { Analyzer.br_bound = None; _ } | None -> acc
 
-let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
-    (s : Corpus.scenario) acc =
+(* The transfer counts of the fixpoints behind a bound, for the ledger:
+   a cost regression trips it like a bound regression. *)
+let transfer_metrics (report : Analyzer.report) =
+  [
+    ("value_transfers", report.Analyzer.value.Wcet_value.Analysis.transfers);
+    ("cache_transfers", report.Analyzer.cache.Wcet_cache.Cache_analysis.transfers);
+    ( "octagon_transfers",
+      match report.Analyzer.escalation with Some e -> e.Analyzer.ei_transfers | None -> 0 );
+  ]
+
+let analyze_scenario ~domain ~verify (s : Corpus.scenario) =
   let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
   let annot = s.Corpus.annotations program in
-  let outcome =
-    Handlers.run { Handlers.domain; verify } ~hw:s.Corpus.hw ~annot program
-  in
+  (program, annot, Handlers.run { Handlers.domain; verify } ~hw:s.Corpus.hw ~annot program)
+
+let check_scenario rng ~verify ~random_per_scenario ~record ~id ~variant
+    (s : Corpus.scenario) (program, annot, outcome) acc =
   (* One ledger snapshot per analyzed scenario; [observed] is the worst
      halting cycle count seen across this run's input sets (None when
      nothing halted). The digest covers the scenario source text, so drift
@@ -144,7 +154,8 @@ let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
     let acc = { acc with diagnostics = List.rev_append misses acc.diagnostics } in
     match report.Analyzer.verdict with
     | Analyzer.Partial ->
-      record (ledger_entry ());
+      let entry = ledger_entry () in
+      record { entry with Ledger.metrics = entry.Ledger.metrics @ transfer_metrics report };
       { acc with scenarios = acc.scenarios + 1; partial = acc.partial + 1 }
     | Analyzer.Complete ->
       let bound = report.Analyzer.wcet in
@@ -203,7 +214,9 @@ let check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id ~variant
       record
         {
           entry with
-          Ledger.metrics = (entry.Ledger.metrics @ if verify then backend_metrics report else []);
+          Ledger.metrics =
+            entry.Ledger.metrics @ transfer_metrics report
+            @ if verify then backend_metrics report else [];
         };
       let acc = check_attribution ~id ~variant s report !acc in
       if verify then check_portfolio ~id ~variant report acc
@@ -227,16 +240,23 @@ let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(verify = 
       diagnostics = [];
     }
   in
+  let scenarios =
+    List.concat_map
+      (fun (e : Corpus.entry) ->
+        [ (e.Corpus.id, "conforming", e.Corpus.conforming); (e.Corpus.id, "violating", e.Corpus.violating) ])
+      Corpus.all
+  in
+  (* The analyses are independent, so they run across the domain pool; the
+     checks draw from one input generator, so they run in corpus order.
+     Either way the stats and the ledger are the same for any pool width. *)
+  let analyzed =
+    Wcet_util.Parallel.map_list (fun (_, _, s) -> analyze_scenario ~domain ~verify s) scenarios
+  in
   let stats =
-    List.fold_left
-      (fun acc (e : Corpus.entry) ->
-        let acc =
-          check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id:e.Corpus.id
-            ~variant:"conforming" e.Corpus.conforming acc
-        in
-        check_scenario rng ~domain ~verify ~random_per_scenario ~record ~id:e.Corpus.id
-          ~variant:"violating" e.Corpus.violating acc)
-      empty Corpus.all
+    List.fold_left2
+      (fun acc (id, variant, s) analysis ->
+        check_scenario rng ~verify ~random_per_scenario ~record ~id ~variant s analysis acc)
+      empty scenarios analyzed
   in
   let stats =
     match ledger with

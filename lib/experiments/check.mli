@@ -41,7 +41,11 @@ type stats = {
     bounds too; [random_per_scenario] (default 8) is the number of random
     input sets per scenario on top of the declared ones. When [ledger] is
     set, one bound-drift snapshot per scenario is appended to that NDJSON
-    file ({!Wcet_obs.Ledger}).
+    file ({!Wcet_obs.Ledger}); an analyzed scenario's snapshot also carries
+    its [value_transfers], [cache_transfers] and [octagon_transfers].
+
+    The analyses run across the {!Wcet_util.Parallel} pool; the stats and
+    the ledger are the same for every pool width.
 
     [verify] (default off) runs every analysis under
     {!Wcet_core.Analyzer.analyze}'s reference cross-checks, and

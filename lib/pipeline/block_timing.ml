@@ -6,6 +6,7 @@ module Supergraph = Wcet_cfg.Supergraph
 module Func_cfg = Wcet_cfg.Func_cfg
 module Analysis = Wcet_value.Analysis
 module CA = Wcet_cache.Cache_analysis
+module Persistence = Wcet_cache.Persistence
 
 module Metrics = Wcet_obs.Metrics
 
@@ -73,6 +74,17 @@ let insn_best_cycles cfg ~fetch_class ~data ~addr insn =
   in
   fetch + base + data_cost + control_penalty cfg insn ~worst:false
 
+(* The position in its node's plan of instruction [idx]'s data access, or
+   -1 when it makes none. [next] is the cursor of a walk in instruction
+   order. *)
+let access_at (accesses : CA.planned_access array) next idx =
+  let k = !next in
+  if k < Array.length accesses && accesses.(k).CA.access.Analysis.insn_index = idx then begin
+    incr next;
+    k
+  end
+  else -1
+
 (* Per-node worst-case cycles under progressively optimistic assumptions.
    With all flags false this is exactly the bound side ([compute]'s wcet);
    each flag can only lower per-instruction cost, so the four ladder levels
@@ -88,53 +100,42 @@ let insn_best_cycles cfg ~fetch_class ~data ~addr insn =
      (unconditional transfers always pay it in the simulator too, so only
      the conditional pessimism is conservatism). *)
 let worst_level (cfg : Hw_config.t) (value : Analysis.result) (cache : CA.result)
-    ~(persistence : Wcet_cache.Persistence.t) ~nc_as_hit ~best_region ~no_branch_stall =
+    ~(persistence : Persistence.t) ~nc_as_hit ~best_region ~no_branch_stall =
   let nodes = value.Analysis.graph.Supergraph.nodes in
   let n = Array.length nodes in
   let out = Array.make n 0 in
   Array.iteri
     (fun i node ->
-      let insns = node.Supergraph.block.Func_cfg.insns in
-      let data_of idx =
-        List.find_opt (fun (d : CA.data_access) -> d.CA.insn_index = idx) cache.CA.data.(i)
-        |> Option.map (fun (d : CA.data_access) -> (d.CA.kind, d.CA.regions))
-      in
-      let w = ref persistence.Wcet_cache.Persistence.entry_extra.(i) in
+      let accesses = cache.CA.plan.(i).CA.accesses in
+      let next = ref 0 in
+      let w = ref persistence.Persistence.entry_extra.(i) in
       Array.iteri
         (fun idx (addr, insn) ->
           (* Persistence downgrades a not-classified access to a hit; its
              one-time miss charge sits in entry_extra of the loop entries. *)
           let fetch_class =
-            if Hashtbl.mem persistence.Wcet_cache.Persistence.persistent_fetch (i, idx) then
-              CA.Always_hit
+            if Persistence.fetch_persistent persistence i idx then CA.Always_hit
             else cache.CA.fetch.(i).(idx)
           in
           let fetch_class =
             if nc_as_hit && fetch_class = CA.Not_classified then CA.Always_hit
             else fetch_class
           in
-          let data =
-            match data_of idx with
-            | Some (kind, regions)
-              when kind = CA.Not_classified
-                   && Hashtbl.mem persistence.Wcet_cache.Persistence.persistent_data (i, idx) ->
-              Some (CA.Always_hit, regions)
-            | d -> d
-          in
           let is_store = Insn.writes_memory insn in
-          let data =
-            match data with
-            | Some (CA.Not_classified, regions) when nc_as_hit && not is_store ->
-              Some (CA.Always_hit, regions)
-            | d -> d
-          in
           let data_cost =
-            match data with
-            | None -> 0
-            | Some (kind, regions) ->
+            match access_at accesses next idx with
+            | -1 -> 0
+            | k ->
+              let kind =
+                match cache.CA.data.(i).(k) with
+                | CA.Not_classified when Persistence.data_persistent persistence i k ->
+                  CA.Always_hit
+                | CA.Not_classified when nc_as_hit && not is_store -> CA.Always_hit
+                | kind -> kind
+              in
               let regions =
-                match regions with
-                | _ :: _ :: _ when best_region ->
+                match accesses.(k).CA.regions with
+                | _ :: _ :: _ as regions when best_region ->
                   let cost r = data_worst cfg ~is_store kind [ r ] in
                   [
                     List.fold_left
@@ -150,7 +151,7 @@ let worst_level (cfg : Hw_config.t) (value : Analysis.result) (cache : CA.result
             + fetch_worst cfg ~addr fetch_class
             + Timing.base_cycles cfg insn + data_cost
             + control_penalty cfg insn ~worst:(not no_branch_stall))
-        insns;
+        node.Supergraph.block.Func_cfg.insns;
       out.(i) <- !w)
     nodes;
   out
@@ -179,7 +180,7 @@ let ladder cfg value cache ~persistence =
   }
 
 let compute (cfg : Hw_config.t) (value : Analysis.result) (cache : CA.result)
-    ~(persistence : Wcet_cache.Persistence.t) =
+    ~(persistence : Persistence.t) =
   let nodes = value.Analysis.graph.Supergraph.nodes in
   let n = Array.length nodes in
   let wcet =
@@ -189,19 +190,18 @@ let compute (cfg : Hw_config.t) (value : Analysis.result) (cache : CA.result)
   let bcet = Array.make n 0 in
   Array.iteri
     (fun i node ->
-      let insns = node.Supergraph.block.Func_cfg.insns in
-      let data_of idx =
-        List.find_opt (fun (d : CA.data_access) -> d.CA.insn_index = idx) cache.CA.data.(i)
-        |> Option.map (fun (d : CA.data_access) -> (d.CA.kind, d.CA.regions))
-      in
+      let accesses = cache.CA.plan.(i).CA.accesses in
+      let next = ref 0 in
       let b = ref 0 in
       Array.iteri
         (fun idx (addr, insn) ->
-          b :=
-            !b
-            + insn_best_cycles cfg ~fetch_class:cache.CA.fetch.(i).(idx) ~data:(data_of idx)
-                ~addr insn)
-        insns;
+          let data =
+            match access_at accesses next idx with
+            | -1 -> None
+            | k -> Some (cache.CA.data.(i).(k), accesses.(k).CA.regions)
+          in
+          b := !b + insn_best_cycles cfg ~fetch_class:cache.CA.fetch.(i).(idx) ~data ~addr insn)
+        node.Supergraph.block.Func_cfg.insns;
       bcet.(i) <- !b)
     nodes;
   Metrics.incr m_blocks n;

@@ -99,72 +99,72 @@ let aligned_addrs lo hi =
   let rec go a acc = if a > hi then List.rev acc else go (a + 4) (a :: acc) in
   go start []
 
-let transfer_insn ctx st index (addr, insn) =
-  let get r = State.get_reg st r in
-  let record is_store av =
-    match ctx.record with
-    | Some f -> f index addr is_store av
-    | None -> ()
-  in
+let record ctx index addr is_store av =
+  match ctx.record with
+  | Some f -> f index addr is_store av
+  | None -> ()
+
+(* One instruction's transfer, in place on the block's edit [e]. *)
+let transfer_insn ctx e index (addr, insn) =
+  let module E = State.Edit in
   match insn with
-  | Insn.Alu (op, rd, rs1, rs2) -> State.set_reg st rd (eval_alu op (get rs1) (get rs2))
+  | Insn.Alu (op, rd, rs1, rs2) -> E.set_reg e rd (eval_alu op (E.get_reg e rs1) (E.get_reg e rs2))
   | Insn.Alui (op, rd, rs1, imm) ->
-    State.set_reg st rd (eval_alu op (get rs1) (Aval.of_signed_const imm))
-  | Insn.Lui (rd, imm) -> State.set_reg st rd (Aval.const (imm lsl 16))
+    E.set_reg e rd (eval_alu op (E.get_reg e rs1) (Aval.of_signed_const imm))
+  | Insn.Lui (rd, imm) -> E.set_reg e rd (Aval.const (imm lsl 16))
   | Insn.Load (rd, rs1, imm) -> (
-    let av = Aval.add (get rs1) (Aval.of_signed_const imm) in
-    record false av;
+    let av = Aval.add (E.get_reg e rs1) (Aval.of_signed_const imm) in
+    record ctx index addr false av;
     match Aval.singleton av with
     | Some a when a land 3 = 0 ->
-      let v = State.load ~program:ctx.program st a in
+      let v = E.load ~program:ctx.program e a in
       (* I/O reads are volatile: never carry a tracked value. *)
-      if trackable ctx a || Option.is_some (Aval.singleton v) then
-        State.set_reg_origin st rd v ~origin:a
-      else State.set_reg st rd v
-    | Some _ -> State.set_reg st rd Aval.top
+      if trackable ctx a || Option.is_some (Aval.singleton v) then E.set_reg_origin e rd v ~origin:a
+      else E.set_reg e rd v
+    | Some _ -> E.set_reg e rd Aval.top
     | None -> (
       match Aval.range av with
       | Some (lo, hi) when hi - lo <= weak_update_limit_bytes ->
         let v =
           List.fold_left
-            (fun acc a -> Aval.join acc (State.load ~program:ctx.program st a))
+            (fun acc a -> Aval.join acc (E.load ~program:ctx.program e a))
             Aval.bot (aligned_addrs lo hi)
         in
-        State.set_reg st rd v
-      | Some _ | None -> State.set_reg st rd Aval.top))
+        E.set_reg e rd v
+      | Some _ | None -> E.set_reg e rd Aval.top))
   | Insn.Store (rs2, rs1, imm) -> (
-    let av = Aval.add (get rs1) (Aval.of_signed_const imm) in
-    record true av;
-    let v = get rs2 in
+    let av = Aval.add (E.get_reg e rs1) (Aval.of_signed_const imm) in
+    record ctx index addr true av;
+    let v = E.get_reg e rs2 in
     (* Frame-linkage bookkeeping: prologue saves of lr/fp relative to sp. *)
     (match (Aval.singleton av, ()) with
     | Some a, () when (Reg.equal rs2 Reg.lr || Reg.equal rs2 Reg.fp) && Reg.equal rs1 Reg.sp ->
       ctx.register_linkage a
     | _ -> ());
     match Aval.singleton av with
-    | Some a when a land 3 = 0 ->
-      if trackable ctx a then State.store ~linkage:(is_linkage ctx) st a v else st
-    | Some _ -> st
+    | Some a when a land 3 = 0 -> if trackable ctx a then E.store ~linkage:(is_linkage ctx) e a v
+    | Some _ -> ()
     | None -> (
       match Aval.range av with
       | Some (lo, hi) when hi - lo <= weak_update_limit_bytes ->
         let addrs = List.filter (trackable ctx) (aligned_addrs lo hi) in
-        State.store_weak ~linkage:(is_linkage ctx) st addrs v
-      | Some _ | None -> State.havoc ~linkage:(is_linkage ctx) st))
-  | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ -> st
-  | Insn.Call _ | Insn.Call_reg _ -> State.set_reg st Reg.lr (Aval.const (addr + 4))
+        E.store_weak ~linkage:(is_linkage ctx) e addrs v
+      | Some _ | None -> E.havoc ~linkage:(is_linkage ctx) e))
+  | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ -> ()
+  | Insn.Call _ | Insn.Call_reg _ -> E.set_reg e Reg.lr (Aval.const (addr + 4))
   | Insn.Cmovnz (rd, rs1, rs2) -> (
-    let cond = get rs1 in
+    let cond = E.get_reg e rs1 in
     match Aval.range cond with
-    | Some (0, 0) -> st
-    | Some (lo, _) when lo > 0 -> State.set_reg st rd (get rs2)
-    | Some _ | None -> State.set_reg st rd (Aval.join (get rd) (get rs2)))
-  | Insn.Halt | Insn.Nop | Insn.Illegal _ -> st
+    | Some (0, 0) -> ()
+    | Some (lo, _) when lo > 0 -> E.set_reg e rd (E.get_reg e rs2)
+    | Some _ | None -> E.set_reg e rd (Aval.join (E.get_reg e rd) (E.get_reg e rs2)))
+  | Insn.Halt | Insn.Nop | Insn.Illegal _ -> ()
 
+(* A block writes one register file: its own copy of the in-state's. *)
 let transfer_block ctx st (node : Supergraph.node) =
-  let st = ref st in
-  Array.iteri (fun i insn -> st := transfer_insn ctx !st i insn) node.Supergraph.block.Func_cfg.insns;
-  !st
+  let e = State.edit st in
+  Array.iteri (fun i insn -> transfer_insn ctx e i insn) node.Supergraph.block.Func_cfg.insns;
+  State.freeze e
 
 (* Apply branch refinement on an outgoing edge; None = infeasible. *)
 let refine_edge ctx (node : Supergraph.node) kind st =
@@ -379,34 +379,37 @@ let oct_range bounds iv =
     let m = Aval.meet iv (Aval.interval olo ohi) in
     if Aval.is_bot m then iv else m
 
-let oct_read env e st r = oct_range (E.var_bounds e (ovar env r)) (State.get_reg st r)
+(* The interval of [r] in the register file [pre] before the
+   instruction. *)
+let pre_reg pre r = if Reg.equal r Reg.zero then Aval.const 0 else pre.(Reg.to_int r)
+
+let oct_read env e pre r = oct_range (E.var_bounds e (ovar env r)) (pre_reg pre r)
 
 (* [rd] gets a value the octagon cannot relate: forget it, keep its
-   interval; returns [st'] unchanged. *)
-let oct_def_reg env st' e rd =
-  if not (Reg.equal rd Reg.zero) then oct_set_var e (ovar env rd) (State.get_reg st' rd);
-  st'
+   interval. *)
+let oct_def_reg env s e rd =
+  if not (Reg.equal rd Reg.zero) then oct_set_var e (ovar env rd) (State.Edit.get_reg s rd)
 
-(* Octagon companion of [transfer_insn]. [st] is the interval state before
-   the instruction, [st'] after; updates the block's octagon edit [e] in
-   place and returns the (possibly projected) interval state. Every
-   relational update is guarded by the wraparound contract: the interval
-   must prove the operands and the mathematical result stay in [0, 2^31). *)
-let oct_transfer_insn env st st' e (_addr, insn) =
-  if E.is_bot e then st'
-  else
+(* Octagon companion of [transfer_insn]. [pre] is the interval register
+   file before the instruction and [s] the block's interval edit after it;
+   updates the block's octagon edit [e] in place and may project a bound
+   back into [s]. Every relational update is guarded by the wraparound
+   contract: the interval must prove the operands and the mathematical
+   result stay in [0, 2^31). *)
+let oct_transfer_insn env pre s e (_addr, insn) =
+  let post r = State.Edit.get_reg s r in
+  if not (E.is_bot e) then
     match insn with
     | Insn.Alui ((Insn.Add | Insn.Sub), rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
       let c = match insn with Insn.Alui (Insn.Sub, _, _, _) -> -imm | _ -> imm in
-      match safe_range (oct_read env e st rs1) with
+      match safe_range (oct_read env e pre rs1) with
       | Some (lo, hi) when lo + c >= 0 && hi + c < half ->
         E.assign_var_plus e ~dst:(ovar env rd) ~src:(ovar env rs1) c;
-        oct_meet_unary e (ovar env rd) (State.get_reg st' rd);
-        st'
-      | _ -> oct_def_reg env st' e rd)
-    | Insn.Alui (_, rd, _, _) -> oct_def_reg env st' e rd
+        oct_meet_unary e (ovar env rd) (post rd)
+      | _ -> oct_def_reg env s e rd)
+    | Insn.Alui (_, rd, _, _) -> oct_def_reg env s e rd
     | Insn.Alu (Insn.Add, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read env e st rs1 and v2 = oct_read env e st rs2 in
+      let v1 = oct_read env e pre rs1 and v2 = oct_read env e pre rs2 in
       match (safe_range v1, safe_range v2) with
       | Some (lo1, hi1), Some (lo2, hi2) when hi1 + hi2 < half ->
         let d = ovar env rd in
@@ -424,16 +427,14 @@ let oct_transfer_insn env st st' e (_addr, insn) =
           in
           bound (ovar env rs1) (lo2, hi2);
           bound (ovar env rs2) (lo1, hi1));
-        oct_meet_unary e d (State.get_reg st' rd);
-        st'
-      | _ -> oct_def_reg env st' e rd)
+        oct_meet_unary e d (post rd)
+      | _ -> oct_def_reg env s e rd)
     | Insn.Alu (Insn.Sub, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read env e st rs1 and v2 = oct_read env e st rs2 in
+      let v1 = oct_read env e pre rs1 and v2 = oct_read env e pre rs2 in
       match (safe_range v1, Aval.singleton v2) with
       | Some (lo1, hi1), Some c when lo1 - c >= 0 && hi1 - c < half ->
         E.assign_var_plus e ~dst:(ovar env rd) ~src:(ovar env rs1) (-c);
-        oct_meet_unary e (ovar env rd) (State.get_reg st' rd);
-        st'
+        oct_meet_unary e (ovar env rd) (post rd)
       | _ -> (
         (* Project the relational difference: when the octagon proves
            rs1 - rs2 in [dlo, dhi] within [0, 2^31), the 32-bit subtraction
@@ -442,50 +443,48 @@ let oct_transfer_insn env st st' e (_addr, insn) =
            address computations. *)
         match E.diff_bounds e ~u:(ovar env rs1) ~v:(ovar env rs2) with
         | Some dlo, Some dhi when dlo >= 0 && dhi < half ->
-          let refined = Aval.meet (State.get_reg st' rd) (Aval.interval dlo dhi) in
-          let refined = if Aval.is_bot refined then State.get_reg st' rd else refined in
+          let refined = Aval.meet (post rd) (Aval.interval dlo dhi) in
+          let refined = if Aval.is_bot refined then post rd else refined in
           oct_set_var e (ovar env rd) refined;
-          State.set_reg st' rd refined
-        | _ -> oct_def_reg env st' e rd))
-    | Insn.Alu (_, rd, _, _) | Insn.Lui (rd, _) | Insn.Cmovnz (rd, _, _) -> oct_def_reg env st' e rd
+          State.Edit.set_reg s rd refined
+        | _ -> oct_def_reg env s e rd))
+    | Insn.Alu (_, rd, _, _) | Insn.Lui (rd, _) | Insn.Cmovnz (rd, _, _) -> oct_def_reg env s e rd
     | Insn.Load (rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
-      let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
+      let av = Aval.add (pre_reg pre rs1) (Aval.of_signed_const imm) in
       match Aval.singleton av with
       | Some a when a land 3 = 0 -> (
         match slot_ovar env a with
-        | Some s ->
-          E.assign_var_plus e ~dst:(ovar env rd) ~src:s 0;
+        | Some sl ->
+          E.assign_var_plus e ~dst:(ovar env rd) ~src:sl 0;
           (* Project the slot's relational bounds back into the interval
              component: the loaded value inherits everything the octagon
              proved about the slot across widening. *)
-          let refined = oct_range (E.var_bounds e (ovar env rd)) (State.get_reg st' rd) in
+          let refined = oct_range (E.var_bounds e (ovar env rd)) (post rd) in
           oct_meet_unary e (ovar env rd) refined;
-          State.set_reg st' rd refined
-        | None -> oct_def_reg env st' e rd)
-      | _ -> oct_def_reg env st' e rd)
-    | Insn.Load _ -> st'
+          State.Edit.set_reg s rd refined
+        | None -> oct_def_reg env s e rd)
+      | _ -> oct_def_reg env s e rd)
+    | Insn.Load _ -> ()
     | Insn.Store (rs2, rs1, imm) -> (
-      let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
+      let av = Aval.add (pre_reg pre rs1) (Aval.of_signed_const imm) in
       match Aval.singleton av with
-      | Some a when a land 3 = 0 ->
-        (match slot_ovar env a with
-        | Some s ->
-          E.assign_var_plus e ~dst:s ~src:(ovar env rs2) 0;
-          oct_meet_unary e s (State.get_reg st rs2)
-        | None -> ());
-        st'
-      | Some _ -> st'
-      | None ->
+      | Some a when a land 3 = 0 -> (
+        match slot_ovar env a with
+        | Some sl ->
+          E.assign_var_plus e ~dst:sl ~src:(ovar env rs2) 0;
+          oct_meet_unary e sl (pre_reg pre rs2)
+        | None -> ())
+      | Some _ -> ()
+      | None -> (
         let forget_slots pred =
           Array.iteri (fun i a -> if pred a then E.forget e (env.slot_base + i)) env.slot_addrs
         in
-        (match Aval.range av with
+        match Aval.range av with
         | Some (lo, hi) when hi - lo <= weak_update_limit_bytes ->
           forget_slots (fun a -> a >= lo && a <= hi)
-        | Some _ | None -> forget_slots (fun _ -> true));
-        st')
-    | Insn.Call _ | Insn.Call_reg _ -> oct_def_reg env st' e Reg.lr
-    | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ | Insn.Halt | Insn.Nop | Insn.Illegal _ -> st'
+        | Some _ | None -> forget_slots (fun _ -> true)))
+    | Insn.Call _ | Insn.Call_reg _ -> oct_def_reg env s e Reg.lr
+    | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ | Insn.Halt | Insn.Nop | Insn.Illegal _ -> ()
 
 type pstate = { pst : State.t; poct : Octagon.t }
 
@@ -497,17 +496,20 @@ module FP2 = Wcet_util.Fixpoint.Make (struct
   let widen a b = { pst = State.widen a.pst b.pst; poct = Octagon.widen a.poct b.poct }
 end)
 
-(* One copy of the octagon per block: every instruction updates it in
-   place. *)
+(* One copy of the octagon and one interval register file per block:
+   every instruction updates both in place. The octagon companion reads
+   the registers as they stood before the instruction, kept in [pre]. *)
 let product_transfer env ctx p (node : Supergraph.node) =
   let e = Octagon.edit p.poct in
-  let st = ref p.pst in
+  let s = State.edit p.pst in
+  let pre = Array.make nregs Aval.top in
   Array.iteri
     (fun i insn ->
-      let st' = transfer_insn ctx !st i insn in
-      st := oct_transfer_insn env !st st' e insn)
+      State.Edit.blit_regs s pre;
+      transfer_insn ctx s i insn;
+      oct_transfer_insn env pre s e insn)
     node.Supergraph.block.Func_cfg.insns;
-  { pst = !st; poct = Octagon.freeze e }
+  { pst = State.freeze s; poct = Octagon.freeze e }
 
 let product_refine_edge env ctx (node : Supergraph.node) kind p =
   match refine_edge ctx node kind p.pst with

@@ -44,11 +44,16 @@ let leq a b =
   | I (a1, a2), I (b1, b2) -> a1 >= b1 && a2 <= b2
   | (Top | I _), _ -> false
 
+(* An argument that already contains the other is the join itself. *)
 let join a b =
   match (a, b) with
   | Bot, v | v, Bot -> v
-  | Top, _ | _, Top -> Top
-  | I (a1, a2), I (b1, b2) -> I (min a1 b1, max a2 b2)
+  | Top, _ -> a
+  | _, Top -> b
+  | I (a1, a2), I (b1, b2) ->
+    if a1 <= b1 && b2 <= a2 then a
+    else if b1 <= a1 && a2 <= b2 then b
+    else I ((if a1 <= b1 then a1 else b1), if a2 >= b2 then a2 else b2)
 
 let meet a b =
   match (a, b) with

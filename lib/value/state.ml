@@ -14,28 +14,12 @@ let entry_state ~assumes =
     origins = Array.make 16 None;
   }
 
-let get_reg t r = if Reg.equal r Reg.zero then Aval.const 0 else t.regs.(Reg.to_int r)
+let zero_value = Aval.const 0
 
-let set_reg t r v =
-  if Reg.equal r Reg.zero then t
-  else begin
-    let regs = Array.copy t.regs and origins = Array.copy t.origins in
-    regs.(Reg.to_int r) <- v;
-    origins.(Reg.to_int r) <- None;
-    { t with regs; origins }
-  end
+let get_reg t r = if Reg.equal r Reg.zero then zero_value else t.regs.(Reg.to_int r)
 
-let set_reg_origin t r v ~origin =
-  if Reg.equal r Reg.zero then t
-  else begin
-    let regs = Array.copy t.regs and origins = Array.copy t.origins in
-    regs.(Reg.to_int r) <- v;
-    origins.(Reg.to_int r) <- Some origin;
-    { t with regs; origins }
-  end
-
-let load ~program t addr =
-  match Addr_map.find_opt addr t.mem with
+let load_mem ~program mem addr =
+  match Addr_map.find_opt addr mem with
   | Some v -> v
   | None -> (
     match Memory_map.find program.Program.map addr with
@@ -43,60 +27,108 @@ let load ~program t addr =
       Aval.const (Image.read_word program.Program.image addr)
     | Some _ | None -> Aval.top)
 
-(* Drop origin records that alias the written addresses. *)
-let clear_origins t pred =
-  let origins = Array.map (fun o -> match o with Some a when pred a -> None | o -> o) t.origins in
-  { t with origins }
+let load ~program t addr = load_mem ~program t.mem addr
 
-let store ~linkage:_ t addr v =
-  let t = clear_origins t (fun a -> a = addr) in
-  { t with mem = Addr_map.add addr v t.mem }
+(* An edit owns copies of the register file and the origins; memory is a
+   persistent map, so it is shared until written. *)
+type edit = { e_regs : Aval.t array; e_origins : int option array; mutable e_mem : Aval.t Addr_map.t }
 
-let store_weak ~linkage t addrs v =
-  let t = clear_origins t (fun a -> List.mem a addrs) in
-  let mem =
-    List.fold_left
-      (fun m a ->
-        if linkage a then m
-        else
-          let old = match Addr_map.find_opt a m with Some x -> x | None -> Aval.top in
-          (* absent means unknown: joining with Top stays Top, so only
-             refine existing entries pessimistically *)
-          Addr_map.add a (Aval.join old v) m)
-      t.mem addrs
-  in
-  { t with mem }
+let edit t = { e_regs = Array.copy t.regs; e_origins = Array.copy t.origins; e_mem = t.mem }
+let freeze e = { regs = e.e_regs; mem = e.e_mem; origins = e.e_origins }
 
-let havoc ~linkage t =
-  let t = clear_origins t (fun a -> not (linkage a)) in
-  { t with mem = Addr_map.filter (fun a _ -> linkage a) t.mem }
+module Edit = struct
+  let get_reg e r = if Reg.equal r Reg.zero then zero_value else e.e_regs.(Reg.to_int r)
+
+  let set_reg e r v =
+    if not (Reg.equal r Reg.zero) then begin
+      e.e_regs.(Reg.to_int r) <- v;
+      e.e_origins.(Reg.to_int r) <- None
+    end
+
+  let set_reg_origin e r v ~origin =
+    if not (Reg.equal r Reg.zero) then begin
+      e.e_regs.(Reg.to_int r) <- v;
+      e.e_origins.(Reg.to_int r) <- Some origin
+    end
+
+  let load ~program e addr = load_mem ~program e.e_mem addr
+
+  (* Drop origin records that alias the written addresses. *)
+  let clear_origins e pred =
+    Array.iteri
+      (fun i o -> match o with Some a when pred a -> e.e_origins.(i) <- None | Some _ | None -> ())
+      e.e_origins
+
+  let store ~linkage:_ e addr v =
+    clear_origins e (fun a -> a = addr);
+    e.e_mem <- Addr_map.add addr v e.e_mem
+
+  let store_weak ~linkage e addrs v =
+    clear_origins e (fun a -> List.mem a addrs);
+    e.e_mem <-
+      List.fold_left
+        (fun m a ->
+          if linkage a then m
+          else
+            let old = match Addr_map.find_opt a m with Some x -> x | None -> Aval.top in
+            (* absent means unknown: joining with Top stays Top, so only
+               refine existing entries pessimistically *)
+            Addr_map.add a (Aval.join old v) m)
+        e.e_mem addrs
+
+  let havoc ~linkage e =
+    clear_origins e (fun a -> not (linkage a));
+    e.e_mem <- Addr_map.filter (fun a _ -> linkage a) e.e_mem
+
+  let blit_regs e dst = Array.blit e.e_regs 0 dst 0 (Array.length e.e_regs)
+end
+
+(* Each pure update is one edit, one [Edit] operation and one freeze. *)
+let pure f t =
+  let e = edit t in
+  f e;
+  freeze e
+
+let set_reg t r v = if Reg.equal r Reg.zero then t else pure (fun e -> Edit.set_reg e r v) t
+
+let store ~linkage t addr v = pure (fun e -> Edit.store ~linkage e addr v) t
+let store_weak ~linkage t addrs v = pure (fun e -> Edit.store_weak ~linkage e addrs v) t
+let havoc ~linkage t = pure (fun e -> Edit.havoc ~linkage e) t
 
 let leq a b =
-  let regs_ok = ref true in
-  Array.iteri (fun i va -> if not (Aval.leq va b.regs.(i)) then regs_ok := false) a.regs;
-  !regs_ok
-  && Addr_map.for_all
-       (fun addr vb ->
-         let va = match Addr_map.find_opt addr a.mem with Some v -> v | None -> Aval.top in
-         Aval.leq va vb)
-       b.mem
+  a == b
+  || (let rec regs_leq i =
+        i = Array.length a.regs
+        || ((a.regs.(i) == b.regs.(i) || Aval.leq a.regs.(i) b.regs.(i)) && regs_leq (i + 1))
+      in
+      regs_leq 0)
+     && (a.mem == b.mem
+        || Addr_map.for_all
+             (fun addr vb ->
+               let va = match Addr_map.find_opt addr a.mem with Some v -> v | None -> Aval.top in
+               Aval.leq va vb)
+             b.mem)
 
+(* A cell physically equal on both sides is its own join and widening. *)
 let merge_with f a b =
-  let regs = Array.init 16 (fun i -> f a.regs.(i) b.regs.(i)) in
+  let regs =
+    Array.init 16 (fun i ->
+        let va = a.regs.(i) and vb = b.regs.(i) in
+        if va == vb then va else f va vb)
+  in
   let mem =
     Addr_map.merge
       (fun _ va vb ->
         match (va, vb) with
-        | Some va, Some vb ->
-          let v = f va vb in
-          if v = Aval.Top then None else Some v
+        | Some va, Some vb -> (
+          match if va == vb then va else f va vb with Aval.Top -> None | v -> Some v)
         | Some _, None | None, Some _ | None, None -> None)
       a.mem b.mem
   in
   let origins =
     Array.init 16 (fun i ->
         match (a.origins.(i), b.origins.(i)) with
-        | Some x, Some y when x = y -> Some x
+        | (Some x as o), Some y when x = y -> o
         | _ -> None)
   in
   { regs; mem; origins }

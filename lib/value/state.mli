@@ -22,10 +22,6 @@ val entry_state : assumes:(int * Aval.t) list -> t
 val get_reg : t -> Pred32_isa.Reg.t -> Aval.t
 val set_reg : t -> Pred32_isa.Reg.t -> Aval.t -> t
 
-(** [set_reg_origin t r v ~origin] also records where the value was loaded
-    from. *)
-val set_reg_origin : t -> Pred32_isa.Reg.t -> Aval.t -> origin:int -> t
-
 val load : program:Pred32_asm.Program.t -> t -> int -> Aval.t
 
 (** [store ~linkage t addr v] strong update at a concrete address. *)
@@ -36,6 +32,39 @@ val store_weak : linkage:(int -> bool) -> t -> int list -> Aval.t -> t
 
 (** [havoc ~linkage t] forgets all tracked memory except linkage words. *)
 val havoc : linkage:(int -> bool) -> t -> t
+
+(** {2 In-place editing}
+
+    A block transfer writes many registers. [edit t] takes private copies
+    of [t]'s register file and origins (memory is a persistent map, shared
+    until written), the {!Edit} operations update them in place with
+    exactly the semantics of the pure operations above (which are each one
+    [edit], one {!Edit} operation and one {!freeze}), and [freeze] hands
+    them over as the result. [t] itself is never written. An edit must not
+    be used after it is frozen. *)
+
+type edit
+
+val edit : t -> edit
+val freeze : edit -> t
+
+module Edit : sig
+  val get_reg : edit -> Pred32_isa.Reg.t -> Aval.t
+  val set_reg : edit -> Pred32_isa.Reg.t -> Aval.t -> unit
+
+  (** [set_reg_origin e r v ~origin] also records the memory word [v] was
+      loaded from. *)
+  val set_reg_origin : edit -> Pred32_isa.Reg.t -> Aval.t -> origin:int -> unit
+
+  val load : program:Pred32_asm.Program.t -> edit -> int -> Aval.t
+  val store : linkage:(int -> bool) -> edit -> int -> Aval.t -> unit
+  val store_weak : linkage:(int -> bool) -> edit -> int list -> Aval.t -> unit
+  val havoc : linkage:(int -> bool) -> edit -> unit
+
+  (** [blit_regs e dst] copies the register file, indexed by
+      [Reg.to_int], into [dst] (16 entries). *)
+  val blit_regs : edit -> Aval.t array -> unit
+end
 
 val leq : t -> t -> bool
 val join : t -> t -> t

@@ -213,8 +213,7 @@ let precision_counts (r : report) =
     r.cache.Cache_analysis.fetch;
   let data_nc = ref 0 in
   Array.iter
-    (List.iter (fun (d : Cache_analysis.data_access) ->
-         if d.Cache_analysis.kind = Cache_analysis.Not_classified then incr data_nc))
+    (Array.iter (fun c -> if c = Cache_analysis.Not_classified then incr data_nc))
     r.cache.Cache_analysis.data;
   [
     ("value_interval", !interval);

@@ -258,6 +258,74 @@ let test_call_in_loop_bound_survives () =
   | [ Loop_bounds.Bounded n ] -> Alcotest.(check int) "bound 8" 8 n
   | _ -> Alcotest.fail "expected one bounded loop"
 
+(* --- block transfers own their state --- *)
+
+module State = Wcet_value.State
+
+let read_example f = In_channel.with_open_bin (Examples_dir.file f) In_channel.input_all
+let aliasing_examples = [ "quickstart.mc"; "callgraph.mc"; "relational.mc"; "modal_task.mc" ]
+
+(* A block transfer edits one register file of its own: applied twice to
+   one in-state it gives equal out-states, each in fresh arrays, and the
+   in-state's registers and origins are what they were, cell for cell. *)
+let test_transfer_aliasing () =
+  let checked = ref 0 in
+  List.iter
+    (fun f ->
+      let _, graph, _, result = analyze (read_example f) in
+      Array.iteri
+        (fun i -> function
+          | None -> ()
+          | Some (st : State.t) ->
+            let regs = Array.copy st.State.regs and origins = Array.copy st.State.origins in
+            let node = graph.Supergraph.nodes.(i) in
+            let step () = Analysis.path_step (Analysis.path_ctx result) st node in
+            let a = step () and b = step () in
+            if a <> b then Alcotest.failf "%s node %d: two transfers differ" f i;
+            if a.State.regs == st.State.regs || a.State.origins == st.State.origins then
+              Alcotest.failf "%s node %d: the out-state shares the in-state's arrays" f i;
+            if
+              not
+                (Array.for_all2 ( == ) regs st.State.regs
+                && Array.for_all2 ( = ) origins st.State.origins)
+            then Alcotest.failf "%s node %d: the transfer wrote its in-state" f i;
+            incr checked)
+        result.Analysis.node_in)
+    aliasing_examples;
+  Alcotest.(check bool) "states checked" true (!checked > 50)
+
+(* The same under the interval x octagon product: the escalation seeds
+   its entries with the base in-states themselves, so a product transfer
+   that wrote its input would change the base result, and a second
+   escalation of the same base would differ from the first. *)
+let test_product_aliasing () =
+  let annot =
+    match Wcet_annot.Annot.parse (read_example "relational.annot") with
+    | Ok a -> a
+    | Error e -> Alcotest.fail e
+  in
+  let program, graph = build (read_example "relational.mc") in
+  let assumes =
+    List.map
+      (fun (sym, lo, hi) -> (Pred32_asm.Program.symbol program sym, Aval.interval lo hi))
+      annot.Wcet_annot.Annot.assumes
+  in
+  let loops = Loops.analyze graph in
+  let base = Analysis.run ~assumes graph loops in
+  let snapshot = Marshal.to_string (base.Analysis.node_in, base.Analysis.node_out) [] in
+  let escalate () = Analysis.escalate ~assumes ~funcs:[ "main" ] base loops in
+  let e1 = escalate () in
+  let e2 = escalate () in
+  Alcotest.(check int) "octagon transfers" e1.Analysis.esc_transfers e2.Analysis.esc_transfers;
+  Alcotest.(check bool) "escalated in-states equal" true
+    (e1.Analysis.esc_result.Analysis.node_in = e2.Analysis.esc_result.Analysis.node_in);
+  Alcotest.(check bool) "escalated out-states equal" true
+    (e1.Analysis.esc_result.Analysis.node_out = e2.Analysis.esc_result.Analysis.node_out);
+  Alcotest.(check bool) "escalated accesses equal" true
+    (e1.Analysis.esc_result.Analysis.accesses = e2.Analysis.esc_result.Analysis.accesses);
+  Alcotest.(check bool) "base states untouched" true
+    (Marshal.from_string snapshot 0 = (base.Analysis.node_in, base.Analysis.node_out))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -279,6 +347,8 @@ let () =
         [
           Alcotest.test_case "unreachable branch" `Quick test_unreachable_branch;
           Alcotest.test_case "mode exclusion" `Quick test_mode_exclusion_via_assume;
+          Alcotest.test_case "transfer aliasing" `Quick test_transfer_aliasing;
+          Alcotest.test_case "product transfer aliasing" `Quick test_product_aliasing;
         ] );
       ( "bounds",
         [

@@ -404,6 +404,28 @@ let test_fast_path_vs_rebuild () =
       | Unknown | Join | Keep -> ());
   Alcotest.(check bool) "both paths exercised" true (!noops > 500 && !rebuilds > 500)
 
+(* [join a b] is [a] itself whenever [leq b a], and otherwise agrees with
+   the reference join, over every pair of a state and an earlier one. *)
+let test_join_sharing () =
+  let shared = ref 0 and joined = ref 0 in
+  walk ~seed:3301L ~walks:30 ~steps:50 (fun ~cfg ~lines pool _before _op (a, r) ->
+      List.iter
+        (fun (b, rb) ->
+          List.iter
+            (fun ((x, rx), (y, ry)) ->
+              let j = Acache.join x y in
+              if Acache.leq y x then begin
+                if j != x then
+                  Alcotest.failf "%a: join %s %s is not its first argument" Cache_config.pp cfg
+                    (show (x, rx)) (show (y, ry));
+                incr shared
+              end;
+              agree ~cfg ~lines (j, Reference.join rx ry) [];
+              incr joined)
+            [ ((a, r), (b, rb)); ((b, rb), (a, r)) ])
+        pool);
+  Alcotest.(check bool) "both cases exercised" true (!shared > 200 && !joined - !shared > 200)
+
 (* States read back with [Marshal] share nothing with the states they were
    written from, so [leq] must hold structurally, not just by the
    physical-equality shortcut, and every line classifies the same. *)
@@ -426,6 +448,135 @@ let test_marshal_round_trip () =
           incr compared)
         pool);
   Alcotest.(check bool) "states compared" true (!compared > 1000)
+
+(* --- cache facts --- *)
+
+module Analyzer = Wcet_core.Analyzer
+module Analysis = Wcet_value.Analysis
+module CA = Wcet_cache.Cache_analysis
+module Persistence = Wcet_cache.Persistence
+module Block_timing = Wcet_pipeline.Block_timing
+module Corpus = Wcet_corpus.Corpus
+
+(* One line of what the cache, persistence and pipeline phases concluded
+   about a program under the CLI's default domain: fetch and data class
+   counts (always-hit, always-miss, not-classified, bypass), persistence
+   promotions (fetch, data) and the summed one-time charges, the value,
+   cache and octagon transfer counts, and the summed block wcet and bcet;
+   or the codes of a failed analysis. *)
+let cache_facts name ~hw ~annot program =
+  match Analyzer.analyze ~hw ~annot ~domain:Analysis.Auto program with
+  | exception Analyzer.Analysis_failed ds ->
+    Printf.sprintf "%s failed %s" name
+      (String.concat "," (List.map (fun (d : Wcet_diag.Diag.t) -> d.Wcet_diag.Diag.code) ds))
+  | r ->
+  let counts = Array.make 8 0 in
+  let slot = function CA.Always_hit -> 0 | CA.Always_miss -> 1 | CA.Not_classified -> 2 | CA.Bypass -> 3 in
+  let bump i = counts.(i) <- counts.(i) + 1 in
+  Array.iter (Array.iter (fun c -> bump (slot c))) r.Analyzer.cache.CA.fetch;
+  Array.iter (Array.iter (fun c -> bump (4 + slot c))) r.Analyzer.cache.CA.data;
+  let p = Persistence.compute r.Analyzer.hw r.Analyzer.value r.Analyzer.loops r.Analyzer.cache in
+  let fetch_promoted, data_promoted = Persistence.promotions p in
+  let sum = Array.fold_left ( + ) 0 in
+  Printf.sprintf "%s fetch %d/%d/%d/%d data %d/%d/%d/%d persist %d/%d/%d transfers %d/%d/%d wcet %d bcet %d"
+    name counts.(0) counts.(1) counts.(2) counts.(3) counts.(4) counts.(5) counts.(6) counts.(7)
+    fetch_promoted data_promoted (sum p.Persistence.entry_extra)
+    r.Analyzer.value.Analysis.transfers r.Analyzer.cache.CA.transfers
+    (match r.Analyzer.escalation with Some e -> e.Analyzer.ei_transfers | None -> 0)
+    (sum r.Analyzer.timing.Block_timing.wcet) (sum r.Analyzer.timing.Block_timing.bcet)
+
+(* [main] escalates to the octagon, which proves the call to [f]
+   infeasible; [f] is not escalated, so the value analysis still reaches
+   its nodes while the cache solve, which follows only feasible edges,
+   does not: their loads stay without a classification. *)
+let escalation_cut =
+  {|int n;
+int buf[80];
+int out;
+int sink[4];
+
+int f(int a) {
+  int k;
+  int s;
+  s = 0;
+  for (k = 0; k < 4; k = k + 1) {
+    s = s + sink[k] + a;
+  }
+  return s;
+}
+
+int main() {
+  int i;
+  int j;
+  int s;
+  s = 0;
+  i = 0;
+  while (i != n) {
+    j = n - i;
+    s = s + buf[j];
+    i = i + 1;
+  }
+  if (i > n) {
+    s = s + f(s);
+  }
+  out = s;
+  return s;
+}
+|}
+
+(* Every corpus scenario (both variants, automatic and assisted), every
+   examples/*.mc with its .annot when it has one, and [escalation_cut]. *)
+let all_cache_facts () =
+  let corpus =
+    List.concat_map
+      (fun (e : Corpus.entry) ->
+        List.concat_map
+          (fun (variant, (s : Corpus.scenario)) ->
+            let program = Minic.Compile.compile ~options:s.Corpus.options s.Corpus.source in
+            List.map
+              (fun (mode, annot) ->
+                cache_facts
+                  (Printf.sprintf "corpus/%s/%s/%s" e.Corpus.id variant mode)
+                  ~hw:s.Corpus.hw ~annot program)
+              [ ("automatic", Wcet_annot.Annot.empty); ("assisted", s.Corpus.annotations program) ])
+          [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
+      Corpus.all
+  in
+  let examples =
+    Sys.readdir Examples_dir.dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mc")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let read f = In_channel.with_open_bin (Examples_dir.file f) In_channel.input_all in
+           let annot_file = Filename.chop_suffix f ".mc" ^ ".annot" in
+           let annot =
+             if Sys.file_exists (Examples_dir.file annot_file) then
+               match Wcet_annot.Annot.parse (read annot_file) with
+               | Ok a -> a
+               | Error e -> Alcotest.failf "%s: %s" annot_file e
+             else Wcet_annot.Annot.empty
+           in
+           cache_facts ("examples/" ^ f) ~hw:Pred32_hw.Hw_config.default ~annot
+             (Minic.Compile.compile (read f)))
+  in
+  let cut =
+    match Wcet_annot.Annot.parse "assume n in [ 0 64 ]\n" with
+    | Ok annot ->
+      cache_facts "fixture/escalation_cut" ~hw:Pred32_hw.Hw_config.default ~annot
+        (Minic.Compile.compile escalation_cut)
+    | Error e -> Alcotest.fail e
+  in
+  corpus @ examples @ [ cut ]
+
+(* The golden file pins these facts, so a change to how the phases compute
+   them that should not alter a result shows it did not. *)
+let test_cache_facts_pinned () =
+  let golden =
+    In_channel.with_open_bin (Examples_dir.beside "cache_facts.golden") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "cache facts" golden (all_cache_facts ())
 
 (* --- cache config --- *)
 
@@ -456,6 +607,8 @@ let () =
           Alcotest.test_case "no-op access vs full rebuild" `Quick test_fast_path_vs_rebuild;
           Alcotest.test_case "set-indexed vs map reference" `Quick test_set_indexed_vs_reference;
           Alcotest.test_case "marshal round trip" `Quick test_marshal_round_trip;
+          Alcotest.test_case "join shares its first argument" `Quick test_join_sharing;
         ] );
       ("config", [ Alcotest.test_case "geometry" `Quick test_config_lines ]);
+      ("facts", [ Alcotest.test_case "cache facts pinned" `Quick test_cache_facts_pinned ]);
     ]
